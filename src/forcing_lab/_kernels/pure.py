@@ -2,10 +2,11 @@
 
 All kernels speak a single low-level dialect: a graph is a list of
 neighbor bitmasks (``nbrs[v]`` has bit ``u`` set iff ``uv`` is an edge)
-and a vertex subset is one Python integer. The compiled extension in
-``_ckern.pyx`` implements the same functions with identical semantics
-(same return values, same node counts); this module is the fallback for
-interpreters without the extension and the reference for n > 62.
+and a vertex subset is one Python integer. The compiled extension
+(``_ckern``, built from ``_ckern.c``) implements the same functions with
+identical semantics (same return values, same node counts) for n <= 62;
+this module is the reference, the fallback when the extension is not
+built, and the only implementation for n > 62.
 """
 
 BACKEND = "pure"

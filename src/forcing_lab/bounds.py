@@ -5,7 +5,7 @@ unreduced (numerator, denominator) pairs and every comparison is
 cross-multiplied. No floating point, so equality detection cannot drift.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graphs import degree_stats, is_bipartite_parts, is_connected
 
@@ -58,17 +58,7 @@ class BoundReport:
     meets_equality: bool
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "max_degree": self.max_degree,
-            "min_degree": self.min_degree,
-            "k": self.k,
-            "bound_num": self.bound_num,
-            "bound_den": self.bound_den,
-            "refined_num": self.refined_num,
-            "refined_den": self.refined_den,
-            "meets_equality": self.meets_equality,
-        }
+        return asdict(self)
 
 
 def build_bound_report(g, k, z):

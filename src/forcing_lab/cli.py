@@ -18,7 +18,7 @@ import sys
 from . import __version__, _kernels
 from .engine import trace
 from .enumeration import enumerate_connected, labeled_trees, random_trees
-from .graph6 import Graph6Error, parse_graph6
+from .graph6 import MAX_VERTICES, Graph6Error, parse_graph6
 from .graphs import VertexSet, generate, parse_edge_list
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, solve,
                      solve_connected_complement)
@@ -67,11 +67,13 @@ def _load_graph(args):
     return parse_graph6(first)
 
 
-def _echo_config(args, extra=None):
+def _echo_config(args, n=0):
+    """Echo the run's configuration to stderr; ``backend`` names the kernel
+    backend that serves graphs of order ``n``."""
     config = {
         "command": args.command,
         "version": __version__,
-        "backend": _kernels.active_backend(),
+        "backend": _kernels.active_backend(n),
         "k": getattr(args, "k", None),
         "seed": getattr(args, "seed", None),
         "node_budget": getattr(args, "node_budget", None),
@@ -82,8 +84,6 @@ def _echo_config(args, extra=None):
         "enumerate": getattr(args, "enumerate", None),
         "out": getattr(args, "out", None),
     }
-    if extra:
-        config.update(extra)
     print(json.dumps({"config": config}), file=sys.stderr)
     return config
 
@@ -161,7 +161,7 @@ def build_parser():
 
 def _cmd_solve(args):
     g = _load_graph(args)
-    _echo_config(args)
+    _echo_config(args, g.n)
     if args.constrained:
         res = solve_connected_complement(g, args.k, node_budget=args.node_budget)
     else:
@@ -178,7 +178,7 @@ def _cmd_closure(args):
     g = _load_graph(args)
     ids = _parse_id_csv(args.initial)
     initial = VertexSet.from_ids(ids, g.n)
-    _echo_config(args)
+    _echo_config(args, g.n)
     tr = trace(g, args.k, initial)
     out = json.loads(tr.to_json_line())
     out["forces"] = tr.forces_all()
@@ -191,7 +191,7 @@ def _cmd_bounds(args):
     from .bounds import build_bound_report, classify_extremal
 
     g = _load_graph(args)
-    _echo_config(args)
+    _echo_config(args, g.n)
     res = solve(g, 1, node_budget=args.node_budget)
     report = build_bound_report(g, args.k, res.value)
     out = report.to_dict()
@@ -210,7 +210,7 @@ def _cmd_bounds(args):
 def _cmd_verify(args):
     if (args.input is None) == (args.enumerate is None):
         raise ValueError("give exactly one of --input or --enumerate")
-    _echo_config(args)
+    _echo_config(args, MAX_VERTICES)
     if args.enumerate is not None:
         from .graph6 import encode_graph6
         lines = [encode_graph6(g) for g in enumerate_connected(args.enumerate)]

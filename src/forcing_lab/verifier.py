@@ -15,7 +15,7 @@ whatever the worker count, and every summary reduction is order-free.
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 
 from .bounds import classify_extremal, forcing_upper_bound
@@ -47,22 +47,7 @@ class VerificationRecord:
     status: str  # "ok" or "unresolved"
 
     def to_json_line(self):
-        return json.dumps({
-            "graph6": self.graph6,
-            "n": self.n,
-            "max_degree": self.max_degree,
-            "min_degree": self.min_degree,
-            "k": self.k,
-            "f_k": self.f_k,
-            "bound_num": self.bound_num,
-            "bound_den": self.bound_den,
-            "equality": self.equality,
-            "extremal_class": self.extremal_class,
-            "extremal_parameter": self.extremal_parameter,
-            "structure_ok": self.structure_ok,
-            "solver_nodes": self.solver_nodes,
-            "status": self.status,
-        })
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)

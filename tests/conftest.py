@@ -1,19 +1,55 @@
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import pytest
 
 from forcing_lab import Graph
-from forcing_lab import _kernels
 from forcing_lab._kernels import pure as pure_kernels
 
-_BACKENDS = [pure_kernels]
-if _kernels.HAVE_COMPILED:
-    from forcing_lab._kernels import _ckern as compiled_kernels
-    _BACKENDS.append(compiled_kernels)
+ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(params=_BACKENDS, ids=lambda mod: mod.BACKEND)
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """The compiled kernel module: the in-place build when it imports,
+    otherwise one built for this session into a temporary directory (the
+    source tree is left untouched). Skips only when no C compiler exists."""
+    try:
+        from forcing_lab._kernels import _ckern
+        return _ckern
+    except ImportError:
+        pass
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    out = tmp_path_factory.mktemp("ckern")
+    done = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out)],
+        cwd=ROOT, capture_output=True, text=True)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    built = out / "forcing_lab" / "_kernels" / ("_ckern" + suffix)
+    if done.returncode != 0 or not built.is_file():
+        pytest.fail("building the compiled kernels failed:\n"
+                    + done.stdout + done.stderr)
+    spec = importlib.util.spec_from_file_location(
+        "forcing_lab._kernels._ckern", built)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
 def kernels(request):
-    """Run the test once per available kernel backend."""
-    return request.param
+    """Run the test once per kernel backend."""
+    if request.param == "pure":
+        return pure_kernels
+    return request.getfixturevalue("compiled_kernels")
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from forcing_lab import _kernels
 from forcing_lab.cli import main
 
 
@@ -195,3 +196,17 @@ def test_config_echo_is_reproducible_json(capsys):
     assert config["node_budget"] == 1000
     assert config["command"] == "solve"
     assert "version" in config and "backend" in config
+
+
+def test_config_echo_names_the_backend_that_runs(capsys, monkeypatch):
+    # Unforced dispatch: the compiled kernels, when built, serve graphs up
+    # to 62 vertices and the pure ones everything larger.
+    monkeypatch.setattr(_kernels, "_FORCED", None)
+    small = "compiled" if _kernels.HAVE_COMPILED else "pure"
+    code, out, err = run_cli(capsys, "solve", "--family", "cycle:70")
+    assert code == 0 and first_json(out)["value"] == 2
+    assert first_json(err)["config"]["backend"] == "pure"
+    _, _, err = run_cli(capsys, "solve", "--family", "cycle:5")
+    assert first_json(err)["config"]["backend"] == small
+    _, _, err = run_cli(capsys, "verify", "--enumerate", "3")
+    assert first_json(err)["config"]["backend"] == small

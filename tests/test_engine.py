@@ -10,6 +10,7 @@ import pytest
 from forcing_lab import (Graph, ForcingTrace, TraceError, VertexSet, closure,
                          complete, complete_bipartite, cycle, is_forcing_set,
                          path, replay, stalled_frontier, star, trace)
+from forcing_lab._kernels import pure as pure_kernels
 
 
 def _random_graph(rng, n, p=0.4):
@@ -198,23 +199,24 @@ class TestProperties:
 
 
 class TestKernelParity:
-    """Both backends must agree bit for bit."""
+    """Both backends must agree bit for bit (tests/test_kernels.py covers
+    the other kernels)."""
 
     def test_closure_matches_across_backends(self, kernels):
         rng = random.Random(31)
         for _ in range(300):
-            n = rng.randint(1, 12)
-            g = _random_graph(rng, n)
+            n = rng.randint(1, 62)
+            g = _random_graph(rng, n, rng.choice((0.03, 0.08, 0.4)))
             s = rng.getrandbits(n)
             k = rng.randint(1, 4)
-            expected = closure(g, k, VertexSet(s, n)).mask
+            expected = pure_kernels.closure(g.neighbor_masks, k, s)
             assert kernels.closure(g.neighbor_masks, k, s) == expected
 
     def test_connected_in_matches_bfs(self, kernels):
         rng = random.Random(37)
         for _ in range(300):
-            n = rng.randint(1, 10)
-            g = _random_graph(rng, n)
+            n = rng.randint(1, 62)
+            g = _random_graph(rng, n, rng.choice((0.03, 0.08, 0.4)))
             mask = rng.getrandbits(n)
             inside = [v for v in range(n) if (mask >> v) & 1]
             # reference: plain set-based reachability within the mask
