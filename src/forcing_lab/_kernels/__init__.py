@@ -1,12 +1,10 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when present and the graph fits in a
-64-bit mask; otherwise the pure-Python kernels take over. Set
-``FORCING_LAB_BACKEND=pure`` or ``=compiled`` to force one side (the
-benchmark and the test matrix do).
+The compiled extension serves every graph of at most 62 vertices when it
+is built (``python setup.py build_ext --inplace``); the pure-Python
+kernels serve everything else. Tests reach both backends directly
+through the ``kernels`` fixture.
 """
-
-import os
 
 from . import pure as _pure
 
@@ -14,17 +12,6 @@ try:
     from . import _ckern as _compiled
 except ImportError:
     _compiled = None
-
-_FORCED = os.environ.get("FORCING_LAB_BACKEND")
-if _FORCED not in (None, "", "pure", "compiled"):
-    raise RuntimeError(
-        f"FORCING_LAB_BACKEND must be 'pure' or 'compiled', got {_FORCED!r}"
-    )
-if _FORCED == "compiled" and _compiled is None:
-    raise RuntimeError(
-        "FORCING_LAB_BACKEND=compiled but the extension is not built; "
-        "reinstall with a working C compiler"
-    )
 
 HAVE_COMPILED = _compiled is not None
 _C_MAX_VERTICES = 62
@@ -36,14 +23,6 @@ def active_backend(n=0):
 
 
 def _impl(n):
-    if _FORCED == "pure":
-        return _pure
-    if _FORCED == "compiled":
-        if n > _C_MAX_VERTICES:
-            raise ValueError(
-                f"compiled kernels support at most {_C_MAX_VERTICES} vertices"
-            )
-        return _compiled
     if _compiled is not None and n <= _C_MAX_VERTICES:
         return _compiled
     return _pure

@@ -44,8 +44,8 @@ def attains_equality(z, n, max_degree):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Both bounds for one graph, plus the equality verdict given its
-    exactly computed forcing number."""
+    """Both bounds for one graph, plus the verdict of whether its exactly
+    computed k-forcing number equals the bound at the same k."""
 
     n: int
     max_degree: int
@@ -61,9 +61,9 @@ class BoundReport:
         return asdict(self)
 
 
-def build_bound_report(g, k, z):
-    """Assemble a BoundReport for graph ``g`` from its exact k = 1 forcing
-    number ``z`` (callers compute it with the solver)."""
+def build_bound_report(g, k, f_k):
+    """Assemble a BoundReport for graph ``g`` from its exact k-forcing
+    number ``f_k`` (callers compute it with the solver)."""
     dmax, dmin, _ = degree_stats(g)
     num, den = forcing_upper_bound(g.n, dmax, k)
     rnum, rden = degree_refined_bound(g.n, dmax, dmin)
@@ -71,7 +71,7 @@ def build_bound_report(g, k, z):
         n=g.n, max_degree=dmax, min_degree=dmin, k=k,
         bound_num=num, bound_den=den,
         refined_num=rnum, refined_den=rden,
-        meets_equality=attains_equality(z, g.n, dmax),
+        meets_equality=f_k * den == num,
     )
 
 

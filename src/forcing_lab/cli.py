@@ -2,9 +2,11 @@
 
 Subcommands: solve, closure, bounds, verify, lemmas trees, lemmas known.
 Graphs arrive inline (--graph6, --family name:params) or from files
-(--input: graph6 lines, or the "n m" edge-list format). Every run echoes
-its full configuration (seed, budgets, version, backend) to stderr as one
-JSON line, which is enough to reproduce it.
+(--input: graph6 lines, or the "n m" edge-list format). Each subcommand
+takes only the options its handler reads. Every run echoes to stderr, as
+one JSON line, the package version, the kernel backend that serves its
+largest graph, and every option of the subcommand, defaults included, so
+the echo alone reproduces the run.
 
 Exit codes: 0 success, 1 counterexample or property failure, 2 input
 error, 3 resource-budget abort.
@@ -12,7 +14,6 @@ error, 3 resource-budget abort.
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__, _kernels
@@ -67,23 +68,11 @@ def _load_graph(args):
     return parse_graph6(first)
 
 
-def _echo_config(args, n=0):
+def _echo_config(args, n):
     """Echo the run's configuration to stderr; ``backend`` names the kernel
     backend that serves graphs of order ``n``."""
-    config = {
-        "command": args.command,
-        "version": __version__,
-        "backend": _kernels.active_backend(n),
-        "k": getattr(args, "k", None),
-        "seed": getattr(args, "seed", None),
-        "node_budget": getattr(args, "node_budget", None),
-        "workers": getattr(args, "workers", None),
-        "input": getattr(args, "input", None),
-        "family": getattr(args, "family", None),
-        "graph6": getattr(args, "graph6", None),
-        "enumerate": getattr(args, "enumerate", None),
-        "out": getattr(args, "out", None),
-    }
+    config = {"version": __version__,
+              "backend": _kernels.active_backend(n), **vars(args)}
     print(json.dumps({"config": config}), file=sys.stderr)
     return config
 
@@ -95,15 +84,13 @@ def _add_graph_source(p):
     p.add_argument("--input", help="path to a graph6 or edge-list file")
 
 
-def _add_common(p, workers=False):
+def _add_k(p):
     p.add_argument("--k", type=int, default=1, help="forcing parameter (default 1)")
+
+
+def _add_node_budget(p):
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                    dest="node_budget", help="search node budget")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    if workers:
-        default_workers = int(os.environ.get("FORCING_LAB_WORKERS", "1"))
-        p.add_argument("--workers", type=int, default=default_workers,
-                       help="parallel workers (env FORCING_LAB_WORKERS)")
 
 
 def build_parser():
@@ -115,20 +102,22 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="exact minimum k-forcing set")
     _add_graph_source(p_solve)
-    _add_common(p_solve)
+    _add_k(p_solve)
+    _add_node_budget(p_solve)
     p_solve.add_argument("--constrained", action="store_true",
                          help="restrict to sets with connected complement")
 
     p_closure = sub.add_parser("closure", help="trace the coloring process "
                                                "from an initial set")
     _add_graph_source(p_closure)
-    _add_common(p_closure)
+    _add_k(p_closure)
     p_closure.add_argument("--set", required=True, dest="initial",
                            help="comma-separated initial vertex ids")
 
     p_bounds = sub.add_parser("bounds", help="degree bounds and equality verdict")
     _add_graph_source(p_bounds)
-    _add_common(p_bounds)
+    _add_k(p_bounds)
+    _add_node_budget(p_bounds)
 
     p_verify = sub.add_parser("verify", help="sweep a graph6 stream against "
                                              "the bound and its equality families")
@@ -139,7 +128,10 @@ def build_parser():
     p_verify.add_argument("--out", help="output path prefix (writes "
                           "PREFIX.records.jsonl, PREFIX.summary.csv, "
                           "PREFIX.summary.json)")
-    _add_common(p_verify, workers=True)
+    _add_k(p_verify)
+    _add_node_budget(p_verify)
+    p_verify.add_argument("--workers", type=int, default=1,
+                          help="parallel workers (default 1)")
 
     p_lemmas = sub.add_parser("lemmas", help="property suites")
     lemmas_sub = p_lemmas.add_subparsers(dest="suite", required=True)
@@ -150,11 +142,12 @@ def build_parser():
                          dest="random_count", help="extra random trees")
     p_trees.add_argument("--random-min", type=int, default=9, dest="random_min")
     p_trees.add_argument("--random-max", type=int, default=16, dest="random_max")
-    _add_common(p_trees)
+    p_trees.add_argument("--seed", type=int, default=0,
+                         help="seed of the random trees")
     p_known = lemmas_sub.add_parser("known", help="closed-form family values")
     p_known.add_argument("--delta-max", type=int, default=4, dest="delta_max")
     p_known.add_argument("--cycle-max", type=int, default=12, dest="cycle_max")
-    _add_common(p_known)
+    _add_node_budget(p_known)
 
     return parser
 
@@ -192,12 +185,12 @@ def _cmd_bounds(args):
 
     g = _load_graph(args)
     _echo_config(args, g.n)
-    res = solve(g, 1, node_budget=args.node_budget)
-    report = build_bound_report(g, args.k, res.value)
+    z = solve(g, 1, node_budget=args.node_budget).value
+    f_k = z if args.k == 1 else solve(g, args.k, node_budget=args.node_budget).value
+    report = build_bound_report(g, args.k, f_k)
     out = report.to_dict()
-    out["z"] = res.value
+    out["z"] = z
     if args.k != 1:
-        f_k = solve(g, args.k, node_budget=args.node_budget).value
         out["f_k"] = f_k
     cls = classify_extremal(g) if report.max_degree >= 2 else None
     out["extremal_class"] = cls.tag if cls else None
@@ -223,7 +216,6 @@ def _cmd_verify(args):
     run = verify_stream(lines, k=args.k, workers=args.workers,
                         node_budget=args.node_budget)
     summary = dict(run.summary)
-    summary["seed"] = args.seed
     summary["version"] = __version__
 
     if args.out:
@@ -255,8 +247,9 @@ def _cmd_verify(args):
 
 
 def _cmd_lemmas(args):
-    _echo_config(args)
     if args.suite == "trees":
+        _echo_config(args, max(args.max_n, args.random_max))
+
         def stream():
             for n in range(2, args.max_n + 1):
                 yield from labeled_trees(n)
@@ -267,6 +260,8 @@ def _cmd_lemmas(args):
         print(json.dumps(result))
         return EXIT_OK if not result["failures"] and not result["rejected"] \
             else EXIT_FAILURE
+    # K_{d,d} has 2d vertices, the largest graph of degree d built here.
+    _echo_config(args, max(args.cycle_max, 2 * args.delta_max))
     result = run_known_values(delta_max=args.delta_max,
                               cycle_max=args.cycle_max,
                               node_budget=args.node_budget)

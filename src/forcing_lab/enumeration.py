@@ -27,18 +27,6 @@ ALL_GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
-def _mask_to_nbrs(bits, n):
-    masks = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> idx) & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            idx += 1
-    return masks
-
-
 @lru_cache(maxsize=None)
 def _canonical_classes(n):
     """Sorted canonical certificates of *all* graphs on n vertices."""
@@ -46,7 +34,7 @@ def _canonical_classes(n):
         return (0,)
     seen = set()
     for parent in _canonical_classes(n - 1):
-        base = _mask_to_nbrs(parent, n - 1)
+        base = Graph.from_upper_triangle_mask(parent, n - 1).neighbor_masks
         new = n - 1
         for nbhd in range(1 << new):
             masks = list(base)
@@ -67,14 +55,7 @@ def enumerate_connected(n):
     Supported for n <= 8 only; beyond that, supply a graph6 file produced
     by an external generator instead.
     """
-    if not 1 <= n <= MAX_ENUMERATION_ORDER:
-        raise ValueError(
-            f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_ORDER}; "
-            "supply a graph6 file for larger orders")
-    for cert in _canonical_classes(n):
-        g = Graph.from_upper_triangle_mask(cert, n)
-        if is_connected(g):
-            yield g
+    return filter(is_connected, enumerate_all(n))
 
 
 def enumerate_all(n):

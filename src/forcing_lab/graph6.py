@@ -87,19 +87,3 @@ def encode_graph6(g):
     if filled:
         out.append(chr((val << (6 - filled)) + 63))
     return "".join(out)
-
-
-def iter_graph6_lines(lines):
-    """Yield (line_number, graph_or_error) over an iterable of text lines.
-
-    Blank lines are skipped. Parse failures come back as the Graph6Error
-    instead of raising, so stream consumers can record and continue.
-    """
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            yield lineno, parse_graph6(line)
-        except Graph6Error as exc:
-            yield lineno, exc

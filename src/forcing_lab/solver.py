@@ -69,15 +69,33 @@ def _check_args(g, k):
         raise ValueError("k must be positive")
 
 
-def _deadline(time_budget):
-    return None if time_budget is None else time.monotonic() + time_budget
+def _scan_levels(g, k, search, sizes, node_budget, time_budget, *, total=0,
+                 best=None):
+    """Run the level kernel ``search`` at each size in ``sizes``, in order,
+    until one returns a witness.
 
-
-def _check_deadline(deadline, nodes, size, best=None):
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded(
-            f"wall-clock budget exhausted after {nodes} nodes",
-            nodes, size, best)
+    Returns ``(size, witness, total)``, or ``(None, None, total)`` when no
+    size hits. ``total`` counts the nodes spent before the scan and ``best``
+    rides along on every BudgetExceeded. Callers pass the kernel as looked
+    up on ``_kernels`` when they run, so a wrapper installed on that module
+    sees every level.
+    """
+    nbrs = g.neighbor_masks
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    for size in sizes:
+        witness, nodes, aborted = search(nbrs, k, size, node_budget - total)
+        total += nodes
+        if aborted:
+            raise BudgetExceeded(
+                f"node budget {node_budget} exhausted at subset size {size}",
+                total, size - 1, best)
+        if witness is not None:
+            return size, VertexSet(witness, g.n), total
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded(
+                f"wall-clock budget exhausted after {total} nodes",
+                total, size, best)
+    return None, None, total
 
 
 def brute_force_oracle(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET,
@@ -87,21 +105,12 @@ def brute_force_oracle(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET,
     is returned.
     """
     _check_args(g, k)
-    nbrs = g.neighbor_masks
-    deadline = _deadline(time_budget)
-    total = 0
-    for size in range(1, g.n + 1):
-        witness, nodes, aborted = _kernels.search_level_exhaustive(
-            nbrs, k, size, node_budget - total)
-        total += nodes
-        if aborted:
-            raise BudgetExceeded(
-                f"node budget {node_budget} exhausted at subset size {size}",
-                total, size - 1)
-        if witness is not None:
-            return SolveResult(size, VertexSet(witness, g.n), total, "oracle", k)
-        _check_deadline(deadline, total, size)
-    raise AssertionError("the full vertex set always forces")
+    size, witness, total = _scan_levels(
+        g, k, _kernels.search_level_exhaustive, range(1, g.n + 1),
+        node_budget, time_budget)
+    if witness is None:
+        raise AssertionError("the full vertex set always forces")
+    return SolveResult(size, witness, total, "oracle", k)
 
 
 def greedy_upper_bound(g, k=1):
@@ -144,25 +153,16 @@ def solve(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET, time_budget=None):
     """
     _check_args(g, k)
     greedy = greedy_upper_bound(g, k)
-    nbrs = g.neighbor_masks
-    deadline = _deadline(time_budget)
-    total = greedy.nodes_explored
-    if total >= node_budget:
+    if greedy.nodes_explored >= node_budget:
         raise BudgetExceeded(
             f"node budget {node_budget} exhausted during the greedy bound",
-            total, 0, greedy)
-    for size in range(1, greedy.value + 1):
-        witness, nodes, aborted = _kernels.search_level_pruned(
-            nbrs, k, size, node_budget - total)
-        total += nodes
-        if aborted:
-            raise BudgetExceeded(
-                f"node budget {node_budget} exhausted at subset size {size}",
-                total, size - 1, greedy)
-        if witness is not None:
-            return SolveResult(size, VertexSet(witness, g.n), total, "bnb", k)
-        _check_deadline(deadline, total, size, greedy)
-    raise AssertionError("greedy witness guarantees a hit at its own size")
+            greedy.nodes_explored, 0, greedy)
+    size, witness, total = _scan_levels(
+        g, k, _kernels.search_level_pruned, range(1, greedy.value + 1),
+        node_budget, time_budget, total=greedy.nodes_explored, best=greedy)
+    if witness is None:
+        raise AssertionError("greedy witness guarantees a hit at its own size")
+    return SolveResult(size, witness, total, "bnb", k)
 
 
 def solve_connected_complement(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET,
@@ -175,20 +175,10 @@ def solve_connected_complement(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET,
     ``complement_empty`` rather than silently.
     """
     _check_args(g, k)
-    nbrs = g.neighbor_masks
-    deadline = _deadline(time_budget)
-    total = 0
-    for size in range(1, g.n):
-        witness, nodes, aborted = _kernels.search_level_constrained(
-            nbrs, k, size, node_budget - total)
-        total += nodes
-        if aborted:
-            raise BudgetExceeded(
-                f"node budget {node_budget} exhausted at subset size {size}",
-                total, size - 1)
-        if witness is not None:
-            return SolveResult(size, VertexSet(witness, g.n), total, "oracle",
-                               k, constrained=True)
-        _check_deadline(deadline, total, size)
-    return SolveResult(g.n, VertexSet.full(g.n), total, "oracle", k,
-                       constrained=True, complement_empty=True)
+    size, witness, total = _scan_levels(
+        g, k, _kernels.search_level_constrained, range(1, g.n),
+        node_budget, time_budget)
+    if witness is None:
+        return SolveResult(g.n, VertexSet.full(g.n), total, "oracle", k,
+                           constrained=True, complement_empty=True)
+    return SolveResult(size, witness, total, "oracle", k, constrained=True)

@@ -110,7 +110,7 @@ def _skip_reason(g, k):
     return None
 
 
-def _verify_one(lineno, line, k, node_budget, structure_checks):
+def _verify_one(lineno, line, k, node_budget):
     """Process one graph6 line; returns a tagged tuple for the reducer."""
     started = time.perf_counter()
     try:
@@ -137,7 +137,7 @@ def _verify_one(lineno, line, k, node_budget, structure_checks):
                 (time.perf_counter() - started) * 1000.0)
     equality = res.value * den == num
     structure = None
-    if structure_checks and k == 1 and equality and dmax >= 3:
+    if k == 1 and equality and dmax >= 3:
         structure = check_extremal_structure(g, node_budget=node_budget).ok
     record = VerificationRecord(
         graph6=line, n=g.n, max_degree=dmax, min_degree=dmin, k=k,
@@ -192,8 +192,7 @@ class VerifyRun:
         return not self.summary["counterexamples"] and not self.summary["unresolved"]
 
 
-def verify_stream(lines, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET,
-                  structure_checks=True):
+def verify_stream(lines, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET):
     """Run the bound sweep over an iterable of graph6 lines.
 
     Graphs that fall outside the hypotheses (disconnected, max degree < 2,
@@ -208,7 +207,7 @@ def verify_stream(lines, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET,
         line = raw.strip()
         if not line:
             continue
-        payload.append((lineno, line, k, node_budget, structure_checks))
+        payload.append((lineno, line, k, node_budget))
 
     if workers > 1 and len(payload) > 1:
         chunk = max(1, len(payload) // (workers * 8))

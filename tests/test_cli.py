@@ -5,7 +5,7 @@ import json
 import pytest
 
 from forcing_lab import _kernels
-from forcing_lab.cli import main
+from forcing_lab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +117,23 @@ class TestBounds:
         assert data["z"] == 6
         assert data["extremal_class"] == "balanced_complete_bipartite"
 
+    def test_k2_verdict_uses_f_k(self, capsys):
+        # Z(K_{3,3}) = 4 meets the k = 1 bound 4/2, but f_2 = 2 is below
+        # the k = 2 bound 8/3.
+        code, out, _ = run_cli(capsys, "bounds", "--family",
+                               "complete_bipartite:3,3", "--k", "2")
+        assert code == 0
+        data = first_json(out)
+        assert (data["bound_num"], data["bound_den"]) == (8, 3)
+        assert data["z"] == 4 and data["f_k"] == 2
+        assert data["meets_equality"] is False
+        # f_2(K_5) = 3 = 12/4.
+        _, out, _ = run_cli(capsys, "bounds", "--family", "complete:5",
+                            "--k", "2")
+        data = first_json(out)
+        assert (data["bound_num"], data["bound_den"], data["f_k"]) == (12, 4, 3)
+        assert data["meets_equality"] is True
+
 
 class TestVerify:
     def test_enumerate_3(self, capsys):
@@ -139,7 +156,6 @@ class TestVerify:
         assert csv_text.splitlines()[1].startswith("6,112,3,")
         summary = json.loads((tmp_path / "sweep.summary.json").read_text())
         assert summary["counterexamples"] == []
-        assert summary["seed"] == 0
 
     def test_stdin_and_input_file(self, capsys, tmp_path):
         p = tmp_path / "in.g6"
@@ -189,19 +205,18 @@ class TestLemmas:
 
 def test_config_echo_is_reproducible_json(capsys):
     code, _, err = run_cli(capsys, "solve", "--family", "cycle:5",
-                           "--seed", "99", "--node-budget", "1000")
+                           "--k", "2", "--node-budget", "1000")
     assert code == 0
     config = first_json(err)["config"]
-    assert config["seed"] == 99
+    assert config["k"] == 2
     assert config["node_budget"] == 1000
     assert config["command"] == "solve"
     assert "version" in config and "backend" in config
 
 
-def test_config_echo_names_the_backend_that_runs(capsys, monkeypatch):
-    # Unforced dispatch: the compiled kernels, when built, serve graphs up
-    # to 62 vertices and the pure ones everything larger.
-    monkeypatch.setattr(_kernels, "_FORCED", None)
+def test_config_echo_names_the_backend_that_runs(capsys):
+    # The compiled kernels, when built, serve graphs up to 62 vertices and
+    # the pure ones everything larger.
     small = "compiled" if _kernels.HAVE_COMPILED else "pure"
     code, out, err = run_cli(capsys, "solve", "--family", "cycle:70")
     assert code == 0 and first_json(out)["value"] == 2
@@ -210,3 +225,67 @@ def test_config_echo_names_the_backend_that_runs(capsys, monkeypatch):
     assert first_json(err)["config"]["backend"] == small
     _, _, err = run_cli(capsys, "verify", "--enumerate", "3")
     assert first_json(err)["config"]["backend"] == small
+    _, _, err = run_cli(capsys, "lemmas", "trees", "--max-n", "3",
+                        "--random-count", "1")
+    assert first_json(err)["config"]["backend"] == small
+
+
+def test_lemmas_echo_the_backend_of_their_largest_graph(capsys):
+    # C_63 and C_64 are past the compiled kernels' 62-vertex limit.
+    code, _, err = run_cli(capsys, "lemmas", "known", "--delta-max", "2",
+                           "--cycle-max", "64")
+    assert code == 0
+    assert first_json(err)["config"]["backend"] == "pure"
+
+
+GRAPH_SOURCE = {"graph6", "family", "input"}
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["solve", "--family", "cycle:5"],
+     GRAPH_SOURCE | {"k", "node_budget", "constrained"}),
+    (["closure", "--family", "cycle:5", "--set", "0,1"],
+     GRAPH_SOURCE | {"k", "initial"}),
+    (["bounds", "--family", "cycle:5"], GRAPH_SOURCE | {"k", "node_budget"}),
+    (["verify", "--enumerate", "3"],
+     {"input", "enumerate", "out", "k", "node_budget", "workers"}),
+    (["lemmas", "trees", "--max-n", "3", "--random-count", "2"],
+     {"suite", "max_n", "random_count", "random_min", "random_max", "seed"}),
+    (["lemmas", "known", "--delta-max", "2", "--cycle-max", "3"],
+     {"suite", "delta_max", "cycle_max", "node_budget"}),
+])
+def test_config_echo_holds_exactly_the_subcommand_options(capsys, argv, options):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    config = first_json(err)["config"]
+    assert set(config) == {"version", "backend", "command"} | options
+
+
+def test_config_echo_records_option_values(capsys):
+    _, _, err = run_cli(capsys, "solve", "--family", "complete:1",
+                        "--constrained")
+    assert first_json(err)["config"]["constrained"] is True
+    _, _, err = run_cli(capsys, "lemmas", "trees", "--max-n", "3",
+                        "--random-count", "2", "--random-min", "4",
+                        "--random-max", "5", "--seed", "11")
+    config = first_json(err)["config"]
+    assert (config["max_n"], config["random_count"], config["random_min"],
+            config["random_max"], config["seed"]) == (3, 2, 4, 5, 11)
+
+
+@pytest.mark.parametrize("base, flag", [
+    (["solve", "--family", "cycle:5"], ["--seed", "1"]),
+    (["closure", "--family", "cycle:5", "--set", "0"], ["--node-budget", "9"]),
+    (["closure", "--family", "cycle:5", "--set", "0"], ["--seed", "1"]),
+    (["bounds", "--family", "cycle:5"], ["--seed", "1"]),
+    (["verify", "--enumerate", "3"], ["--seed", "1"]),
+    (["lemmas", "trees"], ["--k", "2"]),
+    (["lemmas", "trees"], ["--node-budget", "1"]),
+    (["lemmas", "known"], ["--k", "2"]),
+    (["lemmas", "known"], ["--seed", "1"]),
+])
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, base, flag):
+    build_parser().parse_args(base)
+    with pytest.raises(SystemExit) as exc:
+        main(base + flag)
+    assert exc.value.code == 2

@@ -7,7 +7,6 @@ import pytest
 from forcing_lab import (Graph, Graph6Error, complete, complete_bipartite,
                          cycle, encode_graph6, parse_graph6, path, star)
 from forcing_lab.enumeration import enumerate_connected
-from forcing_lab.graph6 import iter_graph6_lines
 
 
 # Hand-encoded vectors: size byte chr(n+63); payload packs x(0,1), x(0,2),
@@ -115,10 +114,3 @@ def test_parse_rejects_empty():
     with pytest.raises(Graph6Error):
         parse_graph6("")
 
-
-def test_iter_graph6_lines_reports_errors_in_place():
-    out = list(iter_graph6_lines(["Bw", "", "B!", "@"]))
-    assert len(out) == 3
-    assert out[0][0] == 1 and isinstance(out[0][1], Graph)
-    assert out[1][0] == 3 and isinstance(out[1][1], Graph6Error)
-    assert out[2][0] == 4 and out[2][1].n == 1
