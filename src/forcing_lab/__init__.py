@@ -12,9 +12,9 @@ graphs, and balanced complete bipartite graphs.
 __version__ = "0.1.0"
 
 from ._kernels import HAVE_COMPILED, active_backend
-from .bounds import (BoundReport, ExtremalClass, attains_equality,
-                     build_bound_report, classify_extremal,
-                     degree_refined_bound, forcing_upper_bound)
+from .bounds import (BoundReport, ExtremalClass, build_bound_report,
+                     classify_extremal, degree_refined_bound,
+                     forcing_upper_bound)
 from .engine import (ForcingTrace, TraceError, closure, is_forcing_set,
                      replay, stalled_frontier, trace)
 from .enumeration import (enumerate_all, enumerate_connected, labeled_trees,
@@ -45,7 +45,7 @@ __all__ = [
     "SolveResult", "BudgetExceeded", "DEFAULT_NODE_BUDGET",
     "brute_force_oracle", "solve", "greedy_upper_bound",
     "solve_connected_complement",
-    "forcing_upper_bound", "degree_refined_bound", "attains_equality",
+    "forcing_upper_bound", "degree_refined_bound",
     "BoundReport", "build_bound_report", "ExtremalClass", "classify_extremal",
     "VerificationRecord", "VerifyRun", "verify_stream", "verify_graphs",
     "StructureCheck", "check_extremal_structure", "run_tree_leaf_suite",

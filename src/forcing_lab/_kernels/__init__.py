@@ -36,10 +36,6 @@ def connected_in(nbrs, mask):
     return _impl(len(nbrs)).connected_in(nbrs, mask)
 
 
-def search_level_exhaustive(nbrs, k, size, node_budget):
-    return _impl(len(nbrs)).search_level_exhaustive(nbrs, k, size, node_budget)
-
-
 def search_level_pruned(nbrs, k, size, node_budget):
     return _impl(len(nbrs)).search_level_pruned(nbrs, k, size, node_budget)
 

@@ -1,7 +1,9 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: the same six functions with the same
- * return values, witnesses and node counts. Keep the two in sync; the
+ * Mirrors _kernels/pure.py exactly: five of its six functions, with the
+ * same return values, witnesses and node counts. The sixth, the exhaustive
+ * level scan, serves only the brute-force oracle and stays pure-only, so
+ * the oracle is independent of this file. Keep the two in sync; the
  * differential tests compare them kernel by kernel.
  *
  * A graph arrives as a sequence of neighbor bitmasks (nbrs[v] has bit u set
@@ -74,31 +76,6 @@ static u64 gosper_next(u64 mask)
     u64 c = mask & (0 - mask);
     u64 r = mask + c;
     return (((r ^ mask) >> 2) / c) | r;
-}
-
-static int exhaustive(const graph *g, long long k, long long size,
-                      long long budget, u64 *witness, long long *nodes)
-{
-    if (size < 0 || size > g->n)
-        return EXHAUSTED;
-    if (size == 0) {
-        *witness = 0;
-        return g->full == 0 ? FOUND : EXHAUSTED;
-    }
-    u64 mask = (ONE << size) - 1;
-    u64 last = mask << (g->n - size);
-    for (;;) {
-        if (*nodes >= budget)
-            return ABORTED;
-        ++*nodes;
-        if (closure_u64(g->nbrs, k, mask) == g->full) {
-            *witness = mask;
-            return FOUND;
-        }
-        if (mask == last)
-            return EXHAUSTED;
-        mask = gosper_next(mask);
-    }
 }
 
 static int pruned(const graph *g, long long k, long long size,
@@ -307,7 +284,7 @@ static PyObject *py_connected_in(PyObject *self, PyObject *args, PyObject *kw)
 typedef int (*level_search)(const graph *, long long, long long, long long,
                             u64 *, long long *);
 
-/* Shared by the three level searches: returns (witness or None, nodes,
+/* Shared by the two level searches: returns (witness or None, nodes,
  * aborted). */
 static PyObject *run_level(PyObject *args, PyObject *kw, const char *format,
                            level_search search)
@@ -326,12 +303,6 @@ static PyObject *run_level(PyObject *args, PyObject *kw, const char *format,
     PyObject *found = outcome == FOUND ? PyLong_FromUnsignedLongLong(witness)
                                        : Py_NewRef(Py_None);
     return Py_BuildValue("(NLN)", found, nodes, PyBool_FromLong(outcome == ABORTED));
-}
-
-static PyObject *py_search_level_exhaustive(PyObject *self, PyObject *args,
-                                            PyObject *kw)
-{
-    return run_level(args, kw, "OOOO:search_level_exhaustive", exhaustive);
 }
 
 static PyObject *py_search_level_pruned(PyObject *self, PyObject *args,
@@ -374,7 +345,6 @@ static PyObject *py_canonical_mask(PyObject *self, PyObject *args, PyObject *kw)
 static PyMethodDef methods[] = {
     KERNEL(closure, "nbrs, k, colored"),
     KERNEL(connected_in, "nbrs, mask"),
-    KERNEL(search_level_exhaustive, "nbrs, k, size, node_budget"),
     KERNEL(search_level_pruned, "nbrs, k, size, node_budget"),
     KERNEL(search_level_constrained, "nbrs, k, size, node_budget"),
     KERNEL(canonical_mask, "nbrs"),

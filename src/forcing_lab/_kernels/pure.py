@@ -3,10 +3,12 @@
 All kernels speak a single low-level dialect: a graph is a list of
 neighbor bitmasks (``nbrs[v]`` has bit ``u`` set iff ``uv`` is an edge)
 and a vertex subset is one Python integer. The compiled extension
-(``_ckern``, built from ``_ckern.c``) implements the same functions with
-identical semantics (same return values, same node counts) for n <= 62;
-this module is the reference, the fallback when the extension is not
-built, and the only implementation for n > 62.
+(``_ckern``, built from ``_ckern.c``) implements every function here but
+``search_level_exhaustive`` with identical semantics (same return values,
+same node counts) for n <= 62; this module is the reference, the fallback
+when the extension is not built, and the only implementation for n > 62.
+``search_level_exhaustive`` serves only the brute-force oracle, which
+calls it here directly.
 """
 
 BACKEND = "pure"

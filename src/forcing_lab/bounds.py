@@ -34,14 +34,6 @@ def degree_refined_bound(n, max_degree, min_degree):
     return (max_degree - 2) * n - (max_degree - min_degree) + 2, max_degree - 1
 
 
-def attains_equality(z, n, max_degree):
-    """True iff z equals ((max_degree - 2) * n + 2) / (max_degree - 1),
-    decided by cross-multiplication in exact integers."""
-    if max_degree < 2:
-        raise ValueError("equality test needs max degree >= 2")
-    return z * (max_degree - 1) == (max_degree - 2) * n + 2
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Both bounds for one graph, plus the verdict of whether its exactly

@@ -192,7 +192,7 @@ def _cmd_bounds(args):
     out["z"] = z
     if args.k != 1:
         out["f_k"] = f_k
-    cls = classify_extremal(g) if report.max_degree >= 2 else None
+    cls = classify_extremal(g)
     out["extremal_class"] = cls.tag if cls else None
     if g.name:
         out["graph"] = g.name

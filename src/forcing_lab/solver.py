@@ -1,35 +1,35 @@
 """Exact minimum k-forcing sets.
 
-Two independent routes to the same value: a plain size-ascending brute
-force (the oracle) and a pruned depth-first search capped by a greedy
-upper bound (the fast path). Both return the size and a witness; the
-pruned search additionally guarantees the lexicographically smallest
-witness at the optimum. A constrained variant restricts the search to
-sets whose complement induces a connected subgraph.
+Two independent routes to the same value, both scanning subset sizes
+upward and stopping at the first size that forces: a plain brute force
+over every subset in the pure-Python kernel (the oracle) and a pruned
+depth-first search in the dispatched kernel (the fast path). Both return
+the size and a witness; the pruned search additionally guarantees the
+lexicographically smallest witness at the optimum. A constrained variant
+restricts the search to sets whose complement induces a connected
+subgraph. A greedy upper bound is available on its own.
 """
 
-import time
 from dataclasses import dataclass
 
 from . import _kernels
+from ._kernels import pure
 from .graphs import VertexSet
 
 DEFAULT_NODE_BUDGET = 10**8
 
 
 class BudgetExceeded(RuntimeError):
-    """Search hit its node or wall-clock budget before proving an optimum.
+    """Search hit its node budget before proving an optimum.
 
-    Carries the partial picture: ``nodes_explored`` so far, the last
-    fully searched size, and ``best_known`` (a valid but possibly
-    non-optimal SolveResult from the greedy bound, when one exists).
+    Carries the partial picture: ``nodes_explored`` so far and the last
+    fully searched size.
     """
 
-    def __init__(self, message, nodes_explored, size_reached, best_known=None):
+    def __init__(self, message, nodes_explored, size_reached):
         super().__init__(message)
         self.nodes_explored = nodes_explored
         self.size_reached = size_reached
-        self.best_known = best_known
 
 
 @dataclass(frozen=True)
@@ -69,45 +69,37 @@ def _check_args(g, k):
         raise ValueError("k must be positive")
 
 
-def _scan_levels(g, k, search, sizes, node_budget, time_budget, *, total=0,
-                 best=None):
+def _scan_levels(g, k, search, sizes, node_budget):
     """Run the level kernel ``search`` at each size in ``sizes``, in order,
     until one returns a witness.
 
-    Returns ``(size, witness, total)``, or ``(None, None, total)`` when no
-    size hits. ``total`` counts the nodes spent before the scan and ``best``
-    rides along on every BudgetExceeded. Callers pass the kernel as looked
-    up on ``_kernels`` when they run, so a wrapper installed on that module
-    sees every level.
+    Returns ``(size, witness, nodes)``, or ``(None, None, nodes)`` when no
+    size hits. Callers pass the kernel as looked up when they run, so a
+    wrapper installed on its module sees every level.
     """
     nbrs = g.neighbor_masks
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    total = 0
     for size in sizes:
         witness, nodes, aborted = search(nbrs, k, size, node_budget - total)
         total += nodes
         if aborted:
             raise BudgetExceeded(
                 f"node budget {node_budget} exhausted at subset size {size}",
-                total, size - 1, best)
+                total, size - 1)
         if witness is not None:
             return size, VertexSet(witness, g.n), total
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(
-                f"wall-clock budget exhausted after {total} nodes",
-                total, size, best)
     return None, None, total
 
 
-def brute_force_oracle(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET,
-                       time_budget=None):
+def brute_force_oracle(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     """Exact by construction: try subset sizes 1, 2, ... and within each
     size every subset in ascending mask order; the first forcing set found
-    is returned.
+    is returned. Always runs the pure-Python kernel, so it stays an
+    independent reference for the compiled pruned search.
     """
     _check_args(g, k)
     size, witness, total = _scan_levels(
-        g, k, _kernels.search_level_exhaustive, range(1, g.n + 1),
-        node_budget, time_budget)
+        g, k, pure.search_level_exhaustive, range(1, g.n + 1), node_budget)
     if witness is None:
         raise AssertionError("the full vertex set always forces")
     return SolveResult(size, witness, total, "oracle", k)
@@ -143,30 +135,22 @@ def greedy_upper_bound(g, k=1):
                        "greedy", k)
 
 
-def solve(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET, time_budget=None):
+def solve(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     """Exact k-forcing number via pruned size-ascending search.
 
     Matches brute_force_oracle on every input where both complete, and
     returns the lexicographically smallest witness at the optimum. The
-    greedy bound caps the last size level; its closure evaluations count
-    toward the node budget.
+    scan stops at the first size that forces, so it needs no upper bound.
     """
     _check_args(g, k)
-    greedy = greedy_upper_bound(g, k)
-    if greedy.nodes_explored >= node_budget:
-        raise BudgetExceeded(
-            f"node budget {node_budget} exhausted during the greedy bound",
-            greedy.nodes_explored, 0, greedy)
     size, witness, total = _scan_levels(
-        g, k, _kernels.search_level_pruned, range(1, greedy.value + 1),
-        node_budget, time_budget, total=greedy.nodes_explored, best=greedy)
+        g, k, _kernels.search_level_pruned, range(1, g.n + 1), node_budget)
     if witness is None:
-        raise AssertionError("greedy witness guarantees a hit at its own size")
+        raise AssertionError("the full vertex set always forces")
     return SolveResult(size, witness, total, "bnb", k)
 
 
-def solve_connected_complement(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET,
-                               time_budget=None):
+def solve_connected_complement(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     """Minimum k-forcing set among those whose complement induces a
     connected subgraph, by restricted exhaustive search.
 
@@ -176,8 +160,7 @@ def solve_connected_complement(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET,
     """
     _check_args(g, k)
     size, witness, total = _scan_levels(
-        g, k, _kernels.search_level_constrained, range(1, g.n),
-        node_budget, time_budget)
+        g, k, _kernels.search_level_constrained, range(1, g.n), node_budget)
     if witness is None:
         return SolveResult(g.n, VertexSet.full(g.n), total, "oracle", k,
                            constrained=True, complement_empty=True)

@@ -189,7 +189,8 @@ class VerifyRun:
 
     @property
     def ok(self):
-        return not self.summary["counterexamples"] and not self.summary["unresolved"]
+        return not (self.summary["counterexamples"] or self.summary["unresolved"]
+                    or self.summary["structure_failures"])
 
 
 def verify_stream(lines, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET):

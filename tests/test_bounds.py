@@ -2,10 +2,9 @@
 
 import pytest
 
-from forcing_lab import (attains_equality, build_bound_report,
-                         classify_extremal, complete, complete_bipartite,
-                         cycle, degree_refined_bound, forcing_upper_bound,
-                         path, solve, star)
+from forcing_lab import (build_bound_report, classify_extremal, complete,
+                         complete_bipartite, cycle, degree_refined_bound,
+                         forcing_upper_bound, path, solve, star)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import Graph, degree_stats
 
@@ -50,21 +49,6 @@ class TestDegreeRefinedBound:
             degree_refined_bound(4, 3, 0)
         with pytest.raises(ValueError):
             degree_refined_bound(4, 3, 4)
-
-
-class TestEquality:
-    def test_cycle(self):
-        assert attains_equality(2, 7, 2)
-
-    def test_balanced_bipartite(self):
-        assert attains_equality(4, 6, 3)
-
-    def test_petersen_misses(self):
-        assert not attains_equality(5, 10, 3)
-
-    def test_rejects_low_degree(self):
-        with pytest.raises(ValueError):
-            attains_equality(1, 3, 1)
 
 
 class TestClassifier:
@@ -125,10 +109,9 @@ class TestBoundProperties:
     def test_classified_families_attain_equality(self):
         for g in [cycle(5), cycle(8), complete(4), complete(6),
                   complete_bipartite(3, 3), complete_bipartite(4, 4)]:
-            cls = classify_extremal(g)
-            assert cls is not None
-            dmax, _, _ = degree_stats(g)
-            assert attains_equality(solve(g).value, g.n, dmax), g.name
+            assert classify_extremal(g) is not None
+            assert build_bound_report(g, 1, solve(g).value).meets_equality, \
+                g.name
 
 
 class TestBoundReport:

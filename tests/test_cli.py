@@ -134,6 +134,11 @@ class TestBounds:
         assert (data["bound_num"], data["bound_den"], data["f_k"]) == (12, 4, 3)
         assert data["meets_equality"] is True
 
+    def test_max_degree_below_two_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "bounds", "--family", "path:2")
+        assert code == 2
+        assert "bound needs max degree >= 2" in err
+
 
 class TestVerify:
     def test_enumerate_3(self, capsys):

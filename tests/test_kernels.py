@@ -7,8 +7,7 @@ import pytest
 
 from forcing_lab._kernels import pure
 
-LEVEL_SEARCHES = ("search_level_exhaustive", "search_level_pruned",
-                  "search_level_constrained")
+LEVEL_SEARCHES = ("search_level_pruned", "search_level_constrained")
 
 
 def _random_masks(rng, n, p):
@@ -51,12 +50,10 @@ def test_canonical_mask_matches_pure(compiled_kernels):
 @pytest.mark.parametrize("call", [
     lambda m, nbrs: m.closure(nbrs, 1, 1),
     lambda m, nbrs: m.connected_in(nbrs, 1),
-    lambda m, nbrs: m.search_level_exhaustive(nbrs, 1, 2, 10),
     lambda m, nbrs: m.search_level_pruned(nbrs, 1, 2, 10),
     lambda m, nbrs: m.search_level_constrained(nbrs, 1, 2, 10),
     lambda m, nbrs: m.canonical_mask(nbrs),
-], ids=["closure", "connected_in", "exhaustive", "pruned", "constrained",
-        "canonical_mask"])
+], ids=["closure", "connected_in", "pruned", "constrained", "canonical_mask"])
 def test_compiled_refuses_63_vertices(compiled_kernels, call):
     with pytest.raises(ValueError, match="at most 62 vertices"):
         call(compiled_kernels, [0] * 63)

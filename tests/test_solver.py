@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from forcing_lab import (BudgetExceeded, Graph, brute_force_oracle, complete,
-                         complete_bipartite, connected_k_dominating_suite,
-                         cycle, greedy_upper_bound, is_forcing_set,
-                         is_k_connected, path, solve,
-                         solve_connected_complement, star)
+from forcing_lab import (BudgetExceeded, Graph, _kernels, brute_force_oracle,
+                         complete, complete_bipartite,
+                         connected_k_dominating_suite, cycle,
+                         greedy_upper_bound, is_forcing_set, is_k_connected,
+                         path, solve, solve_connected_complement, star)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import connected_within
 
@@ -86,8 +86,20 @@ class TestSolve:
     def test_budget_abort_never_reported_as_optimum(self, petersen):
         with pytest.raises(BudgetExceeded) as err:
             solve(petersen, node_budget=20)
-        assert err.value.best_known is not None
-        assert is_forcing_set(petersen, 1, err.value.best_known.witness)
+        assert err.value.nodes_explored <= 20
+        assert err.value.size_reached < 5
+
+    @pytest.mark.parametrize("name,k", [("petersen", 1), ("petersen", 2),
+                                        ("k33", 1)])
+    def test_nodes_are_exactly_the_level_scans(self, petersen, name, k):
+        # Nothing runs before the size-ascending scan: the node count is
+        # the sum of the pruned level searches up to the optimum.
+        g = petersen if name == "petersen" else complete_bipartite(3, 3)
+        res = solve(g, k)
+        levels = [_kernels.search_level_pruned(g.neighbor_masks, k, size,
+                                               10**9)[1]
+                  for size in range(1, res.value + 1)]
+        assert res.nodes_explored == sum(levels)
 
     def test_deterministic(self, petersen):
         a = solve(petersen)

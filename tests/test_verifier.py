@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from forcing_lab import (check_extremal_structure, complete,
+from forcing_lab import (StructureCheck, check_extremal_structure, complete,
                          complete_bipartite, cycle, encode_graph6, path,
                          run_known_values, run_tree_leaf_suite, star,
                          tree_from_pruefer, verify_graphs, verify_stream)
+from forcing_lab import verifier
 from forcing_lab.enumeration import enumerate_connected, labeled_trees
 
 
@@ -25,6 +26,16 @@ class TestVerifyStream:
         extremal = {r.extremal_class for r in run.records if r.equality}
         assert extremal == {"cycle", "complete", "balanced_complete_bipartite"}
         assert run.summary["per_n"][6]["extremal_count"] == 3
+
+    def test_structure_failure_makes_run_not_ok(self, monkeypatch):
+        monkeypatch.setattr(verifier, "check_extremal_structure",
+                            lambda g, **kw: StructureCheck(ok=False,
+                                                           absent=False))
+        run = _sweep(6)
+        assert run.summary["structure_failures"]
+        assert not run.summary["counterexamples"]
+        assert not run.summary["unresolved"]
+        assert not run.ok
 
     def test_n7_has_no_balanced_bipartite(self):
         run = _sweep(7)
