@@ -16,9 +16,8 @@ from .bounds import (BoundReport, ExtremalClass, build_bound_report,
                      classify_extremal, degree_refined_bound,
                      forcing_upper_bound)
 from .engine import (ForcingTrace, TraceError, closure, is_forcing_set,
-                     replay, stalled_frontier, trace)
-from .enumeration import (enumerate_all, enumerate_connected, labeled_trees,
-                          random_trees)
+                     replay, trace)
+from .enumeration import enumerate_connected, labeled_trees, random_trees
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
 from .graphs import (Graph, VertexSet, complete, complete_bipartite, cycle,
                      degree_stats, edge_boundary, generate, is_connected,
@@ -39,8 +38,8 @@ __all__ = [
     "cycle", "complete", "complete_bipartite", "path", "star",
     "tree_from_pruefer", "generate", "degree_stats", "is_connected",
     "is_k_connected", "edge_boundary",
-    "enumerate_connected", "enumerate_all", "labeled_trees", "random_trees",
-    "closure", "is_forcing_set", "trace", "replay", "stalled_frontier",
+    "enumerate_connected", "labeled_trees", "random_trees",
+    "closure", "is_forcing_set", "trace", "replay",
     "ForcingTrace", "TraceError",
     "SolveResult", "BudgetExceeded", "DEFAULT_NODE_BUDGET",
     "brute_force_oracle", "solve", "greedy_upper_bound",

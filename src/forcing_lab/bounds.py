@@ -26,7 +26,8 @@ def degree_refined_bound(n, max_degree, min_degree):
     """Refinement of the k = 1 bound using the minimum degree:
     ((max_degree - 2) * n - (max_degree - min_degree) + 2) / (max_degree - 1).
     Coincides with forcing_upper_bound(n, max_degree, 1) on regular graphs
-    and is strictly smaller otherwise."""
+    and is strictly smaller otherwise. ``verify`` counts a graph whose
+    forcing number exceeds it at k = 1 as a counterexample."""
     if max_degree < 2:
         raise ValueError("bound needs max degree >= 2")
     if not 1 <= min_degree <= max_degree:

@@ -45,20 +45,6 @@ def is_forcing_set(g, k, s):
     return _kernels.closure(g.neighbor_masks, k, _as_mask(g, s)) == full
 
 
-def stalled_frontier(g, k, state):
-    """For each colored vertex that still has non-colored neighbors, its
-    count of non-colored neighbors, as sorted (vertex, count) pairs."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    colored = _as_mask(g, state)
-    out = []
-    for v in VertexSet(colored, g.n):
-        w = g.neighbor_masks[v] & ~colored
-        if w:
-            out.append((v, w.bit_count()))
-    return out
-
-
 @dataclass(frozen=True)
 class ForcingTrace:
     """Ordered (forcer, forced) events proving what a set colors.

@@ -1,12 +1,13 @@
 """Exhaustive small-graph and tree enumeration.
 
-Connected graphs come from vertex augmentation with canonical-certificate
-deduplication: every class on m vertices is some class on m-1 vertices
-plus one new vertex with some neighborhood, so trying all neighborhoods
-over all (m-1)-classes covers everything, and the minimum-relabeling
-certificate collapses isomorphs. This is the built-in fallback for the
-verification sweeps; larger orders are expected to arrive as graph6 files
-from external generators.
+Connected graphs come from vertex augmentation of connected parents with
+canonical-certificate deduplication: each connected class on n - 1
+vertices gains a new vertex with every nonempty neighborhood, and the
+minimum-relabeling certificate collapses isomorphs. Disconnected graphs
+are never built. Each order's class count is checked against the
+published total. This is the built-in fallback for the verification
+sweeps; larger orders are expected to arrive as graph6 files from
+external generators.
 
 Trees are streamed from Pruefer sequences: the exhaustive stream walks
 every sequence (all n^(n-2) labeled trees), the random stream draws
@@ -18,25 +19,35 @@ from functools import lru_cache
 from itertools import product
 
 from . import _kernels
-from .graphs import Graph, is_connected, tree_from_pruefer
+from .graphs import Graph, tree_from_pruefer
 
 MAX_ENUMERATION_ORDER = 8
 
-# Published class counts, used as enumeration self-checks.
-ALL_GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+# Published counts of connected classes (OEIS A001349), checked by every
+# enumeration.
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 @lru_cache(maxsize=None)
 def _canonical_classes(n):
-    """Sorted canonical certificates of *all* graphs on n vertices."""
+    """Sorted canonical certificates of the connected graphs on n vertices.
+
+    Each connected class on n - 1 vertices is extended by a new vertex
+    with each of its 2^(n-1) - 1 nonempty neighborhoods. This is exact:
+    removing a leaf of a spanning tree leaves a connected graph, so every
+    connected class on n >= 2 vertices has a connected parent, and a new
+    vertex with a nonempty neighborhood keeps a connected parent
+    connected. Raises AssertionError when the class count differs from
+    the published one, so a faulty canonical kernel cannot silently
+    shorten a sweep.
+    """
     if n == 1:
         return (0,)
     seen = set()
+    new = n - 1
     for parent in _canonical_classes(n - 1):
-        base = Graph.from_upper_triangle_mask(parent, n - 1).neighbor_masks
-        new = n - 1
-        for nbhd in range(1 << new):
+        base = Graph.from_upper_triangle_mask(parent, new).neighbor_masks
+        for nbhd in range(1, 1 << new):
             masks = list(base)
             masks.append(nbhd)
             m = nbhd
@@ -45,6 +56,10 @@ def _canonical_classes(n):
                 m &= m - 1
                 masks[v] |= 1 << new
             seen.add(_kernels.canonical_mask(masks))
+    if len(seen) != CONNECTED_CLASS_COUNTS[n]:
+        raise AssertionError(
+            f"enumeration found {len(seen)} connected classes on {n} "
+            f"vertices, published count is {CONNECTED_CLASS_COUNTS[n]}")
     return tuple(sorted(seen))
 
 
@@ -55,11 +70,6 @@ def enumerate_connected(n):
     Supported for n <= 8 only; beyond that, supply a graph6 file produced
     by an external generator instead.
     """
-    return filter(is_connected, enumerate_all(n))
-
-
-def enumerate_all(n):
-    """Like enumerate_connected but without the connectivity filter."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(
             f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_ORDER}; "

@@ -305,8 +305,9 @@ def is_connected(g):
 def is_k_connected(g, k):
     """Exact k-connectivity: n > k and no vertex cut of fewer than k vertices.
 
-    Checks every removal set of size < k; fine at desk scale (the
-    verification sweeps cap at n <= 9).
+    Runs one connectivity test per removal set of fewer than k vertices,
+    so the cost grows as n^(k-1): cheap at the small k the verification
+    sweeps use, on any order graph6 carries.
     """
     if k < 1:
         raise ValueError("k must be positive")

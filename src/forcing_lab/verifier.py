@@ -1,12 +1,13 @@
 """Exhaustive verification of the sharp bound and its equality families.
 
 Feeds a graph6 stream through the exact solver and checks, per graph,
-that the k = 1 forcing number respects the degree bound and that equality
-holds exactly on the three structural families. Also hosts the property
-suites: the leaf-subset forcing check on trees, the closed-form values
-for the named families, and the structural dissection of bound-attaining
-graphs (one outside neighbor per set vertex, tree complement, edge
-boundary at least the set size).
+that the k-forcing number respects the degree bound; at k = 1 it also
+checks the minimum-degree refinement and that equality holds exactly on
+the three structural families. Also hosts the property suites: the
+leaf-subset forcing check on trees, the closed-form values for the named
+families, and the structural dissection of bound-attaining graphs (one
+outside neighbor per set vertex, tree complement, edge boundary at least
+the set size).
 
 Verification runs are deterministic: records come back in input order
 whatever the worker count, and every summary reduction is order-free.
@@ -18,7 +19,8 @@ import time
 from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 
-from .bounds import classify_extremal, forcing_upper_bound
+from .bounds import (classify_extremal, degree_refined_bound,
+                     forcing_upper_bound)
 from .engine import is_forcing_set
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
 from .graphs import (VertexSet, connected_within, degree_stats, edge_boundary,
@@ -157,11 +159,15 @@ def _is_counterexample(rec, k):
         return False
     if rec.f_k * rec.bound_den > rec.bound_num:
         return True
-    # The equality characterization is a k = 1 statement; at larger k the
-    # bound can be tight off the three families.
-    if k == 1 and rec.equality != (rec.extremal_class is not None):
+    if k != 1:
+        return False
+    # The minimum-degree refinement and the equality characterization are
+    # k = 1 statements; at larger k the bound can be tight off the three
+    # families.
+    rnum, rden = degree_refined_bound(rec.n, rec.max_degree, rec.min_degree)
+    if rec.f_k * rden > rnum:
         return True
-    return False
+    return rec.equality != (rec.extremal_class is not None)
 
 
 @dataclass

@@ -9,7 +9,7 @@ import pytest
 
 from forcing_lab import (Graph, ForcingTrace, TraceError, VertexSet, closure,
                          complete, complete_bipartite, cycle, is_forcing_set,
-                         path, replay, stalled_frontier, star, trace)
+                         path, replay, star, trace)
 from forcing_lab._kernels import pure as pure_kernels
 
 
@@ -138,20 +138,6 @@ class TestTrace:
         a = trace(complete_bipartite(3, 3), 1, [0, 1, 3, 4])
         b = trace(complete_bipartite(3, 3), 1, [0, 1, 3, 4])
         assert a == b
-
-
-class TestStalledFrontier:
-    def test_cycle_single_vertex(self):
-        assert stalled_frontier(cycle(5), 1, [0]) == [(0, 2)]
-
-    def test_closure_of_forcing_set_is_quiet(self):
-        g = cycle(5)
-        out = closure(g, 1, [0, 1])
-        assert stalled_frontier(g, 1, out) == []
-
-    def test_one_side_of_balanced_bipartite(self):
-        got = stalled_frontier(complete_bipartite(3, 3), 1, [0, 1, 2])
-        assert got == [(0, 3), (1, 3), (2, 3)]
 
 
 class TestProperties:

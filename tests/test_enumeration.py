@@ -4,9 +4,8 @@ and the networkx graph atlas."""
 import networkx as nx
 import pytest
 
-from forcing_lab import encode_graph6, is_connected
-from forcing_lab.enumeration import (ALL_GRAPH_CLASS_COUNTS,
-                                     CONNECTED_CLASS_COUNTS, enumerate_all,
+from forcing_lab import _kernels, encode_graph6, enumeration, is_connected
+from forcing_lab.enumeration import (CONNECTED_CLASS_COUNTS,
                                      enumerate_connected, labeled_trees,
                                      random_trees)
 from forcing_lab.graphs import degree_stats, is_tree
@@ -24,9 +23,35 @@ def test_connected_counts_match_published_totals(n):
     assert sum(1 for _ in enumerate_connected(n)) == CONNECTED_CLASS_COUNTS[n]
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_all_class_counts_match_published_totals(n):
-    assert sum(1 for _ in enumerate_all(n)) == ALL_GRAPH_CLASS_COUNTS[n]
+@pytest.fixture
+def fresh_classes():
+    """Rebuild the class cache inside the test and drop what it built."""
+    enumeration._canonical_classes.cache_clear()
+    yield
+    enumeration._canonical_classes.cache_clear()
+
+
+def test_only_connected_parents_are_extended(fresh_classes, monkeypatch):
+    # Each connected (m-1)-class is tried with its 2^(m-1) - 1 nonempty
+    # neighborhoods and nothing else.
+    calls = []
+    real = _kernels.canonical_mask
+
+    def counting(nbrs):
+        calls.append(len(nbrs))
+        return real(nbrs)
+
+    monkeypatch.setattr(_kernels, "canonical_mask", counting)
+    assert sum(1 for _ in enumerate_connected(6)) == CONNECTED_CLASS_COUNTS[6]
+    expected = sum(CONNECTED_CLASS_COUNTS[m - 1] * ((1 << (m - 1)) - 1)
+                   for m in range(2, 7))
+    assert len(calls) == expected == 759
+
+
+def test_wrong_class_count_raises(fresh_classes, monkeypatch):
+    monkeypatch.setattr(_kernels, "canonical_mask", lambda nbrs: 0)
+    with pytest.raises(AssertionError, match="published count"):
+        list(enumerate_connected(4))
 
 
 def test_counts_match_networkx_atlas():

@@ -37,6 +37,13 @@ class TestVerifyStream:
         assert not run.summary["unresolved"]
         assert not run.ok
 
+    def test_refined_bound_violation_is_a_counterexample(self, monkeypatch):
+        monkeypatch.setattr(verifier, "degree_refined_bound",
+                            lambda n, dmax, dmin: (0, 1))
+        run = _sweep(5)
+        assert len(run.summary["counterexamples"]) == len(run.records)
+        assert not run.ok
+
     def test_n7_has_no_balanced_bipartite(self):
         run = _sweep(7)
         assert len(run.records) == 853
