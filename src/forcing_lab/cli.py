@@ -205,15 +205,14 @@ def _cmd_verify(args):
         raise ValueError("give exactly one of --input or --enumerate")
     _echo_config(args, MAX_VERTICES)
     if args.enumerate is not None:
-        from .graph6 import encode_graph6
-        lines = [encode_graph6(g) for g in enumerate_connected(args.enumerate)]
+        items = enumerate_connected(args.enumerate)
     elif args.input == "-":
-        lines = sys.stdin.read().splitlines()
+        items = sys.stdin.read().splitlines()
     else:
         with open(args.input, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+            items = fh.read().splitlines()
 
-    run = verify_stream(lines, k=args.k, workers=args.workers,
+    run = verify_stream(items, k=args.k, workers=args.workers,
                         node_budget=args.node_budget)
     summary = dict(run.summary)
     summary["version"] = __version__

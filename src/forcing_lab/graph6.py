@@ -3,7 +3,10 @@
 One graph per line: size byte chr(n+63) for n <= 62, then the upper
 triangle packed column-major (x(0,1), x(0,2), x(1,2), x(0,3), ...),
 zero-padded to a multiple of 6, each 6-bit group emitted as
-chr(value+63). The optional ">>graph6<<" header is tolerated on input.
+chr(value+63). That pair order is the bit order of
+``Graph.upper_triangle_mask`` (bit j(j-1)/2 + i for the pair i < j), so
+each payload byte holds the mask's next six bits, the first pair in the
+byte's high bit. The optional ">>graph6<<" header is tolerated on input.
 Multi-byte sizes (lead byte '~') are out of the supported range and are
 rejected with an explicit message.
 """
@@ -12,6 +15,10 @@ from .graphs import Graph
 
 HEADER = ">>graph6<<"
 MAX_VERTICES = 62
+
+# _REVERSED6[v]: the six low bits of v in reverse order.
+_REVERSED6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+_ENCODED6 = tuple(chr(r + 63) for r in _REVERSED6)
 
 
 class Graph6Error(ValueError):
@@ -39,7 +46,8 @@ def parse_graph6(text, name=None):
     if not 63 <= size <= 125:
         raise Graph6Error(f"malformed size byte {line[0]!r}", base)
     n = size - 63
-    need = (n * (n - 1) // 2 + 5) // 6
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     payload = line[1:]
     if len(payload) < need:
         raise Graph6Error(
@@ -47,24 +55,15 @@ def parse_graph6(text, name=None):
             base + len(line))
     if len(payload) > need:
         raise Graph6Error("trailing garbage after payload", base + 1 + need)
-    edges = []
-    idx = 0
-    i, j = 0, 1
+    bits = 0
     for pos, ch in enumerate(payload):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise Graph6Error(f"non-printable payload byte {ch!r}", base + 1 + pos)
-        for shift in range(5, -1, -1):
-            if idx >= n * (n - 1) // 2:
-                break
-            if (val >> shift) & 1:
-                edges.append((i, j))
-            idx += 1
-            i += 1
-            if i == j:
-                i = 0
-                j += 1
-    return Graph(n, edges, name=name)
+        bits |= _REVERSED6[val] << (6 * pos)
+    # Padding bits past the triangle are ignored.
+    bits &= (1 << pairs) - 1
+    return Graph.from_upper_triangle_mask(bits, n, name=name)
 
 
 def encode_graph6(g):
@@ -72,18 +71,7 @@ def encode_graph6(g):
     if g.n > MAX_VERTICES:
         raise ValueError(
             f"graph6 encoding is capped at n <= {MAX_VERTICES}, got n={g.n}")
-    out = [chr(g.n + 63)]
-    val = 0
-    filled = 0
-    for j in range(1, g.n):
-        col = g.neighbor_masks[j]
-        for i in range(j):
-            val = (val << 1) | ((col >> i) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(val + 63))
-                val = 0
-                filled = 0
-    if filled:
-        out.append(chr((val << (6 - filled)) + 63))
-    return "".join(out)
+    bits = g.upper_triangle_mask()
+    end = g.n * (g.n - 1) // 2
+    return chr(g.n + 63) + "".join(
+        _ENCODED6[(bits >> shift) & 63] for shift in range(0, end, 6))

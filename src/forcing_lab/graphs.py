@@ -27,6 +27,9 @@ class VertexSet:
     def __setattr__(self, name, value):
         raise AttributeError("VertexSet is immutable")
 
+    def __reduce__(self):
+        return (VertexSet, (self.mask, self.capacity))
+
     @classmethod
     def from_ids(cls, ids, capacity):
         mask = 0
@@ -112,6 +115,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        return (Graph.from_upper_triangle_mask,
+                (self.upper_triangle_mask(), self.n, self.name))
+
     @classmethod
     def from_neighbor_masks(cls, masks, name=None):
         n = len(masks)
@@ -131,26 +138,25 @@ class Graph:
     @classmethod
     def from_upper_triangle_mask(cls, bits, n, name=None):
         """Rebuild from the packed upper triangle (bit j(j-1)/2 + i for pair i<j)."""
-        edges = []
-        idx = 0
-        for j in range(1, n):
-            for i in range(j):
-                if (bits >> idx) & 1:
-                    edges.append((i, j))
-                idx += 1
-        if bits >> idx:
+        if bits >> (n * (n - 1) // 2):
             raise ValueError("mask has bits beyond the upper triangle")
-        return cls(n, edges, name=name)
+        g = cls(n, (), name=name)
+        masks = [0] * n
+        for j in range(1, n):
+            col = (bits >> (j * (j - 1) // 2)) & ((1 << j) - 1)
+            masks[j] = col
+            while col:
+                low = col & -col
+                masks[low.bit_length() - 1] |= 1 << j
+                col ^= low
+        object.__setattr__(g, "neighbor_masks", tuple(masks))
+        return g
 
     def upper_triangle_mask(self):
         bits = 0
-        idx = 0
         for j in range(1, self.n):
-            col = self.neighbor_masks[j]
-            for i in range(j):
-                if (col >> i) & 1:
-                    bits |= 1 << idx
-                idx += 1
+            lower = self.neighbor_masks[j] & ((1 << j) - 1)
+            bits |= lower << (j * (j - 1) // 2)
         return bits
 
     def adj(self, v):

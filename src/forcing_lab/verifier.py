@@ -1,13 +1,13 @@
 """Exhaustive verification of the sharp bound and its equality families.
 
-Feeds a graph6 stream through the exact solver and checks, per graph,
-that the k-forcing number respects the degree bound; at k = 1 it also
-checks the minimum-degree refinement and that equality holds exactly on
-the three structural families. Also hosts the property suites: the
-leaf-subset forcing check on trees, the closed-form values for the named
-families, and the structural dissection of bound-attaining graphs (one
-outside neighbor per set vertex, tree complement, edge boundary at least
-the set size).
+Runs a stream of graph6 lines or Graph objects through the exact solver
+and checks, per graph, that the k-forcing number respects the degree
+bound; at k = 1 it also checks the minimum-degree refinement and that
+equality holds exactly on the three structural families. Also hosts the
+property suites: the leaf-subset forcing check on trees, the closed-form
+values for the named families, and the structural dissection of
+bound-attaining graphs (one outside neighbor per set vertex, tree
+complement, edge boundary at least the set size).
 
 Verification runs are deterministic: records come back in input order
 whatever the worker count, and every summary reduction is order-free.
@@ -16,7 +16,7 @@ whatever the worker count, and every summary reduction is order-free.
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .bounds import (classify_extremal, degree_refined_bound,
@@ -49,7 +49,7 @@ class VerificationRecord:
     status: str  # "ok" or "unresolved"
 
     def to_json_line(self):
-        return json.dumps(asdict(self))
+        return json.dumps(vars(self))
 
 
 @dataclass(frozen=True)
@@ -101,28 +101,25 @@ def check_extremal_structure(g, *, node_budget=DEFAULT_NODE_BUDGET):
     )
 
 
-def _skip_reason(g, k):
-    if not is_connected(g):
-        return "disconnected"
-    dmax = max((g.degree(v) for v in range(g.n)), default=0)
-    if dmax < 2:
-        return "max degree < 2"
-    if k >= 2 and not is_k_connected(g, k):
-        return f"not {k}-connected"
-    return None
-
-
-def _verify_one(lineno, line, k, node_budget):
-    """Process one graph6 line; returns a tagged tuple for the reducer."""
+def _verify_one(lineno, item, k, node_budget):
+    """Process one graph6 line or Graph; returns a tagged tuple for the
+    reducer. A Graph's record carries its graph6 encoding."""
     started = time.perf_counter()
-    try:
-        g = parse_graph6(line)
-    except Graph6Error as exc:
-        return ("parse_error", lineno, line, str(exc), 0.0)
-    reason = _skip_reason(g, k)
-    if reason is not None:
-        return ("skip", lineno, line, reason, 0.0)
-    dmax, dmin, _ = degree_stats(g)
+    if isinstance(item, str):
+        line = item
+        try:
+            g = parse_graph6(line)
+        except Graph6Error as exc:
+            return ("parse_error", lineno, line, str(exc), 0.0)
+    else:
+        g, line = item, encode_graph6(item)
+    dmax, dmin, _ = degree_stats(g) if g.n else (0, 0, ())
+    if not is_connected(g):
+        return ("skip", lineno, line, "disconnected", 0.0)
+    if dmax < 2:
+        return ("skip", lineno, line, "max degree < 2", 0.0)
+    if k >= 2 and not is_k_connected(g, k):
+        return ("skip", lineno, line, f"not {k}-connected", 0.0)
     num, den = forcing_upper_bound(g.n, dmax, k)
     cls = classify_extremal(g)
     try:
@@ -199,22 +196,27 @@ class VerifyRun:
                     or self.summary["structure_failures"])
 
 
-def verify_stream(lines, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET):
-    """Run the bound sweep over an iterable of graph6 lines.
+def verify_stream(items, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET):
+    """Run the bound sweep over an iterable of graph6 lines and Graph
+    objects, mixed freely.
 
-    Graphs that fall outside the hypotheses (disconnected, max degree < 2,
-    or not k-connected when k >= 2) are skipped and counted, never silently
-    dropped. Solver budget aborts become "unresolved" records, never
-    passes. Records preserve input order for any worker count.
+    Lines are stripped, and blank lines are skipped but still counted as
+    input lines. Only lines are parsed; a Graph is named in its record
+    and in the summary by its graph6 encoding. Graphs that fall outside
+    the hypotheses (disconnected, max degree < 2, or not k-connected when
+    k >= 2) are skipped and counted, never silently dropped. Solver budget
+    aborts become "unresolved" records, never passes. Records preserve
+    input order for any worker count.
     """
     payload = []
     lineno = 0
-    for raw in lines:
+    for item in items:
         lineno += 1
-        line = raw.strip()
-        if not line:
-            continue
-        payload.append((lineno, line, k, node_budget))
+        if isinstance(item, str):
+            item = item.strip()
+            if not item:
+                continue
+        payload.append((lineno, item, k, node_budget))
 
     if workers > 1 and len(payload) > 1:
         chunk = max(1, len(payload) // (workers * 8))
@@ -268,11 +270,6 @@ def verify_stream(lines, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET):
         "structure_failures": structure_failures,
     }
     return VerifyRun(records=records, summary=summary)
-
-
-def verify_graphs(graphs, k=1, **kwargs):
-    """verify_stream over Graph objects (encoded to graph6 internally)."""
-    return verify_stream((encode_graph6(g) for g in graphs), k=k, **kwargs)
 
 
 def run_tree_leaf_suite(trees):

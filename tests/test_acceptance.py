@@ -21,7 +21,7 @@ from forcing_lab.enumeration import (CONNECTED_CLASS_COUNTS,
                                      random_trees)
 from forcing_lab.graphs import Graph, VertexSet
 from forcing_lab.verifier import (connected_k_dominating_suite,
-                                  run_tree_leaf_suite, verify_graphs)
+                                  run_tree_leaf_suite, verify_stream)
 
 SWEEP_ORDERS = range(3, 9)
 EXPECTED_EXTREMAL_COUNTS = {3: 1, 4: 2, 5: 2, 6: 3, 7: 2, 8: 3}
@@ -45,7 +45,7 @@ def _expected_family_certs(n):
 def sweeps():
     """Exhaustive k=1 verification runs for every order in the sweep."""
     started = time.monotonic()
-    runs = {n: verify_graphs(enumerate_connected(n)) for n in SWEEP_ORDERS}
+    runs = {n: verify_stream(enumerate_connected(n)) for n in SWEEP_ORDERS}
     return runs, time.monotonic() - started
 
 

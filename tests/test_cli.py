@@ -1,10 +1,11 @@
 """Command-line surface: output shapes, exit codes, file handling."""
 
+import hashlib
 import json
 
 import pytest
 
-from forcing_lab import _kernels
+from forcing_lab import _kernels, verifier
 from forcing_lab.cli import build_parser, main
 
 
@@ -181,6 +182,28 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--enumerate", "4",
                              "--node-budget", "2")
         assert code == 3
+
+    def test_enumerate_never_parses_graph6(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated graphs must not be parsed")
+
+        monkeypatch.setattr(verifier, "parse_graph6", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--enumerate", "6")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 112
+
+    def test_enumerate_7_values_and_witnesses_are_pinned(self, capsys):
+        # Every record field except the solver's node count, which a
+        # different search order may legitimately change.
+        code, out, _ = run_cli(capsys, "verify", "--enumerate", "7")
+        assert code == 0
+        text = ""
+        for line in out.splitlines():
+            record = json.loads(line)
+            del record["solver_nodes"]
+            text += json.dumps(record) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4838dec9610ef03a5a9692d8fd4b90f26c52f9b52ce3ad073cc3b8be89455977")
 
     def test_workers_flag_gives_same_records(self, capsys, tmp_path):
         a = str(tmp_path / "a")

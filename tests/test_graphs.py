@@ -1,6 +1,7 @@
 """Graph construction, families, degree/connectivity utilities, and the
 edge-list format. Connectivity is cross-checked against networkx."""
 
+import pickle
 import random
 
 import networkx as nx
@@ -9,7 +10,8 @@ import pytest
 from forcing_lab import (Graph, VertexSet, complete, complete_bipartite,
                          cycle, degree_stats, edge_boundary, generate,
                          is_connected, is_k_connected, parse_edge_list,
-                         format_edge_list, path, star, tree_from_pruefer)
+                         format_edge_list, path, solve, star,
+                         tree_from_pruefer)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_bipartite_parts, is_tree, leaves
 
@@ -70,6 +72,12 @@ class TestGraph:
                      if rng.random() < 0.4]
             g = Graph(n, edges)
             assert Graph.from_upper_triangle_mask(g.upper_triangle_mask(), n) == g
+
+    def test_pickle_round_trip(self):
+        g = cycle(5)
+        for obj in (g, VertexSet(3, 4), solve(g, 1)):
+            assert pickle.loads(pickle.dumps(obj)) == obj
+        assert pickle.loads(pickle.dumps(g)).name == "C_5"
 
     def test_relabel_preserves_structure(self):
         g = path(4)

@@ -7,15 +7,16 @@ import json
 import pytest
 
 from forcing_lab import (StructureCheck, check_extremal_structure, complete,
-                         complete_bipartite, cycle, encode_graph6, path,
-                         run_known_values, run_tree_leaf_suite, star,
-                         tree_from_pruefer, verify_graphs, verify_stream)
+                         complete_bipartite, cycle, encode_graph6,
+                         parse_graph6, path, run_known_values,
+                         run_tree_leaf_suite, star, tree_from_pruefer,
+                         verify_stream)
 from forcing_lab import verifier
 from forcing_lab.enumeration import enumerate_connected, labeled_trees
 
 
 def _sweep(n, **kwargs):
-    return verify_graphs(enumerate_connected(n), **kwargs)
+    return verify_stream(enumerate_connected(n), **kwargs)
 
 
 class TestVerifyStream:
@@ -81,6 +82,18 @@ class TestVerifyStream:
         parallel = verify_stream(lines, workers=4)
         assert ([r.to_json_line() for r in serial.records]
                 == [r.to_json_line() for r in parallel.records])
+
+    def test_worker_count_does_not_change_graph_records(self):
+        serial = verify_stream(enumerate_connected(5), workers=1)
+        parallel = verify_stream(enumerate_connected(5), workers=3)
+        assert ([r.to_json_line() for r in serial.records]
+                == [r.to_json_line() for r in parallel.records])
+
+    def test_padding_bits_are_ignored_and_the_line_kept(self):
+        # 'x' sets the last padding bit of the triangle's payload byte.
+        assert parse_graph6("Bx") == complete(3)
+        run = verify_stream(["Bx"])
+        assert run.records[0].graph6 == "Bx"
 
     def test_equality_implies_regular(self):
         for n in (4, 5, 6):
