@@ -15,6 +15,7 @@ error, 3 resource-budget abort.
 import argparse
 import json
 import sys
+from contextlib import ExitStack, closing
 
 from . import __version__, _kernels
 from .engine import trace
@@ -23,7 +24,8 @@ from .graph6 import MAX_VERTICES, Graph6Error, parse_graph6
 from .graphs import VertexSet, generate, parse_edge_list
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, solve,
                      solve_connected_complement)
-from .verifier import run_known_values, run_tree_leaf_suite, verify_stream
+from .verifier import (VerifyRun, iter_verify, run_known_values,
+                       run_tree_leaf_suite)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -200,34 +202,56 @@ def _cmd_bounds(args):
     return EXIT_OK
 
 
+def _input_lines(stream, encoding, errors="strict"):
+    """The lines ``read().splitlines()`` gives on a text stream with this
+    encoding, read from a binary stream one physical line at a time.
+    str.splitlines also breaks at \\x0b, \\x0c and \\x1c-\\x1e, which
+    iterating a file does not, and a decoding error names its byte offset
+    in the whole stream, not in the chunk a text stream decodes."""
+    offset = 0
+    for raw in stream:
+        try:
+            text = raw.decode(encoding, errors)
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{exc.encoding!r} codec can't decode byte "
+                f"0x{raw[exc.start]:02x} in position {offset + exc.start}: "
+                f"{exc.reason}") from None
+        offset += len(raw)
+        yield from text.splitlines()
+
+
 def _cmd_verify(args):
     if (args.input is None) == (args.enumerate is None):
         raise ValueError("give exactly one of --input or --enumerate")
     _echo_config(args, MAX_VERTICES)
-    if args.enumerate is not None:
-        items = enumerate_connected(args.enumerate)
-    elif args.input == "-":
-        items = sys.stdin.read().splitlines()
-    else:
-        with open(args.input, encoding="ascii") as fh:
-            items = fh.read().splitlines()
-
-    run = verify_stream(items, k=args.k, workers=args.workers,
-                        node_budget=args.node_budget)
-    summary = dict(run.summary)
-    summary["version"] = __version__
-
-    if args.out:
-        with open(args.out + ".records.jsonl", "w", encoding="ascii") as fh:
-            run.write_jsonl(fh)
-        with open(args.out + ".summary.csv", "w", encoding="ascii", newline="") as fh:
-            run.write_summary_csv(fh)
-        with open(args.out + ".summary.json", "w", encoding="ascii") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-    else:
-        run.write_jsonl(sys.stdout)
-        run.write_summary_csv(sys.stderr)
+    with ExitStack() as stack:
+        if args.enumerate is not None:
+            items = enumerate_connected(args.enumerate)
+        elif args.input == "-":
+            items = _input_lines(sys.stdin.buffer, sys.stdin.encoding,
+                                 sys.stdin.errors)
+        else:
+            items = _input_lines(stack.enter_context(
+                open(args.input, "rb")), "ascii")
+        # Records are written as they arrive; the summary is complete once
+        # write_jsonl has drained them.
+        summary = {}
+        run = VerifyRun(records=stack.enter_context(closing(iter_verify(
+            items, args.k, summary, workers=args.workers,
+            node_budget=args.node_budget))), summary=summary)
+        if args.out:
+            with open(args.out + ".records.jsonl", "w", encoding="ascii") as fh:
+                run.write_jsonl(fh)
+            with open(args.out + ".summary.csv", "w", encoding="ascii",
+                      newline="") as fh:
+                run.write_summary_csv(fh)
+            with open(args.out + ".summary.json", "w", encoding="ascii") as fh:
+                json.dump(dict(summary, version=__version__), fh, indent=2)
+                fh.write("\n")
+        else:
+            run.write_jsonl(sys.stdout)
+            run.write_summary_csv(sys.stderr)
     print(json.dumps({"summary": {
         "graphs_verified": summary["graphs_verified"],
         "skipped": len(summary["skipped"]),

@@ -21,11 +21,12 @@ from itertools import product
 from . import _kernels
 from .graphs import Graph, tree_from_pruefer
 
-MAX_ENUMERATION_ORDER = 8
+MAX_ENUMERATION_ORDER = 9
 
 # Published counts of connected classes (OEIS A001349), checked by every
 # enumeration.
-CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117,
+                          9: 261080}
 
 
 @lru_cache(maxsize=None)
@@ -67,8 +68,11 @@ def enumerate_connected(n):
     """Yield one representative per isomorphism class of connected graphs
     on n vertices, in canonical-certificate order.
 
-    Supported for n <= 8 only; beyond that, supply a graph6 file produced
-    by an external generator instead.
+    Supported for n <= 9 only; beyond that, supply a graph6 file produced
+    by an external generator instead. The classes of an order are built
+    at the first draw and cached; n = 9 (261,080 classes) takes under a
+    minute on the compiled backend and about 25 min on the pure one
+    (estimated from its canonical-call count).
     """
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(

@@ -11,13 +11,19 @@ complement, edge boundary at least the set size).
 
 Verification runs are deterministic: records come back in input order
 whatever the worker count, and every summary reduction is order-free.
+Records stream: ``iter_verify`` draws its input lazily, folds each
+outcome into the summary and yields each record as soon as it and every
+record before it are done, so the first record never waits for the last
+and memory stays bounded however long the input is.
 """
 
 import csv
 import json
 import time
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
-from multiprocessing import get_context
+from itertools import islice, starmap
 
 from .bounds import (classify_extremal, degree_refined_bound,
                      forcing_upper_bound)
@@ -147,14 +153,18 @@ def _verify_one(lineno, item, k, node_budget):
     return ("record", lineno, record, (time.perf_counter() - started) * 1000.0)
 
 
-def _verify_worker(args):
-    return _verify_one(*args)
+def _verify_chunk(chunk):
+    return [_verify_one(*args) for args in chunk]
 
 
 def _is_counterexample(rec, k):
     if rec.status != "ok":
         return False
     if rec.f_k * rec.bound_den > rec.bound_num:
+        return True
+    # The first force needs a colored vertex with at most k uncolored
+    # neighbors, so no forcing set is smaller than min degree - k + 1.
+    if rec.f_k < max(1, rec.min_degree - k + 1):
         return True
     if k != 1:
         return False
@@ -169,7 +179,11 @@ def _is_counterexample(rec, k):
 
 @dataclass
 class VerifyRun:
-    """Records plus the reduced summary of one verification sweep."""
+    """Records plus the reduced summary of one verification sweep.
+
+    ``records`` is a list, or an iterator from ``iter_verify`` that
+    ``write_jsonl`` drains once; the summary is complete only after that.
+    """
 
     records: list
     summary: dict
@@ -196,9 +210,110 @@ class VerifyRun:
                     or self.summary["structure_failures"])
 
 
+# With workers > 1, items go to the pool CHUNK at a time, and the input is
+# drawn at most WINDOW items (or two chunks per worker, when that is more)
+# ahead of the outcomes already reduced. An input shorter than one chunk
+# is verified in this process.
+CHUNK = 32
+WINDOW = 512
+
+
+def _numbered(items, k, node_budget, summary):
+    """Worker arguments for the non-blank items, numbered by input line;
+    sets ``summary["input_lines"]`` once the input is exhausted."""
+    lineno = 0
+    for lineno, item in enumerate(items, 1):
+        if isinstance(item, str):
+            item = item.strip()
+            if not item:
+                continue
+        yield (lineno, item, k, node_budget)
+    summary["input_lines"] = lineno
+
+
+def _outcomes(payload, workers):
+    """Outcomes of the payload, in input order. A fork pool, when one
+    starts, has at most ``limit`` chunks submitted and not yet consumed,
+    and is terminated and joined however this generator ends."""
+    if workers == 1:
+        yield from starmap(_verify_one, payload)
+        return
+    chunk = list(islice(payload, CHUNK))
+    if len(chunk) < CHUNK:
+        yield from _verify_chunk(chunk)
+        return
+    from multiprocessing import get_context
+    pool = get_context("fork").Pool(workers)
+    try:
+        pending = deque()
+        limit = max(WINDOW // CHUNK, 2 * workers)
+        while chunk:
+            pending.append(pool.apply_async(_verify_chunk, (chunk,)))
+            if len(pending) == limit:
+                yield from pending.popleft().get()
+            chunk = list(islice(payload, CHUNK))
+        while pending:
+            yield from pending.popleft().get()
+    finally:
+        pool.terminate()
+        pool.join()
+
+
+def iter_verify(items, k, summary, *, workers=1,
+                node_budget=DEFAULT_NODE_BUDGET):
+    """Yield the records of the bound sweep over an iterable of graph6
+    lines and Graph objects, in input order, as they arrive.
+
+    Items are drawn lazily: one at a time with one worker, and with more
+    a bounded window ahead (WINDOW), so memory does not grow with the
+    length of the input. Each outcome is folded into ``summary``, an
+    empty dict that receives the keys ``verify_stream`` documents, as it
+    arrives; ``input_lines`` is set when the input is exhausted. The
+    worker pool, if any, is terminated and joined however the generator
+    ends, including when it is closed early.
+    """
+    summary.update({
+        "k": k, "workers": workers, "input_lines": 0, "graphs_verified": 0,
+        "skipped": [], "parse_failures": [], "per_n": {},
+        "counterexamples": [], "unresolved": [], "structure_failures": []})
+    payload = _numbered(items, k, node_budget, summary)
+    with closing(_outcomes(payload, workers)) as outcomes:
+        for outcome in outcomes:
+            tag = outcome[0]
+            if tag == "parse_error":
+                _, lno, line, message, _ = outcome
+                summary["parse_failures"].append(
+                    {"line": lno, "graph6": line, "error": message})
+                continue
+            if tag == "skip":
+                _, lno, line, reason, _ = outcome
+                summary["skipped"].append(
+                    {"line": lno, "graph6": line, "reason": reason})
+                continue
+            _, lno, rec, elapsed = outcome
+            summary["graphs_verified"] += 1
+            row = summary["per_n"].setdefault(rec.n, {
+                "graph_count": 0, "extremal_count": 0, "extremal_graph6": [],
+                "max_solver_nodes": 0, "wall_time_ms": 0.0})
+            row["graph_count"] += 1
+            row["wall_time_ms"] += elapsed
+            row["max_solver_nodes"] = max(row["max_solver_nodes"],
+                                          rec.solver_nodes)
+            if rec.status == "ok" and rec.equality:
+                row["extremal_count"] += 1
+                row["extremal_graph6"].append(rec.graph6)
+            if _is_counterexample(rec, k):
+                summary["counterexamples"].append(rec.graph6)
+            if rec.status == "unresolved":
+                summary["unresolved"].append(rec.graph6)
+            if rec.structure_ok is False:
+                summary["structure_failures"].append(rec.graph6)
+            yield rec
+
+
 def verify_stream(items, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET):
     """Run the bound sweep over an iterable of graph6 lines and Graph
-    objects, mixed freely.
+    objects, mixed freely, and collect every record of ``iter_verify``.
 
     Lines are stripped, and blank lines are skipped but still counted as
     input lines. Only lines are parsed; a Graph is named in its record
@@ -207,68 +322,16 @@ def verify_stream(items, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET):
     k >= 2) are skipped and counted, never silently dropped. Solver budget
     aborts become "unresolved" records, never passes. Records preserve
     input order for any worker count.
+
+    The summary holds, in this order: k, workers, input_lines,
+    graphs_verified, skipped and parse_failures (each with its input
+    line), per_n (graph count, extremal count and graph6 list, max solver
+    nodes and summed time per order), then the graph6 lists of
+    counterexamples, unresolved records and structure failures.
     """
-    payload = []
-    lineno = 0
-    for item in items:
-        lineno += 1
-        if isinstance(item, str):
-            item = item.strip()
-            if not item:
-                continue
-        payload.append((lineno, item, k, node_budget))
-
-    if workers > 1 and len(payload) > 1:
-        chunk = max(1, len(payload) // (workers * 8))
-        with get_context("fork").Pool(workers) as pool:
-            outcomes = list(pool.imap(_verify_worker, payload, chunk))
-    else:
-        outcomes = [_verify_worker(item) for item in payload]
-
-    records = []
-    per_n = {}
-    skipped = []
-    parse_failures = []
-    for outcome in outcomes:
-        tag = outcome[0]
-        if tag == "parse_error":
-            _, lno, line, message, _ = outcome
-            parse_failures.append({"line": lno, "graph6": line,
-                                   "error": message})
-            continue
-        if tag == "skip":
-            _, lno, line, reason, _ = outcome
-            skipped.append({"line": lno, "graph6": line, "reason": reason})
-            continue
-        _, lno, rec, elapsed = outcome
-        records.append(rec)
-        row = per_n.setdefault(rec.n, {
-            "graph_count": 0, "extremal_count": 0, "extremal_graph6": [],
-            "max_solver_nodes": 0, "wall_time_ms": 0.0})
-        row["graph_count"] += 1
-        row["wall_time_ms"] += elapsed
-        row["max_solver_nodes"] = max(row["max_solver_nodes"],
-                                      rec.solver_nodes)
-        if rec.status == "ok" and rec.equality:
-            row["extremal_count"] += 1
-            row["extremal_graph6"].append(rec.graph6)
-
-    counterexamples = [r.graph6 for r in records if _is_counterexample(r, k)]
-    unresolved = [r.graph6 for r in records if r.status == "unresolved"]
-    structure_failures = [r.graph6 for r in records
-                          if r.structure_ok is False]
-    summary = {
-        "k": k,
-        "workers": workers,
-        "input_lines": lineno,
-        "graphs_verified": len(records),
-        "skipped": skipped,
-        "parse_failures": parse_failures,
-        "per_n": per_n,
-        "counterexamples": counterexamples,
-        "unresolved": unresolved,
-        "structure_failures": structure_failures,
-    }
+    summary = {}
+    records = list(iter_verify(items, k, summary, workers=workers,
+                               node_budget=node_budget))
     return VerifyRun(records=records, summary=summary)
 
 

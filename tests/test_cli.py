@@ -1,11 +1,16 @@
 """Command-line surface: output shapes, exit codes, file handling."""
 
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from forcing_lab import _kernels, verifier
+import forcing_lab
+from forcing_lab import _kernels, verifier, verify_stream
 from forcing_lab.cli import build_parser, main
 
 
@@ -171,6 +176,40 @@ class TestVerify:
         records = [json.loads(ln) for ln in out.strip().splitlines()]
         assert len(records) == 2
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_input_lines_split_as_splitlines_does(self, source, capsys,
+                                                  tmp_path, monkeypatch):
+        # str.splitlines breaks at \x0c; iterating a file does not.
+        text = "Bw\nnot graph6!\x0cA?\n\nBg\x0cC~\nBad!\n"
+        path = tmp_path / "in.g6"
+        path.write_text(text)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+                io.BytesIO(text.encode()), encoding="ascii"))
+        prefix = str(tmp_path / "run")
+        code, _, _ = run_cli(capsys, "verify", "--out", prefix, "--input",
+                             str(path) if source == "file" else "-")
+        assert code == 0
+        summary = json.loads((tmp_path / "run.summary.json").read_text())
+        expected = verify_stream(text.splitlines()).summary
+        for key in ("input_lines", "skipped", "parse_failures"):
+            assert summary[key] == expected[key]
+        assert [f["line"] for f in summary["parse_failures"]] == [2, 7]
+        assert summary["skipped"] == [{"line": 3, "graph6": "A?",
+                                       "reason": "disconnected"}]
+
+    def test_undecodable_input_names_its_offset_in_the_file(self, capsys,
+                                                             tmp_path):
+        # Past the first 8 KiB a text stream decodes in chunks, and its
+        # error positions restart at each chunk.
+        head = b"Bw\n" * 4000
+        path = tmp_path / "in.g6"
+        path.write_bytes(head + b"Bw\xe9\n")
+        code, _, err = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert (f"can't decode byte 0xe9 in position {len(head) + 2}"
+                in err.splitlines()[-1])
+
     def test_requires_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "verify")
         assert code == 2
@@ -229,6 +268,16 @@ class TestLemmas:
         code, out, _ = run_cli(capsys, "lemmas", "known", "--delta-max", "4")
         assert code == 0
         assert first_json(out)["failures"] == []
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # The pool's module loads only when a run asks for workers.
+    src = os.path.dirname(os.path.dirname(forcing_lab.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import forcing_lab.cli; print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_config_echo_is_reproducible_json(capsys):

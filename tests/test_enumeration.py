@@ -67,7 +67,7 @@ def test_counts_match_networkx_atlas():
 
 def test_out_of_range_points_to_graph6_files():
     with pytest.raises(ValueError, match="graph6"):
-        list(enumerate_connected(9))
+        list(enumerate_connected(10))
     with pytest.raises(ValueError):
         list(enumerate_connected(0))
 

@@ -3,12 +3,14 @@ and the structural/leaf/known-value suites."""
 
 import io
 import json
+import multiprocessing
 
 import pytest
 
-from forcing_lab import (StructureCheck, check_extremal_structure, complete,
+from forcing_lab import (SolveResult, StructureCheck, VertexSet,
+                         check_extremal_structure, complete,
                          complete_bipartite, cycle, encode_graph6,
-                         parse_graph6, path, run_known_values,
+                         iter_verify, parse_graph6, path, run_known_values,
                          run_tree_leaf_suite, star, tree_from_pruefer,
                          verify_stream)
 from forcing_lab import verifier
@@ -44,6 +46,37 @@ class TestVerifyStream:
         run = _sweep(5)
         assert len(run.summary["counterexamples"]) == len(run.records)
         assert not run.ok
+
+    @pytest.mark.parametrize("graph,k", [("K5", 1), ("K5", 2),
+                                         ("petersen", 1)])
+    def test_lower_bound_violation_is_a_counterexample(self, graph, k,
+                                                       monkeypatch, request):
+        # f_k >= max(1, min degree - k + 1): the first force needs a colored
+        # vertex with at most k uncolored neighbors. K5 at k = 1 is also
+        # off its equality family; K5 at k = 2 and Petersen are caught by
+        # the lower bound alone.
+        g = complete(5) if graph == "K5" else request.getfixturevalue(graph)
+        monkeypatch.setattr(verifier, "solve", lambda g, k, **kw: SolveResult(
+            1, VertexSet.from_ids([0], g.n), 0, "bnb", k))
+        run = verify_stream([g], k)
+        assert run.records[0].f_k == 1
+        assert run.summary["counterexamples"] == [encode_graph6(g)]
+        assert not run.ok
+
+    def test_k2_equality_only_on_cycles_and_complete_graphs(self):
+        # An observation of these sweeps at n <= 7, not a statement taken
+        # from the paper: at k = 2 the bound is attained on C_n and K_n only
+        # (C_4 = K_{2,2}, C_3 = K_3).
+        for n in range(3, 8):
+            run = _sweep(n, k=2)
+            assert run.ok and run.summary["counterexamples"] == []
+            tight = sorted((r.min_degree, r.max_degree, r.extremal_class)
+                           for r in run.records if r.equality)
+            expected = {
+                3: [(2, 2, "complete")],
+                4: [(2, 2, "balanced_complete_bipartite"), (3, 3, "complete")],
+            }.get(n, [(2, 2, "cycle"), (n - 1, n - 1, "complete")])
+            assert tight == expected, n
 
     def test_n7_has_no_balanced_bipartite(self):
         run = _sweep(7)
@@ -137,6 +170,64 @@ class TestVerifyStream:
                             "f_k", "bound_num", "bound_den", "equality",
                             "extremal_class", "extremal_parameter",
                             "structure_ok", "solver_nodes", "status"}
+
+
+def _counting(items, drawn):
+    for item in items:
+        drawn[0] += 1
+        yield item
+
+
+class TestStreaming:
+    def test_one_worker_draws_one_item_per_record(self):
+        drawn = [0]
+        summary = {}
+        records = iter_verify(_counting(enumerate_connected(6), drawn), 1,
+                              summary)
+        first = next(records)
+        assert drawn == [1]
+        assert summary["graphs_verified"] == 1
+        assert first.to_json_line() == _sweep(6).records[0].to_json_line()
+        records.close()
+
+    def test_pool_reads_at_most_a_window_ahead(self):
+        lines = [encode_graph6(g) for g in enumerate_connected(5)] * 60
+        assert len(lines) > 2 * verifier.WINDOW
+        drawn = [0]
+        summary = {}
+        ahead = [drawn[0] - i for i, _ in enumerate(
+            iter_verify(_counting(lines, drawn), 1, summary, workers=2), 1)]
+        assert len(ahead) == len(lines) == summary["input_lines"]
+        assert 0 <= max(ahead) <= verifier.WINDOW
+
+    def test_closing_early_stops_the_pool(self):
+        records = iter_verify(enumerate_connected(6), 1, {}, workers=2)
+        next(records)
+        assert multiprocessing.active_children()
+        records.close()
+        assert multiprocessing.active_children() == []
+
+    def test_input_shorter_than_a_chunk_starts_no_pool(self):
+        records = iter_verify(["Bw"] * (verifier.CHUNK - 1), 1, {},
+                              workers=2)
+        next(records)
+        assert multiprocessing.active_children() == []
+        assert len(list(records)) == verifier.CHUNK - 2
+
+    def test_pooled_summary_keeps_its_keys_and_line_numbers(self):
+        lines = ["Bw", "", "not graph6!", "A?"] + [
+            encode_graph6(g) for g in enumerate_connected(5)]
+        summary = verify_stream(lines, 2, workers=2).summary
+        assert list(summary) == ["k", "workers", "input_lines",
+                                 "graphs_verified", "skipped",
+                                 "parse_failures", "per_n", "counterexamples",
+                                 "unresolved", "structure_failures"]
+        assert summary["input_lines"] == len(lines)
+        assert [f["line"] for f in summary["parse_failures"]] == [3]
+        assert summary["skipped"][0] == {"line": 4, "graph6": "A?",
+                                         "reason": "disconnected"}
+        assert (summary["graphs_verified"] + len(summary["skipped"])
+                == len(lines) - 2)
 
 
 class TestExtremalStructure:
