@@ -44,5 +44,9 @@ def search_level_constrained(nbrs, k, size, node_budget):
     return _impl(len(nbrs)).search_level_constrained(nbrs, k, size, node_budget)
 
 
+def wavefront(nbrs, k, node_budget):
+    return _impl(len(nbrs)).wavefront(nbrs, k, node_budget)
+
+
 def canonical_mask(nbrs):
     return _impl(len(nbrs)).canonical_mask(nbrs)

@@ -1,10 +1,17 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: five of its six functions, with the
- * same return values, witnesses and node counts. The sixth, the exhaustive
- * level scan, serves only the brute-force oracle and stays pure-only, so
- * the oracle is independent of this file. Keep the two in sync; the
- * differential tests compare them kernel by kernel.
+ * Mirrors _kernels/pure.py exactly: six of its seven functions, with the
+ * same return values, witnesses and node counts. The seventh, the
+ * exhaustive level scan, serves only the brute-force oracle and stays
+ * pure-only, so the oracle is independent of this file. Keep the two in
+ * sync; the differential tests compare them kernel by kernel.
+ *
+ * The exact solver is wavefront (the forcing number, by best-first search
+ * over closed sets) followed by one search_level_pruned at that size (the
+ * lexicographically smallest witness). wavefront is the only kernel that
+ * allocates: its closed-set table and cost buckets grow by at most one
+ * entry per node, so the node budget bounds them; every exit frees them,
+ * and a failed allocation raises MemoryError.
  *
  * A graph arrives as a sequence of neighbor bitmasks (nbrs[v] has bit u set
  * iff uv is an edge) and a vertex subset as one int. Both are held in
@@ -20,6 +27,7 @@
 #include <Python.h>
 #include <limits.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef uint64_t u64;
 
@@ -32,7 +40,7 @@ typedef struct {
     u64 nbrs[MAX_N];
 } graph;
 
-enum { EXHAUSTED, FOUND, ABORTED };
+enum { EXHAUSTED, FOUND, ABORTED, NO_MEMORY };
 
 
 /* -- kernels on uint64 masks ---------------------------------------------- */
@@ -143,6 +151,162 @@ static int constrained(const graph *g, long long k, long long size,
             return EXHAUSTED;
         mask = gosper_next(mask);
     }
+}
+
+/* Closed sets seen by wavefront and the best cost of each: open addressing
+ * with linear probing, at most half full. A slot holding EMPTY is free; no
+ * mask of at most 62 vertices has bit 63 set. */
+#define EMPTY (~(u64)0)
+
+typedef struct {
+    u64 *keys;
+    unsigned char *costs;
+    int bits;                     /* capacity is 2^bits */
+    size_t used;
+} table;
+
+/* One bucket per cost, popped first in first out. */
+typedef struct {
+    u64 *items;
+    size_t len, cap;
+} bucket;
+
+static int table_init(table *t, int bits)
+{
+    size_t capacity = (size_t)1 << bits;
+    t->keys = malloc(capacity * sizeof *t->keys);
+    t->costs = malloc(capacity);
+    t->bits = bits;
+    t->used = 0;
+    if (t->keys == NULL || t->costs == NULL)
+        return -1;
+    for (size_t i = 0; i < capacity; i++)
+        t->keys[i] = EMPTY;
+    return 0;
+}
+
+/* Slot holding key, or the free slot where it belongs. */
+static size_t table_slot(const table *t, u64 key)
+{
+    size_t mask = ((size_t)1 << t->bits) - 1;
+    size_t i = (size_t)((key * 0x9E3779B97F4A7C15ULL) >> (64 - t->bits));
+    while (t->keys[i] != key && t->keys[i] != EMPTY)
+        i = (i + 1) & mask;
+    return i;
+}
+
+static int table_grow(table *t)
+{
+    table bigger;
+    if (table_init(&bigger, t->bits + 1) < 0) {
+        free(bigger.keys);
+        free(bigger.costs);
+        return -1;
+    }
+    for (size_t i = 0; i < (size_t)1 << t->bits; i++) {
+        if (t->keys[i] != EMPTY) {
+            size_t j = table_slot(&bigger, t->keys[i]);
+            bigger.keys[j] = t->keys[i];
+            bigger.costs[j] = t->costs[i];
+        }
+    }
+    bigger.used = t->used;
+    free(t->keys);
+    free(t->costs);
+    *t = bigger;
+    return 0;
+}
+
+static int bucket_push(bucket *b, u64 set)
+{
+    if (b->len == b->cap) {
+        size_t cap = b->cap ? 2 * b->cap : 16;
+        u64 *items = realloc(b->items, cap * sizeof *items);
+        if (items == NULL)
+            return -1;
+        b->items = items;
+        b->cap = cap;
+    }
+    b->items[b->len++] = set;
+    return 0;
+}
+
+/* Best-first search over closed sets; see pure.wavefront. On FOUND *value
+ * is the forcing number, on ABORTED the cost being expanded. */
+static int wavefront(const graph *g, long long k, long long budget,
+                     long long *value, long long *nodes)
+{
+    int n = g->n, limit = n, cost = 0, outcome = FOUND;
+    bucket buckets[MAX_N + 1] = {{0}};
+    table seen;
+    if (table_init(&seen, 6) < 0 || bucket_push(&buckets[0], 0) < 0) {
+        outcome = NO_MEMORY;
+        goto done;
+    }
+    size_t start = table_slot(&seen, 0);
+    seen.keys[start] = 0;
+    seen.costs[start] = 0;
+    seen.used = 1;
+    for (cost = 0; cost < limit; cost++) {
+        bucket *b = &buckets[cost];
+        for (size_t i = 0; i < b->len; i++) {
+            u64 s = b->items[i];
+            if (seen.costs[table_slot(&seen, s)] != cost)
+                continue;
+            for (int v = 0; v < n; v++) {
+                u64 out = g->nbrs[v] & ~s;
+                int inside = s >> v & 1;
+                if (inside && !out)
+                    continue;
+                /* Unsigned, so that no k (clamped to 64 bits) overflows. */
+                int outside = __builtin_popcountll(out);
+                u64 wide = (u64)cost + !inside
+                           + (outside > k ? (u64)outside - (u64)k : 0);
+                if (wide >= (u64)limit)
+                    continue;
+                int step = (int)wide;
+                if (*nodes >= budget) {
+                    outcome = ABORTED;
+                    goto done;
+                }
+                ++*nodes;
+                u64 t = closure_u64(g->nbrs, k, s | ONE << v | g->nbrs[v]);
+                if (t == g->full) {
+                    limit = step;
+                    continue;
+                }
+                if (step + 1 >= limit)
+                    continue;
+                size_t j = table_slot(&seen, t);
+                if (seen.keys[j] == EMPTY) {
+                    if (2 * (seen.used + 1) > (size_t)1 << seen.bits) {
+                        if (table_grow(&seen) < 0) {
+                            outcome = NO_MEMORY;
+                            goto done;
+                        }
+                        j = table_slot(&seen, t);
+                    }
+                    seen.keys[j] = t;
+                    seen.used++;
+                } else if (seen.costs[j] <= step)
+                    continue;
+                seen.costs[j] = (unsigned char)step;
+                if (bucket_push(&buckets[step], t) < 0) {
+                    outcome = NO_MEMORY;
+                    goto done;
+                }
+            }
+        }
+        free(b->items);
+        *b = (bucket){0};
+    }
+done:
+    *value = outcome == ABORTED ? cost : limit;
+    for (int c = 0; c <= MAX_N; c++)
+        free(buckets[c].items);
+    free(seen.keys);
+    free(seen.costs);
+    return outcome;
 }
 
 /* Branch and bound over relabelings: perm[0..pos) is placed, and best[j]
@@ -317,6 +481,24 @@ static PyObject *py_search_level_constrained(PyObject *self, PyObject *args,
     return run_level(args, kw, "OOOO:search_level_constrained", constrained);
 }
 
+static PyObject *py_wavefront(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *kwlist[] = {"nbrs", "k", "node_budget", NULL};
+    PyObject *nbrs, *k_obj, *budget_obj;
+    graph g;
+    long long k, budget, value = 0, nodes = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOO:wavefront", kwlist,
+                                     &nbrs, &k_obj, &budget_obj)
+        || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0
+        || as_ll(budget_obj, &budget) < 0)
+        return NULL;
+    int outcome = wavefront(&g, k, budget, &value, &nodes);
+    if (outcome == NO_MEMORY)
+        return PyErr_NoMemory();
+    return Py_BuildValue("(LLN)", value, nodes,
+                         PyBool_FromLong(outcome == ABORTED));
+}
+
 static PyObject *py_canonical_mask(PyObject *self, PyObject *args, PyObject *kw)
 {
     static char *kwlist[] = {"nbrs", NULL};
@@ -347,6 +529,7 @@ static PyMethodDef methods[] = {
     KERNEL(connected_in, "nbrs, mask"),
     KERNEL(search_level_pruned, "nbrs, k, size, node_budget"),
     KERNEL(search_level_constrained, "nbrs, k, size, node_budget"),
+    KERNEL(wavefront, "nbrs, k, node_budget"),
     KERNEL(canonical_mask, "nbrs"),
     {NULL, NULL, 0, NULL},
 };

@@ -95,9 +95,10 @@ def search_level_pruned(nbrs, k, size, node_budget):
 
     Vertices are tried in ascending id order and a candidate already inside
     the closure of the current partial set is skipped (adding it cannot
-    enlarge the closure), so the first hit is the lexicographically
-    smallest witness at this size. Levels must be run in ascending size
-    order for that skip to be exact.
+    enlarge the closure). The skip is exact when no smaller set forces: a
+    forcing set holding such a candidate would still force without it. At
+    the optimum size the first hit is therefore the lexicographically
+    smallest witness.
 
     Returns (witness_mask or None, nodes, aborted).
     """
@@ -137,6 +138,67 @@ def search_level_pruned(nbrs, k, size, node_budget):
             depth += 1
             cand[depth] = v + 1
     return None, nodes, False
+
+
+def wavefront(nbrs, k, node_budget):
+    """Exact k-forcing number by best-first search over closed sets.
+
+    Dijkstra over the sets that ``closure`` leaves unchanged, with one FIFO
+    bucket per cost, from the empty set (closed: nothing is colored).
+    Expanding a closed set S through vertex v pays for v when v is not in
+    S and for all but k of its neighbors outside S; v then colors the rest,
+    so the step leads to ``closure(S | {v} | N(v))``. A vertex of S with no
+    neighbor outside S gives nothing and is skipped. Every step costs at
+    least one (a vertex of a closed set has no or more than k neighbors
+    outside it), so a bucket is never appended to while it is popped.
+
+    The value is the cost at which the full set is reached; ``limit``, the
+    cheapest such cost found so far (n at first, since the full set forces
+    itself), is the upper bound: no step of cost ``limit`` or more is
+    taken, and no closed set is queued that could only reach the full set
+    at cost ``limit`` or more. The search returns as soon as every cost
+    below ``limit`` is settled. Buckets are popped in FIFO order, vertices
+    tried in ascending order, an entry popped at a cost above the best
+    known for its set is skipped, and the budget is checked before each
+    closure, so the node count is the same on both backends.
+
+    Returns (value, nodes, aborted); ``nodes`` counts closures. On abort,
+    ``value`` is the cost being expanded: every cost up to it is settled,
+    so no set of ``value`` or fewer vertices forces. The table and queues
+    hold at most one entry per node.
+    """
+    n = len(nbrs)
+    full = (1 << n) - 1
+    best = {0: 0}
+    buckets = [[] for _ in range(n + 1)]
+    buckets[0].append(0)
+    limit = n
+    nodes = 0
+    cost = 0
+    while cost < limit:
+        for s in buckets[cost]:
+            if best[s] != cost:
+                continue
+            for v in range(n):
+                out = nbrs[v] & ~s
+                inside = (s >> v) & 1
+                if inside and not out:
+                    continue
+                step = cost + (not inside) + max(0, out.bit_count() - k)
+                if step >= limit:
+                    continue
+                if nodes >= node_budget:
+                    return cost, nodes, True
+                nodes += 1
+                t = closure(nbrs, k, s | (1 << v) | nbrs[v])
+                if t == full:
+                    limit = step
+                elif step + 1 < limit and best.get(t, limit) > step:
+                    best[t] = step
+                    buckets[step].append(t)
+        buckets[cost] = None
+        cost += 1
+    return limit, nodes, False
 
 
 def search_level_constrained(nbrs, k, size, node_budget):

@@ -9,11 +9,13 @@ largest graph, and every option of the subcommand, defaults included, so
 the echo alone reproduces the run.
 
 Exit codes: 0 success, 1 counterexample or property failure, 2 input
-error, 3 resource-budget abort.
+error, 3 resource-budget abort, 141 (128 + SIGPIPE) stdout closed by its
+reader before the output was complete.
 """
 
 import argparse
 import json
+import os
 import sys
 from contextlib import ExitStack, closing
 
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 
 def _parse_family_spec(spec):
@@ -202,16 +205,16 @@ def _cmd_bounds(args):
     return EXIT_OK
 
 
-def _input_lines(stream, encoding, errors="strict"):
-    """The lines ``read().splitlines()`` gives on a text stream with this
-    encoding, read from a binary stream one physical line at a time.
+def _input_lines(stream):
+    """The lines ``read().splitlines()`` gives on an ASCII text stream,
+    read from a binary stream one physical line at a time.
     str.splitlines also breaks at \\x0b, \\x0c and \\x1c-\\x1e, which
     iterating a file does not, and a decoding error names its byte offset
     in the whole stream, not in the chunk a text stream decodes."""
     offset = 0
     for raw in stream:
         try:
-            text = raw.decode(encoding, errors)
+            text = raw.decode("ascii")
         except UnicodeDecodeError as exc:
             raise ValueError(
                 f"{exc.encoding!r} codec can't decode byte "
@@ -229,11 +232,9 @@ def _cmd_verify(args):
         if args.enumerate is not None:
             items = enumerate_connected(args.enumerate)
         elif args.input == "-":
-            items = _input_lines(sys.stdin.buffer, sys.stdin.encoding,
-                                 sys.stdin.errors)
+            items = _input_lines(sys.stdin.buffer)
         else:
-            items = _input_lines(stack.enter_context(
-                open(args.input, "rb")), "ascii")
+            items = _input_lines(stack.enter_context(open(args.input, "rb")))
         # Records are written as they arrive; the summary is complete once
         # write_jsonl has drained them.
         summary = {}
@@ -313,7 +314,14 @@ def main(argv=None):
     }
     try:
         _validate_common(args)
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``verify | head``); the input was fine.
+        # Stdout goes to /dev/null so that the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

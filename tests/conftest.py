@@ -15,7 +15,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
+def c_compiler():
+    """The C compiler that builds extensions for this Python; skips the
+    test when there is none."""
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    return cc
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(request, tmp_path_factory):
     """The compiled kernel module: the in-place build when it imports,
     otherwise one built for this session into a temporary directory (the
     source tree is left untouched). Skips only when no C compiler exists."""
@@ -24,9 +34,7 @@ def compiled_kernels(tmp_path_factory):
         return _ckern
     except ImportError:
         pass
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    request.getfixturevalue("c_compiler")
     out = tmp_path_factory.mktemp("ckern")
     done = subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",

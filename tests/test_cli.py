@@ -210,6 +210,38 @@ class TestVerify:
         assert (f"can't decode byte 0xe9 in position {len(head) + 2}"
                 in err.splitlines()[-1])
 
+    def test_undecodable_input_fails_alike_from_a_file_and_stdin(
+            self, capsys, tmp_path, monkeypatch):
+        # Stdin is read as ASCII too, whatever its text layer would decode.
+        data = b"Bw\nBg\nBw\xe9\n"
+        path = tmp_path / "in.g6"
+        path.write_bytes(data)
+        code, _, err = run_cli(capsys, "verify", "--input", str(path))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+        code_stdin, _, err_stdin = run_cli(capsys, "verify", "--input", "-")
+        assert code == code_stdin == 2
+        assert err.splitlines()[-1] == err_stdin.splitlines()[-1]
+        assert "can't decode byte 0xe9 in position 8" in err.splitlines()[-1]
+
+    def test_reader_closing_stdout_early_exits_141(self, tmp_path):
+        # Records stream, so ``verify | head -1`` closes the pipe while
+        # verify still writes: that is no input error.
+        src = os.path.dirname(os.path.dirname(forcing_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        err_path = tmp_path / "stderr"
+        with open(err_path, "wb") as err_file, subprocess.Popen(
+                [sys.executable, "-m", "forcing_lab.cli", "verify",
+                 "--enumerate", "7"], env=env, stdout=subprocess.PIPE,
+                stderr=err_file) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        err = err_path.read_text()
+        assert json.loads(first)["n"] == 7
+        assert code == 141
+        assert "error" not in err and "Exception" not in err
+
     def test_requires_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "verify")
         assert code == 2

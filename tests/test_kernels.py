@@ -2,10 +2,16 @@
 reference, called directly rather than through the dispatcher."""
 
 import random
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
+from forcing_lab import brute_force_oracle
 from forcing_lab._kernels import pure
+from forcing_lab.enumeration import enumerate_connected
 
 LEVEL_SEARCHES = ("search_level_pruned", "search_level_constrained")
 
@@ -37,6 +43,90 @@ def test_level_searches_match_pure(compiled_kernels, name):
                             (nbrs, k, size, budget)
 
 
+def _wavefront_inputs():
+    """Every connected graph with at most 7 vertices and seeded G(n, p)
+    graphs up to n = 20, as neighbor masks."""
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            yield g.neighbor_masks
+    rng = random.Random(53)
+    for n in (12, 16, 20):
+        for p in (0.2, 0.35, 0.5):
+            yield _random_masks(rng, n, p)
+
+
+def test_wavefront_matches_pure(compiled_kernels):
+    """Full (value, nodes, aborted) triples, with the budget unlimited and
+    cut to 0, 1, half and all but one of the nodes the search needs."""
+    for nbrs in _wavefront_inputs():
+        for k in (1, 2, 3):
+            expected = pure.wavefront(nbrs, k, 10**9)
+            assert compiled_kernels.wavefront(nbrs, k, 10**9) == expected, \
+                (nbrs, k)
+            nodes = expected[1]
+            for budget in {0, 1, nodes // 2, nodes - 1} - {-1}:
+                cut = pure.wavefront(nbrs, k, budget)
+                assert cut[1:] == (min(budget, nodes), nodes > budget), \
+                    (nbrs, k, budget)
+                assert compiled_kernels.wavefront(nbrs, k, budget) == cut, \
+                    (nbrs, k, budget)
+
+
+def test_wavefront_is_the_forcing_number(kernels):
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for k in (1, 2, 3):
+                value, _, aborted = kernels.wavefront(g.neighbor_masks, k, 10**9)
+                assert not aborted
+                assert value == brute_force_oracle(g, k).value, (g.edges(), k)
+
+
+def test_wavefront_edge_cases(kernels):
+    assert kernels.wavefront([], 1, 0) == (0, 0, False)
+    # Without edges every vertex is paid for, and the full set forces
+    # itself: no step reaches cost 3.
+    assert kernels.wavefront([0, 0, 0], 1, 10) == (3, 9, False)
+    # A clamped k: the compiled step cost must not overflow.
+    assert kernels.wavefront([0b10, 0b01], -10**30, 10) == (2, 0, False)
+    assert kernels.wavefront([0b10, 0b01], 10**30, 10) == (1, 1, False)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmSize from /proc")
+def test_wavefront_out_of_memory_raises(compiled_kernels):
+    # This G(60, 0.06) grows the peak RSS by about 36 MB (8.4 M nodes); with
+    # 8 MB of address space to spare every call must raise MemoryError,
+    # free what it took, and leave the module usable.
+    code = f"""
+import importlib.util, random, resource
+spec = importlib.util.spec_from_file_location(
+    "forcing_lab._kernels._ckern", {compiled_kernels.__file__!r})
+ckern = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ckern)
+rng = random.Random(7)
+nbrs = [0] * 60
+for i in range(60):
+    for j in range(i + 1, 60):
+        if rng.random() < 0.06:
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+with open("/proc/self/status") as fh:
+    vm = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, ((vm + 8 * 1024) * 1024, hard))
+for _ in range(3):
+    try:
+        ckern.wavefront(nbrs, 1, 10**9)
+    except MemoryError:
+        print("MemoryError")
+print(ckern.wavefront([0b10, 0b01], 1, 10))
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["MemoryError"] * 3 + ["(1, 1, False)", ""]
+
+
 def test_canonical_mask_matches_pure(compiled_kernels):
     # Certificates have n(n-1)/2 bits, more than 32 from n = 9 on. Pure takes
     # about 0.06 s per graph at n = 12 and 0.8 s at n = 14, hence the stop.
@@ -52,8 +142,10 @@ def test_canonical_mask_matches_pure(compiled_kernels):
     lambda m, nbrs: m.connected_in(nbrs, 1),
     lambda m, nbrs: m.search_level_pruned(nbrs, 1, 2, 10),
     lambda m, nbrs: m.search_level_constrained(nbrs, 1, 2, 10),
+    lambda m, nbrs: m.wavefront(nbrs, 1, 10),
     lambda m, nbrs: m.canonical_mask(nbrs),
-], ids=["closure", "connected_in", "pruned", "constrained", "canonical_mask"])
+], ids=["closure", "connected_in", "pruned", "constrained", "wavefront",
+        "canonical_mask"])
 def test_compiled_refuses_63_vertices(compiled_kernels, call):
     with pytest.raises(ValueError, match="at most 62 vertices"):
         call(compiled_kernels, [0] * 63)
@@ -64,3 +156,12 @@ def test_compiled_refuses_masks_beyond_the_last_vertex(compiled_kernels):
         compiled_kernels.closure([0, 0], 1, 0b100)
     with pytest.raises(ValueError, match="beyond the last vertex"):
         compiled_kernels.closure([0, 0b100], 1, 0)
+
+
+def test_c_source_compiles_cleanly_under_wall(c_compiler):
+    source = Path(pure.__file__).with_name("_ckern.c")
+    done = subprocess.run(
+        [c_compiler, "-Wall", "-Werror", "-fsyntax-only",
+         "-I", sysconfig.get_paths()["include"], str(source)],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -2,6 +2,7 @@
 the connected-complement variant, and budget behavior."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +12,19 @@ from forcing_lab import (BudgetExceeded, Graph, _kernels, brute_force_oracle,
                          greedy_upper_bound, is_forcing_set, is_k_connected,
                          path, solve, solve_connected_complement, star)
 from forcing_lab.enumeration import enumerate_connected
-from forcing_lab.graphs import connected_within
+from forcing_lab.graphs import VertexSet, connected_within
+
+
+def grid(m, n):
+    """P_m x P_n, vertex (r, c) numbered r * n + c."""
+    edges = [(r * n + c, r * n + c + 1) for r in range(m) for c in range(n - 1)]
+    edges += [(r * n + c, (r + 1) * n + c) for r in range(m - 1) for c in range(n)]
+    return Graph(m * n, edges)
+
+
+def hypercube(d):
+    return Graph(1 << d, [(v, v | 1 << b) for v in range(1 << d)
+                          for b in range(d) if not v >> b & 1])
 
 
 class TestOracle:
@@ -43,7 +56,7 @@ class TestOracle:
 
 class TestSolve:
     def test_matches_oracle_everywhere_small(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             for g in enumerate_connected(n):
                 for k in (1, 2, 3):
                     assert (solve(g, k).value
@@ -92,14 +105,54 @@ class TestSolve:
     @pytest.mark.parametrize("name,k", [("petersen", 1), ("petersen", 2),
                                         ("k33", 1)])
     def test_nodes_are_exactly_the_level_scans(self, petersen, name, k):
-        # Nothing runs before the size-ascending scan: the node count is
-        # the sum of the pruned level searches up to the optimum.
+        # The node count is the wavefront's closures plus the one pruned
+        # level search at the optimum; no other level is scanned.
         g = petersen if name == "petersen" else complete_bipartite(3, 3)
         res = solve(g, k)
-        levels = [_kernels.search_level_pruned(g.neighbor_masks, k, size,
-                                               10**9)[1]
-                  for size in range(1, res.value + 1)]
-        assert res.nodes_explored == sum(levels)
+        value, wave, aborted = _kernels.wavefront(g.neighbor_masks, k, 10**9)
+        witness, level, _ = _kernels.search_level_pruned(
+            g.neighbor_masks, k, value, 10**9)
+        assert (value, aborted, witness) == (res.value, False,
+                                             res.witness.mask)
+        assert res.nodes_explored == wave + level
+
+    def test_every_budget_short_of_the_solve_aborts(self, petersen):
+        # The wavefront and the final level draw on one budget. An abort in
+        # either names every node spent and a size proven not to force.
+        nbrs = petersen.neighbor_masks
+        wave = _kernels.wavefront(nbrs, 1, 10**9)[1]
+        total = solve(petersen).nodes_explored
+        for budget in range(total):
+            with pytest.raises(BudgetExceeded) as err:
+                solve(petersen, node_budget=budget)
+            assert err.value.nodes_explored == budget
+            if budget < wave:
+                settled = _kernels.wavefront(nbrs, 1, budget)[0]
+                assert err.value.size_reached == settled
+            else:
+                assert err.value.size_reached == 4
+            assert not any(
+                is_forcing_set(petersen, 1, VertexSet.from_ids(ids, 10))
+                for ids in combinations(range(10), err.value.size_reached))
+        assert solve(petersen, node_budget=total).value == 5
+
+    @pytest.mark.parametrize("m,n", [(6, 7), (7, 7)])
+    def test_grid_closed_form(self, kernels, m, n):
+        # Z(P_m x P_n) = min(m, n) (AIM Minimum Rank-Special Graphs Work
+        # Group, LAA 2008); vertices 0..Z-1 are the smallest witness.
+        nbrs = grid(m, n).neighbor_masks
+        value, _, aborted = kernels.wavefront(nbrs, 1, 10**6)
+        assert (value, aborted) == (min(m, n), False)
+        witness, _, _ = kernels.search_level_pruned(nbrs, 1, value, 10**6)
+        assert witness == (1 << value) - 1
+
+    @pytest.mark.skipif(not _kernels.HAVE_COMPILED,
+                        reason="compiled kernels not built in place")
+    def test_hypercube_q5(self):
+        # Z(Q_d) = 2^(d-1) (same source); out of reach of a level scan.
+        res = solve(hypercube(5), node_budget=2 * 10**6)
+        assert res.value == 16
+        assert list(res.witness) == list(range(16))
 
     def test_deterministic(self, petersen):
         a = solve(petersen)
