@@ -2,8 +2,8 @@
 
 The compiled extension serves every graph of at most 62 vertices when it
 is built (``python setup.py build_ext --inplace``); the pure-Python
-kernels serve everything else. Tests reach both backends directly
-through the ``kernels`` fixture.
+kernels serve everything else, and ``search_level_constrained`` always.
+Tests reach both backends directly through the ``kernels`` fixture.
 """
 
 from . import pure as _pure
@@ -40,8 +40,9 @@ def search_level_pruned(nbrs, k, size, node_budget):
     return _impl(len(nbrs)).search_level_pruned(nbrs, k, size, node_budget)
 
 
-def search_level_constrained(nbrs, k, size, node_budget):
-    return _impl(len(nbrs)).search_level_constrained(nbrs, k, size, node_budget)
+# Pure on every backend: the connected-complement solve runs this scan only
+# from the forcing number up, so a compiled copy would save little.
+search_level_constrained = _pure.search_level_constrained
 
 
 def wavefront(nbrs, k, node_budget):

@@ -1,10 +1,11 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: six of its seven functions, with the
- * same return values, witnesses and node counts. The seventh, the
- * exhaustive level scan, serves only the brute-force oracle and stays
- * pure-only, so the oracle is independent of this file. Keep the two in
- * sync; the differential tests compare them kernel by kernel.
+ * Mirrors _kernels/pure.py exactly: five of its seven functions, with the
+ * same return values, witnesses and node counts. The other two, the
+ * exhaustive level scans, stay pure-only: the plain one serves only the
+ * brute-force oracle, which is thus independent of this file, and the
+ * connected-complement one runs only from the forcing number up. Keep the
+ * two files in sync; the differential tests compare them kernel by kernel.
  *
  * The exact solver is wavefront (the forcing number, by best-first search
  * over closed sets) followed by one search_level_pruned at that size (the
@@ -78,14 +79,6 @@ static int connected_in_u64(const u64 *nbrs, u64 mask)
     return seen == mask;
 }
 
-/* Next mask with the same number of bits, in ascending order. */
-static u64 gosper_next(u64 mask)
-{
-    u64 c = mask & (0 - mask);
-    u64 r = mask + c;
-    return (((r ^ mask) >> 2) / c) | r;
-}
-
 static int pruned(const graph *g, long long k, long long size,
                   long long budget, u64 *witness, long long *nodes)
 {
@@ -127,30 +120,6 @@ static int pruned(const graph *g, long long k, long long size,
         }
     }
     return EXHAUSTED;
-}
-
-static int constrained(const graph *g, long long k, long long size,
-                       long long budget, u64 *witness, long long *nodes)
-{
-    if (size < 1 || size > g->n)
-        return EXHAUSTED;
-    u64 mask = (ONE << size) - 1;
-    u64 last = mask << (g->n - size);
-    for (;;) {
-        u64 comp = g->full & ~mask;
-        if (comp && connected_in_u64(g->nbrs, comp)) {
-            if (*nodes >= budget)
-                return ABORTED;
-            ++*nodes;
-            if (closure_u64(g->nbrs, k, mask) == g->full) {
-                *witness = mask;
-                return FOUND;
-            }
-        }
-        if (mask == last)
-            return EXHAUSTED;
-        mask = gosper_next(mask);
-    }
 }
 
 /* Closed sets seen by wavefront and the best cost of each: open addressing
@@ -445,40 +414,25 @@ static PyObject *py_connected_in(PyObject *self, PyObject *args, PyObject *kw)
     return PyBool_FromLong(connected_in_u64(g.nbrs, mask));
 }
 
-typedef int (*level_search)(const graph *, long long, long long, long long,
-                            u64 *, long long *);
-
-/* Shared by the two level searches: returns (witness or None, nodes,
- * aborted). */
-static PyObject *run_level(PyObject *args, PyObject *kw, const char *format,
-                           level_search search)
+/* Returns (witness or None, nodes, aborted). */
+static PyObject *py_search_level_pruned(PyObject *self, PyObject *args,
+                                        PyObject *kw)
 {
     static char *kwlist[] = {"nbrs", "k", "size", "node_budget", NULL};
     PyObject *nbrs, *k_obj, *size_obj, *budget_obj;
     graph g;
     long long k, size, budget, nodes = 0;
     u64 witness = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, format, kwlist, &nbrs, &k_obj,
-                                     &size_obj, &budget_obj)
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOO:search_level_pruned",
+                                     kwlist, &nbrs, &k_obj, &size_obj,
+                                     &budget_obj)
         || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0
         || as_ll(size_obj, &size) < 0 || as_ll(budget_obj, &budget) < 0)
         return NULL;
-    int outcome = search(&g, k, size, budget, &witness, &nodes);
+    int outcome = pruned(&g, k, size, budget, &witness, &nodes);
     PyObject *found = outcome == FOUND ? PyLong_FromUnsignedLongLong(witness)
                                        : Py_NewRef(Py_None);
     return Py_BuildValue("(NLN)", found, nodes, PyBool_FromLong(outcome == ABORTED));
-}
-
-static PyObject *py_search_level_pruned(PyObject *self, PyObject *args,
-                                        PyObject *kw)
-{
-    return run_level(args, kw, "OOOO:search_level_pruned", pruned);
-}
-
-static PyObject *py_search_level_constrained(PyObject *self, PyObject *args,
-                                             PyObject *kw)
-{
-    return run_level(args, kw, "OOOO:search_level_constrained", constrained);
 }
 
 static PyObject *py_wavefront(PyObject *self, PyObject *args, PyObject *kw)
@@ -528,7 +482,6 @@ static PyMethodDef methods[] = {
     KERNEL(closure, "nbrs, k, colored"),
     KERNEL(connected_in, "nbrs, mask"),
     KERNEL(search_level_pruned, "nbrs, k, size, node_budget"),
-    KERNEL(search_level_constrained, "nbrs, k, size, node_budget"),
     KERNEL(wavefront, "nbrs, k, node_budget"),
     KERNEL(canonical_mask, "nbrs"),
     {NULL, NULL, 0, NULL},

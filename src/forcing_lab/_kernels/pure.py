@@ -3,12 +3,13 @@
 All kernels speak a single low-level dialect: a graph is a list of
 neighbor bitmasks (``nbrs[v]`` has bit ``u`` set iff ``uv`` is an edge)
 and a vertex subset is one Python integer. The compiled extension
-(``_ckern``, built from ``_ckern.c``) implements every function here but
-``search_level_exhaustive`` with identical semantics (same return values,
-same node counts) for n <= 62; this module is the reference, the fallback
-when the extension is not built, and the only implementation for n > 62.
-``search_level_exhaustive`` serves only the brute-force oracle, which
-calls it here directly.
+(``_ckern``, built from ``_ckern.c``) implements all but the two
+exhaustive scans with identical semantics (same return values, same node
+counts) for n <= 62; this module is the reference, the fallback when the
+extension is not built, and the only implementation for n > 62. The two
+exhaustive scans run here on every backend: ``search_level_exhaustive``
+serves only the brute-force oracle, and ``search_level_constrained`` the
+connected-complement solve, which starts it at the forcing number.
 """
 
 BACKEND = "pure"
@@ -202,10 +203,12 @@ def wavefront(nbrs, k, node_budget):
 
 
 def search_level_constrained(nbrs, k, size, node_budget):
-    """Exhaustive level scan restricted to sets whose complement is connected.
+    """Scan every ``size``-subset in ascending mask order for a forcing set
+    whose complement is nonempty and induces a connected subgraph.
 
-    Subsets whose (nonempty) complement induces a disconnected subgraph are
-    filtered out before the closure test and do not count as nodes.
+    Returns (witness_mask or None, nodes, aborted). ``nodes`` counts the
+    subsets visited, whether or not their complement qualifies; the scan
+    aborts once it would exceed ``node_budget``.
     """
     n = len(nbrs)
     full = (1 << n) - 1
@@ -215,13 +218,13 @@ def search_level_constrained(nbrs, k, size, node_budget):
     last = mask << (n - size)
     nodes = 0
     while True:
+        if nodes >= node_budget:
+            return None, nodes, True
+        nodes += 1
         comp = full & ~mask
-        if comp and connected_in(nbrs, comp):
-            if nodes >= node_budget:
-                return None, nodes, True
-            nodes += 1
-            if closure(nbrs, k, mask) == full:
-                return mask, nodes, False
+        if (comp and connected_in(nbrs, comp)
+                and closure(nbrs, k, mask) == full):
+            return mask, nodes, False
         if mask == last:
             return None, nodes, False
         mask = _gosper_next(mask)

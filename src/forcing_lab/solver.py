@@ -7,7 +7,9 @@ subset of each, and stops at the first size that forces. The fast path,
 ``wavefront`` kernel) and then runs one pruned depth-first search at that
 size for the lexicographically smallest witness. A constrained variant
 restricts the search to sets whose complement induces a connected
-subgraph. A greedy upper bound is available on its own.
+subgraph: it scans every subset of each size upward from the wavefront
+value, since no smaller set forces at all. A greedy upper bound is
+available on its own.
 """
 
 from dataclasses import dataclass
@@ -46,9 +48,10 @@ class SolveResult:
 
     ``value`` is exact for methods "oracle" and "bnb"; for "greedy" it is
     only an upper bound. ``nodes_explored`` counts closures: for "bnb", the
-    wavefront's plus those of the final level search. ``complement_empty``
-    flags the degenerate constrained solution S = V (no smaller forcing set
-    has a connected nonempty complement).
+    wavefront's plus those of the final level search. A constrained result
+    counts the wavefront's closures plus every subset its level scans
+    visited. ``complement_empty`` flags the degenerate constrained solution
+    S = V (no smaller forcing set has a connected nonempty complement).
     """
 
     value: int
@@ -78,16 +81,30 @@ def _check_args(g, k):
         raise ValueError("k must be positive")
 
 
-def _scan_levels(g, k, search, sizes, node_budget):
+def _wavefront(g, k, node_budget):
+    """The forcing number by the ``wavefront`` kernel, and its nodes. On
+    abort, ``size_reached`` is the cost being expanded: no set that small
+    forces."""
+    value, nodes, aborted = _kernels.wavefront(g.neighbor_masks, k, node_budget)
+    if aborted:
+        raise BudgetExceeded(
+            f"node budget {node_budget} exhausted; no set of {value} or "
+            f"fewer vertices forces", nodes, value)
+    return value, nodes
+
+
+def _scan_levels(g, k, search, sizes, node_budget, spent=0):
     """Run the level kernel ``search`` at each size in ``sizes``, in order,
-    until one returns a witness.
+    until one returns a witness, on what is left of ``node_budget`` after
+    the ``spent`` nodes.
 
     Returns ``(size, witness, nodes)``, or ``(None, None, nodes)`` when no
-    size hits. Callers pass the kernel as looked up when they run, so a
-    wrapper installed on its module sees every level.
+    size hits; ``nodes`` includes ``spent``. Callers pass the kernel as
+    looked up when they run, so a wrapper installed on its module sees
+    every level.
     """
     nbrs = g.neighbor_masks
-    total = 0
+    total = spent
     for size in sizes:
         witness, nodes, aborted = search(nbrs, k, size, node_budget - total)
         total += nodes
@@ -155,14 +172,9 @@ def solve(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     forces. Both kernels draw on the one ``node_budget``.
     """
     _check_args(g, k)
-    nbrs = g.neighbor_masks
-    value, nodes, aborted = _kernels.wavefront(nbrs, k, node_budget)
-    if aborted:
-        raise BudgetExceeded(
-            f"node budget {node_budget} exhausted; no set of {value} or "
-            f"fewer vertices forces", nodes, value)
+    value, nodes = _wavefront(g, k, node_budget)
     witness, level_nodes, aborted = _kernels.search_level_pruned(
-        nbrs, k, value, node_budget - nodes)
+        g.neighbor_masks, k, value, node_budget - nodes)
     nodes += level_nodes
     if aborted:
         raise BudgetExceeded(
@@ -175,15 +187,21 @@ def solve(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
 
 def solve_connected_complement(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     """Minimum k-forcing set among those whose complement induces a
-    connected subgraph, by restricted exhaustive search.
+    connected subgraph: the first such set, in ascending mask order, of the
+    smallest size that has one.
 
-    When no proper subset qualifies, the answer degenerates to S = V
-    (the empty complement); that case comes back flagged via
-    ``complement_empty`` rather than silently.
+    The ``wavefront`` kernel gives the forcing number, below which no set
+    forces; the restricted exhaustive scan runs from that size up to
+    n - 1, and both draw on the one ``node_budget``. An abort in either is
+    BudgetExceeded, as in ``solve``. When no proper subset qualifies, the
+    answer degenerates to S = V (the empty complement); that case comes
+    back flagged via ``complement_empty`` rather than silently.
     """
     _check_args(g, k)
+    value, nodes = _wavefront(g, k, node_budget)
     size, witness, total = _scan_levels(
-        g, k, _kernels.search_level_constrained, range(1, g.n), node_budget)
+        g, k, _kernels.search_level_constrained, range(value, g.n),
+        node_budget, nodes)
     if witness is None:
         return SolveResult(g.n, VertexSet.full(g.n), total, "oracle", k,
                            constrained=True, complement_empty=True)

@@ -19,6 +19,7 @@ and memory stays bounded however long the input is.
 
 import csv
 import json
+import os
 import time
 from collections import deque
 from contextlib import closing
@@ -211,8 +212,9 @@ class VerifyRun:
 
 
 # With workers > 1, items go to the pool CHUNK at a time, and the input is
-# drawn at most WINDOW items (or two chunks per worker, when that is more)
-# ahead of the outcomes already reduced. An input shorter than one chunk
+# drawn at most WINDOW items (or two chunks per pool process, when that is
+# more) ahead of the outcomes already reduced. The pool has one process per
+# worker, but no more than there are CPUs. An input shorter than one chunk
 # is verified in this process.
 CHUNK = 32
 WINDOW = 512
@@ -243,10 +245,11 @@ def _outcomes(payload, workers):
         yield from _verify_chunk(chunk)
         return
     from multiprocessing import get_context
-    pool = get_context("fork").Pool(workers)
+    processes = min(workers, os.cpu_count() or 1)
+    pool = get_context("fork").Pool(processes)
     try:
         pending = deque()
-        limit = max(WINDOW // CHUNK, 2 * workers)
+        limit = max(WINDOW // CHUNK, 2 * processes)
         while chunk:
             pending.append(pool.apply_async(_verify_chunk, (chunk,)))
             if len(pending) == limit:

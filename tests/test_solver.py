@@ -11,6 +11,7 @@ from forcing_lab import (BudgetExceeded, Graph, _kernels, brute_force_oracle,
                          connected_k_dominating_suite, cycle,
                          greedy_upper_bound, is_forcing_set, is_k_connected,
                          path, solve, solve_connected_complement, star)
+from forcing_lab._kernels import pure
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import VertexSet, connected_within
 
@@ -219,6 +220,68 @@ class TestConnectedComplement:
             for g in enumerate_connected(n):
                 assert (solve_connected_complement(g).value
                         >= solve(g).value)
+
+    def test_matches_first_qualifying_subset(self):
+        # Independent brute force: subsets by size, then ascending mask;
+        # the first one that forces and leaves a nonempty connected
+        # complement is the value and the witness.
+        for n in range(1, 7):
+            full = (1 << n) - 1
+            order = sorted(range(full), key=lambda m: (m.bit_count(), m))
+            for g in enumerate_connected(n):
+                nbrs = g.neighbor_masks
+                for k in (1, 2, 3):
+                    first = next((m for m in order
+                                  if pure.closure(nbrs, k, m) == full
+                                  and pure.connected_in(nbrs, full & ~m)),
+                                 None)
+                    res = solve_connected_complement(g, k)
+                    if first is None:
+                        expected = (n, full, True)
+                    else:
+                        expected = (first.bit_count(), first, False)
+                    assert (res.value, res.witness.mask,
+                            res.complement_empty) == expected, (g, k)
+
+    @pytest.mark.parametrize("name,k", [("petersen", 1), ("petersen", 2),
+                                        ("k33", 1), ("two_edges", 1)])
+    def test_nodes_are_the_wavefront_and_the_scans(self, petersen, name, k):
+        # The wavefront's closures plus every subset the constrained scans
+        # visit from its value up to the hit; the two disjoint edges force
+        # with 2 vertices but need 3 for a connected complement.
+        g = {"petersen": petersen, "k33": complete_bipartite(3, 3),
+             "two_edges": Graph(4, [(0, 1), (2, 3)])}[name]
+        nbrs = g.neighbor_masks
+        res = solve_connected_complement(g, k)
+        value, nodes, aborted = _kernels.wavefront(nbrs, k, 10**9)
+        assert not aborted
+        for size in range(value, g.n):
+            witness, level, _ = _kernels.search_level_constrained(
+                nbrs, k, size, 10**9)
+            nodes += level
+            if witness is not None:
+                break
+        assert (res.value, res.witness.mask) == (size, witness)
+        assert res.nodes_explored == nodes
+
+    def test_every_budget_short_of_the_solve_aborts(self, petersen):
+        # The wavefront and the scan draw on one budget. An abort in either
+        # spends all of it and names a size proven not to qualify.
+        nbrs = petersen.neighbor_masks
+        wave = _kernels.wavefront(nbrs, 1, 10**9)[1]
+        total = solve_connected_complement(petersen).nodes_explored
+        assert wave < total
+        for budget in range(total):
+            with pytest.raises(BudgetExceeded) as err:
+                solve_connected_complement(petersen, node_budget=budget)
+            assert err.value.nodes_explored == budget
+            if budget < wave:
+                settled = _kernels.wavefront(nbrs, 1, budget)[0]
+                assert err.value.size_reached == settled
+            else:
+                assert err.value.size_reached == 4
+        res = solve_connected_complement(petersen, node_budget=total)
+        assert res.value == 5
 
 
 def test_connected_k_dominating_property_small():

@@ -4,6 +4,7 @@ and the structural/leaf/known-value suites."""
 import io
 import json
 import multiprocessing
+from types import SimpleNamespace
 
 import pytest
 
@@ -213,6 +214,38 @@ class TestStreaming:
         next(records)
         assert multiprocessing.active_children() == []
         assert len(list(records)) == verifier.CHUNK - 2
+
+    def test_pool_starts_at_most_one_process_per_cpu(self, monkeypatch):
+        # A fake pool runs each chunk in this process and records its size.
+        requested = []
+
+        class FakePool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def apply_async(self, fn, args):
+                out = fn(*args)
+                return SimpleNamespace(get=lambda: out)
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=FakePool))
+        lines = [encode_graph6(g) for g in enumerate_connected(5)] * 2
+        assert len(lines) > verifier.CHUNK
+        serial = [r.to_json_line() for r in verify_stream(lines).records]
+        for cpus, workers, processes in [(2, 2, 2), (2, 3, 2), (2, 1000, 2),
+                                         (None, 4, 1)]:
+            monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+            run = verify_stream(lines, workers=workers)
+            assert requested.pop() == processes
+            assert run.summary["workers"] == workers
+            assert [r.to_json_line() for r in run.records] == serial
+        assert requested == []
 
     def test_pooled_summary_keeps_its_keys_and_line_numbers(self):
         lines = ["Bw", "", "not graph6!", "A?"] + [
