@@ -5,7 +5,7 @@ unreduced (numerator, denominator) pairs and every comparison is
 cross-multiplied. No floating point, so equality detection cannot drift.
 """
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .graphs import degree_stats, is_bipartite_parts, is_connected
 
@@ -35,23 +35,16 @@ def degree_refined_bound(n, max_degree, min_degree):
     return (max_degree - 2) * n - (max_degree - min_degree) + 2, max_degree - 1
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", [
+        "n", "max_degree", "min_degree", "k", "bound_num", "bound_den",
+        "refined_num", "refined_den", "meets_equality"])):
     """Both bounds for one graph, plus the verdict of whether its exactly
     computed k-forcing number equals the bound at the same k."""
 
-    n: int
-    max_degree: int
-    min_degree: int
-    k: int
-    bound_num: int
-    bound_den: int
-    refined_num: int
-    refined_den: int
-    meets_equality: bool
+    __slots__ = ()
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def build_bound_report(g, k, f_k):
@@ -68,8 +61,7 @@ def build_bound_report(g, k, f_k):
     )
 
 
-@dataclass(frozen=True)
-class ExtremalClass:
+class ExtremalClass(namedtuple("ExtremalClass", ["tag", "parameter"])):
     """Structural family tag for a bound-attaining graph.
 
     ``tag`` is "cycle", "complete", or "balanced_complete_bipartite";
@@ -77,8 +69,7 @@ class ExtremalClass:
     other two families.
     """
 
-    tag: str
-    parameter: int
+    __slots__ = ()
 
 
 def classify_extremal(g):

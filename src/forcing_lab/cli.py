@@ -6,7 +6,8 @@ Graphs arrive inline (--graph6, --family name:params) or from files
 takes only the options its handler reads. Every run echoes to stderr, as
 one JSON line, the package version, the kernel backend that serves its
 largest graph, and every option of the subcommand, defaults included, so
-the echo alone reproduces the run.
+the echo alone reproduces the run. The argument parser is built on the
+first ``main`` call and reused by every later call in the same process.
 
 Exit codes: 0 success, 1 counterexample or property failure, 2 input
 error, 3 resource-budget abort, 141 (128 + SIGPIPE) stdout closed by its
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from contextlib import ExitStack, closing
+from functools import cache
 
 from . import __version__, _kernels
 from .engine import trace
@@ -98,7 +100,10 @@ def _add_node_budget(p):
                    dest="node_budget", help="search node budget")
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    caller, so no caller may modify it."""
     parser = argparse.ArgumentParser(
         prog="forcing-lab",
         description="Exact k-forcing numbers, sharp degree bounds, and "

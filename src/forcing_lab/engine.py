@@ -7,7 +7,7 @@ immutable inputs.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _kernels
 from .graphs import Graph, VertexSet
@@ -45,18 +45,16 @@ def is_forcing_set(g, k, s):
     return _kernels.closure(g.neighbor_masks, k, _as_mask(g, s)) == full
 
 
-@dataclass(frozen=True)
-class ForcingTrace:
+class ForcingTrace(namedtuple("ForcingTrace", ["k", "initial", "events"])):
     """Ordered (forcer, forced) events proving what a set colors.
 
-    Each event colors exactly one vertex; at the moment it fires, the
-    forcer is colored and has at most k non-colored neighbors, one of
-    which is the forced vertex.
+    ``initial`` is a VertexSet and ``events`` a tuple of pairs. Each event
+    colors exactly one vertex; at the moment it fires, the forcer is
+    colored and has at most k non-colored neighbors, one of which is the
+    forced vertex.
     """
 
-    k: int
-    initial: VertexSet
-    events: tuple
+    __slots__ = ()
 
     def final_state(self):
         mask = self.initial.mask

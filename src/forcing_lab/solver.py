@@ -12,7 +12,7 @@ value, since no smaller set forces at all. A greedy upper bound is
 available on its own.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _kernels
 from ._kernels import pure
@@ -42,8 +42,9 @@ class BudgetExceeded(RuntimeError):
         self.size_reached = size_reached
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(namedtuple("SolveResult", [
+        "value", "witness", "nodes_explored", "method", "k", "constrained",
+        "complement_empty"], defaults=(False, False))):
     """Outcome of a forcing-number computation.
 
     ``value`` is exact for methods "oracle" and "bnb"; for "greedy" it is
@@ -54,13 +55,7 @@ class SolveResult:
     S = V (no smaller forcing set has a connected nonempty complement).
     """
 
-    value: int
-    witness: VertexSet
-    nodes_explored: int
-    method: str
-    k: int
-    constrained: bool = False
-    complement_empty: bool = False
+    __slots__ = ()
 
     def to_dict(self):
         return {

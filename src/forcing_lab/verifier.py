@@ -21,9 +21,8 @@ import csv
 import json
 import os
 import time
-from collections import deque
+from collections import deque, namedtuple
 from contextlib import closing
-from dataclasses import dataclass
 from itertools import islice, starmap
 
 from .bounds import (classify_extremal, degree_refined_bound,
@@ -36,42 +35,27 @@ from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded,
                      solve, solve_connected_complement)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    """Per-graph verdict of the bound sweep."""
+class VerificationRecord(namedtuple("VerificationRecord", [
+        "graph6", "n", "max_degree", "min_degree", "k", "f_k", "bound_num",
+        "bound_den", "equality", "extremal_class", "extremal_parameter",
+        "structure_ok", "solver_nodes", "status"])):
+    """Per-graph verdict of the bound sweep; ``status`` is "ok" or
+    "unresolved"."""
 
-    graph6: str
-    n: int
-    max_degree: int
-    min_degree: int
-    k: int
-    f_k: int | None
-    bound_num: int
-    bound_den: int
-    equality: bool
-    extremal_class: str | None
-    extremal_parameter: int | None
-    structure_ok: bool | None
-    solver_nodes: int
-    status: str  # "ok" or "unresolved"
+    __slots__ = ()
 
     def to_json_line(self):
-        return json.dumps(vars(self))
+        return json.dumps(self._asdict())
 
 
-@dataclass(frozen=True)
-class StructureCheck:
+class StructureCheck(namedtuple("StructureCheck", [
+        "ok", "absent", "set_size", "complement_size",
+        "single_outside_neighbor", "complement_is_tree", "boundary",
+        "boundary_at_least_set"], defaults=(None,) * 6)):
     """Dissection of a bound-attaining graph around a minimum forcing set
     with connected complement."""
 
-    ok: bool | None
-    absent: bool
-    set_size: int | None = None
-    complement_size: int | None = None
-    single_outside_neighbor: bool | None = None
-    complement_is_tree: bool | None = None
-    boundary: int | None = None
-    boundary_at_least_set: bool | None = None
+    __slots__ = ()
 
 
 def check_extremal_structure(g, *, node_budget=DEFAULT_NODE_BUDGET):
@@ -128,7 +112,8 @@ def _verify_one(lineno, item, k, node_budget):
     if k >= 2 and not is_k_connected(g, k):
         return ("skip", lineno, line, f"not {k}-connected", 0.0)
     num, den = forcing_upper_bound(g.n, dmax, k)
-    cls = classify_extremal(g)
+    # The three equality families are regular.
+    cls = classify_extremal(g) if dmin == dmax else None
     try:
         res = solve(g, k, node_budget=node_budget)
     except BudgetExceeded as exc:
@@ -178,7 +163,6 @@ def _is_counterexample(rec, k):
     return rec.equality != (rec.extremal_class is not None)
 
 
-@dataclass
 class VerifyRun:
     """Records plus the reduced summary of one verification sweep.
 
@@ -186,8 +170,9 @@ class VerifyRun:
     ``write_jsonl`` drains once; the summary is complete only after that.
     """
 
-    records: list
-    summary: dict
+    def __init__(self, records, summary):
+        self.records = records
+        self.summary = summary
 
     def write_jsonl(self, stream):
         for rec in self.records:

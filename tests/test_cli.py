@@ -302,14 +302,39 @@ class TestLemmas:
         assert first_json(out)["failures"] == []
 
 
-def test_cli_import_leaves_multiprocessing_unloaded():
-    # The pool's module loads only when a run asks for workers.
-    src = os.path.dirname(os.path.dirname(forcing_lab.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r}); "
-            "import forcing_lab.cli; print('multiprocessing' in sys.modules)")
+SRC = os.path.dirname(os.path.dirname(forcing_lab.__file__))
+
+
+@pytest.mark.parametrize("module", ["multiprocessing", "dataclasses",
+                                    "inspect"])
+def test_cli_import_leaves_module_unloaded(module):
+    # Every CLI process pays for its imports before its first graph. The
+    # pool's module loads only when a run asks for workers; the result
+    # types are named tuples, so neither dataclasses nor the inspect it
+    # pulls in loads at all.
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); "
+            f"import forcing_lab.cli; print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # A process that makes many main() calls builds the parser once; no
+    # option value may leak from one call into the next.
+    assert build_parser() is build_parser()
+    calls = [["solve", "--family", "complete_bipartite:3,3", "--constrained"],
+             ["solve", "--family", "complete_bipartite:3,3"]]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv in calls:
+        alone = subprocess.run(
+            [sys.executable, "-m", "forcing_lab.cli", *argv], env=env,
+            check=True, capture_output=True, text=True)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == alone.stdout
+        assert first_json(err) == first_json(alone.stderr)
+    assert first_json(err)["config"]["constrained"] is False
 
 
 def test_config_echo_is_reproducible_json(capsys):

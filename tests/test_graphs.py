@@ -1,17 +1,20 @@
 """Graph construction, families, degree/connectivity utilities, and the
 edge-list format. Connectivity is cross-checked against networkx."""
 
+import json
 import pickle
 import random
 
 import networkx as nx
 import pytest
 
-from forcing_lab import (Graph, VertexSet, complete, complete_bipartite,
+from forcing_lab import (Graph, SolveResult, StructureCheck, VertexSet,
+                         build_bound_report, check_extremal_structure,
+                         classify_extremal, complete, complete_bipartite,
                          cycle, degree_stats, edge_boundary, generate,
                          is_connected, is_k_connected, parse_edge_list,
-                         format_edge_list, path, solve, star,
-                         tree_from_pruefer)
+                         format_edge_list, path, solve, star, trace,
+                         tree_from_pruefer, verify_stream)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_bipartite_parts, is_tree, leaves
 
@@ -75,9 +78,53 @@ class TestGraph:
 
     def test_pickle_round_trip(self):
         g = cycle(5)
-        for obj in (g, VertexSet(3, 4), solve(g, 1)):
+        for obj in (g, VertexSet(3, 4)):
             assert pickle.loads(pickle.dumps(obj)) == obj
         assert pickle.loads(pickle.dumps(g)).name == "C_5"
+        # Result types, each with its fields in order. The pool returns
+        # records by pickle; results are immutable.
+        record_fields = [
+            "graph6", "n", "max_degree", "min_degree", "k", "f_k",
+            "bound_num", "bound_den", "equality", "extremal_class",
+            "extremal_parameter", "structure_ok", "solver_nodes", "status"]
+        report_fields = [
+            "n", "max_degree", "min_degree", "k", "bound_num", "bound_den",
+            "refined_num", "refined_den", "meets_equality"]
+        structure_fields = [
+            "ok", "absent", "set_size", "complement_size",
+            "single_outside_neighbor", "complement_is_tree", "boundary",
+            "boundary_at_least_set"]
+        record = verify_stream([g]).records[0]
+        report = build_bound_report(g, 1, 2)
+        results = [
+            (solve(g, 1), ["value", "witness", "nodes_explored", "method",
+                           "k", "constrained", "complement_empty"]),
+            (record, record_fields),
+            (check_extremal_structure(complete_bipartite(3, 3)),
+             structure_fields),
+            (report, report_fields),
+            (classify_extremal(g), ["tag", "parameter"]),
+            (trace(g, 1, [0, 1]), ["k", "initial", "events"]),
+        ]
+        for obj, fields in results:
+            cls = type(obj)
+            back = pickle.loads(pickle.dumps(obj))
+            assert type(back) is cls and back == obj
+            with pytest.raises(AttributeError):
+                setattr(obj, fields[0], None)
+            with pytest.raises(AttributeError):
+                obj.extra = None
+            values = [getattr(obj, f) for f in fields]
+            assert cls(*values) == cls(**dict(zip(fields, values))) == obj
+        assert list(json.loads(record.to_json_line())) == record_fields
+        assert list(report.to_dict()) == report_fields
+        witness = VertexSet(3, 5)
+        assert SolveResult(value=2, witness=witness, nodes_explored=1,
+                           method="bnb", k=1) == SolveResult(
+            2, witness, 1, "bnb", 1, constrained=False,
+            complement_empty=False)
+        absent = StructureCheck(ok=None, absent=True)
+        assert [getattr(absent, f) for f in structure_fields[2:]] == [None] * 6
 
     def test_relabel_preserves_structure(self):
         g = path(4)

@@ -25,3 +25,6 @@ def test_tracer_sees_both_level_kernels(tmp_path):
     assert done.returncode == 0, done.stderr
     spans = json.loads(report.read_text(encoding="ascii"))["trace"]["spans"]
     assert {"kernels.constrained", "kernels.pruned"} <= set(spans)
+    # The tracer also patches VerifyRun.write_jsonl on the class and wraps
+    # solver.solve where the CLI and the verifier look it up.
+    assert {"verifier.write", "solver.solve"} <= set(spans)
