@@ -3,6 +3,8 @@
 The compiled extension serves every graph of at most 62 vertices when it
 is built (``python setup.py build_ext --inplace``); the pure-Python
 kernels serve everything else, and ``search_level_constrained`` always.
+``augment`` is dispatched by the order of the children it builds, one
+more than its parent's, so a 62-vertex parent goes to the pure kernel.
 Tests reach both backends directly through the ``kernels`` fixture.
 """
 
@@ -51,3 +53,7 @@ def wavefront(nbrs, k, node_budget):
 
 def canonical_mask(nbrs):
     return _impl(len(nbrs)).canonical_mask(nbrs)
+
+
+def augment(nbrs):
+    return _impl(len(nbrs) + 1).augment(nbrs)

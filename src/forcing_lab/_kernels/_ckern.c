@@ -1,6 +1,6 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: five of its seven functions, with the
+ * Mirrors _kernels/pure.py exactly: six of its eight functions, with the
  * same return values, witnesses and node counts. The other two, the
  * exhaustive level scans, stay pure-only: the plain one serves only the
  * brute-force oracle, which is thus independent of this file, and the
@@ -9,17 +9,21 @@
  *
  * The exact solver is wavefront (the forcing number, by best-first search
  * over closed sets) followed by one search_level_pruned at that size (the
- * lexicographically smallest witness). wavefront is the only kernel that
- * allocates: its closed-set table and cost buckets grow by at most one
- * entry per node, so the node budget bounds them; every exit frees them,
- * and a failed allocation raises MemoryError.
+ * lexicographically smallest witness). Enumeration calls augment once per
+ * parent class; it runs the deletion test and the connectivity check on
+ * stack masks and calls canonical_mask's search only for the children that
+ * pass. wavefront is the only kernel that allocates memory of its own: its
+ * closed-set table and cost buckets grow by at most one entry per node, so
+ * the node budget bounds them; every exit frees them, and a failed
+ * allocation raises MemoryError.
  *
  * A graph arrives as a sequence of neighbor bitmasks (nbrs[v] has bit u set
  * iff uv is an edge) and a vertex subset as one int. Both are held in
  * uint64 masks, so graphs are capped at 62 vertices (the graph6 cap); a
  * larger graph raises ValueError and the dispatcher uses pure.py instead.
- * Only canonical_mask returns an int wider than 64 bits: its certificate
- * has n(n-1)/2 bits.
+ * augment builds children one vertex larger, so it refuses a parent of 62
+ * vertices. Only canonical_mask and augment return ints wider than 64
+ * bits: a certificate has n(n-1)/2 bits, built in one uint64 up to n = 11.
  *
  * Build in place with: python setup.py build_ext --inplace
  */
@@ -364,15 +368,35 @@ static int load(PyObject *nbrs, graph *g)
 
 /* Column j of the best labeling lands at bits j(j-1)/2 .. j(j+1)/2 - 1 with
  * its first row lowest, so the highest column is shifted in first. */
-static PyObject *certificate(const u64 *best, int n)
+static u64 column_bits(const u64 *best, int j)
 {
+    u64 col = 0;
+    for (int i = 0; i < j; i++)
+        col |= (best[j] >> (j - 1 - i) & 1) << i;
+    return col;
+}
+
+/* The canonical certificate of g: the minimum upper-triangle mask over all
+ * relabelings, built in one u64 when its n(n-1)/2 bits fit. */
+static PyObject *certificate(const graph *g)
+{
+    u64 best[MAX_N];
+    int perm[MAX_N], n = g->n;
+    if (n <= 1)
+        return PyLong_FromLong(0);
+    for (int j = 0; j < n; j++)
+        best[j] = ONE << j;
+    place(g, 0, perm, 0, best);
+    if (n * (n - 1) / 2 <= 64) {
+        u64 out = 0;
+        for (int j = n - 1; j >= 1; j--)
+            out = out << j | column_bits(best, j);
+        return PyLong_FromUnsignedLongLong(out);
+    }
     PyObject *out = PyLong_FromLong(0);
     for (int j = n - 1; j >= 1 && out != NULL; j--) {
-        u64 col = 0;
-        for (int i = 0; i < j; i++)
-            col |= (best[j] >> (j - 1 - i) & 1) << i;
         PyObject *width = PyLong_FromLong(j);
-        PyObject *bits = PyLong_FromUnsignedLongLong(col);
+        PyObject *bits = PyLong_FromUnsignedLongLong(column_bits(best, j));
         PyObject *shifted = width && bits ? PyNumber_Lshift(out, width) : NULL;
         Py_DECREF(out);
         out = shifted ? PyNumber_Or(shifted, bits) : NULL;
@@ -458,17 +482,67 @@ static PyObject *py_canonical_mask(PyObject *self, PyObject *args, PyObject *kw)
     static char *kwlist[] = {"nbrs", NULL};
     PyObject *nbrs;
     graph g;
-    u64 best[MAX_N];
-    int perm[MAX_N];
     if (!PyArg_ParseTupleAndKeywords(args, kw, "O:canonical_mask", kwlist, &nbrs)
         || load(nbrs, &g) < 0)
         return NULL;
-    if (g.n <= 1)
-        return PyLong_FromLong(0);
-    for (int j = 0; j < g.n; j++)
-        best[j] = ONE << j;
-    place(&g, 0, perm, 0, best);
-    return certificate(best, g.n);
+    return certificate(&g);
+}
+
+/* Certificates of the children that pass the deletion rule; see
+ * pure.augment. The child has one vertex more than the parent, so the
+ * parent may have at most 61. */
+static PyObject *py_augment(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *kwlist[] = {"nbrs", NULL};
+    PyObject *nbrs;
+    graph p, c;
+    int deg[MAX_N], nsum[MAX_N];
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "O:augment", kwlist, &nbrs)
+        || load(nbrs, &p) < 0)
+        return NULL;
+    int n = p.n;
+    if (n + 1 > MAX_N) {
+        PyErr_SetString(PyExc_ValueError,
+                        "compiled kernels support at most 62 vertices");
+        return NULL;
+    }
+    for (int v = 0; v < n; v++)
+        deg[v] = __builtin_popcountll(p.nbrs[v]);
+    for (int v = 0; v < n; v++) {
+        nsum[v] = 0;
+        for (u64 m = p.nbrs[v]; m; m &= m - 1)
+            nsum[v] += deg[__builtin_ctzll(m)];
+    }
+    c.n = n + 1;
+    c.full = (ONE << c.n) - 1;
+    PyObject *out = PyList_New(0);
+    for (u64 s = 1; out != NULL && s < ONE << n; s++) {
+        /* A large parent has 2^n candidates: let Ctrl-C stop the loop. */
+        if ((s & 0xFFFF) == 0 && PyErr_CheckSignals() < 0) {
+            Py_CLEAR(out);
+            break;
+        }
+        int k = __builtin_popcountll(s), sw = k, keep = 1;
+        for (u64 m = s; m; m &= m - 1)
+            sw += deg[__builtin_ctzll(m)];
+        for (int v = 0; v < n; v++)
+            c.nbrs[v] = p.nbrs[v] | (s >> v & 1) << n;
+        c.nbrs[n] = s;
+        for (int u = 0; keep && u < n; u++) {
+            int inside = s >> u & 1, du = deg[u] + inside;
+            if (du > k || (du == k && nsum[u] + __builtin_popcountll(p.nbrs[u] & s)
+                                      + inside * k >= sw))
+                continue;
+            keep = !connected_in_u64(c.nbrs, c.full & ~(ONE << u));
+        }
+        if (!keep)
+            continue;
+        PyObject *cert = certificate(&c);
+        if (cert == NULL || PyList_Append(out, cert) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(cert);
+    }
+    return out;
 }
 
 
@@ -484,6 +558,7 @@ static PyMethodDef methods[] = {
     KERNEL(search_level_pruned, "nbrs, k, size, node_budget"),
     KERNEL(wavefront, "nbrs, k, node_budget"),
     KERNEL(canonical_mask, "nbrs"),
+    KERNEL(augment, "nbrs"),
     {NULL, NULL, 0, NULL},
 };
 

@@ -278,3 +278,61 @@ def canonical_mask(nbrs):
                 out |= 1 << (base + i)
         base += j
     return out
+
+
+def augment(nbrs):
+    """Certificates of the one-vertex extensions of a parent that pass the
+    canonical-deletion rule.
+
+    For each nonempty neighborhood S of a new vertex w, in ascending mask
+    order, the child is the parent plus w joined to S. Every vertex gets
+    the invariant (degree, sum of its neighbors' degrees), taken in the
+    child and compared lexicographically. The child is rejected when some
+    vertex u other than w is not a cut vertex (the child minus u is
+    connected) and its invariant is strictly below w's. Otherwise the
+    ``canonical_mask`` of the child is appended to the returned list,
+    duplicates included.
+
+    The rule is exact for connected parents (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998, used here only as a
+    prefilter): take any connected graph G on n + 1 >= 2 vertices and a
+    non-cut vertex v of G whose invariant is smallest among the non-cut
+    vertices (a leaf of a spanning tree is not a cut vertex, so one
+    exists). G - v is connected, so it is isomorphic to some parent P on
+    n vertices. Joining w to the image of N(v) in P gives a child
+    isomorphic to G in which w plays the role of v, so no non-cut vertex
+    has a smaller invariant than w and the child is kept. Every connected
+    class on n + 1 vertices therefore appears among the certificates
+    returned for the connected classes on n vertices.
+    """
+    n = len(nbrs)
+    w = 1 << n
+    rest = (w << 1) - 1
+    deg = [m.bit_count() for m in nbrs]
+    # Sum of the parent degrees of each vertex's parent neighbors.
+    nsum = [0] * n
+    for v, m in enumerate(nbrs):
+        while m:
+            nsum[v] += deg[(m & -m).bit_length() - 1]
+            m &= m - 1
+    out = []
+    for s in range(1, w):
+        k = s.bit_count()
+        sw = k
+        m = s
+        while m:
+            sw += deg[(m & -m).bit_length() - 1]
+            m &= m - 1
+        child = [x | w if s >> v & 1 else x for v, x in enumerate(nbrs)]
+        child.append(s)
+        for u in range(n):
+            inside = s >> u & 1
+            du = deg[u] + inside
+            if du > k or (du == k and nsum[u] + (nbrs[u] & s).bit_count()
+                          + inside * k >= sw):
+                continue
+            if connected_in(child, rest & ~(1 << u)):
+                break
+        else:
+            out.append(canonical_mask(child))
+    return out

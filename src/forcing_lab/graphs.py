@@ -295,7 +295,7 @@ def degree_stats(g):
     """(max degree, min degree, degree sequence by vertex id)."""
     if g.n < 1:
         raise ValueError("degree stats need at least one vertex")
-    seq = tuple(m.bit_count() for m in g.neighbor_masks)
+    seq = tuple(map(int.bit_count, g.neighbor_masks))
     return max(seq), min(seq), seq
 
 

@@ -32,24 +32,25 @@ def fresh_classes():
 
 
 def test_only_connected_parents_are_extended(fresh_classes, monkeypatch):
-    # Each connected (m-1)-class is tried with its 2^(m-1) - 1 nonempty
-    # neighborhoods and nothing else.
+    # Each connected (m-1)-class is passed to augment exactly once, and
+    # nothing else is.
     calls = []
-    real = _kernels.canonical_mask
+    real = _kernels.augment
 
     def counting(nbrs):
-        calls.append(len(nbrs))
+        calls.append((len(nbrs), _kernels.canonical_mask(nbrs)))
         return real(nbrs)
 
-    monkeypatch.setattr(_kernels, "canonical_mask", counting)
+    monkeypatch.setattr(_kernels, "augment", counting)
     assert sum(1 for _ in enumerate_connected(6)) == CONNECTED_CLASS_COUNTS[6]
-    expected = sum(CONNECTED_CLASS_COUNTS[m - 1] * ((1 << (m - 1)) - 1)
-                   for m in range(2, 7))
-    assert len(calls) == expected == 759
+    expected = {(m - 1, cert) for m in range(2, 7)
+                for cert in enumeration._canonical_classes(m - 1)}
+    assert len(calls) == len(expected) == 1 + 1 + 2 + 6 + 21
+    assert set(calls) == expected
 
 
 def test_wrong_class_count_raises(fresh_classes, monkeypatch):
-    monkeypatch.setattr(_kernels, "canonical_mask", lambda nbrs: 0)
+    monkeypatch.setattr(_kernels, "augment", lambda nbrs: [0])
     with pytest.raises(AssertionError, match="published count"):
         list(enumerate_connected(4))
 

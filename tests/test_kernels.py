@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from forcing_lab import brute_force_oracle
+from forcing_lab import _kernels, brute_force_oracle
 from forcing_lab._kernels import pure
-from forcing_lab.enumeration import enumerate_connected
+from forcing_lab.enumeration import CONNECTED_CLASS_COUNTS, enumerate_connected
 
 
 def _random_masks(rng, n, p):
@@ -151,13 +151,86 @@ def test_canonical_mask_matches_pure(compiled_kernels):
             assert compiled_kernels.canonical_mask(nbrs) == pure.canonical_mask(nbrs), n
 
 
+def _parents(m):
+    """Neighbor masks of every connected class on m - 1 vertices."""
+    return [g.neighbor_masks for g in enumerate_connected(m - 1)]
+
+
+def _child(nbrs, s):
+    """The parent plus a new last vertex joined to the vertices in s."""
+    w = 1 << len(nbrs)
+    return [x | w if s >> v & 1 else x for v, x in enumerate(nbrs)] + [s]
+
+
+def test_augment_matches_pure(compiled_kernels, monkeypatch):
+    # Every connected graph with n <= 6 and seeded G(n, p) parents up to
+    # n = 8, connected or not: the same certificates in the same order.
+    rng = random.Random(59)
+    parents = [g.neighbor_masks for n in range(1, 7)
+               for g in enumerate_connected(n)]
+    parents += [_random_masks(rng, n, p) for n in (7, 8) for p in (0.3, 0.6)]
+    for nbrs in [[]] + parents:
+        assert compiled_kernels.augment(nbrs) == pure.augment(nbrs), nbrs
+    # 12-vertex children have 66-bit certificates, past the one-word path.
+    # Pure canonical_mask needs about 0.06 s a call there, so the pure rule
+    # is checked with the compiled certificates.
+    monkeypatch.setattr(pure, "canonical_mask", compiled_kernels.canonical_mask)
+    wide = []
+    for nbrs in ([(1 << v - 1 if v else 0) | (1 << v + 1 if v < 10 else 0)
+                  for v in range(11)], _random_masks(rng, 11, 0.4)):
+        kept = compiled_kernels.augment(nbrs)
+        assert kept == pure.augment(nbrs), nbrs
+        wide += [cert for cert in kept if cert >> 64]
+    assert wide
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_augment_reaches_every_class(kernels, m):
+    # The deletion rule drops children, never a class: the kept
+    # certificates are exactly those of all one-vertex extensions.
+    kept, every = set(), set()
+    for nbrs in _parents(m):
+        kept.update(kernels.augment(nbrs))
+        every.update(kernels.canonical_mask(_child(nbrs, s))
+                     for s in range(1, 1 << (m - 1)))
+    assert kept == every
+    assert len(every) == CONNECTED_CLASS_COUNTS[m]
+
+
+# Children the deletion rule passes to canonical_mask, summed over the
+# connected parents, out of 90, 651 and 7,056 one-vertex extensions.
+AUGMENT_KEPT = {5: 47, 6: 244, 7: 1816}
+
+
+@pytest.mark.parametrize("m", sorted(AUGMENT_KEPT))
+def test_augment_keeps_the_pinned_number_of_children(kernels, m):
+    # A looser rule still enumerates correctly; this makes it fail a test.
+    assert sum(len(kernels.augment(nbrs)) for nbrs in _parents(m)) \
+        == AUGMENT_KEPT[m]
+
+
+def test_augment_of_a_62_vertex_parent_goes_to_pure(compiled_kernels,
+                                                     monkeypatch):
+    # Its children have 63 vertices: the compiled kernel refuses it, and
+    # the dispatcher, which picks by the child's order, never sends it there.
+    with pytest.raises(ValueError, match="at most 62 vertices"):
+        compiled_kernels.augment([0] * 62)
+    served = []
+    monkeypatch.setattr(_kernels, "_compiled", compiled_kernels)
+    monkeypatch.setattr(pure, "augment", lambda nbrs: served.append(len(nbrs)))
+    _kernels.augment([0] * 62)
+    assert served == [62]
+
+
 @pytest.mark.parametrize("call", [
     lambda m, nbrs: m.closure(nbrs, 1, 1),
     lambda m, nbrs: m.connected_in(nbrs, 1),
     lambda m, nbrs: m.search_level_pruned(nbrs, 1, 2, 10),
     lambda m, nbrs: m.wavefront(nbrs, 1, 10),
     lambda m, nbrs: m.canonical_mask(nbrs),
-], ids=["closure", "connected_in", "pruned", "wavefront", "canonical_mask"])
+    lambda m, nbrs: m.augment(nbrs),
+], ids=["closure", "connected_in", "pruned", "wavefront", "canonical_mask",
+        "augment"])
 def test_compiled_refuses_63_vertices(compiled_kernels, call):
     with pytest.raises(ValueError, match="at most 62 vertices"):
         call(compiled_kernels, [0] * 63)
