@@ -21,8 +21,8 @@ from .enumeration import enumerate_connected, labeled_trees, random_trees
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
 from .graphs import (Graph, VertexSet, complete, complete_bipartite, cycle,
                      degree_stats, edge_boundary, generate, is_connected,
-                     is_k_connected, parse_edge_list, format_edge_list, path,
-                     star, tree_from_pruefer)
+                     is_k_connected, parse_edge_list, path, star,
+                     tree_from_pruefer)
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, SolveResult,
                      brute_force_oracle, greedy_upper_bound, solve,
                      solve_connected_complement)
@@ -34,7 +34,7 @@ from .verifier import (StructureCheck, VerificationRecord, VerifyRun,
 __all__ = [
     "__version__", "HAVE_COMPILED", "active_backend",
     "Graph", "VertexSet", "Graph6Error", "parse_graph6", "encode_graph6",
-    "parse_edge_list", "format_edge_list",
+    "parse_edge_list",
     "cycle", "complete", "complete_bipartite", "path", "star",
     "tree_from_pruefer", "generate", "degree_stats", "is_connected",
     "is_k_connected", "edge_boundary",

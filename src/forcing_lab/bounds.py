@@ -7,7 +7,7 @@ cross-multiplied. No floating point, so equality detection cannot drift.
 
 from collections import namedtuple
 
-from .graphs import degree_stats, is_bipartite_parts, is_connected
+from .graphs import degree_stats, is_connected
 
 
 def forcing_upper_bound(n, max_degree, k):
@@ -90,10 +90,16 @@ def classify_extremal(g):
     d = dmax
     if d == g.n - 1:
         return ExtremalClass("complete", d)
-    if g.n == 2 * d and is_bipartite_parts(g) is not None:
-        # d-regular bipartite on 2d vertices forces parts of size d with
-        # every cross pair adjacent.
-        return ExtremalClass("balanced_complete_bipartite", d)
+    if g.n == 2 * d:
+        # Let B = N(0) and A = V \ B, so |A| = |B| = d. If every vertex of
+        # A has neighbor mask B, then A is independent and joined to all
+        # of B; each vertex of B then has its d neighbors in A, so B is
+        # independent too, and the graph is K_{d,d}. K_{d,d} passes the
+        # test, so the test is exact.
+        nbrs = g.neighbor_masks
+        b = nbrs[0]
+        if all(m == b for v, m in enumerate(nbrs) if not b >> v & 1):
+            return ExtremalClass("balanced_complete_bipartite", d)
     if d == 2:
         return ExtremalClass("cycle", g.n)
     return None

@@ -25,7 +25,8 @@ from . import __version__, _kernels
 from .engine import trace
 from .enumeration import enumerate_connected, labeled_trees, random_trees
 from .graph6 import MAX_VERTICES, Graph6Error, parse_graph6
-from .graphs import VertexSet, generate, parse_edge_list
+from .graphs import (VertexSet, degree_stats, generate, is_connected,
+                     parse_edge_list)
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, solve,
                      solve_connected_complement)
 from .verifier import (VerifyRun, iter_verify, run_known_values,
@@ -196,6 +197,11 @@ def _cmd_bounds(args):
 
     g = _load_graph(args)
     _echo_config(args, g.n)
+    # Input outside the bound's hypotheses exits 2 without being solved.
+    if not is_connected(g):
+        raise ValueError("bound needs a connected graph")
+    if degree_stats(g)[0] < 2:
+        raise ValueError("bound needs max degree >= 2")
     z = solve(g, 1, node_budget=args.node_budget).value
     f_k = z if args.k == 1 else solve(g, args.k, node_budget=args.node_budget).value
     report = build_bound_report(g, args.k, f_k)

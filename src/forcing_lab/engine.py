@@ -72,15 +72,6 @@ class ForcingTrace(namedtuple("ForcingTrace", ["k", "initial", "events"])):
             "events": [[u, v] for u, v in self.events],
         })
 
-    @classmethod
-    def from_json_line(cls, line, capacity):
-        data = json.loads(line)
-        return cls(
-            k=data["k"],
-            initial=VertexSet.from_ids(data["initial"], capacity),
-            events=tuple((u, v) for u, v in data["events"]),
-        )
-
 
 def trace(g, k, s):
     """Deterministic forcing trace from ``s`` to its closure.

@@ -2,8 +2,8 @@
 
 Vertex ids are dense 0-based integers (bitmask-friendly); any external
 label belongs in ``Graph.name``. Includes the named-family generators,
-degree/connectivity utilities, the edge-boundary count, and a plain
-edge-list text format.
+degree/connectivity utilities, the edge-boundary count, and the
+edge-list input parser.
 """
 
 from itertools import combinations
@@ -40,22 +40,11 @@ class VertexSet:
         return cls(mask, capacity)
 
     @classmethod
-    def empty(cls, capacity):
-        return cls(0, capacity)
-
-    @classmethod
     def full(cls, capacity):
         return cls((1 << capacity) - 1, capacity)
 
-    def ids(self):
-        """Members in ascending order."""
-        return tuple(self)
-
     def complement(self):
         return VertexSet(~self.mask & ((1 << self.capacity) - 1), self.capacity)
-
-    def issubset(self, other):
-        return self.mask & ~other.mask == 0
 
     def __contains__(self, v):
         return 0 <= v < self.capacity and (self.mask >> v) & 1 == 1
@@ -69,12 +58,6 @@ class VertexSet:
 
     def __len__(self):
         return self.mask.bit_count()
-
-    def __or__(self, other):
-        return VertexSet(self.mask | other.mask, max(self.capacity, other.capacity))
-
-    def __and__(self, other):
-        return VertexSet(self.mask & other.mask, max(self.capacity, other.capacity))
 
     def __eq__(self, other):
         if not isinstance(other, VertexSet):
@@ -120,22 +103,6 @@ class Graph:
                 (self.upper_triangle_mask(), self.n, self.name))
 
     @classmethod
-    def from_neighbor_masks(cls, masks, name=None):
-        n = len(masks)
-        g = cls(n, (), name=name)
-        for v, m in enumerate(masks):
-            if m >> n:
-                raise ValueError(f"neighbor id out of range at vertex {v}")
-            if (m >> v) & 1:
-                raise ValueError(f"loop at vertex {v} not allowed")
-        for v, m in enumerate(masks):
-            for u in VertexSet(m, n):
-                if not (masks[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(g, "neighbor_masks", tuple(masks))
-        return g
-
-    @classmethod
     def from_upper_triangle_mask(cls, bits, n, name=None):
         """Rebuild from the packed upper triangle (bit j(j-1)/2 + i for pair i<j)."""
         if bits >> (n * (n - 1) // 2):
@@ -159,10 +126,6 @@ class Graph:
             bits |= lower << (j * (j - 1) // 2)
         return bits
 
-    def adj(self, v):
-        """Neighbors of v as a frozenset."""
-        return frozenset(VertexSet(self.neighbor_masks[v], self.n))
-
     def degree(self, v):
         return self.neighbor_masks[v].bit_count()
 
@@ -177,16 +140,6 @@ class Graph:
             for u in VertexSet(m, self.n):
                 out.append((u, v))
         return sorted(out)
-
-    def has_edge(self, u, v):
-        return 0 <= u < self.n and (self.neighbor_masks[u] >> v) & 1 == 1
-
-    def vertex_set(self, ids):
-        return VertexSet.from_ids(ids, self.n)
-
-    def relabel(self, perm, name=None):
-        """New graph with vertex v renamed to perm[v]."""
-        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges()], name=name)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -354,30 +307,7 @@ def leaves(g):
     return tuple(v for v in range(g.n) if g.degree(v) == 1)
 
 
-def is_bipartite_parts(g):
-    """Two-coloring of a connected graph: (part0, part1) VertexSets, or None."""
-    if g.n == 0:
-        return VertexSet.empty(0), VertexSet.empty(0)
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in VertexSet(g.neighbor_masks[v], g.n):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    part0 = VertexSet.from_ids([v for v in range(g.n) if color[v] == 0], g.n)
-    part1 = VertexSet.from_ids([v for v in range(g.n) if color[v] == 1], g.n)
-    return part0, part1
-
-
-# -- edge-list text format -----------------------------------------------------
+# -- edge-list input ----------------------------------------------------------
 
 
 def parse_edge_list(text):
@@ -402,9 +332,3 @@ def parse_edge_list(text):
         edges.append((int(parts[0]), int(parts[1])))
     return Graph(n, edges)
 
-
-def format_edge_list(g):
-    edges = g.edges()
-    lines = [f"{g.n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"

@@ -114,28 +114,22 @@ def _verify_one(lineno, item, k, node_budget):
     num, den = forcing_upper_bound(g.n, dmax, k)
     # The three equality families are regular.
     cls = classify_extremal(g) if dmin == dmax else None
+    f_k = structure = None
     try:
         res = solve(g, k, node_budget=node_budget)
     except BudgetExceeded as exc:
-        record = VerificationRecord(
-            graph6=line, n=g.n, max_degree=dmax, min_degree=dmin, k=k,
-            f_k=None, bound_num=num, bound_den=den, equality=False,
-            extremal_class=cls.tag if cls else None,
-            extremal_parameter=cls.parameter if cls else None,
-            structure_ok=None, solver_nodes=exc.nodes_explored,
-            status="unresolved")
-        return ("record", lineno, record,
-                (time.perf_counter() - started) * 1000.0)
-    equality = res.value * den == num
-    structure = None
-    if k == 1 and equality and dmax >= 3:
-        structure = check_extremal_structure(g, node_budget=node_budget).ok
+        equality, nodes, status = False, exc.nodes_explored, "unresolved"
+    else:
+        f_k, nodes, status = res.value, res.nodes_explored, "ok"
+        equality = f_k * den == num
+        if k == 1 and equality and dmax >= 3:
+            structure = check_extremal_structure(g, node_budget=node_budget).ok
     record = VerificationRecord(
         graph6=line, n=g.n, max_degree=dmax, min_degree=dmin, k=k,
-        f_k=res.value, bound_num=num, bound_den=den, equality=equality,
+        f_k=f_k, bound_num=num, bound_den=den, equality=equality,
         extremal_class=cls.tag if cls else None,
         extremal_parameter=cls.parameter if cls else None,
-        structure_ok=structure, solver_nodes=res.nodes_explored, status="ok")
+        structure_ok=structure, solver_nodes=nodes, status=status)
     return ("record", lineno, record, (time.perf_counter() - started) * 1000.0)
 
 
@@ -196,10 +190,11 @@ class VerifyRun:
                     or self.summary["structure_failures"])
 
 
-# With workers > 1, items go to the pool CHUNK at a time, and the input is
-# drawn at most WINDOW items (or two chunks per pool process, when that is
-# more) ahead of the outcomes already reduced. The pool has one process per
-# worker, but no more than there are CPUs. An input shorter than one chunk
+# The pool has one process per worker, but no more than there are CPUs;
+# when that leaves one process, the items are verified in this process.
+# Otherwise items go to the pool CHUNK at a time, and the input is drawn at
+# most WINDOW items (or two chunks per pool process, when that is more)
+# ahead of the outcomes already reduced. An input shorter than one chunk
 # is verified in this process.
 CHUNK = 32
 WINDOW = 512
@@ -222,7 +217,8 @@ def _outcomes(payload, workers):
     """Outcomes of the payload, in input order. A fork pool, when one
     starts, has at most ``limit`` chunks submitted and not yet consumed,
     and is terminated and joined however this generator ends."""
-    if workers == 1:
+    processes = min(workers, os.cpu_count() or 1)
+    if processes == 1:
         yield from starmap(_verify_one, payload)
         return
     chunk = list(islice(payload, CHUNK))
@@ -230,7 +226,6 @@ def _outcomes(payload, workers):
         yield from _verify_chunk(chunk)
         return
     from multiprocessing import get_context
-    processes = min(workers, os.cpu_count() or 1)
     pool = get_context("fork").Pool(processes)
     try:
         pending = deque()
@@ -252,13 +247,13 @@ def iter_verify(items, k, summary, *, workers=1,
     """Yield the records of the bound sweep over an iterable of graph6
     lines and Graph objects, in input order, as they arrive.
 
-    Items are drawn lazily: one at a time with one worker, and with more
-    a bounded window ahead (WINDOW), so memory does not grow with the
-    length of the input. Each outcome is folded into ``summary``, an
-    empty dict that receives the keys ``verify_stream`` documents, as it
-    arrives; ``input_lines`` is set when the input is exhausted. The
-    worker pool, if any, is terminated and joined however the generator
-    ends, including when it is closed early.
+    Items are drawn lazily: one at a time with one worker or one CPU,
+    and otherwise a bounded window ahead (WINDOW), so memory does not
+    grow with the length of the input. Each outcome is folded into
+    ``summary``, an empty dict that receives the keys ``verify_stream``
+    documents, as it arrives; ``input_lines`` is set when the input is
+    exhausted. The worker pool, if any, is terminated and joined however
+    the generator ends, including when it is closed early.
     """
     summary.update({
         "k": k, "workers": workers, "input_lines": 0, "graphs_verified": 0,

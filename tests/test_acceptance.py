@@ -207,11 +207,9 @@ def test_criterion_7_engine_properties():
                 failures.append(f"instance {i}: order changed the closure")
                 break
         bigger = s | rng.getrandbits(n)
-        if not closure(g, k, VertexSet(s, n)).issubset(
-                closure(g, k, VertexSet(bigger, n))):
+        if expected & ~closure(g, k, VertexSet(bigger, n)).mask:
             failures.append(f"instance {i}: not monotone in the initial set")
-        if not closure(g, k, VertexSet(s, n)).issubset(
-                closure(g, k + 1, VertexSet(s, n))):
+        if expected & ~closure(g, k + 1, VertexSet(s, n)).mask:
             failures.append(f"instance {i}: not monotone in k")
         tr = trace(g, k, VertexSet(s, n))
         if replay(g, tr).mask != expected:

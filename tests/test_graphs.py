@@ -12,11 +12,10 @@ from forcing_lab import (Graph, SolveResult, StructureCheck, VertexSet,
                          build_bound_report, check_extremal_structure,
                          classify_extremal, complete, complete_bipartite,
                          cycle, degree_stats, edge_boundary, generate,
-                         is_connected, is_k_connected, parse_edge_list,
-                         format_edge_list, path, solve, star, trace,
-                         tree_from_pruefer, verify_stream)
+                         is_connected, is_k_connected, parse_edge_list, path,
+                         solve, star, trace, tree_from_pruefer, verify_stream)
 from forcing_lab.enumeration import enumerate_connected
-from forcing_lab.graphs import is_bipartite_parts, is_tree, leaves
+from forcing_lab.graphs import is_tree, leaves
 
 
 class TestVertexSet:
@@ -42,30 +41,17 @@ class TestVertexSet:
         with pytest.raises(AttributeError):
             s.mask = 0
 
-    def test_set_algebra(self):
-        a = VertexSet.from_ids([0, 1], 4)
-        b = VertexSet.from_ids([1, 2], 4)
-        assert list(a | b) == [0, 1, 2]
-        assert list(a & b) == [1]
-        assert a.issubset(a | b)
-
 
 class TestGraph:
     def test_adjacency_is_symmetric(self):
         g = Graph(3, [(0, 1)])
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
-        assert g.adj(0) == frozenset({1})
-        assert g.adj(2) == frozenset()
+        assert g.neighbor_masks == (0b010, 0b001, 0b000)
 
     def test_rejects_loops_and_bad_ids(self):
         with pytest.raises(ValueError):
             Graph(3, [(1, 1)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
-
-    def test_from_neighbor_masks_rejects_asymmetry(self):
-        with pytest.raises(ValueError):
-            Graph.from_neighbor_masks([0b010, 0b000, 0b000])
 
     def test_upper_triangle_mask_round_trip(self):
         rng = random.Random(7)
@@ -126,11 +112,6 @@ class TestGraph:
         absent = StructureCheck(ok=None, absent=True)
         assert [getattr(absent, f) for f in structure_fields[2:]] == [None] * 6
 
-    def test_relabel_preserves_structure(self):
-        g = path(4)
-        h = g.relabel([3, 2, 1, 0])
-        assert sorted(h.degree(v) for v in range(4)) == [1, 1, 2, 2]
-
 
 class TestFamilies:
     def test_cycle(self):
@@ -143,7 +124,6 @@ class TestFamilies:
         g = complete_bipartite(3, 3)
         assert g.n == 6 and g.edge_count() == 9
         assert all(g.degree(v) == 3 for v in range(6))
-        assert is_bipartite_parts(g) is not None
 
     def test_complete(self):
         g = complete(5)
@@ -225,10 +205,10 @@ class TestConnectivity:
 class TestEdgeBoundary:
     def test_examples(self):
         k4 = complete(4)
-        assert edge_boundary(k4, k4.vertex_set([0, 1])) == 4
-        assert edge_boundary(k4, VertexSet.empty(4)) == 0
+        assert edge_boundary(k4, VertexSet.from_ids([0, 1], 4)) == 4
+        assert edge_boundary(k4, VertexSet(0, 4)) == 0
         c6 = cycle(6)
-        assert edge_boundary(c6, c6.vertex_set([0, 1, 2])) == 2
+        assert edge_boundary(c6, VertexSet.from_ids([0, 1, 2], 6)) == 2
 
     def test_complement_symmetry(self):
         rng = random.Random(11)
@@ -250,7 +230,9 @@ def test_leaves():
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = complete_bipartite(2, 3)
-        assert parse_edge_list(format_edge_list(g)) == g
+        edges = g.edges()
+        text = "".join(f"{u} {v}\n" for u, v in edges)
+        assert parse_edge_list(f"{g.n} {len(edges)}\n{text}") == g
 
     def test_parse(self):
         g = parse_edge_list("3 2\n0 1\n1 2\n")
