@@ -142,8 +142,9 @@ def build_parser():
     _add_k(p_verify)
     _add_node_budget(p_verify)
     p_verify.add_argument("--workers", type=int, default=1,
-                          help="parallel workers, at most one process per CPU "
-                               "(default 1)")
+                          help="parallel workers, at most one process per CPU; "
+                               "the worker pool starts only after about 1 s "
+                               "of verification (default 1)")
 
     p_lemmas = sub.add_parser("lemmas", help="property suites")
     lemmas_sub = p_lemmas.add_subparsers(dest="suite", required=True)

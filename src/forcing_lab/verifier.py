@@ -14,7 +14,10 @@ whatever the worker count, and every summary reduction is order-free.
 Records stream: ``iter_verify`` draws its input lazily, folds each
 outcome into the summary and yields each record as soon as it and every
 record before it are done, so the first record never waits for the last
-and memory stays bounded however long the input is.
+and memory stays bounded however long the input is. With more than one
+worker, a fork pool takes over the rest of the input only after about a
+second of verification in this process (``POOL_AFTER_S``), so a short run
+never pays for starting one.
 """
 
 import csv
@@ -23,7 +26,7 @@ import os
 import time
 from collections import deque, namedtuple
 from contextlib import closing
-from itertools import islice, starmap
+from itertools import islice
 
 from .bounds import (classify_extremal, degree_refined_bound,
                      forcing_upper_bound)
@@ -190,12 +193,20 @@ class VerifyRun:
                     or self.summary["structure_failures"])
 
 
-# The pool has one process per worker, but no more than there are CPUs;
-# when that leaves one process, the items are verified in this process.
-# Otherwise items go to the pool CHUNK at a time, and the input is drawn at
-# most WINDOW items (or two chunks per pool process, when that is more)
-# ahead of the outcomes already reduced. An input shorter than one chunk
-# is verified in this process.
+# Items are verified in this process until it has spent POOL_AFTER_S
+# seconds inside _verify_one; only then may the rest go to a fork pool.
+# On 2 vCPU, importing multiprocessing and starting, terminating and joining
+# a two-process pool takes about 35 ms in process, and a fresh `verify` of
+# 1,500 small graphs ran about 65 ms longer with the pool than without. A
+# run that starts a pool has already spent 1 s verifying, so that fixed cost
+# stays under about 7% of it, and a shorter run never pays it. The time the
+# input takes to draw (an enumeration, a slow pipe) does not count. The pool
+# has one process per worker, but no more than there are CPUs, and never
+# starts with one process. Fewer than CHUNK items left at the switch are
+# verified in this process too. Otherwise items go to the pool CHUNK at a
+# time, and the input is drawn at most WINDOW items (or two chunks per pool
+# process, when that is more) ahead of the outcomes already reduced.
+POOL_AFTER_S = 1.0
 CHUNK = 32
 WINDOW = 512
 
@@ -214,13 +225,22 @@ def _numbered(items, k, node_budget, summary):
 
 
 def _outcomes(payload, workers):
-    """Outcomes of the payload, in input order. A fork pool, when one
-    starts, has at most ``limit`` chunks submitted and not yet consumed,
-    and is terminated and joined however this generator ends."""
+    """Outcomes of the payload, in input order. Items are verified in this
+    process until POOL_AFTER_S seconds of verification have passed; then,
+    with more than one process and at least CHUNK items left, a fork pool
+    takes the rest. The pool has at most ``limit`` chunks submitted and
+    not yet consumed, and is terminated and joined however this generator
+    ends."""
     processes = min(workers, os.cpu_count() or 1)
-    if processes == 1:
-        yield from starmap(_verify_one, payload)
-        return
+    spent = 0.0
+    while processes == 1 or spent < POOL_AFTER_S:
+        args = next(payload, None)
+        if args is None:
+            return
+        started = time.perf_counter()
+        outcome = _verify_one(*args)
+        spent += time.perf_counter() - started
+        yield outcome
     chunk = list(islice(payload, CHUNK))
     if len(chunk) < CHUNK:
         yield from _verify_chunk(chunk)
@@ -247,13 +267,16 @@ def iter_verify(items, k, summary, *, workers=1,
     """Yield the records of the bound sweep over an iterable of graph6
     lines and Graph objects, in input order, as they arrive.
 
-    Items are drawn lazily: one at a time with one worker or one CPU,
-    and otherwise a bounded window ahead (WINDOW), so memory does not
-    grow with the length of the input. Each outcome is folded into
-    ``summary``, an empty dict that receives the keys ``verify_stream``
-    documents, as it arrives; ``input_lines`` is set when the input is
-    exhausted. The worker pool, if any, is terminated and joined however
-    the generator ends, including when it is closed early.
+    Items are drawn lazily: one at a time while they are verified in
+    this process, which is always the case with one worker or one CPU
+    and otherwise until about POOL_AFTER_S seconds of verification have
+    passed; after that a fork pool takes the rest, drawn at most a
+    bounded window ahead (WINDOW). So memory does not grow with the
+    length of the input. Each outcome is folded into ``summary``, an
+    empty dict that receives the keys ``verify_stream`` documents, as it
+    arrives; ``input_lines`` is set when the input is exhausted. The
+    worker pool, if one started, is terminated and joined however the
+    generator ends, including when it is closed early.
     """
     summary.update({
         "k": k, "workers": workers, "input_lines": 0, "graphs_verified": 0,

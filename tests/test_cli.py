@@ -328,7 +328,7 @@ def test_every_export_exists_once():
                                     "inspect"])
 def test_cli_import_leaves_module_unloaded(module):
     # Every CLI process pays for its imports before its first graph. The
-    # pool's module loads only when a run asks for workers; the result
+    # pool's module loads only when a run starts a pool; the result
     # types are named tuples, so neither dataclasses nor the inspect it
     # pulls in loads at all.
     code = (f"import sys; sys.path.insert(0, {SRC!r}); "
@@ -336,6 +336,19 @@ def test_cli_import_leaves_module_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_short_pooled_verify_never_imports_multiprocessing():
+    # --workers 2 on two CPUs, but the n = 6 sweep verifies in far less
+    # time than a pool takes over after.
+    code = (f"import os, sys; sys.path.insert(0, {SRC!r}); "
+            "os.cpu_count = lambda: 2; from forcing_lab.cli import main; "
+            "code = main(['verify', '--enumerate', '6', '--workers', '2']); "
+            "print(code, 'multiprocessing' in sys.modules, file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True)
+    assert len(run.stdout.splitlines()) == 112
+    assert run.stderr.splitlines()[-1] == "0 False"
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -22,6 +22,84 @@ def _sweep(n, **kwargs):
     return verify_stream(enumerate_connected(n), **kwargs)
 
 
+def _lines(run):
+    return [r.to_json_line() for r in run.records]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def pooled(monkeypatch, two_cpus):
+    """Hands the input to a real fork pool from the first item on; returns
+    the process count of each pool started."""
+    monkeypatch.setattr(verifier, "POOL_AFTER_S", 0)
+    started = []
+    get_context = multiprocessing.get_context
+
+    def spy(method):
+        context = get_context(method)
+
+        def pool(processes):
+            started.append(processes)
+            return context.Pool(processes)
+        return SimpleNamespace(Pool=pool)
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return started
+
+
+@pytest.fixture
+def fake_pool(monkeypatch, two_cpus):
+    """A pool that runs each chunk in this process; returns the pools
+    started, each with its process count and the chunks it was given."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, processes):
+            self.processes, self.chunks = processes, []
+            pools.append(self)
+
+        def apply_async(self, fn, args):
+            self.chunks.append(args[0])
+            out = fn(*args)
+            return SimpleNamespace(get=lambda: out)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=FakePool))
+    return pools
+
+
+@pytest.fixture
+def no_pool(monkeypatch, two_cpus):
+    def get_context(method):
+        raise AssertionError("a pool started")
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """The verifier's clock, as a one-item list that each _verify_one call
+    advances by 1 s and nothing else does."""
+    clock = [0.0]
+    verify_one = verifier._verify_one
+
+    def timed(*args):
+        clock[0] += 1.0
+        return verify_one(*args)
+    monkeypatch.setattr(verifier, "_verify_one", timed)
+    monkeypatch.setattr(verifier, "time",
+                        SimpleNamespace(perf_counter=lambda: clock[0]))
+    return clock
+
+
 class TestVerifyStream:
     def test_n6_extremal_census(self):
         run = _sweep(6)
@@ -110,18 +188,18 @@ class TestVerifyStream:
         run = verify_stream(lines)
         assert [r.graph6 for r in run.records] == lines
 
-    def test_worker_count_does_not_change_records(self):
+    def test_worker_count_does_not_change_records(self, pooled):
         lines = [encode_graph6(g) for g in enumerate_connected(6)]
         serial = verify_stream(lines, workers=1)
         parallel = verify_stream(lines, workers=4)
-        assert ([r.to_json_line() for r in serial.records]
-                == [r.to_json_line() for r in parallel.records])
+        assert pooled == [2]
+        assert _lines(serial) == _lines(parallel)
 
-    def test_worker_count_does_not_change_graph_records(self):
-        serial = verify_stream(enumerate_connected(5), workers=1)
-        parallel = verify_stream(enumerate_connected(5), workers=3)
-        assert ([r.to_json_line() for r in serial.records]
-                == [r.to_json_line() for r in parallel.records])
+    def test_worker_count_does_not_change_graph_records(self, pooled):
+        serial = verify_stream(enumerate_connected(6), workers=1)
+        parallel = verify_stream(enumerate_connected(6), workers=3)
+        assert pooled == [2]
+        assert _lines(serial) == _lines(parallel)
 
     def test_padding_bits_are_ignored_and_the_line_kept(self):
         # 'x' sets the last padding bit of the triangle's payload byte.
@@ -191,67 +269,55 @@ class TestStreaming:
         assert first.to_json_line() == _sweep(6).records[0].to_json_line()
         records.close()
 
-    def test_pool_reads_at_most_a_window_ahead(self):
+    def test_pool_reads_at_most_a_window_ahead(self, pooled):
         lines = [encode_graph6(g) for g in enumerate_connected(5)] * 60
         assert len(lines) > 2 * verifier.WINDOW
         drawn = [0]
         summary = {}
         ahead = [drawn[0] - i for i, _ in enumerate(
             iter_verify(_counting(lines, drawn), 1, summary, workers=2), 1)]
+        assert pooled == [2]
         assert len(ahead) == len(lines) == summary["input_lines"]
         assert 0 <= max(ahead) <= verifier.WINDOW
 
-    def test_closing_early_stops_the_pool(self):
+    def test_closing_early_stops_the_pool(self, pooled):
         records = iter_verify(enumerate_connected(6), 1, {}, workers=2)
         next(records)
+        assert pooled == [2]
         assert multiprocessing.active_children()
         records.close()
         assert multiprocessing.active_children() == []
 
-    def test_input_shorter_than_a_chunk_starts_no_pool(self):
+    def test_input_shorter_than_a_chunk_starts_no_pool(self, monkeypatch,
+                                                       no_pool):
+        monkeypatch.setattr(verifier, "POOL_AFTER_S", 0)
         records = iter_verify(["Bw"] * (verifier.CHUNK - 1), 1, {},
                               workers=2)
         next(records)
-        assert multiprocessing.active_children() == []
         assert len(list(records)) == verifier.CHUNK - 2
 
-    def test_pool_starts_at_most_one_process_per_cpu(self, monkeypatch):
-        # A fake pool runs each chunk in this process and records its size.
-        requested = []
-
-        class FakePool:
-            def __init__(self, processes):
-                requested.append(processes)
-
-            def apply_async(self, fn, args):
-                out = fn(*args)
-                return SimpleNamespace(get=lambda: out)
-
-            def terminate(self):
-                pass
-
-            def join(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method: SimpleNamespace(Pool=FakePool))
+    def test_pool_starts_at_most_one_process_per_cpu(self, monkeypatch,
+                                                     fake_pool):
+        monkeypatch.setattr(verifier, "POOL_AFTER_S", 0)
         lines = [encode_graph6(g) for g in enumerate_connected(5)] * 2
         assert len(lines) > verifier.CHUNK
-        serial = [r.to_json_line() for r in verify_stream(lines).records]
+        serial = _lines(verify_stream(lines))
         # One CPU starts no pool: the items are verified in this process.
         for cpus, workers, processes in [(2, 2, 2), (2, 3, 2), (2, 1000, 2),
                                          (None, 4, None)]:
             monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
             run = verify_stream(lines, workers=workers)
-            assert (requested.pop() if requested else None) == processes
+            assert (fake_pool.pop().processes if fake_pool else None) \
+                == processes
             assert run.summary["workers"] == workers
-            assert [r.to_json_line() for r in run.records] == serial
-        assert requested == []
+            assert _lines(run) == serial
+        assert fake_pool == []
 
-    def test_pooled_summary_keeps_its_keys_and_line_numbers(self):
+    def test_pooled_summary_keeps_its_keys_and_line_numbers(self, pooled):
         lines = ["Bw", "", "not graph6!", "A?"] + [
-            encode_graph6(g) for g in enumerate_connected(5)]
+            encode_graph6(g) for g in enumerate_connected(6)]
         summary = verify_stream(lines, 2, workers=2).summary
+        assert pooled == [2]
         assert list(summary) == ["k", "workers", "input_lines",
                                  "graphs_verified", "skipped",
                                  "parse_failures", "per_n", "counterexamples",
@@ -262,6 +328,61 @@ class TestStreaming:
                                          "reason": "disconnected"}
         assert (summary["graphs_verified"] + len(summary["skipped"])
                 == len(lines) - 2)
+
+    def test_short_run_starts_no_pool(self, no_pool):
+        # The n = 6 sweep verifies in well under POOL_AFTER_S.
+        assert (_lines(_sweep(6, workers=2))
+                == _lines(_sweep(6, workers=1)))
+
+    def test_pool_takes_over_after_exactly_m_items(self, monkeypatch,
+                                                   fake_clock, fake_pool):
+        # Blank, malformed and skipped lines on both sides of the handoff;
+        # blank lines are not items, so they take no verification time.
+        head = ["Bw", "", "not graph6!", "A?", "Bw"]
+        tail = ["", "not graph6!", "A?"] + [
+            encode_graph6(g) for g in enumerate_connected(5)] * 2 + [""]
+        lines = head + tail
+        m = sum(1 for line in head if line)
+        monkeypatch.setattr(verifier, "POOL_AFTER_S", m)
+        serial = verify_stream(lines, workers=1)
+        assert fake_pool == []
+        parallel = verify_stream(lines, workers=2)
+        [pool] = fake_pool
+        assert [args[0] for chunk in pool.chunks for args in chunk] == [
+            i for i, line in enumerate(lines, 1) if line and i > len(head)]
+        assert _lines(parallel) == _lines(serial)
+        # The fake clock puts no time in the records, so even the summed
+        # times per order agree.
+        assert parallel.summary == dict(serial.summary, workers=2)
+        assert serial.summary["input_lines"] == len(lines)
+        assert [f["line"] for f in serial.summary["parse_failures"]] == [3, 7]
+        assert [s["line"] for s in serial.summary["skipped"]] == [4, 8]
+
+    def test_drawing_the_input_is_not_verification_time(
+            self, monkeypatch, fake_clock, no_pool):
+        # 112 graphs take 112 s to verify and 1,120 s to draw.
+        monkeypatch.setattr(verifier, "POOL_AFTER_S", 200)
+
+        def slow(items):
+            for item in items:
+                fake_clock[0] += 10.0
+                yield item
+        serial = verify_stream(enumerate_connected(6), workers=1)
+        assert (_lines(verify_stream(slow(enumerate_connected(6)), workers=2))
+                == _lines(serial))
+
+    def test_closing_before_the_handoff_starts_no_pool(self, monkeypatch,
+                                                       fake_clock, fake_pool):
+        monkeypatch.setattr(verifier, "POOL_AFTER_S", 3)
+        records = iter_verify(enumerate_connected(6), 1, {}, workers=2)
+        # The third record reaches the threshold; the switch would come
+        # with the fourth.
+        for _ in range(3):
+            next(records)
+        records.close()
+        assert fake_pool == []
+        assert list(iter_verify(enumerate_connected(6), 1, {}, workers=2))
+        assert len(fake_pool) == 1
 
 
 class TestExtremalStructure:
