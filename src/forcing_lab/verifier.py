@@ -193,19 +193,26 @@ class VerifyRun:
                     or self.summary["structure_failures"])
 
 
-# Items are verified in this process until it has spent POOL_AFTER_S
-# seconds inside _verify_one; only then may the rest go to a fork pool.
-# On 2 vCPU, importing multiprocessing and starting, terminating and joining
-# a two-process pool takes about 35 ms in process, and a fresh `verify` of
-# 1,500 small graphs ran about 65 ms longer with the pool than without. A
-# run that starts a pool has already spent 1 s verifying, so that fixed cost
-# stays under about 7% of it, and a shorter run never pays it. The time the
-# input takes to draw (an enumeration, a slow pipe) does not count. The pool
-# has one process per worker, but no more than there are CPUs, and never
-# starts with one process. Fewer than CHUNK items left at the switch are
-# verified in this process too. Otherwise items go to the pool CHUNK at a
-# time, and the input is drawn at most WINDOW items (or two chunks per pool
-# process, when that is more) ahead of the outcomes already reduced.
+# Items are verified in this process until the times _verify_one measures
+# for its records add up to POOL_AFTER_S seconds; only then may the rest go
+# to a fork pool. The time the input takes to draw (an enumeration, a slow
+# pipe) does not count, nor do skips and parse errors. On 2 vCPU, importing
+# multiprocessing and starting, terminating and joining a two-process pool
+# takes about 35 ms in process, and a fresh `verify` of 1,500 small graphs
+# ran about 65 ms longer with the pool than without. A run that starts a
+# pool has already spent 1 s verifying, so that fixed cost stays under about
+# 7% of it, and a shorter run never pays it. Past the switch the pool wins
+# on costly graphs: `verify` of 200 random cubic graphs on 36 vertices
+# (about 20 ms each) took a median 3.0 s with --workers 2 against 4.4 s with
+# one (10 alternating runs, 2 vCPU). It loses on cheap ones: `verify
+# --enumerate 9` (about 50 us a graph) took 21.6 and 28.2 s against 18.5
+# and 21.4 s, as the parent pickles, folds and writes every record while
+# the two workers run. The pool has one process per worker, but no more
+# than there are CPUs, and never starts with one process. Fewer than CHUNK
+# items left at the switch are verified in this process too. Otherwise
+# items go to the pool CHUNK at a time, and the input is drawn at most
+# WINDOW items (or two chunks per pool process, when that is more) ahead of
+# the outcomes already reduced.
 POOL_AFTER_S = 1.0
 CHUNK = 32
 WINDOW = 512
@@ -232,15 +239,17 @@ def _outcomes(payload, workers):
     not yet consumed, and is terminated and joined however this generator
     ends."""
     processes = min(workers, os.cpu_count() or 1)
-    spent = 0.0
-    while processes == 1 or spent < POOL_AFTER_S:
-        args = next(payload, None)
-        if args is None:
-            return
-        started = time.perf_counter()
+    # _verify_one times each record itself: outcome[-1] is its ms.
+    budget_ms = POOL_AFTER_S * 1000.0 if processes > 1 else float("inf")
+    spent_ms = 0.0
+    for args in payload:
         outcome = _verify_one(*args)
-        spent += time.perf_counter() - started
         yield outcome
+        spent_ms += outcome[-1]
+        if spent_ms >= budget_ms:
+            break
+    else:
+        return
     chunk = list(islice(payload, CHUNK))
     if len(chunk) < CHUNK:
         yield from _verify_chunk(chunk)

@@ -339,8 +339,8 @@ def test_cli_import_leaves_module_unloaded(module):
 
 
 def test_short_pooled_verify_never_imports_multiprocessing():
-    # --workers 2 on two CPUs, but the n = 6 sweep verifies in far less
-    # time than a pool takes over after.
+    # --workers 2 on two CPUs, but the n = 6 sweep spends 2-6 ms verifying
+    # compiled and 5-30 ms on the pure kernels, far below POOL_AFTER_S.
     code = (f"import os, sys; sys.path.insert(0, {SRC!r}); "
             "os.cpu_count = lambda: 2; from forcing_lab.cli import main; "
             "code = main(['verify', '--enumerate', '6', '--workers', '2']); "

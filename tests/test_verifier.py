@@ -33,7 +33,7 @@ def two_cpus(monkeypatch):
 
 @pytest.fixture
 def pooled(monkeypatch, two_cpus):
-    """Hands the input to a real fork pool from the first item on; returns
+    """Hands the input to a real fork pool after the first item; returns
     the process count of each pool started."""
     monkeypatch.setattr(verifier, "POOL_AFTER_S", 0)
     started = []
@@ -86,17 +86,18 @@ def no_pool(monkeypatch, two_cpus):
 
 @pytest.fixture
 def fake_clock(monkeypatch):
-    """The verifier's clock, as a one-item list that each _verify_one call
-    advances by 1 s and nothing else does."""
-    clock = [0.0]
-    verify_one = verifier._verify_one
+    """The verifier's clock. Each reading returns ``clock.now`` and then
+    advances it by ``clock.step`` (1 s unless a test sets it), so
+    _verify_one, which reads it before and after each record, times every
+    record at exactly one step; skips and parse errors take no time."""
+    clock = SimpleNamespace(now=0.0, step=1.0)
 
-    def timed(*args):
-        clock[0] += 1.0
-        return verify_one(*args)
-    monkeypatch.setattr(verifier, "_verify_one", timed)
+    def perf_counter():
+        now = clock.now
+        clock.now += clock.step
+        return now
     monkeypatch.setattr(verifier, "time",
-                        SimpleNamespace(perf_counter=lambda: clock[0]))
+                        SimpleNamespace(perf_counter=perf_counter))
     return clock
 
 
@@ -282,6 +283,8 @@ class TestStreaming:
 
     def test_closing_early_stops_the_pool(self, pooled):
         records = iter_verify(enumerate_connected(6), 1, {}, workers=2)
+        # The first record is verified here, the second by the pool.
+        next(records)
         next(records)
         assert pooled == [2]
         assert multiprocessing.active_children()
@@ -329,21 +332,24 @@ class TestStreaming:
         assert (summary["graphs_verified"] + len(summary["skipped"])
                 == len(lines) - 2)
 
-    def test_short_run_starts_no_pool(self, no_pool):
-        # The n = 6 sweep verifies in well under POOL_AFTER_S.
+    def test_short_run_starts_no_pool(self, fake_clock, no_pool):
+        # At the default threshold, 112 records at 8 ms each (0.9 s) stay
+        # in this process. The real n = 6 sweep spends 2-6 ms verifying
+        # compiled and 5-30 ms on the pure kernels.
+        fake_clock.step = 0.008
         assert (_lines(_sweep(6, workers=2))
                 == _lines(_sweep(6, workers=1)))
 
     def test_pool_takes_over_after_exactly_m_items(self, monkeypatch,
                                                    fake_clock, fake_pool):
         # Blank, malformed and skipped lines on both sides of the handoff;
-        # blank lines are not items, so they take no verification time.
+        # they take no verification time, so the m records of the head
+        # reach a threshold of m seconds.
         head = ["Bw", "", "not graph6!", "A?", "Bw"]
         tail = ["", "not graph6!", "A?"] + [
             encode_graph6(g) for g in enumerate_connected(5)] * 2 + [""]
         lines = head + tail
-        m = sum(1 for line in head if line)
-        monkeypatch.setattr(verifier, "POOL_AFTER_S", m)
+        monkeypatch.setattr(verifier, "POOL_AFTER_S", head.count("Bw"))
         serial = verify_stream(lines, workers=1)
         assert fake_pool == []
         parallel = verify_stream(lines, workers=2)
@@ -351,8 +357,8 @@ class TestStreaming:
         assert [args[0] for chunk in pool.chunks for args in chunk] == [
             i for i, line in enumerate(lines, 1) if line and i > len(head)]
         assert _lines(parallel) == _lines(serial)
-        # The fake clock puts no time in the records, so even the summed
-        # times per order agree.
+        # Every record takes 1 s on the fake clock in both runs, so even
+        # the summed times per order agree.
         assert parallel.summary == dict(serial.summary, workers=2)
         assert serial.summary["input_lines"] == len(lines)
         assert [f["line"] for f in serial.summary["parse_failures"]] == [3, 7]
@@ -365,7 +371,7 @@ class TestStreaming:
 
         def slow(items):
             for item in items:
-                fake_clock[0] += 10.0
+                fake_clock.now += 10.0
                 yield item
         serial = verify_stream(enumerate_connected(6), workers=1)
         assert (_lines(verify_stream(slow(enumerate_connected(6)), workers=2))
