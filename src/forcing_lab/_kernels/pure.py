@@ -3,13 +3,13 @@
 All kernels speak a single low-level dialect: a graph is a list of
 neighbor bitmasks (``nbrs[v]`` has bit ``u`` set iff ``uv`` is an edge)
 and a vertex subset is one Python integer. The compiled extension
-(``_ckern``, built from ``_ckern.c``) implements all but the two
-exhaustive scans with identical semantics (same return values, same node
+(``_ckern``, built from ``_ckern.c``) implements all but the exhaustive
+subset scan with identical semantics (same return values, same node
 counts) for n <= 62; this module is the reference, the fallback when the
-extension is not built, and the only implementation for n > 62. The two
-exhaustive scans run here on every backend: ``search_level_exhaustive``
-serves only the brute-force oracle, and ``search_level_constrained`` the
-connected-complement solve, which starts it at the forcing number.
+extension is not built, and the only implementation for n > 62. The
+exhaustive subset scan, one Gosper walk, runs here on every backend: the
+brute-force oracle runs it plain (``search_level_exhaustive``) and the
+connected-complement solve as ``search_level_constrained``.
 """
 
 BACKEND = "pure"
@@ -58,25 +58,20 @@ def connected_in(nbrs, mask):
     return seen == mask
 
 
-def _gosper_next(mask):
-    c = mask & -mask
-    r = mask + c
-    return (((r ^ mask) >> 2) // c) | r
+def search_level_exhaustive(nbrs, k, size, node_budget,
+                            connected_complement=False):
+    """Scan every ``size``-subset in ascending mask order for a forcing set;
+    with ``connected_complement``, for one whose complement is nonempty
+    and induces a connected subgraph.
 
-
-def search_level_exhaustive(nbrs, k, size, node_budget):
-    """Scan every ``size``-subset in ascending mask order for a forcing set.
-
-    Returns (witness_mask or None, nodes, aborted). ``nodes`` counts
-    closure evaluations; the scan aborts once it would exceed
-    ``node_budget``.
+    Returns (witness_mask or None, nodes, aborted). ``nodes`` counts the
+    subsets visited, whether or not their complement qualifies; the scan
+    aborts once it would exceed ``node_budget``.
     """
     n = len(nbrs)
     full = (1 << n) - 1
-    if size < 0 or size > n:
+    if size < 1 or size > n:
         return None, 0, False
-    if size == 0:
-        return (0 if full == 0 else None), 0, False
     mask = (1 << size) - 1
     last = mask << (n - size)
     nodes = 0
@@ -84,11 +79,16 @@ def search_level_exhaustive(nbrs, k, size, node_budget):
         if nodes >= node_budget:
             return None, nodes, True
         nodes += 1
-        if closure(nbrs, k, mask) == full:
+        comp = full & ~mask
+        if ((not connected_complement or comp and connected_in(nbrs, comp))
+                and closure(nbrs, k, mask) == full):
             return mask, nodes, False
         if mask == last:
             return None, nodes, False
-        mask = _gosper_next(mask)
+        # Gosper's hack: the next larger mask with as many bits.
+        c = mask & -mask
+        r = mask + c
+        mask = (((r ^ mask) >> 2) // c) | r
 
 
 def search_level_pruned(nbrs, k, size, node_budget):
@@ -203,31 +203,9 @@ def wavefront(nbrs, k, node_budget):
 
 
 def search_level_constrained(nbrs, k, size, node_budget):
-    """Scan every ``size``-subset in ascending mask order for a forcing set
-    whose complement is nonempty and induces a connected subgraph.
-
-    Returns (witness_mask or None, nodes, aborted). ``nodes`` counts the
-    subsets visited, whether or not their complement qualifies; the scan
-    aborts once it would exceed ``node_budget``.
-    """
-    n = len(nbrs)
-    full = (1 << n) - 1
-    if size < 1 or size > n:
-        return None, 0, False
-    mask = (1 << size) - 1
-    last = mask << (n - size)
-    nodes = 0
-    while True:
-        if nodes >= node_budget:
-            return None, nodes, True
-        nodes += 1
-        comp = full & ~mask
-        if (comp and connected_in(nbrs, comp)
-                and closure(nbrs, k, mask) == full):
-            return mask, nodes, False
-        if mask == last:
-            return None, nodes, False
-        mask = _gosper_next(mask)
+    """``search_level_exhaustive`` restricted to forcing sets whose
+    complement is nonempty and induces a connected subgraph."""
+    return search_level_exhaustive(nbrs, k, size, node_budget, True)
 
 
 def canonical_mask(nbrs):

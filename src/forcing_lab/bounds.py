@@ -1,4 +1,7 @@
-"""Sharp degree-based upper bounds and the extremal-family classifier.
+"""Sharp degree-based upper bounds, their hypotheses and the
+extremal-family classifier. ``hypothesis_failure`` alone decides whether
+the bound applies: ``verify`` skips, ``bounds`` rejects and
+``classify_extremal`` refuses a graph by the reason it gives.
 
 Everything here is exact integer arithmetic: bounds are returned as
 unreduced (numerator, denominator) pairs and every comparison is
@@ -7,7 +10,20 @@ cross-multiplied. No floating point, so equality detection cannot drift.
 
 from collections import namedtuple
 
-from .graphs import degree_stats, is_connected
+from .graphs import degree_stats, is_connected, is_k_connected
+
+
+def hypothesis_failure(g, k):
+    """Why the bound at ``k`` does not apply to ``g``: "disconnected",
+    "max degree < 2" or "not k-connected" (k >= 2 only), checked in that
+    order; None when it applies."""
+    if not is_connected(g):
+        return "disconnected"
+    if max(map(int.bit_count, g.neighbor_masks), default=0) < 2:
+        return "max degree < 2"
+    if k >= 2 and not is_k_connected(g, k):
+        return f"not {k}-connected"
+    return None
 
 
 def forcing_upper_bound(n, max_degree, k):
@@ -73,18 +89,18 @@ class ExtremalClass(namedtuple("ExtremalClass", ["tag", "parameter"])):
 
 
 def classify_extremal(g):
-    """Match a connected graph with max degree >= 2 against the three
-    equality families; None when it is none of them.
+    """Match a graph inside the k = 1 hypotheses against the three
+    equality families; None when it is none of them. A graph outside
+    them raises ValueError with the ``hypothesis_failure`` reason.
 
     The families overlap on small orders; overlaps resolve in the fixed
     order complete > balanced_complete_bipartite > cycle, so K_3 reports
     "complete" and C_4 = K_{2,2} reports "balanced_complete_bipartite".
     """
-    if not is_connected(g):
-        raise ValueError("classification needs a connected graph")
+    reason = hypothesis_failure(g, 1)
+    if reason:
+        raise ValueError(f"graph outside the bound's hypotheses: {reason}")
     dmax, dmin, _ = degree_stats(g)
-    if dmax < 2:
-        raise ValueError("classification needs max degree >= 2")
     if dmin != dmax:
         return None
     d = dmax

@@ -10,8 +10,9 @@ the echo alone reproduces the run. The argument parser is built on the
 first ``main`` call and reused by every later call in the same process.
 
 Exit codes: 0 success, 1 counterexample or property failure, 2 input
-error, 3 resource-budget abort, 141 (128 + SIGPIPE) stdout closed by its
-reader before the output was complete.
+error (for ``bounds``, also a graph outside the bound's hypotheses),
+3 resource-budget abort, 141 (128 + SIGPIPE) stdout closed by its reader
+before the output was complete.
 """
 
 import argparse
@@ -22,11 +23,11 @@ from contextlib import ExitStack, closing
 from functools import cache
 
 from . import __version__, _kernels
+from .bounds import build_bound_report, classify_extremal, hypothesis_failure
 from .engine import trace
 from .enumeration import enumerate_connected, labeled_trees, random_trees
 from .graph6 import MAX_VERTICES, Graph6Error, parse_graph6
-from .graphs import (VertexSet, degree_stats, generate, is_connected,
-                     parse_edge_list)
+from .graphs import VertexSet, generate, parse_edge_list
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, solve,
                      solve_connected_complement)
 from .verifier import (VerifyRun, iter_verify, run_known_values,
@@ -125,7 +126,8 @@ def build_parser():
     p_closure.add_argument("--set", required=True, dest="initial",
                            help="comma-separated initial vertex ids")
 
-    p_bounds = sub.add_parser("bounds", help="degree bounds and equality verdict")
+    p_bounds = sub.add_parser("bounds", help="degree bounds and equality "
+                              "verdict; exits 2 outside the bound's hypotheses")
     _add_graph_source(p_bounds)
     _add_k(p_bounds)
     _add_node_budget(p_bounds)
@@ -194,15 +196,12 @@ def _cmd_closure(args):
 
 
 def _cmd_bounds(args):
-    from .bounds import build_bound_report, classify_extremal
-
     g = _load_graph(args)
     _echo_config(args, g.n)
     # Input outside the bound's hypotheses exits 2 without being solved.
-    if not is_connected(g):
-        raise ValueError("bound needs a connected graph")
-    if degree_stats(g)[0] < 2:
-        raise ValueError("bound needs max degree >= 2")
+    reason = hypothesis_failure(g, args.k)
+    if reason:
+        raise ValueError(f"graph outside the bound's hypotheses: {reason}")
     z = solve(g, 1, node_budget=args.node_budget).value
     f_k = z if args.k == 1 else solve(g, args.k, node_budget=args.node_budget).value
     report = build_bound_report(g, args.k, f_k)

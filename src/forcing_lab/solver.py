@@ -7,9 +7,9 @@ subset of each, and stops at the first size that forces. The fast path,
 ``wavefront`` kernel) and then runs one pruned depth-first search at that
 size for the lexicographically smallest witness. A constrained variant
 restricts the search to sets whose complement induces a connected
-subgraph: it scans every subset of each size upward from the wavefront
-value, since no smaller set forces at all. A greedy upper bound is
-available on its own.
+subgraph: the oracle's subset scan with that test, from the wavefront
+value up, since no smaller set forces. ``_scan_levels`` drives the level
+searches of all three. A greedy upper bound is available on its own.
 """
 
 from collections import namedtuple
@@ -19,12 +19,12 @@ from ._kernels import pure
 from .graphs import VertexSet
 
 # The node budget also bounds memory: the wavefront stores at most one
-# closed set per node. The compiled kernel takes at most 52 bytes per set
-# (a 9-byte slot in a hash table at least a quarter full, and an 8-byte
-# queue slot in an array that grows by doubling), about 70 while the table
-# doubles; the pure kernel, a dict entry, an int and a list slot, about 70
-# to 115. Far fewer sets than nodes are stored: Q5 stores 19,033 sets in
-# 296,545 nodes.
+# closed set per node, at most 52 bytes each compiled (a 9-byte slot in a
+# hash table at least a quarter full, and an 8-byte queue slot in an array
+# that grows by doubling; about 70 while the table doubles) and 70 to 115
+# pure (a dict entry, an int and a list slot). At the default that bound
+# is about 5 GB compiled. Far fewer sets than nodes are stored in practice:
+# Q5 stores 19,033 sets in 296,545 nodes.
 DEFAULT_NODE_BUDGET = 10**8
 
 
@@ -168,16 +168,11 @@ def solve(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     """
     _check_args(g, k)
     value, nodes = _wavefront(g, k, node_budget)
-    witness, level_nodes, aborted = _kernels.search_level_pruned(
-        g.neighbor_masks, k, value, node_budget - nodes)
-    nodes += level_nodes
-    if aborted:
-        raise BudgetExceeded(
-            f"node budget {node_budget} exhausted at subset size {value}",
-            nodes, value - 1)
+    _, witness, nodes = _scan_levels(
+        g, k, _kernels.search_level_pruned, (value,), node_budget, nodes)
     if witness is None:
         raise AssertionError("a set of the wavefront's size always forces")
-    return SolveResult(value, VertexSet(witness, g.n), nodes, "bnb", k)
+    return SolveResult(value, witness, nodes, "bnb", k)
 
 
 def solve_connected_complement(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):

@@ -29,11 +29,11 @@ from contextlib import closing
 from itertools import islice
 
 from .bounds import (classify_extremal, degree_refined_bound,
-                     forcing_upper_bound)
+                     forcing_upper_bound, hypothesis_failure)
 from .engine import is_forcing_set
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
 from .graphs import (VertexSet, connected_within, degree_stats, edge_boundary,
-                     is_connected, is_k_connected, is_tree, leaves)
+                     is_k_connected, is_tree, leaves)
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded,
                      solve, solve_connected_complement)
 
@@ -96,24 +96,24 @@ def check_extremal_structure(g, *, node_budget=DEFAULT_NODE_BUDGET):
 
 
 def _verify_one(lineno, item, k, node_budget):
-    """Process one graph6 line or Graph; returns a tagged tuple for the
-    reducer. A Graph's record carries its graph6 encoding."""
+    """Process one graph6 line or Graph into ``(kind, entry, ms)``: the
+    summary list "parse_failures" or "skipped" and its entry (0 ms), or
+    "record", the record (a Graph's names its graph6) and its time."""
     started = time.perf_counter()
     if isinstance(item, str):
         line = item
         try:
             g = parse_graph6(line)
         except Graph6Error as exc:
-            return ("parse_error", lineno, line, str(exc), 0.0)
+            return ("parse_failures",
+                    {"line": lineno, "graph6": line, "error": str(exc)}, 0.0)
     else:
         g, line = item, encode_graph6(item)
-    dmax, dmin, _ = degree_stats(g) if g.n else (0, 0, ())
-    if not is_connected(g):
-        return ("skip", lineno, line, "disconnected", 0.0)
-    if dmax < 2:
-        return ("skip", lineno, line, "max degree < 2", 0.0)
-    if k >= 2 and not is_k_connected(g, k):
-        return ("skip", lineno, line, f"not {k}-connected", 0.0)
+    reason = hypothesis_failure(g, k)
+    if reason:
+        return ("skipped",
+                {"line": lineno, "graph6": line, "reason": reason}, 0.0)
+    dmax, dmin, _ = degree_stats(g)
     num, den = forcing_upper_bound(g.n, dmax, k)
     # The three equality families are regular.
     cls = classify_extremal(g) if dmin == dmax else None
@@ -133,7 +133,7 @@ def _verify_one(lineno, item, k, node_budget):
         extremal_class=cls.tag if cls else None,
         extremal_parameter=cls.parameter if cls else None,
         structure_ok=structure, solver_nodes=nodes, status=status)
-    return ("record", lineno, record, (time.perf_counter() - started) * 1000.0)
+    return ("record", record, (time.perf_counter() - started) * 1000.0)
 
 
 def _verify_chunk(chunk):
@@ -293,19 +293,11 @@ def iter_verify(items, k, summary, *, workers=1,
         "counterexamples": [], "unresolved": [], "structure_failures": []})
     payload = _numbered(items, k, node_budget, summary)
     with closing(_outcomes(payload, workers)) as outcomes:
-        for outcome in outcomes:
-            tag = outcome[0]
-            if tag == "parse_error":
-                _, lno, line, message, _ = outcome
-                summary["parse_failures"].append(
-                    {"line": lno, "graph6": line, "error": message})
+        for kind, entry, elapsed in outcomes:
+            if kind != "record":
+                summary[kind].append(entry)
                 continue
-            if tag == "skip":
-                _, lno, line, reason, _ = outcome
-                summary["skipped"].append(
-                    {"line": lno, "graph6": line, "reason": reason})
-                continue
-            _, lno, rec, elapsed = outcome
+            rec = entry
             summary["graphs_verified"] += 1
             row = summary["per_n"].setdefault(rec.n, {
                 "graph_count": 0, "extremal_count": 0, "extremal_graph6": [],
@@ -333,8 +325,8 @@ def verify_stream(items, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET):
     Lines are stripped, and blank lines are skipped but still counted as
     input lines. Only lines are parsed; a Graph is named in its record
     and in the summary by its graph6 encoding. Graphs that fall outside
-    the hypotheses (disconnected, max degree < 2, or not k-connected when
-    k >= 2) are skipped and counted, never silently dropped. Solver budget
+    the bound's hypotheses are skipped and counted with the reason
+    ``hypothesis_failure`` gives, never silently dropped. Solver budget
     aborts become "unresolved" records, never passes. Records preserve
     input order for any worker count.
 

@@ -10,7 +10,9 @@ import sys
 import pytest
 
 import forcing_lab
-from forcing_lab import _kernels, verifier, verify_stream
+from forcing_lab import (_kernels, classify_extremal, encode_graph6,
+                         enumerate_connected, parse_graph6, path, verifier,
+                         verify_stream)
 from forcing_lab.cli import build_parser, main
 
 
@@ -143,18 +145,52 @@ class TestBounds:
     def test_max_degree_below_two_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--family", "path:2")
         assert code == 2
-        assert "bound needs max degree >= 2" in err
+        assert "graph outside the bound's hypotheses: max degree < 2" in err
 
     def test_hypotheses_are_checked_before_any_solve(self, capsys):
         # A budget of one node aborts any solve, so exit 2 here shows that
-        # the input is rejected first. EwCW is two disjoint triangles.
-        for source, message in [
-                (("--graph6", "EwCW"), "bound needs a connected graph"),
-                (("--family", "path:2"), "bound needs max degree >= 2")]:
-            code, out, err = run_cli(capsys, "bounds", *source,
+        # the input is rejected first. EwCW is two disjoint triangles; P_3
+        # and the star K_{1,3} are connected with max degree >= 2, but not
+        # k-connected at the k given.
+        for source, k, message in [
+                (("--graph6", "EwCW"), "1", "hypotheses: disconnected"),
+                (("--family", "path:2"), "1", "hypotheses: max degree < 2"),
+                (("--family", "path:3"), "3", "hypotheses: not 3-connected"),
+                (("--family", "star:3"), "2", "hypotheses: not 2-connected")]:
+            code, out, err = run_cli(capsys, "bounds", *source, "--k", k,
                                      "--node-budget", "1")
             assert code == 2 and out == ""
             assert message in err and "budget exceeded" not in err
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bounds_rejects_exactly_what_verify_skips(self, capsys, k):
+        # Every connected graph with n <= 5, two disjoint triangles, P_2
+        # and the empty graph: verify skips a graph exactly when bounds
+        # exits 2, for the same reason, and at k = 1 classify_extremal
+        # raises exactly then.
+        cases = [(("--graph6", encode_graph6(g)), g) for n in range(1, 6)
+                 for g in enumerate_connected(n)]
+        cases += [(("--graph6", "EwCW"), parse_graph6("EwCW")),
+                  (("--family", "path:2"), path(2)),
+                  (("--graph6", "?"), parse_graph6("?"))]
+        skipped = {e["line"]: e["reason"] for e in
+                   verify_stream([g for _, g in cases], k).summary["skipped"]}
+        assert skipped
+        for line, (source, g) in enumerate(cases, 1):
+            reason = skipped.get(line)
+            code, out, err = run_cli(capsys, "bounds", *source, "--k", str(k))
+            if reason is None:
+                assert code == 0 and first_json(out)["k"] == k
+            else:
+                assert code == 2 and out == ""
+                assert err.endswith(f"hypotheses: {reason}\n")
+            if k == 1:
+                try:
+                    classify_extremal(g)
+                except ValueError as exc:
+                    assert reason and str(exc).endswith(reason)
+                else:
+                    assert reason is None
 
 
 class TestVerify:

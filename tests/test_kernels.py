@@ -41,20 +41,30 @@ def test_level_searches_match_pure(compiled_kernels, name):
                             (nbrs, k, size, budget)
 
 
-def test_constrained_scan_counts_every_subset_visited():
-    # A subset whose complement is disconnected is a node too, so the
-    # budget bounds the walk however few complements qualify.
+@pytest.mark.parametrize("name", ["search_level_exhaustive",
+                                  "search_level_constrained"])
+def test_constrained_scan_counts_every_subset_visited(name):
+    # Both scans walk the same subsets and stop at the first that
+    # qualifies. A subset whose complement is disconnected is a node too,
+    # so the budget bounds the constrained walk however few qualify.
+    scan = getattr(pure, name)
+    constrained = name == "search_level_constrained"
     for n in range(1, 7):
+        full = (1 << n) - 1
         for g in enumerate_connected(n):
             nbrs = g.neighbor_masks
             for size in range(1, n + 1):
-                witness, nodes, aborted = pure.search_level_constrained(
-                    nbrs, 1, size, 10**9)
-                visited = sum(1 for m in range(1 << n) if m.bit_count() == size
-                              and (witness is None or m <= witness))
+                subsets = [m for m in range(1 << n) if m.bit_count() == size]
+                hits = [m for m in subsets if pure.closure(nbrs, 1, m) == full]
+                if constrained:
+                    hits = [m for m in hits if m != full
+                            and pure.connected_in(nbrs, full & ~m)]
+                witness, nodes, aborted = scan(nbrs, 1, size, 10**9)
+                assert witness == next(iter(hits), None)
+                visited = sum(1 for m in subsets
+                              if witness is None or m <= witness)
                 assert (nodes, aborted) == (visited, False)
-                assert pure.search_level_constrained(
-                    nbrs, 1, size, nodes - 1) == (None, nodes - 1, True)
+                assert scan(nbrs, 1, size, nodes - 1) == (None, nodes - 1, True)
 
 
 def _wavefront_inputs():
