@@ -4,17 +4,35 @@ The compiled extension serves every graph of at most 62 vertices when it
 is built (``python setup.py build_ext --inplace``); the pure-Python
 kernels serve everything else, and ``search_level_constrained`` always.
 ``augment`` is dispatched by the order of the children it builds, one
-more than its parent's, so a 62-vertex parent goes to the pure kernel.
-Tests reach both backends directly through the ``kernels`` fixture.
+more than its parent's, so a 62-vertex parent goes to the pure kernel;
+``triangle_masks`` and ``graph6_masks`` by the order they are given.
+A compiled module built from an older ``_ckern.c`` that lacks one of
+``COMPILED_KERNELS`` is not used: every kernel then runs pure, and
+``HAVE_COMPILED`` and ``active_backend`` say so. Tests reach both
+backends directly through the ``kernels`` fixture.
 """
 
 from . import pure as _pure
 
-try:
-    from . import _ckern as _compiled
-except ImportError:
-    _compiled = None
+# Every kernel this module sends to the compiled extension.
+COMPILED_KERNELS = ("closure", "connected_in", "search_level_pruned",
+                    "wavefront", "canonical_mask", "augment",
+                    "triangle_masks", "graph6_masks", "k_connected")
 
+
+def _load_compiled():
+    """The compiled module, or None when it is not built or lacks one of
+    ``COMPILED_KERNELS``."""
+    try:
+        from . import _ckern
+    except ImportError:
+        return None
+    if all(hasattr(_ckern, name) for name in COMPILED_KERNELS):
+        return _ckern
+    return None
+
+
+_compiled = _load_compiled()
 HAVE_COMPILED = _compiled is not None
 _C_MAX_VERTICES = 62
 
@@ -38,6 +56,10 @@ def connected_in(nbrs, mask):
     return _impl(len(nbrs)).connected_in(nbrs, mask)
 
 
+def k_connected(nbrs, k):
+    return _impl(len(nbrs)).k_connected(nbrs, k)
+
+
 def search_level_pruned(nbrs, k, size, node_budget):
     return _impl(len(nbrs)).search_level_pruned(nbrs, k, size, node_budget)
 
@@ -57,3 +79,11 @@ def canonical_mask(nbrs):
 
 def augment(nbrs):
     return _impl(len(nbrs) + 1).augment(nbrs)
+
+
+def triangle_masks(bits, n):
+    return _impl(n).triangle_masks(bits, n)
+
+
+def graph6_masks(payload, n):
+    return _impl(n).graph6_masks(payload, n)

@@ -1,6 +1,6 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: six of its eight functions, with the
+ * Mirrors _kernels/pure.py exactly: nine of its eleven functions, with the
  * same return values, witnesses and node counts. The other two, the
  * exhaustive level scans, stay pure-only: the plain one serves only the
  * brute-force oracle, which is thus independent of this file, and the
@@ -12,15 +12,20 @@
  * lexicographically smallest witness). Enumeration calls augment once per
  * parent class; it runs the deletion test and the connectivity check on
  * stack masks and calls canonical_mask's search only for the children that
- * pass. wavefront is the only kernel that allocates memory of its own: its
- * closed-set table and cost buckets grow by at most one entry per node, so
- * the node budget bounds them; every exit frees them, and a failed
+ * pass. triangle_masks and graph6_masks build a graph's neighbor masks from
+ * the packed upper triangle and from a graph6 payload, through one helper
+ * that alone knows the pair order; k_connected tests vertex connectivity
+ * cut by cut. wavefront is the only kernel that allocates memory of its
+ * own: its closed-set table and cost buckets grow by at most one entry per
+ * node, so the node budget bounds them; every exit frees them, and a failed
  * allocation raises MemoryError.
  *
  * A graph arrives as a sequence of neighbor bitmasks (nbrs[v] has bit u set
  * iff uv is an edge) and a vertex subset as one int. Both are held in
  * uint64 masks, so graphs are capped at 62 vertices (the graph6 cap); a
  * larger graph raises ValueError and the dispatcher uses pure.py instead.
+ * triangle_masks and graph6_masks take the order n as an argument and refuse
+ * n > 62 in the same way.
  * augment builds children one vertex larger, so it refuses a parent of 62
  * vertices. Only canonical_mask and augment return ints wider than 64
  * bits: a certificate has n(n-1)/2 bits, built in one uint64 up to n = 11.
@@ -407,6 +412,49 @@ static PyObject *certificate(const graph *g)
     return out;
 }
 
+/* An order n for the kernels that take it as an argument. */
+static int as_order(PyObject *obj, int *n)
+{
+    long long value;
+    if (as_ll(obj, &value) < 0)
+        return -1;
+    if (value < 0 || value > MAX_N) {
+        PyErr_SetString(PyExc_ValueError,
+                        value < 0 ? "vertex count must be non-negative"
+                                  : "compiled kernels support at most 62 vertices");
+        return -1;
+    }
+    *n = (int)value;
+    return 0;
+}
+
+/* Bit p of the packed upper triangle, in little-endian 64-bit words. */
+#define PAIR_WORDS ((MAX_N * (MAX_N - 1) / 2 + 63) / 64)
+
+/* The neighbor masks, as a tuple of ints, of the n-vertex graph whose pair
+ * i < j is bit j(j-1)/2 + i of words (column-major, the graph6 order). Bits
+ * past the triangle are not read. */
+static PyObject *unpack_triangle(const u64 *words, int n)
+{
+    u64 nbrs[MAX_N] = {0};
+    int p = 0;
+    for (int j = 1; j < n; j++)
+        for (int i = 0; i < j; i++, p++)
+            if (words[p >> 6] >> (p & 63) & 1) {
+                nbrs[i] |= ONE << j;
+                nbrs[j] |= ONE << i;
+            }
+    PyObject *out = PyTuple_New(n);
+    for (int v = 0; out != NULL && v < n; v++) {
+        PyObject *mask = PyLong_FromUnsignedLongLong(nbrs[v]);
+        if (mask == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, v, mask);
+    }
+    return out;
+}
+
 
 /* -- module functions ----------------------------------------------------- */
 
@@ -545,6 +593,104 @@ static PyObject *py_augment(PyObject *self, PyObject *args, PyObject *kw)
     return out;
 }
 
+static PyObject *py_triangle_masks(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *kwlist[] = {"bits", "n", NULL};
+    PyObject *bits, *n_obj;
+    u64 words[PAIR_WORDS] = {0};
+    int n;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OO:triangle_masks", kwlist,
+                                     &bits, &n_obj)
+        || as_order(n_obj, &n) < 0)
+        return NULL;
+    int pairs = n * (n - 1) / 2;
+    /* Take the words off the low end; what is left must be 0 (a negative
+     * int never shifts down to 0). */
+    PyObject *width = PyLong_FromLong(64);
+    PyObject *rest = width ? PyNumber_Index(bits) : NULL;
+    for (int w = 0; rest != NULL && 64 * w < pairs; w++) {
+        words[w] = PyLong_AsUnsignedLongLongMask(rest);
+        Py_SETREF(rest, PyNumber_Rshift(rest, width));
+    }
+    int beyond = rest ? PyObject_IsTrue(rest) : -1;
+    Py_XDECREF(rest);
+    Py_XDECREF(width);
+    if (beyond < 0)
+        return NULL;
+    if (beyond || (pairs % 64 && words[pairs / 64] >> pairs % 64)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "mask has bits beyond the upper triangle");
+        return NULL;
+    }
+    return unpack_triangle(words, n);
+}
+
+/* None when a character lies outside '?'..'~'; see pure.graph6_masks. */
+static PyObject *py_graph6_masks(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *kwlist[] = {"payload", "n", NULL};
+    PyObject *payload, *n_obj;
+    u64 words[PAIR_WORDS] = {0};
+    int n;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "UO:graph6_masks", kwlist,
+                                     &payload, &n_obj)
+        || as_order(n_obj, &n) < 0)
+        return NULL;
+    Py_ssize_t need = (n * (n - 1) / 2 + 5) / 6;
+    if (PyUnicode_GET_LENGTH(payload) != need)
+        return PyErr_Format(PyExc_ValueError,
+                            "graph6 payload length must be %zd for n=%d",
+                            need, n);
+    /* '?'..'~' is ASCII, so a string that is not holds a character outside. */
+    if (!PyUnicode_IS_ASCII(payload))
+        Py_RETURN_NONE;
+    const Py_UCS1 *chars = PyUnicode_1BYTE_DATA(payload);
+    for (Py_ssize_t pos = 0; pos < need; pos++) {
+        unsigned val = chars[pos] - 63u;
+        if (val > 63)
+            Py_RETURN_NONE;
+        /* Six pairs a character, the first in its high bit. */
+        for (int r = 0; r < 6; r++) {
+            int p = (int)(6 * pos) + r;
+            words[p >> 6] |= (u64)(val >> (5 - r) & 1) << (p & 63);
+        }
+    }
+    return unpack_triangle(words, n);
+}
+
+/* Every removal set of fewer than k vertices, by size and then in ascending
+ * mask order (Gosper's hack), must leave g connected; see pure.k_connected. */
+static PyObject *py_k_connected(PyObject *self, PyObject *args, PyObject *kw)
+{
+    static char *kwlist[] = {"nbrs", "k", NULL};
+    PyObject *nbrs, *k_obj;
+    graph g;
+    long long k;
+    u64 tried = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kw, "OO:k_connected", kwlist,
+                                     &nbrs, &k_obj)
+        || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0)
+        return NULL;
+    if (g.n <= k)
+        Py_RETURN_FALSE;
+    for (int size = 0; size < k; size++) {
+        u64 cut = (ONE << size) - 1, last = cut << (g.n - size);
+        for (;;) {
+            /* C(n, k - 1) cuts can be astronomically many: let Ctrl-C stop
+             * the walk. */
+            if ((++tried & 0xFFFF) == 0 && PyErr_CheckSignals() < 0)
+                return NULL;
+            if (!connected_in_u64(g.nbrs, g.full & ~cut))
+                Py_RETURN_FALSE;
+            if (cut == last)
+                break;
+            u64 c = cut & (0 - cut), r = cut + c;
+            cut = ((r ^ cut) >> 2) / c | r;
+        }
+    }
+    Py_RETURN_TRUE;
+}
+
 
 /* -- module --------------------------------------------------------------- */
 
@@ -559,6 +705,9 @@ static PyMethodDef methods[] = {
     KERNEL(wavefront, "nbrs, k, node_budget"),
     KERNEL(canonical_mask, "nbrs"),
     KERNEL(augment, "nbrs"),
+    KERNEL(triangle_masks, "bits, n"),
+    KERNEL(graph6_masks, "payload, n"),
+    KERNEL(k_connected, "nbrs, k"),
     {NULL, NULL, 0, NULL},
 };
 

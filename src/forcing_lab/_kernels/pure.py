@@ -1,6 +1,6 @@
 """Pure-Python kernels for the hot inner loops.
 
-All kernels speak a single low-level dialect: a graph is a list of
+All kernels speak a single low-level dialect: a graph is a sequence of
 neighbor bitmasks (``nbrs[v]`` has bit ``u`` set iff ``uv`` is an edge)
 and a vertex subset is one Python integer. The compiled extension
 (``_ckern``, built from ``_ckern.c``) implements all but the exhaustive
@@ -10,7 +10,14 @@ extension is not built, and the only implementation for n > 62. The
 exhaustive subset scan, one Gosper walk, runs here on every backend: the
 brute-force oracle runs it plain (``search_level_exhaustive``) and the
 connected-complement solve as ``search_level_constrained``.
+
+Three kernels build or test whole graphs rather than search them:
+``triangle_masks`` unpacks the upper-triangle bit layout that graph6 and
+the canonical certificates share, ``graph6_masks`` decodes a graph6
+payload with it, and ``k_connected`` tests vertex connectivity.
 """
+
+from itertools import combinations
 
 BACKEND = "pure"
 
@@ -56,6 +63,72 @@ def connected_in(nbrs, mask):
         seen |= nxt
         frontier = nxt
     return seen == mask
+
+
+# _REVERSED6[v]: the six low bits of v in reverse order.
+_REVERSED6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+
+
+def triangle_masks(bits, n):
+    """Neighbor masks of the n-vertex graph whose upper triangle is packed
+    in ``bits``: bit j(j-1)/2 + i is the pair i < j (column-major, the
+    graph6 pair order). Raises ValueError for a negative n or for bits
+    beyond the triangle."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if bits >> (n * (n - 1) // 2):
+        raise ValueError("mask has bits beyond the upper triangle")
+    masks = [0] * n
+    for j in range(1, n):
+        col = (bits >> (j * (j - 1) // 2)) & ((1 << j) - 1)
+        masks[j] = col
+        while col:
+            low = col & -col
+            masks[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return tuple(masks)
+
+
+def graph6_masks(payload, n):
+    """Neighbor masks from a graph6 payload: the n(n-1)/2 pair bits, six
+    to a character, chr(value + 63), the first pair in the high bit.
+
+    Padding bits past the triangle are ignored. Returns None when some
+    character lies outside '?'..'~'; raises ValueError when the payload
+    does not have exactly ceil(n(n-1)/12) characters.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    pairs = n * (n - 1) // 2
+    if len(payload) != (pairs + 5) // 6:
+        raise ValueError(
+            f"graph6 payload length must be {(pairs + 5) // 6} for n={n}")
+    bits = 0
+    for pos, ch in enumerate(payload):
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            return None
+        bits |= _REVERSED6[val] << (6 * pos)
+    return triangle_masks(bits & ((1 << pairs) - 1), n)
+
+
+def k_connected(nbrs, k):
+    """True iff the graph has more than k vertices and no vertex cut of
+    fewer than k vertices: removing any set of fewer than k vertices
+    leaves it connected. A k below 1 asks only for more than k vertices.
+    """
+    n = len(nbrs)
+    if n <= k:
+        return False
+    full = (1 << n) - 1
+    for size in range(k):
+        for cut in combinations(range(n), size):
+            rest = full
+            for v in cut:
+                rest &= ~(1 << v)
+            if not connected_in(nbrs, rest):
+                return False
+    return True
 
 
 def search_level_exhaustive(nbrs, k, size, node_budget,

@@ -50,8 +50,7 @@ def _canonical_classes(n):
         return (0,)
     seen = set()
     for parent in _canonical_classes(n - 1):
-        seen.update(_kernels.augment(
-            Graph.from_upper_triangle_mask(parent, n - 1).neighbor_masks))
+        seen.update(_kernels.augment(_kernels.triangle_masks(parent, n - 1)))
     if len(seen) != CONNECTED_CLASS_COUNTS[n]:
         raise AssertionError(
             f"enumeration found {len(seen)} connected classes on {n} "

@@ -9,16 +9,21 @@ each payload byte holds the mask's next six bits, the first pair in the
 byte's high bit. The optional ">>graph6<<" header is tolerated on input.
 Multi-byte sizes (lead byte '~') are out of the supported range and are
 rejected with an explicit message.
+
+This module checks the record's framing (header, size byte, payload
+length); the ``graph6_masks`` kernel decodes the payload. Only when the
+kernel finds a byte outside '?'..'~' does this module scan the payload
+again, to name that byte's offset.
 """
 
+from . import _kernels
 from .graphs import Graph
 
 HEADER = ">>graph6<<"
 MAX_VERTICES = 62
 
-# _REVERSED6[v]: the six low bits of v in reverse order.
-_REVERSED6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
-_ENCODED6 = tuple(chr(r + 63) for r in _REVERSED6)
+# _ENCODED6[v]: the payload character of the six low bits of v, reversed.
+_ENCODED6 = tuple(chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64))
 
 
 class Graph6Error(ValueError):
@@ -46,8 +51,7 @@ def parse_graph6(text, name=None):
     if not 63 <= size <= 125:
         raise Graph6Error(f"malformed size byte {line[0]!r}", base)
     n = size - 63
-    pairs = n * (n - 1) // 2
-    need = (pairs + 5) // 6
+    need = (n * (n - 1) // 2 + 5) // 6
     payload = line[1:]
     if len(payload) < need:
         raise Graph6Error(
@@ -55,15 +59,12 @@ def parse_graph6(text, name=None):
             base + len(line))
     if len(payload) > need:
         raise Graph6Error("trailing garbage after payload", base + 1 + need)
-    bits = 0
-    for pos, ch in enumerate(payload):
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise Graph6Error(f"non-printable payload byte {ch!r}", base + 1 + pos)
-        bits |= _REVERSED6[val] << (6 * pos)
-    # Padding bits past the triangle are ignored.
-    bits &= (1 << pairs) - 1
-    return Graph.from_upper_triangle_mask(bits, n, name=name)
+    masks = _kernels.graph6_masks(payload, n)
+    if masks is None:
+        pos, ch = next((pos, ch) for pos, ch in enumerate(payload)
+                       if not "?" <= ch <= "~")
+        raise Graph6Error(f"non-printable payload byte {ch!r}", base + 1 + pos)
+    return Graph._from_masks(masks, name)
 
 
 def encode_graph6(g):

@@ -105,18 +105,16 @@ class Graph:
     @classmethod
     def from_upper_triangle_mask(cls, bits, n, name=None):
         """Rebuild from the packed upper triangle (bit j(j-1)/2 + i for pair i<j)."""
-        if bits >> (n * (n - 1) // 2):
-            raise ValueError("mask has bits beyond the upper triangle")
-        g = cls(n, (), name=name)
-        masks = [0] * n
-        for j in range(1, n):
-            col = (bits >> (j * (j - 1) // 2)) & ((1 << j) - 1)
-            masks[j] = col
-            while col:
-                low = col & -col
-                masks[low.bit_length() - 1] |= 1 << j
-                col ^= low
-        object.__setattr__(g, "neighbor_masks", tuple(masks))
+        return cls._from_masks(_kernels.triangle_masks(bits, n), name)
+
+    @classmethod
+    def _from_masks(cls, masks, name=None):
+        """Wrap a tuple of neighbor masks that a kernel built, unchecked:
+        the kernel already guarantees the invariants."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(masks))
+        object.__setattr__(g, "neighbor_masks", masks)
+        object.__setattr__(g, "name", name)
         return g
 
     def upper_triangle_mask(self):
@@ -264,24 +262,13 @@ def is_connected(g):
 def is_k_connected(g, k):
     """Exact k-connectivity: n > k and no vertex cut of fewer than k vertices.
 
-    Runs one connectivity test per removal set of fewer than k vertices,
-    so the cost grows as n^(k-1): cheap at the small k the verification
-    sweeps use, on any order graph6 carries.
+    The ``k_connected`` kernel runs one connectivity test per removal set
+    of fewer than k vertices, so the cost still grows as n^(k-1): cheap at
+    the small k the verification sweeps use, on any order graph6 carries.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if g.n <= k:
-        return False
-    full = (1 << g.n) - 1
-    nbrs = g.neighbor_masks
-    for size in range(k):
-        for cut in combinations(range(g.n), size):
-            rest = full
-            for v in cut:
-                rest &= ~(1 << v)
-            if not _kernels.connected_in(nbrs, rest):
-                return False
-    return True
+    return _kernels.k_connected(g.neighbor_masks, k)
 
 
 def connected_within(g, s):

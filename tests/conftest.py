@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from forcing_lab import Graph
+from forcing_lab import Graph, _kernels
 from forcing_lab._kernels import pure as pure_kernels
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,18 +24,17 @@ def c_compiler():
     return cc
 
 
-@pytest.fixture(scope="session")
-def compiled_kernels(request, tmp_path_factory):
-    """The compiled kernel module: the in-place build when it imports,
-    otherwise one built for this session into a temporary directory (the
-    source tree is left untouched). Skips only when no C compiler exists."""
-    try:
-        from forcing_lab._kernels import _ckern
-        return _ckern
-    except ImportError:
-        pass
+def compiled_module(request, out):
+    """The compiled kernel module: the in-place build when the dispatcher
+    uses it, otherwise one built from ``_ckern.c`` into the directory
+    ``out`` (the source tree is left untouched). So an in-place build that
+    lacks one of the dispatched kernels, built from an older ``_ckern.c``,
+    is never what the tests compare. Skips only when a build is needed and
+    no C compiler exists."""
+    module = _kernels._load_compiled()
+    if module is not None:
+        return module
     request.getfixturevalue("c_compiler")
-    out = tmp_path_factory.mktemp("ckern")
     done = subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",
          "--build-lib", str(out), "--build-temp", str(out)],
@@ -50,6 +49,13 @@ def compiled_kernels(request, tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(request, tmp_path_factory):
+    """The compiled kernel module (see ``compiled_module``), built at most
+    once a session."""
+    return compiled_module(request, tmp_path_factory.mktemp("ckern"))
 
 
 @pytest.fixture(params=["pure", "compiled"])

@@ -4,6 +4,7 @@ edge-list format. Connectivity is cross-checked against networkx."""
 import json
 import pickle
 import random
+from functools import lru_cache
 
 import networkx as nx
 import pytest
@@ -54,9 +55,9 @@ class TestGraph:
             Graph(3, [(0, 3)])
 
     def test_upper_triangle_mask_round_trip(self):
+        # Past 62 vertices the dispatcher must use the pure kernel.
         rng = random.Random(7)
-        for _ in range(50):
-            n = rng.randint(1, 9)
+        for n in [rng.randint(1, 9) for _ in range(50)] + [0, 62, 63, 70]:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.4]
             g = Graph(n, edges)
@@ -175,6 +176,20 @@ def test_degree_stats_requires_vertices():
         degree_stats(Graph(0))
 
 
+@lru_cache(maxsize=None)
+def _node_connectivities():
+    """(neighbor masks, networkx node connectivity) of every connected graph
+    on at most 7 vertices."""
+    out = []
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(g.n))
+            nxg.add_edges_from(g.edges())
+            out.append((g.neighbor_masks, nx.node_connectivity(nxg)))
+    return out
+
+
 class TestConnectivity:
     def test_basics(self):
         assert is_connected(cycle(5))
@@ -191,15 +206,10 @@ class TestConnectivity:
         assert is_k_connected(complete(4), 3)
         assert not is_k_connected(complete(1), 1)
 
-    def test_matches_networkx_connectivity(self):
-        for n in range(2, 7):
-            for g in enumerate_connected(n):
-                nxg = nx.Graph()
-                nxg.add_nodes_from(range(g.n))
-                nxg.add_edges_from(g.edges())
-                kappa = nx.node_connectivity(nxg)
-                for k in range(1, 4):
-                    assert is_k_connected(g, k) == (kappa >= k), (g.edges(), k)
+    def test_matches_networkx_connectivity(self, kernels):
+        for nbrs, kappa in _node_connectivities():
+            for k in range(1, 5):
+                assert kernels.k_connected(nbrs, k) == (kappa >= k), (nbrs, k)
 
 
 class TestEdgeBoundary:

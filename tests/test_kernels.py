@@ -1,17 +1,23 @@
 """Differential tests of the compiled kernels against the pure-Python
-reference, called directly rather than through the dispatcher."""
+reference, called directly rather than through the dispatcher, and tests
+of which backend the dispatcher picks."""
 
 import random
 import subprocess
 import sys
 import sysconfig
+import types
 from pathlib import Path
 
 import pytest
 
-from forcing_lab import _kernels, brute_force_oracle
+import forcing_lab
+from forcing_lab import (Graph, Graph6Error, _kernels, brute_force_oracle,
+                         encode_graph6, parse_graph6)
 from forcing_lab._kernels import pure
 from forcing_lab.enumeration import CONNECTED_CLASS_COUNTS, enumerate_connected
+
+from conftest import compiled_module
 
 
 def _random_masks(rng, n, p):
@@ -232,6 +238,192 @@ def test_augment_of_a_62_vertex_parent_goes_to_pure(compiled_kernels,
     assert served == [62]
 
 
+def _naive_graph6_masks(payload, n):
+    """Independent decoder: the payload as a string of six-bit groups, read
+    pair by pair in column-major order; padding bits are never reached."""
+    bits = "".join(f"{ord(ch) - 63:06b}" for ch in payload)
+    masks = [0] * n
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    for bit, (i, j) in zip(bits, pairs):
+        if bit == "1":
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return tuple(masks)
+
+
+def _payloads():
+    """(payload, n) of every connected graph with at most 7 vertices and of
+    seeded G(n, p) graphs for every n up to 62, by the Python encoder."""
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            yield encode_graph6(g)[1:], n
+    rng = random.Random(61)
+    for n in range(63):
+        for p in (0.1, 0.5, 0.9):
+            nbrs = _random_masks(rng, n, p)
+            yield encode_graph6(Graph._from_masks(tuple(nbrs)))[1:], n
+
+
+def test_graph6_and_triangle_masks_decode(kernels):
+    for payload, n in _payloads():
+        masks = _naive_graph6_masks(payload, n)
+        assert kernels.graph6_masks(payload, n) == masks, (payload, n)
+        bits = Graph._from_masks(masks).upper_triangle_mask()
+        assert kernels.triangle_masks(bits, n) == masks, (payload, n)
+
+
+def test_graph6_masks_ignore_padding_bits(kernels):
+    for payload, n in _payloads():
+        pad = -(n * (n - 1) // 2) % 6
+        if pad:
+            last = ord(payload[-1]) - 63 | (1 << pad) - 1
+            padded = payload[:-1] + chr(last + 63)
+            assert kernels.graph6_masks(padded, n) \
+                == _naive_graph6_masks(payload, n), (payload, n)
+
+
+# Below '?', above '~', and outside ASCII, a lone surrogate included.
+BAD_PAYLOAD_CHARS = ["\x00", " ", ">", "\x7f", "\x80", "\xe9", "\u20ac",
+                     "\udc80"]
+
+
+def test_out_of_range_payload_bytes(kernels, monkeypatch):
+    # The kernel returns None, and parse_graph6 names the first such byte
+    # with the text and offset it gave when it decoded payloads itself.
+    monkeypatch.setattr(_kernels, "_compiled",
+                        None if kernels is pure else kernels)
+    rng = random.Random(71)
+    wide = Graph._from_masks(tuple(_random_masks(rng, 62, 0.5)))
+    lines = ["Bw", "H~~~~~~", encode_graph6(wide)]
+    for line in lines:
+        n = ord(line[0]) - 63
+        for pos in range(len(line) - 1):
+            for ch in BAD_PAYLOAD_CHARS:
+                chars = list(line[1:])
+                chars[pos] = ch
+                if pos + 1 < len(chars):
+                    chars[-1] = "\x7f"  # a later bad byte is not named
+                payload = "".join(chars)
+                assert kernels.graph6_masks(payload, n) is None, (payload, n)
+                for header in ("", ">>graph6<<"):
+                    offset = len(header) + 1 + pos
+                    with pytest.raises(Graph6Error) as err:
+                        parse_graph6(header + line[0] + payload)
+                    assert (str(err.value), err.value.offset) == (
+                        f"non-printable payload byte {ch!r} (byte offset "
+                        f"{offset})", offset)
+
+
+def test_whole_graph_kernel_edge_cases(kernels):
+    assert kernels.graph6_masks("", 0) == kernels.triangle_masks(0, 0) == ()
+    assert kernels.graph6_masks("", 1) == kernels.triangle_masks(0, 1) == (0,)
+    full = (1 << 62) - 1
+    assert kernels.triangle_masks((1 << 1891) - 1, 62) \
+        == tuple(full & ~(1 << v) for v in range(62))
+    # k_connected asks for more than k vertices; a clamped k must agree.
+    cases = [([], -1, True), ([], 0, False), ([], 1, False), ([0], 0, True),
+             ([0], 1, False), ([0b10, 0b01], 1, True),
+             ([0b10, 0b01], 2, False), ([0, 0], 1, False),
+             ([0b10, 0b01], -10**30, True), ([0b10, 0b01], 10**30, False)]
+    for nbrs, k, expected in cases:
+        assert kernels.k_connected(nbrs, k) is expected, (nbrs, k)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: m.triangle_masks(0b1000, 3), "beyond the upper triangle"),
+    (lambda m: m.triangle_masks(1, 1), "beyond the upper triangle"),
+    (lambda m: m.triangle_masks(-1, 3), "beyond the upper triangle"),
+    (lambda m: m.triangle_masks(1 << 1891, 62), "beyond the upper triangle"),
+    (lambda m: m.triangle_masks(0, -1), "must be non-negative"),
+    (lambda m: m.graph6_masks("", -1), "must be non-negative"),
+    (lambda m: m.graph6_masks("ww", 3), "payload length must be 1 for n=3"),
+    (lambda m: m.graph6_masks("", 2), "payload length must be 1 for n=2"),
+])
+def test_whole_graph_kernels_refuse(kernels, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(kernels)
+
+
+def test_k_connected_matches_pure(compiled_kernels):
+    rng = random.Random(67)
+    graphs = [_random_masks(rng, n, p) for n in range(13)
+              for p in (0.2, 0.4, 0.6, 0.8)]
+    for nbrs in graphs:
+        for k in range(-1, len(nbrs) + 2):
+            assert compiled_kernels.k_connected(nbrs, k) \
+                == pure.k_connected(nbrs, k), (nbrs, k)
+    for nbrs in (_random_masks(rng, 62, 0.1), _random_masks(rng, 62, 0.9)):
+        for k in (1, 2, 3):
+            assert compiled_kernels.k_connected(nbrs, k) \
+                == pure.k_connected(nbrs, k), (nbrs, k)
+
+
+@pytest.mark.skipif(not hasattr(__import__("signal"), "setitimer"),
+                    reason="needs signal.setitimer")
+def test_compiled_k_connected_stops_on_a_signal(compiled_kernels):
+    # K_62 at k = 31 has about 10^17 cuts to try, all of them connected: a
+    # signal handler that raises must end the walk.
+    code = f"""
+import importlib.util, signal
+spec = importlib.util.spec_from_file_location(
+    "forcing_lab._kernels._ckern", {compiled_kernels.__file__!r})
+ckern = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ckern)
+def interrupt(signum, frame):
+    raise KeyboardInterrupt
+signal.signal(signal.SIGALRM, interrupt)
+signal.setitimer(signal.ITIMER_REAL, 0.2)
+full = (1 << 62) - 1
+try:
+    ckern.k_connected([full & ~(1 << v) for v in range(62)], 31)
+except KeyboardInterrupt:
+    print("interrupted")
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "interrupted\n"), done.stderr
+
+
+def test_stale_compiled_module_is_rebuilt_for_the_tests(monkeypatch, request,
+                                                         tmp_path):
+    # As built from an older _ckern.c: every kernel but graph6_masks.
+    fake = types.ModuleType("forcing_lab._kernels._ckern")
+    fake.BACKEND = "compiled"
+    for name in _kernels.COMPILED_KERNELS:
+        if name != "graph6_masks":
+            setattr(fake, name, getattr(pure, name))
+    monkeypatch.setitem(sys.modules, fake.__name__, fake)
+    monkeypatch.setattr(_kernels, "_ckern", fake, raising=False)
+    assert _kernels._load_compiled() is None
+    fresh = compiled_module(request, tmp_path)
+    assert fresh is not fake and fresh.BACKEND == "compiled"
+    assert fresh.graph6_masks("w", 3) == (0b110, 0b101, 0b011)
+
+
+def test_stale_compiled_module_leaves_every_kernel_pure():
+    # At import, before anything is dispatched: the fake refuses each call.
+    names = [name for name in _kernels.COMPILED_KERNELS
+             if name != "graph6_masks"]
+    code = f"""
+import sys, types
+sys.path.insert(0, {str(Path(forcing_lab.__file__).parents[1])!r})
+fake = types.ModuleType("forcing_lab._kernels._ckern")
+fake.BACKEND = "compiled"
+def refuse(*args):
+    raise AssertionError("a stale compiled kernel was called")
+for name in {names!r}:
+    setattr(fake, name, refuse)
+sys.modules[fake.__name__] = fake
+from forcing_lab import _kernels, cycle, is_k_connected, parse_graph6
+print(_kernels.HAVE_COMPILED, _kernels.active_backend(5))
+print(parse_graph6("Bw").edges(), is_k_connected(cycle(5), 2))
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False pure\n[(0, 1), (0, 2), (1, 2)] True\n"
+
+
 @pytest.mark.parametrize("call", [
     lambda m, nbrs: m.closure(nbrs, 1, 1),
     lambda m, nbrs: m.connected_in(nbrs, 1),
@@ -239,8 +431,11 @@ def test_augment_of_a_62_vertex_parent_goes_to_pure(compiled_kernels,
     lambda m, nbrs: m.wavefront(nbrs, 1, 10),
     lambda m, nbrs: m.canonical_mask(nbrs),
     lambda m, nbrs: m.augment(nbrs),
+    lambda m, nbrs: m.triangle_masks(0, len(nbrs)),
+    lambda m, nbrs: m.graph6_masks("?" * 326, len(nbrs)),
+    lambda m, nbrs: m.k_connected(nbrs, 1),
 ], ids=["closure", "connected_in", "pruned", "wavefront", "canonical_mask",
-        "augment"])
+        "augment", "triangle_masks", "graph6_masks", "k_connected"])
 def test_compiled_refuses_63_vertices(compiled_kernels, call):
     with pytest.raises(ValueError, match="at most 62 vertices"):
         call(compiled_kernels, [0] * 63)
