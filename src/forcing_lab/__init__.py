@@ -17,7 +17,7 @@ from .bounds import (BoundReport, ExtremalClass, build_bound_report,
                      forcing_upper_bound)
 from .engine import (ForcingTrace, TraceError, closure, is_forcing_set,
                      replay, trace)
-from .enumeration import enumerate_connected, labeled_trees, random_trees
+from .enumeration import enumerate_connected, random_trees
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
 from .graphs import (Graph, VertexSet, complete, complete_bipartite, cycle,
                      degree_stats, edge_boundary, generate, is_connected,
@@ -38,7 +38,7 @@ __all__ = [
     "cycle", "complete", "complete_bipartite", "path", "star",
     "tree_from_pruefer", "generate", "degree_stats", "is_connected",
     "is_k_connected", "edge_boundary",
-    "enumerate_connected", "labeled_trees", "random_trees",
+    "enumerate_connected", "random_trees",
     "closure", "is_forcing_set", "trace", "replay",
     "ForcingTrace", "TraceError",
     "SolveResult", "BudgetExceeded", "DEFAULT_NODE_BUDGET",

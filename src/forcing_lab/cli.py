@@ -2,7 +2,7 @@
 
 Subcommands: solve, closure, bounds, verify, lemmas trees, lemmas known.
 Graphs arrive inline (--graph6, --family name:params) or from files
-(--input: graph6 lines, or the "n m" edge-list format). Each subcommand
+(--input: one graph6 record, or the "n m" edge-list format). Each subcommand
 takes only the options its handler reads. Every run echoes to stderr, as
 one JSON line, the package version, the kernel backend that serves its
 largest graph, and every option of the subcommand, defaults included, so
@@ -21,13 +21,14 @@ import os
 import sys
 from contextlib import ExitStack, closing
 from functools import cache
+from itertools import accumulate
 
 from . import __version__, _kernels
 from .bounds import build_bound_report, classify_extremal, hypothesis_failure
 from .engine import trace
-from .enumeration import enumerate_connected, labeled_trees, random_trees
+from .enumeration import MAX_ENUMERATION_ORDER, enumerate_connected, random_trees
 from .graph6 import MAX_VERTICES, Graph6Error, parse_graph6
-from .graphs import VertexSet, generate, parse_edge_list
+from .graphs import VertexSet, generate, is_tree, parse_edge_list
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, solve,
                      solve_connected_complement)
 from .verifier import (VerifyRun, iter_verify, run_known_values,
@@ -68,12 +69,19 @@ def _load_graph(args):
         return parse_graph6(args.graph6)
     if args.family:
         return _parse_family_spec(args.family)
-    with open(args.input, encoding="ascii") as fh:
+    with open(args.input, encoding="ascii", newline="") as fh:
         text = fh.read()
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
+    # Byte offset and text of each non-blank line ("\r\n" counts two).
+    lines = text.splitlines(keepends=True)
+    records = [(at, ln.splitlines()[0]) for at, ln in
+               zip(accumulate(map(len, lines), initial=0), lines) if ln.strip()]
+    first = records[0][1] if records else ""
     head = first.split()
     if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
         return parse_edge_list(text)
+    if len(records) > 1:
+        raise Graph6Error("a graph6 --input file holds one graph, found a "
+                          "second record", records[1][0])
     return parse_graph6(first)
 
 
@@ -152,7 +160,8 @@ def build_parser():
     lemmas_sub = p_lemmas.add_subparsers(dest="suite", required=True)
     p_trees = lemmas_sub.add_parser("trees", help="leaf-subset forcing on trees")
     p_trees.add_argument("--max-n", type=int, default=8, dest="max_n",
-                         help="exhaustive tree orders 2..max_n")
+                         help="exhaustive tree orders 2..max_n, one tree per "
+                              f"class (max_n <= {MAX_ENUMERATION_ORDER})")
     p_trees.add_argument("--random-count", type=int, default=500,
                          dest="random_count", help="extra random trees")
     p_trees.add_argument("--random-min", type=int, default=9, dest="random_min")
@@ -284,11 +293,13 @@ def _cmd_verify(args):
 
 def _cmd_lemmas(args):
     if args.suite == "trees":
+        if args.max_n > MAX_ENUMERATION_ORDER:
+            raise ValueError(f"--max-n is capped at {MAX_ENUMERATION_ORDER}")
         _echo_config(args, max(args.max_n, args.random_max))
 
         def stream():
             for n in range(2, args.max_n + 1):
-                yield from labeled_trees(n)
+                yield from filter(is_tree, enumerate_connected(n))
             yield from random_trees(args.random_count, args.random_min,
                                     args.random_max, args.seed)
         result = run_tree_leaf_suite(stream())

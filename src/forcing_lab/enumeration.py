@@ -11,14 +11,12 @@ class count is checked against the published total. This is the built-in
 fallback for the verification sweeps; larger orders are expected to
 arrive as graph6 files from external generators.
 
-Trees are streamed from Pruefer sequences: the exhaustive stream walks
-every sequence (all n^(n-2) labeled trees), the random stream draws
-seeded sequences.
+Trees come one per class as ``filter(is_tree, enumerate_connected(n))``;
+``random_trees`` draws larger ones from seeded Pruefer sequences.
 """
 
 import random
 from functools import lru_cache
-from itertools import product
 
 from . import _kernels
 from .graphs import Graph, tree_from_pruefer
@@ -76,17 +74,6 @@ def enumerate_connected(n):
         yield Graph.from_upper_triangle_mask(cert, n)
 
 
-def labeled_trees(n):
-    """Every labeled tree on n vertices, one per Pruefer sequence."""
-    if n < 2:
-        raise ValueError("labeled trees need at least 2 vertices")
-    if n == 2:
-        yield tree_from_pruefer(())
-        return
-    for seq in product(range(n), repeat=n - 2):
-        yield tree_from_pruefer(seq)
-
-
 def random_trees(count, min_n, max_n, seed):
     """Seeded stream of random labeled trees with min_n <= n <= max_n."""
     if count < 0:
@@ -96,7 +83,4 @@ def random_trees(count, min_n, max_n, seed):
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(min_n, max_n)
-        if n == 2:
-            yield tree_from_pruefer(())
-        else:
-            yield tree_from_pruefer(rng.randrange(n) for _ in range(n - 2))
+        yield tree_from_pruefer(rng.randrange(n) for _ in range(n - 2))

@@ -34,7 +34,7 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def parse_graph6(text, name=None):
+def parse_graph6(text):
     """Decode one graph6 record (a single line) into a Graph."""
     line = text.rstrip("\r\n")
     base = 0
@@ -64,7 +64,7 @@ def parse_graph6(text, name=None):
         pos, ch = next((pos, ch) for pos, ch in enumerate(payload)
                        if not "?" <= ch <= "~")
         raise Graph6Error(f"non-printable payload byte {ch!r}", base + 1 + pos)
-    return Graph._from_masks(masks, name)
+    return Graph._from_masks(masks)
 
 
 def encode_graph6(g):

@@ -311,11 +311,15 @@ def parse_edge_list(text):
         raise ValueError('edge-list header must be two integers "n m"') from None
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = []
+    edges = {}  # (u, v) -> its line, in input order
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = int(parts[0]), int(parts[1])
+        earlier = edges.get((u, v)) or edges.get((v, u))
+        if earlier:
+            raise ValueError(f"edge line {ln!r} repeats {earlier!r}")
+        edges[u, v] = ln
     return Graph(n, edges)
 

@@ -13,7 +13,9 @@ import forcing_lab
 from forcing_lab import (_kernels, classify_extremal, encode_graph6,
                          enumerate_connected, parse_graph6, path, verifier,
                          verify_stream)
+from forcing_lab import cli
 from forcing_lab.cli import build_parser, main
+from forcing_lab.enumeration import MAX_ENUMERATION_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -62,10 +64,36 @@ class TestSolve:
 
     def test_graph6_file_input(self, capsys, tmp_path):
         p = tmp_path / "g.g6"
-        p.write_text("Bw\n")
-        code, out, _ = run_cli(capsys, "solve", "--input", str(p))
-        assert code == 0
-        assert first_json(out)["value"] == 2
+        for text in ["Bw\n", "\nBw\n\n"]:
+            p.write_text(text)
+            code, out, _ = run_cli(capsys, "solve", "--input", str(p))
+            assert code == 0
+            assert first_json(out)["value"] == 2
+
+    @pytest.mark.parametrize("command, data", [
+        (["solve"], b"Bw\nC~\n"),
+        (["bounds"], b"Bw\nthis is garbage\n"),
+        (["closure", "--set", "0"], b"\r\nBw\r\n\r\nC~\r\n")])
+    def test_second_graph6_record_exits_2(self, capsys, tmp_path, command,
+                                          data):
+        # A graph6 --input file holds one graph; the error names the byte
+        # offset of the second record, counting "\r\n" as two bytes.
+        p = tmp_path / "g.g6"
+        p.write_bytes(data)
+        code, out, err = run_cli(capsys, *command, "--input", str(p))
+        assert code == 2 and out == ""
+        offset = data.index(data.split()[1])
+        assert err == ("error: a graph6 --input file holds one graph, found "
+                       f"a second record (byte offset {offset})\n")
+
+    def test_repeated_edge_exits_2(self, capsys, tmp_path):
+        # Two lines name the edge {0, 1}; merging them would solve a
+        # one-edge graph plus an isolated vertex.
+        p = tmp_path / "g.edges"
+        p.write_text("3 2\n0 1\n1 0\n")
+        code, out, err = run_cli(capsys, "solve", "--input", str(p))
+        assert code == 2 and out == ""
+        assert err == "error: edge line '1 0' repeats '0 1'\n"
 
     def test_bad_graph6_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--graph6", "B!")
@@ -340,8 +368,21 @@ class TestLemmas:
         assert code == 0
         data = first_json(out)
         assert data["failures"] == []
-        assert data["trees_checked"] == 1 + 3 + 16 + 125 + 20
+        # One tree per isomorphism class on 2..5 vertices, then 20 random.
+        assert data["trees_checked"] == 1 + 1 + 2 + 3 + 20
         assert data["seed"] == 7
+
+    def test_max_n_above_the_enumeration_cap_exits_2(self, capsys,
+                                                     monkeypatch):
+        def refuse(trees):
+            raise AssertionError("a tree was checked")
+
+        monkeypatch.setattr(cli, "run_tree_leaf_suite", refuse)
+        cap = MAX_ENUMERATION_ORDER
+        code, out, err = run_cli(capsys, "lemmas", "trees", "--max-n",
+                                 str(cap + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: --max-n is capped at {cap}\n"
 
     def test_known_suite(self, capsys):
         code, out, _ = run_cli(capsys, "lemmas", "known", "--delta-max", "4")

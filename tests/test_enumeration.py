@@ -1,13 +1,16 @@
 """Isomorph-free enumeration, cross-checked against published class counts
 and the networkx graph atlas."""
 
+import hashlib
+import json
+
 import networkx as nx
 import pytest
 
-from forcing_lab import _kernels, encode_graph6, enumeration, is_connected
+from forcing_lab import (_kernels, encode_graph6, enumeration, is_connected,
+                         run_tree_leaf_suite)
 from forcing_lab.enumeration import (CONNECTED_CLASS_COUNTS,
-                                     enumerate_connected, labeled_trees,
-                                     random_trees)
+                                     enumerate_connected, random_trees)
 from forcing_lab.graphs import degree_stats, is_tree
 
 
@@ -114,16 +117,14 @@ def test_enumeration_is_deterministic():
 
 
 class TestTreeStreams:
-    @pytest.mark.parametrize("n,count", [(2, 1), (3, 3), (4, 16), (5, 125),
-                                         (6, 1296)])
-    def test_labeled_tree_counts(self, n, count):
-        trees = list(labeled_trees(n))
+    # OEIS A000055: the trees on n vertices up to isomorphism, the
+    # exhaustive tree stream of ``lemmas trees``.
+    @pytest.mark.parametrize("n,count", [(2, 1), (3, 1), (4, 2), (5, 3),
+                                         (6, 6), (7, 11), (8, 23)])
+    def test_tree_class_counts(self, n, count):
+        trees = list(filter(is_tree, enumerate_connected(n)))
         assert len(trees) == count
-        assert all(is_tree(t) and t.n == n for t in trees)
-
-    def test_labeled_trees_reject_tiny(self):
-        with pytest.raises(ValueError):
-            list(labeled_trees(1))
+        assert all(t.n == n for t in trees)
 
     def test_random_trees_are_seed_reproducible(self):
         a = [t.edges() for t in random_trees(20, 9, 16, seed=42)]
@@ -137,3 +138,17 @@ class TestTreeStreams:
         assert len(trees) == 50
         assert all(5 <= t.n <= 9 for t in trees)
         assert all(is_tree(t) for t in trees)
+
+    def test_seeded_stream_with_two_vertex_trees_is_pinned(self):
+        # A tree on n vertices draws n - 2 sequence entries, none when
+        # n = 2, so 2-vertex trees need no case of their own.
+        trees = list(random_trees(500, 2, 16, seed=20260810))
+        assert sum(t.n == 2 for t in trees) == 24
+        edges = repr([t.edges() for t in trees]).encode()
+        assert hashlib.sha256(edges).hexdigest() == (
+            "c8815cf12933fddab3862c03df40113c55de5f1ac1ca4d02814e4f22762ce091")
+        out = run_tree_leaf_suite(trees)
+        assert (out["trees_checked"], out["subsets_checked"]) == (500, 2010)
+        digest = json.dumps(out, sort_keys=True).encode()
+        assert hashlib.sha256(digest).hexdigest() == (
+            "5b6c9d5b16d6dd636739a9a15eab7822f63b7a3695163e3b36b4fea72a5e7f7b")

@@ -257,3 +257,15 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n0 1\n")
         with pytest.raises(ValueError):
             parse_edge_list("2 1\n0 2\n")
+
+    @pytest.mark.parametrize("text, line, earlier", [
+        ("3 2\n0 1\n1 0\n", "1 0", "0 1"),
+        ("3 3\n0 1\n1 2\n0 1\n", "0 1", "0 1"),
+        ("4 3\n2  3\n0 1\n3 2\n", "3 2", "2  3"),
+    ])
+    def test_rejects_repeated_edge(self, text, line, earlier):
+        # The header's count matches, but a merged repeat would leave the
+        # graph with fewer edges than it promises.
+        with pytest.raises(ValueError, match=f"edge line {line!r} repeats "
+                                             f"{earlier!r}"):
+            parse_edge_list(text)
