@@ -12,8 +12,7 @@ graphs, and balanced complete bipartite graphs.
 __version__ = "0.1.0"
 
 from ._kernels import HAVE_COMPILED, active_backend
-from .bounds import (BoundReport, ExtremalClass, build_bound_report,
-                     classify_extremal, degree_refined_bound,
+from .bounds import (ExtremalClass, classify_extremal, degree_refined_bound,
                      forcing_upper_bound)
 from .engine import (ForcingTrace, TraceError, closure, is_forcing_set,
                      replay, trace)
@@ -45,7 +44,7 @@ __all__ = [
     "brute_force_oracle", "solve", "greedy_upper_bound",
     "solve_connected_complement",
     "forcing_upper_bound", "degree_refined_bound",
-    "BoundReport", "build_bound_report", "ExtremalClass", "classify_extremal",
+    "ExtremalClass", "classify_extremal",
     "VerificationRecord", "VerifyRun", "iter_verify", "verify_stream",
     "StructureCheck", "check_extremal_structure", "run_tree_leaf_suite",
     "run_known_values", "connected_k_dominating_suite",

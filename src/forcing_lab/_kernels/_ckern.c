@@ -30,6 +30,10 @@
  * vertices. Only canonical_mask and augment return ints wider than 64
  * bits: a certificate has n(n-1)/2 bits, built in one uint64 up to n = 11.
  *
+ * Every kernel takes its arguments by position only (METH_VARARGS and
+ * PyArg_UnpackTuple): no caller names one, so no call pays for parsing
+ * keywords.
+ *
  * Build in place with: python setup.py build_ext --inplace
  */
 
@@ -458,46 +462,39 @@ static PyObject *unpack_triangle(const u64 *words, int n)
 
 /* -- module functions ----------------------------------------------------- */
 
-static PyObject *py_closure(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *py_closure(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"nbrs", "k", "colored", NULL};
     PyObject *nbrs, *k_obj, *colored_obj;
     graph g;
     long long k;
     u64 colored;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOO:closure", kwlist,
-                                     &nbrs, &k_obj, &colored_obj)
+    if (!PyArg_UnpackTuple(args, "closure", 3, 3, &nbrs, &k_obj, &colored_obj)
         || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0
         || as_mask(colored_obj, &g, &colored) < 0)
         return NULL;
     return PyLong_FromUnsignedLongLong(closure_u64(g.nbrs, k, colored));
 }
 
-static PyObject *py_connected_in(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *py_connected_in(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"nbrs", "mask", NULL};
     PyObject *nbrs, *mask_obj;
     graph g;
     u64 mask;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OO:connected_in", kwlist,
-                                     &nbrs, &mask_obj)
+    if (!PyArg_UnpackTuple(args, "connected_in", 2, 2, &nbrs, &mask_obj)
         || load(nbrs, &g) < 0 || as_mask(mask_obj, &g, &mask) < 0)
         return NULL;
     return PyBool_FromLong(connected_in_u64(g.nbrs, mask));
 }
 
 /* Returns (witness or None, nodes, aborted). */
-static PyObject *py_search_level_pruned(PyObject *self, PyObject *args,
-                                        PyObject *kw)
+static PyObject *py_search_level_pruned(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"nbrs", "k", "size", "node_budget", NULL};
     PyObject *nbrs, *k_obj, *size_obj, *budget_obj;
     graph g;
     long long k, size, budget, nodes = 0;
     u64 witness = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOOO:search_level_pruned",
-                                     kwlist, &nbrs, &k_obj, &size_obj,
-                                     &budget_obj)
+    if (!PyArg_UnpackTuple(args, "search_level_pruned", 4, 4, &nbrs, &k_obj,
+                           &size_obj, &budget_obj)
         || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0
         || as_ll(size_obj, &size) < 0 || as_ll(budget_obj, &budget) < 0)
         return NULL;
@@ -507,14 +504,12 @@ static PyObject *py_search_level_pruned(PyObject *self, PyObject *args,
     return Py_BuildValue("(NLN)", found, nodes, PyBool_FromLong(outcome == ABORTED));
 }
 
-static PyObject *py_wavefront(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *py_wavefront(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"nbrs", "k", "node_budget", NULL};
     PyObject *nbrs, *k_obj, *budget_obj;
     graph g;
     long long k, budget, value = 0, nodes = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOO:wavefront", kwlist,
-                                     &nbrs, &k_obj, &budget_obj)
+    if (!PyArg_UnpackTuple(args, "wavefront", 3, 3, &nbrs, &k_obj, &budget_obj)
         || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0
         || as_ll(budget_obj, &budget) < 0)
         return NULL;
@@ -525,12 +520,11 @@ static PyObject *py_wavefront(PyObject *self, PyObject *args, PyObject *kw)
                          PyBool_FromLong(outcome == ABORTED));
 }
 
-static PyObject *py_canonical_mask(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *py_canonical_mask(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"nbrs", NULL};
     PyObject *nbrs;
     graph g;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "O:canonical_mask", kwlist, &nbrs)
+    if (!PyArg_UnpackTuple(args, "canonical_mask", 1, 1, &nbrs)
         || load(nbrs, &g) < 0)
         return NULL;
     return certificate(&g);
@@ -539,13 +533,12 @@ static PyObject *py_canonical_mask(PyObject *self, PyObject *args, PyObject *kw)
 /* Certificates of the children that pass the deletion rule; see
  * pure.augment. The child has one vertex more than the parent, so the
  * parent may have at most 61. */
-static PyObject *py_augment(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *py_augment(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"nbrs", NULL};
     PyObject *nbrs;
     graph p, c;
     int deg[MAX_N], nsum[MAX_N];
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "O:augment", kwlist, &nbrs)
+    if (!PyArg_UnpackTuple(args, "augment", 1, 1, &nbrs)
         || load(nbrs, &p) < 0)
         return NULL;
     int n = p.n;
@@ -593,14 +586,12 @@ static PyObject *py_augment(PyObject *self, PyObject *args, PyObject *kw)
     return out;
 }
 
-static PyObject *py_triangle_masks(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *py_triangle_masks(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"bits", "n", NULL};
     PyObject *bits, *n_obj;
     u64 words[PAIR_WORDS] = {0};
     int n;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OO:triangle_masks", kwlist,
-                                     &bits, &n_obj)
+    if (!PyArg_UnpackTuple(args, "triangle_masks", 2, 2, &bits, &n_obj)
         || as_order(n_obj, &n) < 0)
         return NULL;
     int pairs = n * (n - 1) / 2;
@@ -626,15 +617,18 @@ static PyObject *py_triangle_masks(PyObject *self, PyObject *args, PyObject *kw)
 }
 
 /* None when a character lies outside '?'..'~'; see pure.graph6_masks. */
-static PyObject *py_graph6_masks(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *py_graph6_masks(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"payload", "n", NULL};
     PyObject *payload, *n_obj;
     u64 words[PAIR_WORDS] = {0};
     int n;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "UO:graph6_masks", kwlist,
-                                     &payload, &n_obj)
-        || as_order(n_obj, &n) < 0)
+    if (!PyArg_UnpackTuple(args, "graph6_masks", 2, 2, &payload, &n_obj))
+        return NULL;
+    if (!PyUnicode_Check(payload))
+        return PyErr_Format(PyExc_TypeError,
+                            "graph6_masks() argument 1 must be str, not %.50s",
+                            Py_TYPE(payload)->tp_name);
+    if (as_order(n_obj, &n) < 0)
         return NULL;
     Py_ssize_t need = (n * (n - 1) / 2 + 5) / 6;
     if (PyUnicode_GET_LENGTH(payload) != need)
@@ -660,15 +654,13 @@ static PyObject *py_graph6_masks(PyObject *self, PyObject *args, PyObject *kw)
 
 /* Every removal set of fewer than k vertices, by size and then in ascending
  * mask order (Gosper's hack), must leave g connected; see pure.k_connected. */
-static PyObject *py_k_connected(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *py_k_connected(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"nbrs", "k", NULL};
     PyObject *nbrs, *k_obj;
     graph g;
     long long k;
     u64 tried = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OO:k_connected", kwlist,
-                                     &nbrs, &k_obj)
+    if (!PyArg_UnpackTuple(args, "k_connected", 2, 2, &nbrs, &k_obj)
         || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0)
         return NULL;
     if (g.n <= k)
@@ -695,8 +687,8 @@ static PyObject *py_k_connected(PyObject *self, PyObject *args, PyObject *kw)
 /* -- module --------------------------------------------------------------- */
 
 #define KERNEL(name, args) \
-    {#name, (PyCFunction)(void (*)(void))py_##name, METH_VARARGS | METH_KEYWORDS, \
-     #name "($module, " args ")\n--\n\nSee pure." #name "."}
+    {#name, py_##name, METH_VARARGS, \
+     #name "($module, " args ", /)\n--\n\nSee pure." #name "."}
 
 static PyMethodDef methods[] = {
     KERNEL(closure, "nbrs, k, colored"),

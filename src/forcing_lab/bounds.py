@@ -51,32 +51,6 @@ def degree_refined_bound(n, max_degree, min_degree):
     return (max_degree - 2) * n - (max_degree - min_degree) + 2, max_degree - 1
 
 
-class BoundReport(namedtuple("BoundReport", [
-        "n", "max_degree", "min_degree", "k", "bound_num", "bound_den",
-        "refined_num", "refined_den", "meets_equality"])):
-    """Both bounds for one graph, plus the verdict of whether its exactly
-    computed k-forcing number equals the bound at the same k."""
-
-    __slots__ = ()
-
-    def to_dict(self):
-        return self._asdict()
-
-
-def build_bound_report(g, k, f_k):
-    """Assemble a BoundReport for graph ``g`` from its exact k-forcing
-    number ``f_k`` (callers compute it with the solver)."""
-    dmax, dmin, _ = degree_stats(g)
-    num, den = forcing_upper_bound(g.n, dmax, k)
-    rnum, rden = degree_refined_bound(g.n, dmax, dmin)
-    return BoundReport(
-        n=g.n, max_degree=dmax, min_degree=dmin, k=k,
-        bound_num=num, bound_den=den,
-        refined_num=rnum, refined_den=rden,
-        meets_equality=f_k * den == num,
-    )
-
-
 class ExtremalClass(namedtuple("ExtremalClass", ["tag", "parameter"])):
     """Structural family tag for a bound-attaining graph.
 

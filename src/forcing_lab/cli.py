@@ -24,11 +24,12 @@ from functools import cache
 from itertools import accumulate
 
 from . import __version__, _kernels
-from .bounds import build_bound_report, classify_extremal, hypothesis_failure
+from .bounds import (classify_extremal, degree_refined_bound,
+                     forcing_upper_bound, hypothesis_failure)
 from .engine import trace
 from .enumeration import MAX_ENUMERATION_ORDER, enumerate_connected, random_trees
 from .graph6 import MAX_VERTICES, Graph6Error, parse_graph6
-from .graphs import VertexSet, generate, is_tree, parse_edge_list
+from .graphs import VertexSet, degree_stats, generate, is_tree, parse_edge_list
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, solve,
                      solve_connected_complement)
 from .verifier import (VerifyRun, iter_verify, run_known_values,
@@ -75,14 +76,17 @@ def _load_graph(args):
     lines = text.splitlines(keepends=True)
     records = [(at, ln.splitlines()[0]) for at, ln in
                zip(accumulate(map(len, lines), initial=0), lines) if ln.strip()]
-    first = records[0][1] if records else ""
+    at, first = records[0] if records else (0, "")
     head = first.split()
     if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
         return parse_edge_list(text)
     if len(records) > 1:
         raise Graph6Error("a graph6 --input file holds one graph, found a "
                           "second record", records[1][0])
-    return parse_graph6(first)
+    try:
+        return parse_graph6(first)
+    except Graph6Error as exc:
+        raise Graph6Error(exc.msg, at + exc.offset) from None
 
 
 def _echo_config(args, n):
@@ -197,10 +201,10 @@ def _cmd_closure(args):
     initial = VertexSet.from_ids(ids, g.n)
     _echo_config(args, g.n)
     tr = trace(g, args.k, initial)
-    out = json.loads(tr.to_json_line())
-    out["forces"] = tr.forces_all()
-    out["colored"] = len(tr.final_state())
-    print(json.dumps(out))
+    colored = len(tr.final_state())
+    print(json.dumps({"k": tr.k, "initial": list(tr.initial),
+                      "events": tr.events, "forces": colored == g.n,
+                      "colored": colored}))
     return EXIT_OK
 
 
@@ -213,9 +217,12 @@ def _cmd_bounds(args):
         raise ValueError(f"graph outside the bound's hypotheses: {reason}")
     z = solve(g, 1, node_budget=args.node_budget).value
     f_k = z if args.k == 1 else solve(g, args.k, node_budget=args.node_budget).value
-    report = build_bound_report(g, args.k, f_k)
-    out = report.to_dict()
-    out["z"] = z
+    dmax, dmin, _ = degree_stats(g)
+    num, den = forcing_upper_bound(g.n, dmax, args.k)
+    rnum, rden = degree_refined_bound(g.n, dmax, dmin)
+    out = {"n": g.n, "max_degree": dmax, "min_degree": dmin, "k": args.k,
+           "bound_num": num, "bound_den": den, "refined_num": rnum,
+           "refined_den": rden, "meets_equality": f_k * den == num, "z": z}
     if args.k != 1:
         out["f_k"] = f_k
     cls = classify_extremal(g)
@@ -295,13 +302,14 @@ def _cmd_lemmas(args):
     if args.suite == "trees":
         if args.max_n > MAX_ENUMERATION_ORDER:
             raise ValueError(f"--max-n is capped at {MAX_ENUMERATION_ORDER}")
+        randoms = random_trees(args.random_count, args.random_min,
+                               args.random_max, args.seed)
         _echo_config(args, max(args.max_n, args.random_max))
 
         def stream():
             for n in range(2, args.max_n + 1):
                 yield from filter(is_tree, enumerate_connected(n))
-            yield from random_trees(args.random_count, args.random_min,
-                                    args.random_max, args.seed)
+            yield from randoms
         result = run_tree_leaf_suite(stream())
         result["seed"] = args.seed
         print(json.dumps(result))

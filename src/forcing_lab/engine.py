@@ -6,7 +6,6 @@ application colors every vertex. All operations are pure functions on
 immutable inputs.
 """
 
-import json
 from collections import namedtuple
 
 from . import _kernels
@@ -64,13 +63,6 @@ class ForcingTrace(namedtuple("ForcingTrace", ["k", "initial", "events"])):
 
     def forces_all(self):
         return len(self.final_state()) == self.initial.capacity
-
-    def to_json_line(self):
-        return json.dumps({
-            "k": self.k,
-            "initial": list(self.initial),
-            "events": [[u, v] for u, v in self.events],
-        })
 
 
 def trace(g, k, s):

@@ -57,30 +57,37 @@ def _canonical_classes(n):
 
 
 def enumerate_connected(n):
-    """Yield one representative per isomorphism class of connected graphs
-    on n vertices, in canonical-certificate order.
+    """An iterator over one representative per isomorphism class of
+    connected graphs on n vertices, in canonical-certificate order.
 
-    Supported for n <= 9 only; beyond that, supply a graph6 file produced
-    by an external generator instead. The classes of an order are built
-    at the first draw and cached; n = 9 (261,080 classes, from 399,244
-    canonical calls) takes about 5 s on the compiled backend and about
-    8 min on the pure one (2 vCPU, Python 3.11).
+    Supported for n <= 9 only, checked at the call; beyond that, supply a
+    graph6 file produced by an external generator instead. The classes of
+    an order are built at the first draw and cached; n = 9 (261,080
+    classes, from 399,244 canonical calls) takes about 5 s on the compiled
+    backend and about 8 min on the pure one (2 vCPU, Python 3.11).
     """
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(
             f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_ORDER}; "
             "supply a graph6 file for larger orders")
-    for cert in _canonical_classes(n):
-        yield Graph.from_upper_triangle_mask(cert, n)
+
+    def graphs():
+        for cert in _canonical_classes(n):
+            yield Graph.from_upper_triangle_mask(cert, n)
+    return graphs()
 
 
 def random_trees(count, min_n, max_n, seed):
-    """Seeded stream of random labeled trees with min_n <= n <= max_n."""
+    """Seeded stream of random labeled trees with min_n <= n <= max_n; the
+    arguments are checked at the call."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if not 2 <= min_n <= max_n:
         raise ValueError("need 2 <= min_n <= max_n")
     rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(min_n, max_n)
-        yield tree_from_pruefer(rng.randrange(n) for _ in range(n - 2))
+
+    def trees():
+        for _ in range(count):
+            n = rng.randint(min_n, max_n)
+            yield tree_from_pruefer(rng.randrange(n) for _ in range(n - 2))
+    return trees()

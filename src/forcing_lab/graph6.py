@@ -27,10 +27,12 @@ _ENCODED6 = tuple(chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64))
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 input; ``offset`` is the offending byte position."""
+    """Malformed graph6 input; ``msg`` is the message without the offset,
+    ``offset`` the offending byte position."""
 
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, msg, offset):
+        super().__init__(f"{msg} (byte offset {offset})")
+        self.msg = msg
         self.offset = offset
 
 

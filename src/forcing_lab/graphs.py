@@ -99,13 +99,12 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        return (Graph.from_upper_triangle_mask,
-                (self.upper_triangle_mask(), self.n, self.name))
+        return (Graph._from_masks, (self.neighbor_masks, self.name))
 
     @classmethod
-    def from_upper_triangle_mask(cls, bits, n, name=None):
+    def from_upper_triangle_mask(cls, bits, n):
         """Rebuild from the packed upper triangle (bit j(j-1)/2 + i for pair i<j)."""
-        return cls._from_masks(_kernels.triangle_masks(bits, n), name)
+        return cls._from_masks(_kernels.triangle_masks(bits, n))
 
     @classmethod
     def _from_masks(cls, masks, name=None):
@@ -313,10 +312,10 @@ def parse_edge_list(text):
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = {}  # (u, v) -> its line, in input order
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge line: {ln!r}") from None
         earlier = edges.get((u, v)) or edges.get((v, u))
         if earlier:
             raise ValueError(f"edge line {ln!r} repeats {earlier!r}")

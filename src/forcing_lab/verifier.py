@@ -386,6 +386,8 @@ def run_known_values(delta_max=4, cycle_max=12,
 
     if delta_max < 2:
         raise ValueError("delta_max must be at least 2")
+    if cycle_max < 3:
+        raise ValueError("cycle_max must be at least 3")
     checks = []
 
     def record(graph, expected):

@@ -3,9 +3,9 @@
 import networkx as nx
 import pytest
 
-from forcing_lab import (build_bound_report, classify_extremal, complete,
-                         complete_bipartite, cycle, degree_refined_bound,
-                         forcing_upper_bound, path, solve, star)
+from forcing_lab import (classify_extremal, complete, complete_bipartite,
+                         cycle, degree_refined_bound, forcing_upper_bound,
+                         path, solve, star)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import Graph, degree_stats
 
@@ -130,19 +130,5 @@ class TestBoundProperties:
         for g in [cycle(5), cycle(8), complete(4), complete(6),
                   complete_bipartite(3, 3), complete_bipartite(4, 4)]:
             assert classify_extremal(g) is not None
-            assert build_bound_report(g, 1, solve(g).value).meets_equality, \
-                g.name
-
-
-class TestBoundReport:
-    def test_balanced_bipartite_report(self):
-        g = complete_bipartite(4, 4)
-        report = build_bound_report(g, 1, solve(g).value)
-        assert (report.bound_num, report.bound_den) == (18, 3)
-        assert report.meets_equality
-        assert report.to_dict()["max_degree"] == 4
-
-    def test_non_extremal_report(self, petersen):
-        report = build_bound_report(petersen, 1, solve(petersen).value)
-        assert not report.meets_equality
-        assert (report.refined_num, report.refined_den) == (12, 2)
+            num, den = forcing_upper_bound(g.n, degree_stats(g)[0], 1)
+            assert solve(g).value * den == num, g.name

@@ -86,6 +86,20 @@ class TestSolve:
         assert err == ("error: a graph6 --input file holds one graph, found "
                        f"a second record (byte offset {offset})\n")
 
+    @pytest.mark.parametrize("data, error", [
+        (b"\n\nB!\n", "non-printable payload byte '!' (byte offset 3)"),
+        (b"\r\n>>graph6<<B \r\n",
+         "non-printable payload byte ' ' (byte offset 13)"),
+        (b"\n\n$\n", "malformed size byte '$' (byte offset 2)")],
+        ids=["blank-lines", "header-after-crlf", "size-byte"])
+    def test_bad_graph6_record_names_its_offset_in_the_file(
+            self, capsys, tmp_path, data, error):
+        p = tmp_path / "g.g6"
+        p.write_bytes(data)
+        code, out, err = run_cli(capsys, "solve", "--input", str(p))
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
+
     def test_repeated_edge_exits_2(self, capsys, tmp_path):
         # Two lines name the edge {0, 1}; merging them would solve a
         # one-edge graph plus an isolated vertex.
@@ -141,6 +155,13 @@ class TestClosure:
                              "--set", "7")
         assert code == 2
 
+    def test_output_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "closure", "--family", "cycle:5",
+                               "--set", "0,1")
+        assert code == 0
+        assert out == ('{"k": 1, "initial": [0, 1], "events": [[0, 4], '
+                       '[1, 2], [2, 3]], "forces": true, "colored": 5}\n')
+
 
 class TestBounds:
     def test_balanced_bipartite(self, capsys):
@@ -169,6 +190,38 @@ class TestBounds:
         data = first_json(out)
         assert (data["bound_num"], data["bound_den"], data["f_k"]) == (12, 4, 3)
         assert data["meets_equality"] is True
+
+    @pytest.mark.parametrize("source, k, line", [
+        (("--family", "cycle:6"), 1,
+         '{"n": 6, "max_degree": 2, "min_degree": 2, "k": 1, "bound_num": 2, '
+         '"bound_den": 1, "refined_num": 2, "refined_den": 1, '
+         '"meets_equality": true, "z": 2, "extremal_class": "cycle", '
+         '"graph": "C_6"}'),
+        (("--family", "complete_bipartite:4,4"), 1,
+         '{"n": 8, "max_degree": 4, "min_degree": 4, "k": 1, "bound_num": 18, '
+         '"bound_den": 3, "refined_num": 18, "refined_den": 3, '
+         '"meets_equality": true, "z": 6, "extremal_class": '
+         '"balanced_complete_bipartite", "graph": "K_{4,4}"}'),
+        (("--graph6", "IheA@GUAo"), 1,
+         '{"n": 10, "max_degree": 3, "min_degree": 3, "k": 1, "bound_num": 12, '
+         '"bound_den": 2, "refined_num": 12, "refined_den": 2, '
+         '"meets_equality": false, "z": 5, "extremal_class": null}'),
+        (("--family", "complete:5"), 2,
+         '{"n": 5, "max_degree": 4, "min_degree": 4, "k": 2, "bound_num": 12, '
+         '"bound_den": 4, "refined_num": 12, "refined_den": 3, '
+         '"meets_equality": true, "z": 4, "f_k": 3, "extremal_class": '
+         '"complete", "graph": "K_5"}'),
+        (("--graph6", "IheA@GUAo"), 2,
+         '{"n": 10, "max_degree": 3, "min_degree": 3, "k": 2, "bound_num": 12, '
+         '"bound_den": 3, "refined_num": 12, "refined_den": 2, '
+         '"meets_equality": false, "z": 5, "f_k": 2, "extremal_class": null}'),
+    ], ids=["C6-k1", "K44-k1", "Petersen-k1", "K5-k2", "Petersen-k2"])
+    def test_output_is_pinned(self, capsys, source, k, line):
+        # Every key, in order: the degrees, both bounds, the verdict at k,
+        # Z and f_k (k >= 2 only), the family and the graph's name, if any.
+        code, out, _ = run_cli(capsys, "bounds", *source, "--k", str(k))
+        assert code == 0
+        assert out == line + "\n"
 
     def test_max_degree_below_two_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--family", "path:2")
@@ -317,6 +370,15 @@ class TestVerify:
         assert code == 141
         assert "error" not in err and "Exception" not in err
 
+    def test_enumerate_above_the_cap_writes_no_file(self, capsys, tmp_path):
+        cap = MAX_ENUMERATION_ORDER
+        code, out, err = run_cli(capsys, "verify", "--enumerate",
+                                 str(cap + 1), "--out", str(tmp_path / "P"))
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: built-in enumeration covers 1 <= n <= "
+                            f"{cap}; supply a graph6 file for larger orders\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_requires_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "verify")
         assert code == 2
@@ -384,10 +446,30 @@ class TestLemmas:
         assert code == 2 and out == ""
         assert err == f"error: --max-n is capped at {cap}\n"
 
+    def test_bad_random_range_exits_2_before_any_tree(self, capsys,
+                                                      monkeypatch):
+        def refuse(trees):
+            raise AssertionError("a tree was checked")
+
+        monkeypatch.setattr(cli, "run_tree_leaf_suite", refuse)
+        code, out, err = run_cli(capsys, "lemmas", "trees", "--max-n", "9",
+                                 "--random-min", "1")
+        assert code == 2 and out == ""
+        assert err == "error: need 2 <= min_n <= max_n\n"
+
     def test_known_suite(self, capsys):
         code, out, _ = run_cli(capsys, "lemmas", "known", "--delta-max", "4")
         assert code == 0
         assert first_json(out)["failures"] == []
+
+    def test_known_cycle_max_below_3_exits_2(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was solved")
+
+        monkeypatch.setattr(verifier, "solve", refuse)
+        code, out, err = run_cli(capsys, "lemmas", "known", "--cycle-max", "2")
+        assert code == 2 and out == ""
+        assert err.endswith("error: cycle_max must be at least 3\n")
 
 
 SRC = os.path.dirname(os.path.dirname(forcing_lab.__file__))

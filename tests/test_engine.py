@@ -1,7 +1,6 @@
 """Coloring-rule engine: closures, forcing tests, traces, and the order
 independence / monotonicity properties, on both kernel backends."""
 
-import json
 import random
 from itertools import combinations
 
@@ -125,13 +124,6 @@ class TestTrace:
                            events=((0, 1),))
         with pytest.raises(TraceError):
             replay(g, bad)
-
-    def test_json_line_round_trip(self):
-        tr = trace(cycle(5), 1, [0, 1])
-        line = tr.to_json_line()
-        data = json.loads(line)
-        assert data == {"k": 1, "initial": [0, 1],
-                        "events": [[0, 4], [1, 2], [2, 3]]}
 
     def test_deterministic(self):
         a = trace(complete_bipartite(3, 3), 1, [0, 1, 3, 4])

@@ -10,11 +10,11 @@ import networkx as nx
 import pytest
 
 from forcing_lab import (Graph, SolveResult, StructureCheck, VertexSet,
-                         build_bound_report, check_extremal_structure,
-                         classify_extremal, complete, complete_bipartite,
-                         cycle, degree_stats, edge_boundary, generate,
-                         is_connected, is_k_connected, parse_edge_list, path,
-                         solve, star, trace, tree_from_pruefer, verify_stream)
+                         check_extremal_structure, classify_extremal,
+                         complete, complete_bipartite, cycle, degree_stats,
+                         edge_boundary, generate, is_connected,
+                         is_k_connected, parse_edge_list, path, solve, star,
+                         trace, tree_from_pruefer, verify_stream)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree, leaves
 
@@ -74,22 +74,17 @@ class TestGraph:
             "graph6", "n", "max_degree", "min_degree", "k", "f_k",
             "bound_num", "bound_den", "equality", "extremal_class",
             "extremal_parameter", "structure_ok", "solver_nodes", "status"]
-        report_fields = [
-            "n", "max_degree", "min_degree", "k", "bound_num", "bound_den",
-            "refined_num", "refined_den", "meets_equality"]
         structure_fields = [
             "ok", "absent", "set_size", "complement_size",
             "single_outside_neighbor", "complement_is_tree", "boundary",
             "boundary_at_least_set"]
         record = verify_stream([g]).records[0]
-        report = build_bound_report(g, 1, 2)
         results = [
             (solve(g, 1), ["value", "witness", "nodes_explored", "method",
                            "k", "constrained", "complement_empty"]),
             (record, record_fields),
             (check_extremal_structure(complete_bipartite(3, 3)),
              structure_fields),
-            (report, report_fields),
             (classify_extremal(g), ["tag", "parameter"]),
             (trace(g, 1, [0, 1]), ["k", "initial", "events"]),
         ]
@@ -104,7 +99,6 @@ class TestGraph:
             values = [getattr(obj, f) for f in fields]
             assert cls(*values) == cls(**dict(zip(fields, values))) == obj
         assert list(json.loads(record.to_json_line())) == record_fields
-        assert list(report.to_dict()) == report_fields
         witness = VertexSet(3, 5)
         assert SolveResult(value=2, witness=witness, nodes_explored=1,
                            method="bnb", k=1) == SolveResult(
@@ -257,6 +251,12 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n0 1\n")
         with pytest.raises(ValueError):
             parse_edge_list("2 1\n0 2\n")
+
+    @pytest.mark.parametrize("line", ["1 x", "x 1", "1", "1 2 3", "1 2.0"])
+    def test_rejects_a_line_that_is_not_two_integers(self, line):
+        with pytest.raises(ValueError) as err:
+            parse_edge_list(f"3 1\n{line}\n")
+        assert str(err.value) == f"bad edge line: {line!r}"
 
     @pytest.mark.parametrize("text, line, earlier", [
         ("3 2\n0 1\n1 0\n", "1 0", "0 1"),

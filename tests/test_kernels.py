@@ -2,6 +2,7 @@
 reference, called directly rather than through the dispatcher, and tests
 of which backend the dispatcher picks."""
 
+import inspect
 import random
 import subprocess
 import sys
@@ -439,6 +440,36 @@ print(parse_graph6("Bw").edges(), is_k_connected(cycle(5), 2))
 def test_compiled_refuses_63_vertices(compiled_kernels, call):
     with pytest.raises(ValueError, match="at most 62 vertices"):
         call(compiled_kernels, [0] * 63)
+
+
+C4 = (0b1010, 0b0101, 0b1010, 0b0101)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("closure", (C4, 1, 0b11)), ("connected_in", (C4, 0b101)),
+    ("search_level_pruned", (C4, 1, 2, 10)), ("wavefront", (C4, 1, 10)),
+    ("canonical_mask", (C4,)), ("augment", (C4,)),
+    ("triangle_masks", (0b101101, 4)), ("graph6_masks", ("w", 3)),
+    ("k_connected", (C4, 2))])
+def test_compiled_kernels_take_positional_arguments_only(compiled_kernels,
+                                                         name, args):
+    # No caller names an argument, so the compiled kernels parse none: each
+    # takes exactly the pure kernel's parameters, by position.
+    compiled, reference = getattr(compiled_kernels, name), getattr(pure, name)
+    params = list(inspect.signature(reference).parameters)
+    signature = inspect.signature(compiled).parameters.values()
+    assert [p.name for p in signature] == params
+    assert len(args) == len(params)
+    assert {p.kind for p in signature} == {inspect.Parameter.POSITIONAL_ONLY}
+    assert compiled(*args) == reference(*args)
+    with pytest.raises(TypeError, match="no keyword arguments"):
+        compiled(*args[:-1], **{params[-1]: args[-1]})
+    for wrong in (args[:-1], args + (0,)):
+        with pytest.raises(TypeError, match=f"expected {len(args)} argument"):
+            compiled(*wrong)
+    if name == "graph6_masks":
+        with pytest.raises(TypeError, match="must be str, not bytes"):
+            compiled(b"w", 3)
 
 
 def test_compiled_refuses_masks_beyond_the_last_vertex(compiled_kernels):
