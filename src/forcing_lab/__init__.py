@@ -27,8 +27,7 @@ from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, SolveResult,
                      solve_connected_complement)
 from .verifier import (StructureCheck, VerificationRecord, VerifyRun,
                        check_extremal_structure, connected_k_dominating_suite,
-                       iter_verify, run_known_values, run_tree_leaf_suite,
-                       verify_stream)
+                       run_known_values, run_tree_leaf_suite, verify_stream)
 
 __all__ = [
     "__version__", "HAVE_COMPILED", "active_backend",
@@ -45,7 +44,7 @@ __all__ = [
     "solve_connected_complement",
     "forcing_upper_bound", "degree_refined_bound",
     "ExtremalClass", "classify_extremal",
-    "VerificationRecord", "VerifyRun", "iter_verify", "verify_stream",
+    "VerificationRecord", "VerifyRun", "verify_stream",
     "StructureCheck", "check_extremal_structure", "run_tree_leaf_suite",
     "run_known_values", "connected_k_dominating_suite",
 ]

@@ -32,8 +32,7 @@ from .graph6 import MAX_VERTICES, Graph6Error, parse_graph6
 from .graphs import VertexSet, degree_stats, generate, is_tree, parse_edge_list
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, solve,
                      solve_connected_complement)
-from .verifier import (VerifyRun, iter_verify, run_known_values,
-                       run_tree_leaf_suite)
+from .verifier import VerifyRun, run_known_values, run_tree_leaf_suite
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -265,10 +264,9 @@ def _cmd_verify(args):
             items = _input_lines(stack.enter_context(open(args.input, "rb")))
         # Records are written as they arrive; the summary is complete once
         # write_jsonl has drained them.
-        summary = {}
-        run = VerifyRun(records=stack.enter_context(closing(iter_verify(
-            items, args.k, summary, workers=args.workers,
-            node_budget=args.node_budget))), summary=summary)
+        run = VerifyRun(items, args.k, workers=args.workers,
+                        node_budget=args.node_budget)
+        stack.enter_context(closing(run.records))
         if args.out:
             with open(args.out + ".records.jsonl", "w", encoding="ascii") as fh:
                 run.write_jsonl(fh)
@@ -276,11 +274,12 @@ def _cmd_verify(args):
                       newline="") as fh:
                 run.write_summary_csv(fh)
             with open(args.out + ".summary.json", "w", encoding="ascii") as fh:
-                json.dump(dict(summary, version=__version__), fh, indent=2)
+                json.dump(dict(run.summary, version=__version__), fh, indent=2)
                 fh.write("\n")
         else:
             run.write_jsonl(sys.stdout)
             run.write_summary_csv(sys.stderr)
+    summary = run.summary
     print(json.dumps({"summary": {
         "graphs_verified": summary["graphs_verified"],
         "skipped": len(summary["skipped"]),

@@ -252,8 +252,6 @@ def degree_stats(g):
 def is_connected(g):
     """Single-traversal connectivity; graphs with at most one vertex count
     as connected."""
-    if g.n <= 1:
-        return True
     full = (1 << g.n) - 1
     return _kernels.connected_in(g.neighbor_masks, full)
 

@@ -11,8 +11,8 @@ complement, edge boundary at least the set size).
 
 Verification runs are deterministic: records come back in input order
 whatever the worker count, and every summary reduction is order-free.
-Records stream: ``iter_verify`` draws its input lazily, folds each
-outcome into the summary and yields each record as soon as it and every
+Records stream: ``VerifyRun`` draws its input lazily, folds each
+outcome into its summary and yields each record as soon as it and every
 record before it are done, so the first record never waits for the last
 and memory stays bounded however long the input is. With more than one
 worker, a fork pool takes over the rest of the input only after about a
@@ -161,15 +161,45 @@ def _is_counterexample(rec, k):
 
 
 class VerifyRun:
-    """Records plus the reduced summary of one verification sweep.
+    """The bound sweep over an iterable of graph6 lines and Graph objects,
+    mixed freely: its records and the summary they reduce to.
 
-    ``records`` is a list, or an iterator from ``iter_verify`` that
-    ``write_jsonl`` drains once; the summary is complete only after that.
+    ``records`` is a generator that yields each record in input order,
+    for any worker count, as soon as it and every record before it are
+    done. It draws the input lazily: one item at a time while items are
+    verified in this process, which is always the case with one worker or
+    one CPU and otherwise until about POOL_AFTER_S seconds of verification
+    have passed; after that a fork pool takes the rest, drawn at most a
+    bounded window (WINDOW) ahead. So memory does not grow with the length
+    of the input. The pool, if one started, is terminated and joined
+    however ``records`` ends, including when it is closed early.
+
+    Lines are stripped, and blank lines are skipped but still counted as
+    input lines. Only lines are parsed; a Graph is named in its record
+    and in the summary by its graph6 encoding. Graphs that fall outside
+    the bound's hypotheses are skipped and counted with the reason
+    ``hypothesis_failure`` gives, never silently dropped. Solver budget
+    aborts become "unresolved" records, never passes.
+
+    ``summary`` holds, in this order: k, workers, input_lines,
+    graphs_verified, skipped and parse_failures (each with its input
+    line), per_n (graph count, extremal count and graph6 list, max solver
+    nodes and summed time per order), then the graph6 lists of
+    counterexamples, unresolved records and structure failures. Each
+    outcome is folded in as it is yielded, and input_lines is set when the
+    input is exhausted, so the summary is complete only once ``records``
+    is drained (``write_jsonl`` drains it).
     """
 
-    def __init__(self, records, summary):
-        self.records = records
-        self.summary = summary
+    def __init__(self, items, k=1, *, workers=1,
+                 node_budget=DEFAULT_NODE_BUDGET):
+        self.summary = {
+            "k": k, "workers": workers, "input_lines": 0,
+            "graphs_verified": 0, "skipped": [], "parse_failures": [],
+            "per_n": {}, "counterexamples": [], "unresolved": [],
+            "structure_failures": []}
+        self.records = _sweep(_numbered(items, k, node_budget, self.summary),
+                              workers, self.summary)
 
     def write_jsonl(self, stream):
         for rec in self.records:
@@ -271,27 +301,8 @@ def _outcomes(payload, workers):
         pool.join()
 
 
-def iter_verify(items, k, summary, *, workers=1,
-                node_budget=DEFAULT_NODE_BUDGET):
-    """Yield the records of the bound sweep over an iterable of graph6
-    lines and Graph objects, in input order, as they arrive.
-
-    Items are drawn lazily: one at a time while they are verified in
-    this process, which is always the case with one worker or one CPU
-    and otherwise until about POOL_AFTER_S seconds of verification have
-    passed; after that a fork pool takes the rest, drawn at most a
-    bounded window ahead (WINDOW). So memory does not grow with the
-    length of the input. Each outcome is folded into ``summary``, an
-    empty dict that receives the keys ``verify_stream`` documents, as it
-    arrives; ``input_lines`` is set when the input is exhausted. The
-    worker pool, if one started, is terminated and joined however the
-    generator ends, including when it is closed early.
-    """
-    summary.update({
-        "k": k, "workers": workers, "input_lines": 0, "graphs_verified": 0,
-        "skipped": [], "parse_failures": [], "per_n": {},
-        "counterexamples": [], "unresolved": [], "structure_failures": []})
-    payload = _numbered(items, k, node_budget, summary)
+def _sweep(payload, workers, summary):
+    """The records of ``VerifyRun``, each outcome folded into ``summary``."""
     with closing(_outcomes(payload, workers)) as outcomes:
         for kind, entry, elapsed in outcomes:
             if kind != "record":
@@ -309,7 +320,7 @@ def iter_verify(items, k, summary, *, workers=1,
             if rec.status == "ok" and rec.equality:
                 row["extremal_count"] += 1
                 row["extremal_graph6"].append(rec.graph6)
-            if _is_counterexample(rec, k):
+            if _is_counterexample(rec, summary["k"]):
                 summary["counterexamples"].append(rec.graph6)
             if rec.status == "unresolved":
                 summary["unresolved"].append(rec.graph6)
@@ -319,27 +330,11 @@ def iter_verify(items, k, summary, *, workers=1,
 
 
 def verify_stream(items, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET):
-    """Run the bound sweep over an iterable of graph6 lines and Graph
-    objects, mixed freely, and collect every record of ``iter_verify``.
-
-    Lines are stripped, and blank lines are skipped but still counted as
-    input lines. Only lines are parsed; a Graph is named in its record
-    and in the summary by its graph6 encoding. Graphs that fall outside
-    the bound's hypotheses are skipped and counted with the reason
-    ``hypothesis_failure`` gives, never silently dropped. Solver budget
-    aborts become "unresolved" records, never passes. Records preserve
-    input order for any worker count.
-
-    The summary holds, in this order: k, workers, input_lines,
-    graphs_verified, skipped and parse_failures (each with its input
-    line), per_n (graph count, extremal count and graph6 list, max solver
-    nodes and summed time per order), then the graph6 lists of
-    counterexamples, unresolved records and structure failures.
-    """
-    summary = {}
-    records = list(iter_verify(items, k, summary, workers=workers,
-                               node_budget=node_budget))
-    return VerifyRun(records=records, summary=summary)
+    """A drained ``VerifyRun``: ``records`` is a list and the summary is
+    complete."""
+    run = VerifyRun(items, k, workers=workers, node_budget=node_budget)
+    run.records = list(run.records)
+    return run
 
 
 def run_tree_leaf_suite(trees):

@@ -10,9 +10,9 @@ import sys
 import pytest
 
 import forcing_lab
-from forcing_lab import (_kernels, classify_extremal, encode_graph6,
-                         enumerate_connected, parse_graph6, path, verifier,
-                         verify_stream)
+from forcing_lab import (StructureCheck, _kernels, classify_extremal,
+                         encode_graph6, enumerate_connected, parse_graph6,
+                         path, verifier, verify_stream)
 from forcing_lab import cli
 from forcing_lab.cli import build_parser, main
 from forcing_lab.enumeration import MAX_ENUMERATION_ORDER
@@ -391,6 +391,21 @@ class TestVerify:
                              "--node-budget", "2")
         assert code == 3
 
+    def test_structure_failure_exits_1_after_writing_every_record(
+            self, capsys, monkeypatch):
+        # K4 is the only n = 4 graph at equality with max degree >= 3.
+        monkeypatch.setattr(verifier, "check_extremal_structure",
+                            lambda g, **kw: StructureCheck(ok=False,
+                                                           absent=False))
+        code, out, err = run_cli(capsys, "verify", "--enumerate", "4")
+        assert code == 1
+        records = [json.loads(ln) for ln in out.splitlines()]
+        assert len(records) == 6
+        assert [r["graph6"] for r in records
+                if r["structure_ok"] is False] == ["C~"]
+        assert json.loads(err.splitlines()[-1])["summary"][
+            "structure_failures"] == 1
+
     def test_enumerate_never_parses_graph6(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated graphs must not be parsed")
@@ -614,3 +629,31 @@ def test_flags_a_subcommand_does_not_read_exit_2(capsys, base, flag):
     with pytest.raises(SystemExit) as exc:
         main(base + flag)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--family", "cycle:5", "--k", "0"], "--k must be at least 1"),
+    (["bounds", "--family", "cycle:5", "--node-budget", "0"],
+     "--node-budget must be positive"),
+    (["verify", "--enumerate", "3", "--workers", "0"],
+     "--workers must be positive"),
+    (["solve", "--family", "cycle"],
+     "family spec must look like name:params, got 'cycle'"),
+    (["solve", "--family", "cycle:x"],
+     "family parameters must be integers: 'x'"),
+    (["closure", "--family", "cycle:5", "--set", "0,x"],
+     "--set must be a comma-separated id list, got '0,x'"),
+    (["solve", "--input", "NEGATIVE_ORDER"],
+     "vertex count must be non-negative"),
+], ids=["k-0", "node-budget-0", "workers-0", "family-without-params",
+        "family-params-not-integers", "set-not-integers",
+        "edge-list-negative-order"])
+def test_bad_option_value_exits_2_with_its_message(capsys, tmp_path, argv,
+                                                   message):
+    edges = tmp_path / "g.edges"
+    edges.write_text("-1 0\n")
+    argv = [str(edges) if a == "NEGATIVE_ORDER" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {message}"

@@ -117,6 +117,12 @@ class TestTrace:
                            events=((0, 2),))
         with pytest.raises(TraceError):
             replay(g, bad)
+        uncolored = ForcingTrace(k=1, initial=VertexSet.from_ids([0], 3),
+                                 events=((1, 2),))
+        with pytest.raises(TraceError, match="forcer 1 is not colored"):
+            replay(g, uncolored)
+        with pytest.raises(TypeError, match="replay needs a Graph"):
+            replay(g.neighbor_masks, bad)
 
     def test_replay_rejects_over_budget_forcer(self):
         g = star(3)

@@ -36,6 +36,8 @@ class TestVertexSet:
             VertexSet.from_ids([5], 5)
         with pytest.raises(ValueError):
             VertexSet(1 << 5, 5)
+        with pytest.raises(ValueError, match="mask must be non-negative"):
+            VertexSet(-1, 3)
 
     def test_immutable(self):
         s = VertexSet.from_ids([1], 3)
@@ -53,6 +55,8 @@ class TestGraph:
             Graph(3, [(1, 1)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            Graph(-1)
 
     def test_upper_triangle_mask_round_trip(self):
         # Past 62 vertices the dispatcher must use the pure kernel.
@@ -190,6 +194,7 @@ class TestConnectivity:
         assert is_connected(path(3))
         assert not is_connected(Graph(2))
         assert is_connected(Graph(1))
+        assert is_connected(Graph(0))
 
     def test_k_connectivity_examples(self):
         assert is_k_connected(cycle(5), 1)
@@ -247,6 +252,9 @@ class TestEdgeListFormat:
             parse_edge_list("")
         with pytest.raises(ValueError):
             parse_edge_list("3\n0 1\n")
+        with pytest.raises(ValueError) as err:
+            parse_edge_list("x y\n")
+        assert str(err.value) == 'edge-list header must be two integers "n m"'
         with pytest.raises(ValueError):
             parse_edge_list("3 2\n0 1\n")
         with pytest.raises(ValueError):

@@ -8,10 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from forcing_lab import (SolveResult, StructureCheck, VertexSet,
-                         check_extremal_structure, complete,
+from forcing_lab import (Graph, SolveResult, StructureCheck, VerifyRun,
+                         VertexSet, check_extremal_structure, complete,
                          complete_bipartite, cycle, encode_graph6,
-                         iter_verify, parse_graph6, path, run_known_values,
+                         parse_graph6, path, run_known_values,
                          run_tree_leaf_suite, star, tree_from_pruefer,
                          verify_stream)
 from forcing_lab import verifier
@@ -262,28 +262,25 @@ def _counting(items, drawn):
 class TestStreaming:
     def test_one_worker_draws_one_item_per_record(self):
         drawn = [0]
-        summary = {}
-        records = iter_verify(_counting(enumerate_connected(6), drawn), 1,
-                              summary)
-        first = next(records)
+        run = VerifyRun(_counting(enumerate_connected(6), drawn), 1)
+        first = next(run.records)
         assert drawn == [1]
-        assert summary["graphs_verified"] == 1
+        assert run.summary["graphs_verified"] == 1
         assert first.to_json_line() == _sweep(6).records[0].to_json_line()
-        records.close()
+        run.records.close()
 
     def test_pool_reads_at_most_a_window_ahead(self, pooled):
         lines = [encode_graph6(g) for g in enumerate_connected(5)] * 60
         assert len(lines) > 2 * verifier.WINDOW
         drawn = [0]
-        summary = {}
-        ahead = [drawn[0] - i for i, _ in enumerate(
-            iter_verify(_counting(lines, drawn), 1, summary, workers=2), 1)]
+        run = VerifyRun(_counting(lines, drawn), 1, workers=2)
+        ahead = [drawn[0] - i for i, _ in enumerate(run.records, 1)]
         assert pooled == [2]
-        assert len(ahead) == len(lines) == summary["input_lines"]
+        assert len(ahead) == len(lines) == run.summary["input_lines"]
         assert 0 <= max(ahead) <= verifier.WINDOW
 
     def test_closing_early_stops_the_pool(self, pooled):
-        records = iter_verify(enumerate_connected(6), 1, {}, workers=2)
+        records = VerifyRun(enumerate_connected(6), 1, workers=2).records
         # The first record is verified here, the second by the pool.
         next(records)
         next(records)
@@ -295,8 +292,8 @@ class TestStreaming:
     def test_input_shorter_than_a_chunk_starts_no_pool(self, monkeypatch,
                                                        no_pool):
         monkeypatch.setattr(verifier, "POOL_AFTER_S", 0)
-        records = iter_verify(["Bw"] * (verifier.CHUNK - 1), 1, {},
-                              workers=2)
+        records = VerifyRun(["Bw"] * (verifier.CHUNK - 1), 1,
+                            workers=2).records
         next(records)
         assert len(list(records)) == verifier.CHUNK - 2
 
@@ -381,14 +378,14 @@ class TestStreaming:
     def test_closing_before_the_handoff_starts_no_pool(self, monkeypatch,
                                                        fake_clock, fake_pool):
         monkeypatch.setattr(verifier, "POOL_AFTER_S", 3)
-        records = iter_verify(enumerate_connected(6), 1, {}, workers=2)
+        records = VerifyRun(enumerate_connected(6), 1, workers=2).records
         # The third record reaches the threshold; the switch would come
         # with the fourth.
         for _ in range(3):
             next(records)
         records.close()
         assert fake_pool == []
-        assert list(iter_verify(enumerate_connected(6), 1, {}, workers=2))
+        assert list(VerifyRun(enumerate_connected(6), 1, workers=2).records)
         assert len(fake_pool) == 1
 
 
@@ -429,9 +426,11 @@ class TestTreeLeafSuite:
         assert out["failures"] == []
 
     def test_non_tree_rejected(self):
-        out = run_tree_leaf_suite([cycle(4), tree_from_pruefer([1])])
+        out = run_tree_leaf_suite([cycle(4), tree_from_pruefer([1]),
+                                   Graph(1)])
         assert out["trees_checked"] == 1
-        assert out["rejected"] == [{"index": 0, "reason": "not a tree"}]
+        assert out["rejected"] == [{"index": 0, "reason": "not a tree"},
+                                   {"index": 2, "reason": "no leaves"}]
 
 
 class TestKnownValues:
