@@ -23,8 +23,8 @@ from .graphs import (Graph, VertexSet, complete, complete_bipartite, cycle,
                      is_k_connected, parse_edge_list, path, star,
                      tree_from_pruefer)
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, SolveResult,
-                     brute_force_oracle, greedy_upper_bound, solve,
-                     solve_connected_complement)
+                     brute_force_oracle, forcing_number, greedy_upper_bound,
+                     solve, solve_connected_complement)
 from .verifier import (StructureCheck, VerificationRecord, VerifyRun,
                        check_extremal_structure, connected_k_dominating_suite,
                        run_known_values, run_tree_leaf_suite, verify_stream)
@@ -40,7 +40,7 @@ __all__ = [
     "closure", "is_forcing_set", "trace", "replay",
     "ForcingTrace", "TraceError",
     "SolveResult", "BudgetExceeded", "DEFAULT_NODE_BUDGET",
-    "brute_force_oracle", "solve", "greedy_upper_bound",
+    "brute_force_oracle", "forcing_number", "solve", "greedy_upper_bound",
     "solve_connected_complement",
     "forcing_upper_bound", "degree_refined_bound",
     "ExtremalClass", "classify_extremal",

@@ -30,8 +30,8 @@ from .engine import trace
 from .enumeration import MAX_ENUMERATION_ORDER, enumerate_connected, random_trees
 from .graph6 import MAX_VERTICES, Graph6Error, parse_graph6
 from .graphs import VertexSet, degree_stats, generate, is_tree, parse_edge_list
-from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, solve,
-                     solve_connected_complement)
+from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, forcing_number,
+                     solve, solve_connected_complement)
 from .verifier import VerifyRun, run_known_values, run_tree_leaf_suite
 
 EXIT_OK = 0
@@ -214,8 +214,9 @@ def _cmd_bounds(args):
     reason = hypothesis_failure(g, args.k)
     if reason:
         raise ValueError(f"graph outside the bound's hypotheses: {reason}")
-    z = solve(g, 1, node_budget=args.node_budget).value
-    f_k = z if args.k == 1 else solve(g, args.k, node_budget=args.node_budget).value
+    z, _ = forcing_number(g, 1, node_budget=args.node_budget)
+    f_k = z if args.k == 1 else forcing_number(
+        g, args.k, node_budget=args.node_budget)[0]
     dmax, dmin, _ = degree_stats(g)
     num, den = forcing_upper_bound(g.n, dmax, args.k)
     rnum, rden = degree_refined_bound(g.n, dmax, dmin)

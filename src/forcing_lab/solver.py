@@ -3,13 +3,20 @@
 Two independent routes to the same value. The oracle is a plain brute
 force in the pure-Python kernel: it scans subset sizes upward, every
 subset of each, and stops at the first size that forces. The fast path,
-``solve``, finds the value by a best-first search over closed sets (the
-``wavefront`` kernel) and then runs one pruned depth-first search at that
-size for the lexicographically smallest witness. A constrained variant
-restricts the search to sets whose complement induces a connected
-subgraph: the oracle's subset scan with that test, from the wavefront
-value up, since no smaller set forces. ``_scan_levels`` drives the level
-searches of all three. A greedy upper bound is available on its own.
+``forcing_number``, finds the value alone by a best-first search over
+closed sets (the ``wavefront`` kernel); ``solve`` then runs one pruned
+depth-first search at that size for the lexicographically smallest
+witness. A constrained variant restricts the search to sets whose
+complement induces a connected subgraph: the oracle's subset scan with
+that test, from the wavefront value up, since no smaller set forces.
+``_scan_levels`` drives the level searches of all three. A greedy upper
+bound is available on its own.
+
+Node counts follow the work done: ``forcing_number`` counts the
+wavefront's closures only, and ``solve``'s ``nodes_explored`` adds those of
+its witness level. So a ``verify`` record, whose ``solver_nodes`` comes
+from ``forcing_number``, counts fewer nodes than ``solve`` on the same
+graph.
 """
 
 from collections import namedtuple
@@ -76,10 +83,13 @@ def _check_args(g, k):
         raise ValueError("k must be positive")
 
 
-def _wavefront(g, k, node_budget):
-    """The forcing number by the ``wavefront`` kernel, and its nodes. On
-    abort, ``size_reached`` is the cost being expanded: no set that small
-    forces."""
+def forcing_number(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
+    """The exact k-forcing number of ``g`` without a witness, as
+    ``(value, nodes)``: the ``wavefront`` kernel's value and the closures
+    it computed. Raises BudgetExceeded past ``node_budget``; its
+    ``size_reached`` is then the cost being expanded, since no set that
+    small forces."""
+    _check_args(g, k)
     value, nodes, aborted = _kernels.wavefront(g.neighbor_masks, k, node_budget)
     if aborted:
         raise BudgetExceeded(
@@ -157,8 +167,8 @@ def greedy_upper_bound(g, k=1):
 
 
 def solve(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
-    """Exact k-forcing number: the wavefront value, then one pruned level
-    search at that size for the witness.
+    """Exact k-forcing number and its witness: the ``forcing_number``
+    value, then one pruned level search at that size for the witness.
 
     Matches brute_force_oracle on every input where both complete, and
     returns the lexicographically smallest witness at the optimum. The
@@ -166,8 +176,7 @@ def solve(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     which is exact because the wavefront proved that no smaller set
     forces. Both kernels draw on the one ``node_budget``.
     """
-    _check_args(g, k)
-    value, nodes = _wavefront(g, k, node_budget)
+    value, nodes = forcing_number(g, k, node_budget=node_budget)
     _, witness, nodes = _scan_levels(
         g, k, _kernels.search_level_pruned, (value,), node_budget, nodes)
     if witness is None:
@@ -180,15 +189,14 @@ def solve_connected_complement(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     connected subgraph: the first such set, in ascending mask order, of the
     smallest size that has one.
 
-    The ``wavefront`` kernel gives the forcing number, below which no set
+    ``forcing_number`` gives the forcing number, below which no set
     forces; the restricted exhaustive scan runs from that size up to
     n - 1, and both draw on the one ``node_budget``. An abort in either is
     BudgetExceeded, as in ``solve``. When no proper subset qualifies, the
     answer degenerates to S = V (the empty complement); that case comes
     back flagged via ``complement_empty`` rather than silently.
     """
-    _check_args(g, k)
-    value, nodes = _wavefront(g, k, node_budget)
+    value, nodes = forcing_number(g, k, node_budget=node_budget)
     size, witness, total = _scan_levels(
         g, k, _kernels.search_level_constrained, range(value, g.n),
         node_budget, nodes)

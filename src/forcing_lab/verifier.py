@@ -21,21 +21,24 @@ never pays for starting one.
 """
 
 import csv
-import json
 import os
 import time
 from collections import deque, namedtuple
 from contextlib import closing
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .bounds import (classify_extremal, degree_refined_bound,
                      forcing_upper_bound, hypothesis_failure)
 from .engine import is_forcing_set
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
-from .graphs import (VertexSet, connected_within, degree_stats, edge_boundary,
+from .graphs import (VertexSet, connected_within, edge_boundary,
                      is_k_connected, is_tree, leaves)
-from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded,
-                     solve, solve_connected_complement)
+from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, forcing_number,
+                     solve_connected_complement)
+
+# JSON for the values of the record fields that may be None or a bool.
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 class VerificationRecord(namedtuple("VerificationRecord", [
@@ -43,12 +46,29 @@ class VerificationRecord(namedtuple("VerificationRecord", [
         "bound_den", "equality", "extremal_class", "extremal_parameter",
         "structure_ok", "solver_nodes", "status"])):
     """Per-graph verdict of the bound sweep; ``status`` is "ok" or
-    "unresolved"."""
+    "unresolved". ``solver_nodes`` counts the wavefront's closures only
+    (``forcing_number``), so it is smaller than ``solve``'s
+    ``nodes_explored``, which adds the witness level."""
 
     __slots__ = ()
 
     def to_json_line(self):
-        return json.dumps(self._asdict())
+        """``json.dumps(self._asdict())``, written in field order without
+        building the dict."""
+        (graph6, n, dmax, dmin, k, f_k, num, den, equality, cls, parameter,
+         structure, nodes, status) = self
+        quote = encode_basestring_ascii
+        return (
+            f'{{"graph6": {quote(graph6)}, "n": {n}, "max_degree": {dmax}, '
+            f'"min_degree": {dmin}, "k": {k}, '
+            f'"f_k": {"null" if f_k is None else f_k}, '
+            f'"bound_num": {num}, "bound_den": {den}, '
+            f'"equality": {_LITERALS[equality]}, '
+            f'"extremal_class": {"null" if cls is None else quote(cls)}, '
+            f'"extremal_parameter": '
+            f'{"null" if parameter is None else parameter}, '
+            f'"structure_ok": {_LITERALS[structure]}, '
+            f'"solver_nodes": {nodes}, "status": {quote(status)}}}')
 
 
 class StructureCheck(namedtuple("StructureCheck", [
@@ -98,7 +118,11 @@ def check_extremal_structure(g, *, node_budget=DEFAULT_NODE_BUDGET):
 def _verify_one(lineno, item, k, node_budget):
     """Process one graph6 line or Graph into ``(kind, entry, ms)``: the
     summary list "parse_failures" or "skipped" and its entry (0 ms), or
-    "record", the record (a Graph's names its graph6) and its time."""
+    "record", the record (a Graph's names its graph6) and its time.
+
+    It computes only what the record reports: the degrees once, and the
+    forcing number without a witness, so ``solver_nodes`` counts the
+    wavefront's closures only."""
     started = time.perf_counter()
     if isinstance(item, str):
         line = item
@@ -109,22 +133,23 @@ def _verify_one(lineno, item, k, node_budget):
                     {"line": lineno, "graph6": line, "error": str(exc)}, 0.0)
     else:
         g, line = item, encode_graph6(item)
-    reason = hypothesis_failure(g, k)
+    degrees = tuple(map(int.bit_count, g.neighbor_masks))
+    dmax = max(degrees, default=0)
+    reason = hypothesis_failure(g, k, max_degree=dmax)
     if reason:
         return ("skipped",
                 {"line": lineno, "graph6": line, "reason": reason}, 0.0)
-    dmax, dmin, _ = degree_stats(g)
+    dmin = min(degrees)
     num, den = forcing_upper_bound(g.n, dmax, k)
     # The three equality families are regular.
     cls = classify_extremal(g) if dmin == dmax else None
     f_k = structure = None
     try:
-        res = solve(g, k, node_budget=node_budget)
+        f_k, nodes = forcing_number(g, k, node_budget=node_budget)
     except BudgetExceeded as exc:
         equality, nodes, status = False, exc.nodes_explored, "unresolved"
     else:
-        f_k, nodes, status = res.value, res.nodes_explored, "ok"
-        equality = f_k * den == num
+        equality, status = f_k * den == num, "ok"
         if k == 1 and equality and dmax >= 3:
             structure = check_extremal_structure(g, node_budget=node_budget).ok
     record = VerificationRecord(
@@ -386,7 +411,7 @@ def run_known_values(delta_max=4, cycle_max=12,
     checks = []
 
     def record(graph, expected):
-        got = solve(graph, 1, node_budget=node_budget).value
+        got, _ = forcing_number(graph, 1, node_budget=node_budget)
         checks.append({"graph": graph.name, "expected": expected,
                        "got": got, "ok": got == expected})
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,8 +12,9 @@ import pytest
 
 import forcing_lab
 from forcing_lab import (StructureCheck, _kernels, classify_extremal,
-                         encode_graph6, enumerate_connected, parse_graph6,
-                         path, verifier, verify_stream)
+                         complete, complete_bipartite, cycle, encode_graph6,
+                         enumerate_connected, parse_graph6, path, verifier,
+                         verify_stream)
 from forcing_lab import cli
 from forcing_lab.cli import build_parser, main
 from forcing_lab.enumeration import MAX_ENUMERATION_ORDER
@@ -415,18 +417,54 @@ class TestVerify:
         assert code == 0
         assert len(out.strip().splitlines()) == 112
 
+    def test_enumerate_never_runs_a_witness_level(self, capsys, monkeypatch):
+        # Records carry f_k and no witness, so verify never runs the pruned
+        # level search that solve uses to find one.
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify searched for a witness")
+
+        monkeypatch.setattr(_kernels, "search_level_pruned", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--enumerate", "6")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 112
+
     def test_enumerate_7_values_and_witnesses_are_pinned(self, capsys):
-        # Every record field except the solver's node count, which a
-        # different search order may legitimately change.
+        # The record lines as written, with only the solver's node count
+        # cut out, which a different search order may legitimately change.
         code, out, _ = run_cli(capsys, "verify", "--enumerate", "7")
         assert code == 0
-        text = ""
-        for line in out.splitlines():
-            record = json.loads(line)
-            del record["solver_nodes"]
-            text += json.dumps(record) + "\n"
+        text = re.sub(r'"solver_nodes": \d+, ', "", out)
+        assert text.count("solver_nodes") == 0
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "4838dec9610ef03a5a9692d8fd4b90f26c52f9b52ce3ad073cc3b8be89455977")
+
+    def test_record_lines_are_what_json_dumps_writes(self, capsys, tmp_path,
+                                                     petersen):
+        # Records are written field by field; each line must be exactly what
+        # json.dumps writes for the parsed record. The graph6 F@\u? holds a
+        # backslash, which JSON escapes.
+        graphs = [r"F@\u?", encode_graph6(cycle(7)), encode_graph6(complete(4)),
+                  encode_graph6(complete(5)),
+                  encode_graph6(complete_bipartite(3, 3)),
+                  encode_graph6(petersen)]
+        p = tmp_path / "mixed.g6"
+        p.write_text("\n".join(graphs) + "\n", encoding="ascii")
+        records = []
+        for k, budget, exit_code in [(1, "100000", 0), (2, "100000", 0),
+                                     (3, "100000", 0), (1, "20", 3)]:
+            code, out, _ = run_cli(capsys, "verify", "--input", str(p),
+                                   "--k", str(k), "--node-budget", budget)
+            assert code == exit_code
+            for line in out.splitlines():
+                assert line == json.dumps(json.loads(line))
+                records.append(json.loads(line))
+        assert {r["k"] for r in records} == {1, 2, 3}
+        assert {r["status"] for r in records} == {"ok", "unresolved"}
+        assert {r["extremal_class"] for r in records} == {
+            None, "cycle", "complete", "balanced_complete_bipartite"}
+        assert {r["structure_ok"] for r in records} == {True, None}
+        assert {r["f_k"] is None for r in records} == {True, False}
+        assert r"F@\u?" in {r["graph6"] for r in records}
 
     def test_workers_flag_gives_same_records(self, capsys, tmp_path):
         a = str(tmp_path / "a")
@@ -481,7 +519,7 @@ class TestLemmas:
         def refuse(*args, **kwargs):
             raise AssertionError("a graph was solved")
 
-        monkeypatch.setattr(verifier, "solve", refuse)
+        monkeypatch.setattr(verifier, "forcing_number", refuse)
         code, out, err = run_cli(capsys, "lemmas", "known", "--cycle-max", "2")
         assert code == 2 and out == ""
         assert err.endswith("error: cycle_max must be at least 3\n")

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_tracer_sees_both_level_kernels(tmp_path):
     report = tmp_path / "report.json"
     calls = [["solve", "--family", "complete_bipartite:3,3", "--constrained"],
+             ["solve", "--family", "cycle:5"],
              ["verify", "--enumerate", "5"]]
     # No bytecode cache is written into perfbench/.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
@@ -26,5 +27,6 @@ def test_tracer_sees_both_level_kernels(tmp_path):
     spans = json.loads(report.read_text(encoding="ascii"))["trace"]["spans"]
     assert {"kernels.constrained", "kernels.pruned"} <= set(spans)
     # The tracer also patches VerifyRun.write_jsonl on the class and wraps
-    # solver.solve where the CLI and the verifier look it up.
+    # solver.solve where the CLI looks it up; the verifier calls
+    # forcing_number, which runs no level kernel.
     assert {"verifier.write", "solver.solve"} <= set(spans)

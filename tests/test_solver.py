@@ -9,7 +9,7 @@ import pytest
 from forcing_lab import (BudgetExceeded, Graph, _kernels, brute_force_oracle,
                          complete, complete_bipartite,
                          connected_k_dominating_suite, cycle,
-                         greedy_upper_bound, is_forcing_set, is_k_connected,
+                         forcing_number, greedy_upper_bound, is_forcing_set, is_k_connected,
                          path, solve, solve_connected_complement, star)
 from forcing_lab._kernels import pure
 from forcing_lab.enumeration import enumerate_connected
@@ -96,6 +96,27 @@ class TestSolve:
             solve(Graph(0))
         with pytest.raises(ValueError):
             solve(cycle(3), 0)
+
+    def test_forcing_number_is_the_wavefront_alone(self):
+        # solve's value, from the wavefront's closures only: no level runs.
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                for k in (1, 2, 3):
+                    value, nodes = forcing_number(g, k)
+                    assert (value, nodes, False) == _kernels.wavefront(
+                        g.neighbor_masks, k, 10**9)
+                    assert value == solve(g, k).value, (g.edges(), k)
+
+    def test_forcing_number_checks_its_arguments_and_budget(self, petersen):
+        with pytest.raises(ValueError):
+            forcing_number(Graph(0))
+        with pytest.raises(ValueError):
+            forcing_number(cycle(3), 0)
+        with pytest.raises(BudgetExceeded) as err:
+            forcing_number(petersen, node_budget=20)
+        assert err.value.nodes_explored == 20
+        assert err.value.size_reached == _kernels.wavefront(
+            petersen.neighbor_masks, 1, 20)[0] < 5
 
     def test_budget_abort_never_reported_as_optimum(self, petersen):
         with pytest.raises(BudgetExceeded) as err:

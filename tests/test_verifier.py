@@ -8,10 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from forcing_lab import (Graph, SolveResult, StructureCheck, VerifyRun,
-                         VertexSet, check_extremal_structure, complete,
+from forcing_lab import (Graph, StructureCheck, VerifyRun,
+                         check_extremal_structure, complete,
                          complete_bipartite, cycle, encode_graph6,
-                         parse_graph6, path, run_known_values,
+                         forcing_number, parse_graph6, path, run_known_values,
                          run_tree_leaf_suite, star, tree_from_pruefer,
                          verify_stream)
 from forcing_lab import verifier
@@ -137,8 +137,8 @@ class TestVerifyStream:
         # off its equality family; K5 at k = 2 and Petersen are caught by
         # the lower bound alone.
         g = complete(5) if graph == "K5" else request.getfixturevalue(graph)
-        monkeypatch.setattr(verifier, "solve", lambda g, k, **kw: SolveResult(
-            1, VertexSet.from_ids([0], g.n), 0, "bnb", k))
+        monkeypatch.setattr(verifier, "forcing_number",
+                            lambda g, k, **kw: (1, 0))
         run = verify_stream([g], k)
         assert run.records[0].f_k == 1
         assert run.summary["counterexamples"] == [encode_graph6(g)]
@@ -215,13 +215,24 @@ class TestVerifyStream:
                 if rec.equality:
                     assert rec.min_degree == rec.max_degree
 
-    def test_budget_abort_is_unresolved_never_pass(self):
-        run = verify_stream([encode_graph6(cycle(6))], node_budget=2)
+    def test_budget_abort_is_unresolved_never_pass(self, petersen):
+        # Petersen's wavefront takes 41 nodes, so 20 aborts inside it.
+        run = verify_stream([encode_graph6(petersen)], node_budget=20)
         rec = run.records[0]
         assert rec.status == "unresolved" and rec.f_k is None
+        assert rec.solver_nodes == 20
         assert not rec.equality
         assert not run.ok
         assert run.summary["unresolved"] == [rec.graph6]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_solver_nodes_are_the_forcing_number_nodes(self, k):
+        # A record counts the wavefront's closures, not solve's witness
+        # level, and is written exactly as json.dumps writes its fields.
+        for rec in _sweep(6, k=k).records:
+            g = parse_graph6(rec.graph6)
+            assert (rec.f_k, rec.solver_nodes) == forcing_number(g, k)
+            assert rec.to_json_line() == json.dumps(rec._asdict())
 
     def test_k2_sweep_respects_connectivity_hypothesis(self):
         run = _sweep(5, k=2)
