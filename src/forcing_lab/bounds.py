@@ -13,16 +13,13 @@ from collections import namedtuple
 from .graphs import degree_stats, is_connected, is_k_connected
 
 
-def hypothesis_failure(g, k, *, max_degree=None):
+def hypothesis_failure(g, k):
     """Why the bound at ``k`` does not apply to ``g``: "disconnected",
     "max degree < 2" or "not k-connected" (k >= 2 only), checked in that
-    order; None when it applies. A caller that already holds the maximum
-    degree passes it as ``max_degree``."""
+    order; None when it applies."""
     if not is_connected(g):
         return "disconnected"
-    if max_degree is None:
-        max_degree = max(map(int.bit_count, g.neighbor_masks), default=0)
-    if max_degree < 2:
+    if max(map(int.bit_count, g.neighbor_masks), default=0) < 2:
         return "max degree < 2"
     if k >= 2 and not is_k_connected(g, k):
         return f"not {k}-connected"

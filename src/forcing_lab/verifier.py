@@ -32,7 +32,7 @@ from .bounds import (classify_extremal, degree_refined_bound,
                      forcing_upper_bound, hypothesis_failure)
 from .engine import is_forcing_set
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
-from .graphs import (VertexSet, connected_within, edge_boundary,
+from .graphs import (VertexSet, connected_within, degree_stats, edge_boundary,
                      is_k_connected, is_tree, leaves)
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, forcing_number,
                      solve_connected_complement)
@@ -120,9 +120,8 @@ def _verify_one(lineno, item, k, node_budget):
     summary list "parse_failures" or "skipped" and its entry (0 ms), or
     "record", the record (a Graph's names its graph6) and its time.
 
-    It computes only what the record reports: the degrees once, and the
-    forcing number without a witness, so ``solver_nodes`` counts the
-    wavefront's closures only."""
+    It computes the forcing number without a witness, so
+    ``solver_nodes`` counts the wavefront's closures only."""
     started = time.perf_counter()
     if isinstance(item, str):
         line = item
@@ -133,13 +132,11 @@ def _verify_one(lineno, item, k, node_budget):
                     {"line": lineno, "graph6": line, "error": str(exc)}, 0.0)
     else:
         g, line = item, encode_graph6(item)
-    degrees = tuple(map(int.bit_count, g.neighbor_masks))
-    dmax = max(degrees, default=0)
-    reason = hypothesis_failure(g, k, max_degree=dmax)
+    reason = hypothesis_failure(g, k)
     if reason:
         return ("skipped",
                 {"line": lineno, "graph6": line, "reason": reason}, 0.0)
-    dmin = min(degrees)
+    dmax, dmin, _ = degree_stats(g)
     num, den = forcing_upper_bound(g.n, dmax, k)
     # The three equality families are regular.
     cls = classify_extremal(g) if dmin == dmax else None

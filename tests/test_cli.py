@@ -217,10 +217,19 @@ class TestBounds:
          '{"n": 10, "max_degree": 3, "min_degree": 3, "k": 2, "bound_num": 12, '
          '"bound_den": 3, "refined_num": 12, "refined_den": 2, '
          '"meets_equality": false, "z": 5, "f_k": 2, "extremal_class": null}'),
-    ], ids=["C6-k1", "K44-k1", "Petersen-k1", "K5-k2", "Petersen-k2"])
+        (("--family", "complete:6", "--node-budget", "1"), 2,
+         '{"n": 6, "max_degree": 5, "min_degree": 5, "k": 2, "bound_num": 20, '
+         '"bound_den": 5, "refined_num": 20, "refined_den": 4, '
+         '"meets_equality": true, "z": 5, "f_k": 4, "extremal_class": '
+         '"complete", "graph": "K_6"}'),
+    ], ids=["C6-k1", "K44-k1", "Petersen-k1", "K5-k2", "Petersen-k2",
+            "K6-k2-budget-1"])
     def test_output_is_pinned(self, capsys, source, k, line):
         # Every key, in order: the degrees, both bounds, the verdict at k,
         # Z and f_k (k >= 2 only), the family and the graph's name, if any.
+        # bounds reports values only and never searches for a witness, so
+        # one node of budget is enough for K_6: its wavefront needs one
+        # closure at k = 1 and one at k = 2.
         code, out, _ = run_cli(capsys, "bounds", *source, "--k", str(k))
         assert code == 0
         assert out == line + "\n"
@@ -231,8 +240,9 @@ class TestBounds:
         assert "graph outside the bound's hypotheses: max degree < 2" in err
 
     def test_hypotheses_are_checked_before_any_solve(self, capsys):
-        # A budget of one node aborts any solve, so exit 2 here shows that
-        # the input is rejected first. EwCW is two disjoint triangles; P_3
+        # At a budget of one node a solve either aborts (exit 3) or
+        # reports (exit 0), so exit 2 here shows that the input is
+        # rejected first. EwCW is two disjoint triangles; P_3
         # and the star K_{1,3} are connected with max degree >= 2, but not
         # k-connected at the k given.
         for source, k, message in [
