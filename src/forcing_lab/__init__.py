@@ -19,9 +19,8 @@ from .engine import (ForcingTrace, TraceError, closure, is_forcing_set,
 from .enumeration import enumerate_connected, random_trees
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
 from .graphs import (Graph, VertexSet, complete, complete_bipartite, cycle,
-                     degree_stats, edge_boundary, generate, is_connected,
-                     is_k_connected, parse_edge_list, path, star,
-                     tree_from_pruefer)
+                     degree_stats, generate, is_connected, is_k_connected,
+                     parse_edge_list, path, star, tree_from_pruefer)
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, SolveResult,
                      brute_force_oracle, forcing_number, greedy_upper_bound,
                      solve, solve_connected_complement)
@@ -35,7 +34,7 @@ __all__ = [
     "parse_edge_list",
     "cycle", "complete", "complete_bipartite", "path", "star",
     "tree_from_pruefer", "generate", "degree_stats", "is_connected",
-    "is_k_connected", "edge_boundary",
+    "is_k_connected",
     "enumerate_connected", "random_trees",
     "closure", "is_forcing_set", "trace", "replay",
     "ForcingTrace", "TraceError",

@@ -110,7 +110,8 @@ def _add_k(p):
 
 def _add_node_budget(p):
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   dest="node_budget", help="search node budget")
+                   dest="node_budget", help="search node budget; one "
+                   "budget bounds all the solving done for one graph")
 
 
 @cache
@@ -214,9 +215,9 @@ def _cmd_bounds(args):
     reason = hypothesis_failure(g, args.k)
     if reason:
         raise ValueError(f"graph outside the bound's hypotheses: {reason}")
-    z, _ = forcing_number(g, 1, node_budget=args.node_budget)
+    z, nodes = forcing_number(g, 1, node_budget=args.node_budget)
     f_k = z if args.k == 1 else forcing_number(
-        g, args.k, node_budget=args.node_budget)[0]
+        g, args.k, node_budget=args.node_budget - nodes)[0]
     dmax, dmin, _ = degree_stats(g)
     num, den = forcing_upper_bound(g.n, dmax, args.k)
     rnum, rden = degree_refined_bound(g.n, dmax, dmin)

@@ -2,8 +2,7 @@
 
 Vertex ids are dense 0-based integers (bitmask-friendly); any external
 label belongs in ``Graph.name``. Includes the named-family generators,
-degree/connectivity utilities, the edge-boundary count, and the
-edge-list input parser.
+degree/connectivity utilities and the edge-list input parser.
 """
 
 from itertools import combinations
@@ -271,15 +270,6 @@ def is_k_connected(g, k):
 def connected_within(g, s):
     """True iff the subgraph induced by VertexSet ``s`` is connected."""
     return _kernels.connected_in(g.neighbor_masks, s.mask)
-
-
-def edge_boundary(g, s):
-    """Number of edges with exactly one endpoint in VertexSet ``s``."""
-    inside = s.mask
-    total = 0
-    for v in s:
-        total += (g.neighbor_masks[v] & ~inside).bit_count()
-    return total
 
 
 def is_tree(g):

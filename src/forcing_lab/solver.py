@@ -25,13 +25,15 @@ from . import _kernels
 from ._kernels import pure
 from .graphs import VertexSet
 
-# The node budget also bounds memory: the wavefront stores at most one
-# closed set per node, at most 52 bytes each compiled (a 9-byte slot in a
-# hash table at least a quarter full, and an 8-byte queue slot in an array
-# that grows by doubling; about 70 while the table doubles) and 70 to 115
-# pure (a dict entry, an int and a list slot). At the default that bound
-# is about 5 GB compiled. Far fewer sets than nodes are stored in practice:
-# Q5 stores 19,033 sets in 296,545 nodes.
+# One node budget bounds all the solving done for one graph: each solve
+# gets only what the solves before it left. It also bounds memory: the
+# wavefront stores at most one closed set per node, at most 52 bytes each
+# compiled (a 9-byte slot in a hash table at least a quarter full, and an
+# 8-byte queue slot in an array that grows by doubling; about 70 while the
+# table doubles) and 70 to 115 pure (a dict entry, an int and a list
+# slot). At the default that bound is about 5 GB compiled. Far fewer sets
+# than nodes are stored in practice: Q5 stores 19,033 sets in 296,545
+# nodes.
 DEFAULT_NODE_BUDGET = 10**8
 
 

@@ -32,7 +32,7 @@ from .bounds import (classify_extremal, degree_refined_bound,
                      forcing_upper_bound, hypothesis_failure)
 from .engine import is_forcing_set
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
-from .graphs import (VertexSet, connected_within, degree_stats, edge_boundary,
+from .graphs import (VertexSet, connected_within, degree_stats,
                      is_k_connected, is_tree, leaves)
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, forcing_number,
                      solve_connected_complement)
@@ -81,6 +81,17 @@ class StructureCheck(namedtuple("StructureCheck", [
     __slots__ = ()
 
 
+def _dissect_complement(g, k, node_budget):
+    """``(S, complement, counts)`` for the minimum k-forcing set S with
+    connected complement, ``counts[i]`` being the number of neighbors the
+    i-th vertex of S has in the complement; None when no proper S has one."""
+    res = solve_connected_complement(g, k, node_budget=node_budget)
+    if res.complement_empty:
+        return None
+    s, comp = res.witness, res.witness.complement()
+    return s, comp, [(g.neighbor_masks[v] & comp.mask).bit_count() for v in s]
+
+
 def check_extremal_structure(g, *, node_budget=DEFAULT_NODE_BUDGET):
     """For a bound-attaining graph with max degree >= 3: find a minimum
     forcing set S whose complement induces a connected subgraph, then check
@@ -89,30 +100,25 @@ def check_extremal_structure(g, *, node_budget=DEFAULT_NODE_BUDGET):
     is at least |S|.
 
     Returns absent=True (ok=None) when no proper forcing set has a
-    connected complement, rather than assuming one exists.
+    connected complement, rather than assuming one exists. One budget
+    bounds all the solving done for one graph, so ``verify`` passes
+    ``node_budget`` what the graph's forcing number left of it.
     """
-    res = solve_connected_complement(g, 1, node_budget=node_budget)
-    if res.complement_empty:
+    dissection = _dissect_complement(g, 1, node_budget)
+    if dissection is None:
         return StructureCheck(ok=None, absent=True)
-    s = res.witness
-    comp = s.complement()
-    single = all(
-        (g.neighbor_masks[v] & comp.mask).bit_count() == 1 for v in s)
+    s, comp, outside = dissection
+    single = all(count == 1 for count in outside)
     comp_edges = sum(
         (g.neighbor_masks[v] & comp.mask).bit_count() for v in comp) // 2
     tree_ok = connected_within(g, comp) and comp_edges == len(comp) - 1
-    boundary = edge_boundary(g, s)
+    boundary = sum(outside)
     boundary_ok = boundary >= len(s)
     return StructureCheck(
-        ok=single and tree_ok and boundary_ok,
-        absent=False,
-        set_size=len(s),
-        complement_size=len(comp),
-        single_outside_neighbor=single,
-        complement_is_tree=tree_ok,
-        boundary=boundary,
-        boundary_at_least_set=boundary_ok,
-    )
+        ok=single and tree_ok and boundary_ok, absent=False,
+        set_size=len(s), complement_size=len(comp),
+        single_outside_neighbor=single, complement_is_tree=tree_ok,
+        boundary=boundary, boundary_at_least_set=boundary_ok)
 
 
 def _verify_one(lineno, item, k, node_budget):
@@ -120,8 +126,8 @@ def _verify_one(lineno, item, k, node_budget):
     summary list "parse_failures" or "skipped" and its entry (0 ms), or
     "record", the record (a Graph's names its graph6) and its time.
 
-    It computes the forcing number without a witness, so
-    ``solver_nodes`` counts the wavefront's closures only."""
+    ``solver_nodes`` counts the wavefront's closures (no witness level),
+    or in an unresolved record all the nodes spent."""
     started = time.perf_counter()
     if isinstance(item, str):
         line = item
@@ -140,15 +146,16 @@ def _verify_one(lineno, item, k, node_budget):
     num, den = forcing_upper_bound(g.n, dmax, k)
     # The three equality families are regular.
     cls = classify_extremal(g) if dmin == dmax else None
-    f_k = structure = None
+    structure, nodes, status = None, 0, "ok"
     try:
         f_k, nodes = forcing_number(g, k, node_budget=node_budget)
-    except BudgetExceeded as exc:
-        equality, nodes, status = False, exc.nodes_explored, "unresolved"
-    else:
-        equality, status = f_k * den == num, "ok"
+        equality = f_k * den == num
         if k == 1 and equality and dmax >= 3:
-            structure = check_extremal_structure(g, node_budget=node_budget).ok
+            structure = check_extremal_structure(
+                g, node_budget=node_budget - nodes).ok
+    except BudgetExceeded as exc:
+        f_k, equality, status = None, False, "unresolved"
+        nodes += exc.nodes_explored
     record = VerificationRecord(
         graph6=line, n=g.n, max_degree=dmax, min_degree=dmin, k=k,
         f_k=f_k, bound_num=num, bound_den=den, equality=equality,
@@ -162,16 +169,16 @@ def _verify_chunk(chunk):
     return [_verify_one(*args) for args in chunk]
 
 
-def _is_counterexample(rec, k):
+def _is_counterexample(rec):
     if rec.status != "ok":
         return False
     if rec.f_k * rec.bound_den > rec.bound_num:
         return True
     # The first force needs a colored vertex with at most k uncolored
     # neighbors, so no forcing set is smaller than min degree - k + 1.
-    if rec.f_k < max(1, rec.min_degree - k + 1):
+    if rec.f_k < max(1, rec.min_degree - rec.k + 1):
         return True
-    if k != 1:
+    if rec.k != 1:
         return False
     # The minimum-degree refinement and the equality characterization are
     # k = 1 statements; at larger k the bound can be tight off the three
@@ -200,8 +207,9 @@ class VerifyRun:
     input lines. Only lines are parsed; a Graph is named in its record
     and in the summary by its graph6 encoding. Graphs that fall outside
     the bound's hypotheses are skipped and counted with the reason
-    ``hypothesis_failure`` gives, never silently dropped. Solver budget
-    aborts become "unresolved" records, never passes.
+    ``hypothesis_failure`` gives, never silently dropped. One node budget
+    bounds all the solving done for one graph; an abort makes the record
+    "unresolved", never a pass and never the end of the run.
 
     ``summary`` holds, in this order: k, workers, input_lines,
     graphs_verified, skipped and parse_failures (each with its input
@@ -342,7 +350,7 @@ def _sweep(payload, workers, summary):
             if rec.status == "ok" and rec.equality:
                 row["extremal_count"] += 1
                 row["extremal_graph6"].append(rec.graph6)
-            if _is_counterexample(rec, summary["k"]):
+            if _is_counterexample(rec):
                 summary["counterexamples"].append(rec.graph6)
             if rec.status == "unresolved":
                 summary["unresolved"].append(rec.graph6)
@@ -437,20 +445,18 @@ def connected_k_dominating_suite(graphs, ks=(1, 2),
         for k in ks:
             if not is_k_connected(g, k):
                 continue
-            res = solve_connected_complement(g, k, node_budget=node_budget)
-            if res.complement_empty:
+            dissection = _dissect_complement(g, k, node_budget)
+            if dissection is None:
                 absences.append({"graph6": encode_graph6(g), "k": k})
                 continue
             checked += 1
-            comp = res.witness.complement()
+            s, comp, outside = dissection
             connected_ok = connected_within(g, comp)
-            dominating_ok = all(
-                (g.neighbor_masks[v] & comp.mask).bit_count() >= k
-                for v in res.witness)
+            dominating_ok = all(count >= k for count in outside)
             if not (connected_ok and dominating_ok):
                 failures.append({
                     "graph6": encode_graph6(g), "k": k,
-                    "witness": list(res.witness),
+                    "witness": list(s),
                     "connected": connected_ok,
                     "dominating": dominating_ok,
                 })

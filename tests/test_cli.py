@@ -217,22 +217,30 @@ class TestBounds:
          '{"n": 10, "max_degree": 3, "min_degree": 3, "k": 2, "bound_num": 12, '
          '"bound_den": 3, "refined_num": 12, "refined_den": 2, '
          '"meets_equality": false, "z": 5, "f_k": 2, "extremal_class": null}'),
-        (("--family", "complete:6", "--node-budget", "1"), 2,
+        (("--family", "complete:6", "--node-budget", "2"), 2,
          '{"n": 6, "max_degree": 5, "min_degree": 5, "k": 2, "bound_num": 20, '
          '"bound_den": 5, "refined_num": 20, "refined_den": 4, '
          '"meets_equality": true, "z": 5, "f_k": 4, "extremal_class": '
          '"complete", "graph": "K_6"}'),
     ], ids=["C6-k1", "K44-k1", "Petersen-k1", "K5-k2", "Petersen-k2",
-            "K6-k2-budget-1"])
+            "K6-k2-budget-2"])
     def test_output_is_pinned(self, capsys, source, k, line):
         # Every key, in order: the degrees, both bounds, the verdict at k,
         # Z and f_k (k >= 2 only), the family and the graph's name, if any.
         # bounds reports values only and never searches for a witness, so
-        # one node of budget is enough for K_6: its wavefront needs one
-        # closure at k = 1 and one at k = 2.
+        # two nodes of budget are enough for K_6: its wavefront needs one
+        # closure at k = 1 and one at k = 2, both drawn from the one budget.
         code, out, _ = run_cli(capsys, "bounds", *source, "--k", str(k))
         assert code == 0
         assert out == line + "\n"
+
+    def test_k_solve_gets_what_the_k1_solve_left(self, capsys):
+        # At a budget of one node, K_6's k = 1 wavefront spends it all, so
+        # the k = 2 solve has none left.
+        code, out, err = run_cli(capsys, "bounds", "--family", "complete:6",
+                                 "--k", "2", "--node-budget", "1")
+        assert code == 3 and out == ""
+        assert "budget exceeded" in err
 
     def test_max_degree_below_two_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--family", "path:2")
@@ -402,6 +410,37 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--enumerate", "4",
                              "--node-budget", "2")
         assert code == 3
+
+    def test_structure_abort_is_unresolved_and_the_run_goes_on(
+            self, capsys, tmp_path, monkeypatch):
+        # K_{3,3} (EFz_) takes 7 nodes for its forcing number and 10 for
+        # its structure check; a budget of 8 leaves the check 1 node.
+        stream = "Bw\nEFz_\nCr\n"
+        prefix = str(tmp_path / "run")
+        for out_args in ([], ["--out", prefix]):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+                io.BytesIO(stream.encode()), encoding="ascii"))
+            code, out, err = run_cli(capsys, "verify", "--input", "-",
+                                     "--node-budget", "8", *out_args)
+            assert code == 3
+            if out_args:
+                out = (tmp_path / "run.records.jsonl").read_text()
+                csv_text = (tmp_path / "run.summary.csv").read_text()
+                summary = json.loads(
+                    (tmp_path / "run.summary.json").read_text())
+                assert summary["unresolved"] == ["EFz_"]
+            else:
+                csv_text = "\n".join(err.splitlines()[1:-1])
+            records = [json.loads(ln) for ln in out.splitlines()]
+            assert [(r["graph6"], r["status"]) for r in records] == [
+                ("Bw", "ok"), ("EFz_", "unresolved"), ("Cr", "ok")]
+            assert (records[1]["f_k"], records[1]["equality"],
+                    records[1]["structure_ok"], records[1]["solver_nodes"]) \
+                == (None, False, None, 8)
+            assert [row.split(",")[:2] for row in csv_text.splitlines()] == [
+                ["n", "graph_count"], ["3", "1"], ["4", "1"], ["6", "1"]]
+            line = json.loads(err.splitlines()[-1])["summary"]
+            assert (line["graphs_verified"], line["unresolved"]) == (3, 1)
 
     def test_structure_failure_exits_1_after_writing_every_record(
             self, capsys, monkeypatch):

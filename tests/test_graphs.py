@@ -12,9 +12,9 @@ import pytest
 from forcing_lab import (Graph, SolveResult, StructureCheck, VertexSet,
                          check_extremal_structure, classify_extremal,
                          complete, complete_bipartite, cycle, degree_stats,
-                         edge_boundary, generate, is_connected,
-                         is_k_connected, parse_edge_list, path, solve, star,
-                         trace, tree_from_pruefer, verify_stream)
+                         generate, is_connected, is_k_connected,
+                         parse_edge_list, path, solve, star, trace,
+                         tree_from_pruefer, verify_stream)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree, leaves
 
@@ -209,25 +209,6 @@ class TestConnectivity:
         for nbrs, kappa in _node_connectivities():
             for k in range(1, 5):
                 assert kernels.k_connected(nbrs, k) == (kappa >= k), (nbrs, k)
-
-
-class TestEdgeBoundary:
-    def test_examples(self):
-        k4 = complete(4)
-        assert edge_boundary(k4, VertexSet.from_ids([0, 1], 4)) == 4
-        assert edge_boundary(k4, VertexSet(0, 4)) == 0
-        c6 = cycle(6)
-        assert edge_boundary(c6, VertexSet.from_ids([0, 1, 2], 6)) == 2
-
-    def test_complement_symmetry(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            n = rng.randint(1, 10)
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if rng.random() < 0.5]
-            g = Graph(n, edges)
-            s = VertexSet(rng.getrandbits(n), n)
-            assert edge_boundary(g, s) == edge_boundary(g, s.complement())
 
 
 def test_leaves():

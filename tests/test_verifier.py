@@ -6,6 +6,7 @@ import json
 import multiprocessing
 from types import SimpleNamespace
 
+import networkx as nx
 import pytest
 
 from forcing_lab import (Graph, StructureCheck, VerifyRun,
@@ -225,6 +226,35 @@ class TestVerifyStream:
         assert not run.ok
         assert run.summary["unresolved"] == [rec.graph6]
 
+    def test_structure_check_runs_on_what_the_forcing_number_left(self):
+        # K_{3,3}'s forcing number takes 7 nodes and its structure check
+        # 10, so 17 covers both and 16 aborts inside the check.
+        g6 = encode_graph6(complete_bipartite(3, 3))
+        run = verify_stream([g6], node_budget=16)
+        rec = run.records[0]
+        assert (rec.status, rec.f_k, rec.equality, rec.structure_ok,
+                rec.solver_nodes) == ("unresolved", None, False, None, 16)
+        assert run.summary["unresolved"] == [g6]
+        assert run.summary["per_n"][6]["extremal_count"] == 0
+        assert not run.ok
+        run = verify_stream([g6], node_budget=17)
+        rec = run.records[0]
+        assert (rec.status, rec.f_k, rec.equality, rec.structure_ok,
+                rec.solver_nodes) == ("ok", 4, True, True, 7)
+        assert run.ok
+
+    def test_structure_abort_in_the_pool_is_unresolved(self, pooled):
+        # The pool takes every item after the first.
+        lines = ["Bw"] + ["Cr"] * 16 + ["EFz_"] + ["Cr"] * 16
+        serial = verify_stream(lines, node_budget=8)
+        parallel = verify_stream(lines, workers=2, node_budget=8)
+        assert pooled == [2]
+        assert _lines(parallel) == _lines(serial)
+        assert [r.graph6 for r in parallel.records
+                if r.status == "unresolved"] == ["EFz_"]
+        assert parallel.summary["unresolved"] == ["EFz_"]
+        assert parallel.summary["graphs_verified"] == len(lines)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_solver_nodes_are_the_forcing_number_nodes(self, k):
         # A record counts the wavefront's closures, not solve's witness
@@ -412,6 +442,24 @@ class TestExtremalStructure:
         assert out.ok
         assert out.set_size == 4 and out.complement_size == 2
         assert out.complement_is_tree
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dissection_counts_each_vertex_its_outside_neighbors(self, k):
+        # The counts sum to the edge boundary of S, which is also that of
+        # its complement, and the structure check reports that sum.
+        for g in (g for n in range(2, 7) for g in enumerate_connected(n)):
+            dissection = verifier._dissect_complement(g, k, 10**6)
+            if dissection is None:
+                continue
+            s, comp, counts = dissection
+            assert comp == s.complement()
+            nxg = nx.Graph(g.edges())
+            nxg.add_nodes_from(range(g.n))
+            assert counts == [len(set(nxg[v]) & set(comp)) for v in s]
+            assert sum(counts) == nx.cut_size(nxg, list(s)) \
+                == nx.cut_size(nxg, list(comp))
+            if k == 1:
+                assert check_extremal_structure(g).boundary == sum(counts)
 
     def test_sweep_attaches_structure_only_where_it_applies(self):
         run = _sweep(6)
