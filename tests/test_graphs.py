@@ -15,6 +15,7 @@ from forcing_lab import (Graph, SolveResult, StructureCheck, VertexSet,
                          generate, is_connected, is_k_connected,
                          parse_edge_list, path, solve, star, trace,
                          tree_from_pruefer, verify_stream)
+from forcing_lab import verifier
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree, leaves
 
@@ -209,6 +210,37 @@ class TestConnectivity:
         for nbrs, kappa in _node_connectivities():
             for k in range(1, 5):
                 assert kernels.k_connected(nbrs, k) == (kappa >= k), (nbrs, k)
+
+
+class TestEdgeBoundary:
+    # The edge boundary of the connected-complement witness S is the sum of
+    # the dissection's per-vertex counts of neighbours outside S.
+    def test_examples(self):
+        for g, size, boundary in ((complete(4), 3, 3),
+                                  (complete_bipartite(3, 3), 4, 4),
+                                  (cycle(6), 2, 2)):
+            s, comp, counts = verifier._dissect_complement(g, 1, 10**6)
+            assert (len(s), sum(counts)) == (size, boundary)
+            cut = [(u, v) for u, v in g.edges() if (u in s) != (v in s)]
+            assert len(cut) == boundary
+            assert check_extremal_structure(g).boundary == boundary
+
+    def test_complement_symmetry(self):
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.5]
+            g = Graph(n, edges)
+            dissection = verifier._dissect_complement(g, 1, 10**6)
+            if dissection is None:
+                continue
+            checked += 1
+            s, comp, counts = dissection
+            assert sum(counts) == sum(
+                (g.neighbor_masks[v] & s.mask).bit_count() for v in comp)
+        assert checked
 
 
 def test_leaves():
