@@ -61,9 +61,6 @@ class ForcingTrace(namedtuple("ForcingTrace", ["k", "initial", "events"])):
             mask |= 1 << forced
         return VertexSet(mask, self.initial.capacity)
 
-    def forces_all(self):
-        return len(self.final_state()) == self.initial.capacity
-
 
 def trace(g, k, s):
     """Deterministic forcing trace from ``s`` to its closure.

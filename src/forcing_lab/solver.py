@@ -26,14 +26,15 @@ from ._kernels import pure
 from .graphs import VertexSet
 
 # One node budget bounds all the solving done for one graph: each solve
-# gets only what the solves before it left. It also bounds memory: the
-# wavefront stores at most one closed set per node, at most 52 bytes each
-# compiled (a 9-byte slot in a hash table at least a quarter full, and an
-# 8-byte queue slot in an array that grows by doubling; about 70 while the
-# table doubles) and 70 to 115 pure (a dict entry, an int and a list
-# slot). At the default that bound is about 5 GB compiled. Far fewer sets
-# than nodes are stored in practice: Q5 stores 19,033 sets in 296,545
-# nodes.
+# gets only what the solves before it left. A `verify` record's structure
+# check continues the record's solve and runs no wavefront of its own. The
+# budget also bounds memory: the wavefront stores at most one closed set
+# per node, at most 52 bytes each compiled (a 9-byte slot in a hash table
+# at least a quarter full, and an 8-byte queue slot in an array that grows
+# by doubling; about 70 while the table doubles) and 70 to 115 pure (a
+# dict entry, an int and a list slot). At the default that bound is about
+# 5 GB compiled. Far fewer sets than nodes are stored in practice: Q5
+# stores 19,033 sets in 296,545 nodes.
 DEFAULT_NODE_BUDGET = 10**8
 
 
@@ -196,12 +197,20 @@ def solve_connected_complement(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     n - 1, and both draw on the one ``node_budget``. An abort in either is
     BudgetExceeded, as in ``solve``. When no proper subset qualifies, the
     answer degenerates to S = V (the empty complement); that case comes
-    back flagged via ``complement_empty`` rather than silently.
+    back flagged via ``complement_empty`` rather than silently. ``verify``
+    runs the scan alone, from its record's value: no second wavefront.
     """
     value, nodes = forcing_number(g, k, node_budget=node_budget)
+    return _connected_complement_from(g, k, value, node_budget, nodes)
+
+
+def _connected_complement_from(g, k, value, node_budget, spent):
+    """The scan of ``solve_connected_complement`` from size ``value``, the
+    k-forcing number, after ``spent`` of the ``node_budget`` nodes; the
+    result's ``nodes_explored`` includes ``spent``."""
     size, witness, total = _scan_levels(
         g, k, _kernels.search_level_constrained, range(value, g.n),
-        node_budget, nodes)
+        node_budget, spent)
     if witness is None:
         return SolveResult(g.n, VertexSet.full(g.n), total, "oracle", k,
                            constrained=True, complement_empty=True)

@@ -34,7 +34,8 @@ from .engine import is_forcing_set
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
 from .graphs import (VertexSet, connected_within, degree_stats,
                      is_k_connected, is_tree, leaves)
-from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, forcing_number,
+from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded,
+                     _connected_complement_from, forcing_number,
                      solve_connected_complement)
 
 # JSON for the values of the record fields that may be None or a bool.
@@ -72,53 +73,51 @@ class VerificationRecord(namedtuple("VerificationRecord", [
 
 
 class StructureCheck(namedtuple("StructureCheck", [
-        "ok", "absent", "set_size", "complement_size",
-        "single_outside_neighbor", "complement_is_tree", "boundary",
-        "boundary_at_least_set"], defaults=(None,) * 6)):
+        "set_size", "complement_size", "single_outside_neighbor",
+        "complement_is_tree", "boundary"], defaults=(None,) * 5)):
     """Dissection of a bound-attaining graph around a minimum forcing set
-    with connected complement."""
+    with connected complement; every field is None when no proper forcing
+    set has one."""
 
     __slots__ = ()
 
+    @property
+    def ok(self):
+        """Whether the dissection holds; None when there was none."""
+        return None if self.set_size is None else (
+            self.single_outside_neighbor and self.complement_is_tree
+            and self.boundary >= self.set_size)
 
-def _dissect_complement(g, k, node_budget):
-    """``(S, complement, counts)`` for the minimum k-forcing set S with
-    connected complement, ``counts[i]`` being the number of neighbors the
-    i-th vertex of S has in the complement; None when no proper S has one."""
-    res = solve_connected_complement(g, k, node_budget=node_budget)
-    if res.complement_empty:
-        return None
-    s, comp = res.witness, res.witness.complement()
+
+def _dissect_complement(g, solution):
+    """``(S, complement, counts)`` for the witness S of a
+    ``solve_connected_complement`` result, ``counts[i]`` being the number
+    of neighbors the i-th vertex of S has in the complement."""
+    s, comp = solution.witness, solution.witness.complement()
     return s, comp, [(g.neighbor_masks[v] & comp.mask).bit_count() for v in s]
 
 
-def check_extremal_structure(g, *, node_budget=DEFAULT_NODE_BUDGET):
-    """For a bound-attaining graph with max degree >= 3: find a minimum
-    forcing set S whose complement induces a connected subgraph, then check
-    that every vertex of S has exactly one neighbor outside S, that the
-    complement induces a tree, and that the S-to-complement edge boundary
-    is at least |S|.
+def check_extremal_structure(g, solution):
+    """For a bound-attaining graph with max degree >= 3 and its k = 1
+    ``solve_connected_complement`` result, a minimum forcing set S whose
+    complement induces a connected subgraph: check that every vertex of S
+    has exactly one neighbor outside S, that the complement induces a tree,
+    and that the S-to-complement edge boundary is at least |S|.
 
-    Returns absent=True (ok=None) when no proper forcing set has a
-    connected complement, rather than assuming one exists. One budget
-    bounds all the solving done for one graph, so ``verify`` passes
-    ``node_budget`` what the graph's forcing number left of it.
+    Returns the empty check (ok None) when S = V. The check runs no solve,
+    so in ``verify`` it spends no wavefront of its own.
     """
-    dissection = _dissect_complement(g, 1, node_budget)
-    if dissection is None:
-        return StructureCheck(ok=None, absent=True)
-    s, comp, outside = dissection
-    single = all(count == 1 for count in outside)
+    if solution.complement_empty:
+        return StructureCheck()
+    s, comp, outside = _dissect_complement(g, solution)
     comp_edges = sum(
         (g.neighbor_masks[v] & comp.mask).bit_count() for v in comp) // 2
-    tree_ok = connected_within(g, comp) and comp_edges == len(comp) - 1
-    boundary = sum(outside)
-    boundary_ok = boundary >= len(s)
     return StructureCheck(
-        ok=single and tree_ok and boundary_ok, absent=False,
         set_size=len(s), complement_size=len(comp),
-        single_outside_neighbor=single, complement_is_tree=tree_ok,
-        boundary=boundary, boundary_at_least_set=boundary_ok)
+        single_outside_neighbor=all(count == 1 for count in outside),
+        complement_is_tree=(connected_within(g, comp)
+                            and comp_edges == len(comp) - 1),
+        boundary=sum(outside))
 
 
 def _verify_one(lineno, item, k, node_budget):
@@ -127,7 +126,8 @@ def _verify_one(lineno, item, k, node_budget):
     "record", the record (a Graph's names its graph6) and its time.
 
     ``solver_nodes`` counts the wavefront's closures (no witness level),
-    or in an unresolved record all the nodes spent."""
+    or in an unresolved record all the nodes spent. The structure check's
+    scan continues from ``f_k``: no wavefront of its own."""
     started = time.perf_counter()
     if isinstance(item, str):
         line = item
@@ -151,11 +151,11 @@ def _verify_one(lineno, item, k, node_budget):
         f_k, nodes = forcing_number(g, k, node_budget=node_budget)
         equality = f_k * den == num
         if k == 1 and equality and dmax >= 3:
-            structure = check_extremal_structure(
-                g, node_budget=node_budget - nodes).ok
+            structure = check_extremal_structure(g, _connected_complement_from(
+                g, 1, f_k, node_budget, nodes)).ok
     except BudgetExceeded as exc:
         f_k, equality, status = None, False, "unresolved"
-        nodes += exc.nodes_explored
+        nodes = exc.nodes_explored
     record = VerificationRecord(
         graph6=line, n=g.n, max_degree=dmax, min_degree=dmin, k=k,
         f_k=f_k, bound_num=num, bound_den=den, equality=equality,
@@ -246,11 +246,6 @@ class VerifyRun:
                 n, row["graph_count"], row["extremal_count"],
                 " ".join(row["extremal_graph6"]),
                 row["max_solver_nodes"], round(row["wall_time_ms"], 3)])
-
-    @property
-    def ok(self):
-        return not (self.summary["counterexamples"] or self.summary["unresolved"]
-                    or self.summary["structure_failures"])
 
 
 # Items are verified in this process until the times _verify_one measures
@@ -435,22 +430,20 @@ def connected_k_dominating_suite(graphs, ks=(1, 2),
     set with connected complement must be a connected set dominating every
     outside vertex at least k times.
 
-    Graphs that admit no proper connected-complement forcing set are
-    reported as absences, never counted as passes.
+    Each pair is solved once, by ``solve_connected_complement``; the
+    dissection, shared with the structure check, runs no wavefront of its
+    own. The complement is never empty: as n > k, V minus any vertex u
+    forces u and leaves {u} connected.
     """
     checked = 0
     failures = []
-    absences = []
     for g in graphs:
         for k in ks:
             if not is_k_connected(g, k):
                 continue
-            dissection = _dissect_complement(g, k, node_budget)
-            if dissection is None:
-                absences.append({"graph6": encode_graph6(g), "k": k})
-                continue
             checked += 1
-            s, comp, outside = dissection
+            s, comp, outside = _dissect_complement(
+                g, solve_connected_complement(g, k, node_budget=node_budget))
             connected_ok = connected_within(g, comp)
             dominating_ok = all(count >= k for count in outside)
             if not (connected_ok and dominating_ok):
@@ -460,4 +453,4 @@ def connected_k_dominating_suite(graphs, ks=(1, 2),
                     "connected": connected_ok,
                     "dominating": dominating_ok,
                 })
-    return {"checked": checked, "failures": failures, "absences": absences}
+    return {"checked": checked, "failures": failures}

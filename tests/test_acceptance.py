@@ -14,7 +14,8 @@ import pytest
 from forcing_lab import (brute_force_oracle, check_extremal_structure,
                          closure, complete, complete_bipartite, cycle,
                          degree_stats, forcing_upper_bound, is_k_connected,
-                         parse_graph6, replay, solve, trace)
+                         parse_graph6, replay, solve,
+                         solve_connected_complement, trace)
 from forcing_lab._kernels import canonical_mask
 from forcing_lab.enumeration import (CONNECTED_CLASS_COUNTS,
                                      enumerate_connected, random_trees)
@@ -142,7 +143,6 @@ def test_criterion_5_connected_dominating_complements():
     ok = not out["failures"] and out["checked"] > 0
     _report(5, ok,
             out["failures"] or f"{out['checked']} (graph, k) pairs checked, "
-                               f"{len(out['absences'])} absences reported, "
                                f"zero failures")
 
 
@@ -234,7 +234,7 @@ def test_criterion_8_extremal_structure(sweeps):
                 failures.append(f"{rec.graph6}: structure_ok={rec.structure_ok}")
     for g in (complete(4), complete(8), complete_bipartite(3, 3),
               complete_bipartite(4, 4)):
-        out = check_extremal_structure(g)
+        out = check_extremal_structure(g, solve_connected_complement(g))
         if not (out.ok and out.single_outside_neighbor
                 and out.complement_is_tree and out.boundary >= out.set_size):
             failures.append(f"{g.name}: {out}")

@@ -413,8 +413,9 @@ class TestVerify:
 
     def test_structure_abort_is_unresolved_and_the_run_goes_on(
             self, capsys, tmp_path, monkeypatch):
-        # K_{3,3} (EFz_) takes 7 nodes for its forcing number and 10 for
-        # its structure check; a budget of 8 leaves the check 1 node.
+        # K_{3,3} (EFz_) takes 7 nodes for its forcing number and 3 for
+        # its structure check's constrained scan, which continues from
+        # f_k; a budget of 8 leaves the scan 1 node.
         stream = "Bw\nEFz_\nCr\n"
         prefix = str(tmp_path / "run")
         for out_args in ([], ["--out", prefix]):
@@ -445,9 +446,12 @@ class TestVerify:
     def test_structure_failure_exits_1_after_writing_every_record(
             self, capsys, monkeypatch):
         # K4 is the only n = 4 graph at equality with max degree >= 3.
+        # Every witness vertex with two outside neighbours fails it.
         monkeypatch.setattr(verifier, "check_extremal_structure",
-                            lambda g, **kw: StructureCheck(ok=False,
-                                                           absent=False))
+                            lambda g, solution: StructureCheck(
+                                set_size=3, complement_size=1,
+                                single_outside_neighbor=False,
+                                complement_is_tree=True, boundary=6))
         code, out, err = run_cli(capsys, "verify", "--enumerate", "4")
         assert code == 1
         records = [json.loads(ln) for ln in out.splitlines()]

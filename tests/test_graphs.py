@@ -13,7 +13,8 @@ from forcing_lab import (Graph, SolveResult, StructureCheck, VertexSet,
                          check_extremal_structure, classify_extremal,
                          complete, complete_bipartite, cycle, degree_stats,
                          generate, is_connected, is_k_connected,
-                         parse_edge_list, path, solve, star, trace,
+                         parse_edge_list, path, solve,
+                         solve_connected_complement, star, trace,
                          tree_from_pruefer, verify_stream)
 from forcing_lab import verifier
 from forcing_lab.enumeration import enumerate_connected
@@ -80,15 +81,16 @@ class TestGraph:
             "bound_num", "bound_den", "equality", "extremal_class",
             "extremal_parameter", "structure_ok", "solver_nodes", "status"]
         structure_fields = [
-            "ok", "absent", "set_size", "complement_size",
-            "single_outside_neighbor", "complement_is_tree", "boundary",
-            "boundary_at_least_set"]
+            "set_size", "complement_size", "single_outside_neighbor",
+            "complement_is_tree", "boundary"]
         record = verify_stream([g]).records[0]
         results = [
             (solve(g, 1), ["value", "witness", "nodes_explored", "method",
                            "k", "constrained", "complement_empty"]),
             (record, record_fields),
-            (check_extremal_structure(complete_bipartite(3, 3)),
+            (check_extremal_structure(
+                complete_bipartite(3, 3),
+                solve_connected_complement(complete_bipartite(3, 3))),
              structure_fields),
             (classify_extremal(g), ["tag", "parameter"]),
             (trace(g, 1, [0, 1]), ["k", "initial", "events"]),
@@ -109,8 +111,13 @@ class TestGraph:
                            method="bnb", k=1) == SolveResult(
             2, witness, 1, "bnb", 1, constrained=False,
             complement_empty=False)
-        absent = StructureCheck(ok=None, absent=True)
-        assert [getattr(absent, f) for f in structure_fields[2:]] == [None] * 6
+        # ok is read from the fields. With no proper connected-complement
+        # forcing set, every field and ok are None.
+        assert results[2][0].ok is True
+        edgeless = Graph(2, [])
+        empty = check_extremal_structure(
+            edgeless, solve_connected_complement(edgeless))
+        assert empty == StructureCheck() == (None,) * 5 and empty.ok is None
 
 
 class TestFamilies:
@@ -219,11 +226,12 @@ class TestEdgeBoundary:
         for g, size, boundary in ((complete(4), 3, 3),
                                   (complete_bipartite(3, 3), 4, 4),
                                   (cycle(6), 2, 2)):
-            s, comp, counts = verifier._dissect_complement(g, 1, 10**6)
+            solution = solve_connected_complement(g)
+            s, comp, counts = verifier._dissect_complement(g, solution)
             assert (len(s), sum(counts)) == (size, boundary)
             cut = [(u, v) for u, v in g.edges() if (u in s) != (v in s)]
             assert len(cut) == boundary
-            assert check_extremal_structure(g).boundary == boundary
+            assert check_extremal_structure(g, solution).boundary == boundary
 
     def test_complement_symmetry(self):
         rng = random.Random(11)
@@ -233,11 +241,11 @@ class TestEdgeBoundary:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.5]
             g = Graph(n, edges)
-            dissection = verifier._dissect_complement(g, 1, 10**6)
-            if dissection is None:
+            solution = solve_connected_complement(g)
+            if solution.complement_empty:
                 continue
             checked += 1
-            s, comp, counts = dissection
+            s, comp, counts = verifier._dissect_complement(g, solution)
             assert sum(counts) == sum(
                 (g.neighbor_masks[v] & s.mask).bit_count() for v in comp)
         assert checked

@@ -13,9 +13,9 @@ from forcing_lab import (Graph, StructureCheck, VerifyRun,
                          check_extremal_structure, complete,
                          complete_bipartite, cycle, encode_graph6,
                          forcing_number, parse_graph6, path, run_known_values,
-                         run_tree_leaf_suite, star, tree_from_pruefer,
-                         verify_stream)
-from forcing_lab import verifier
+                         run_tree_leaf_suite, solve_connected_complement,
+                         star, tree_from_pruefer, verify_stream)
+from forcing_lab import _kernels, verifier
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree
 
@@ -26,6 +26,23 @@ def _sweep(n, **kwargs):
 
 def _lines(run):
     return [r.to_json_line() for r in run.records]
+
+
+def _clean(run):
+    """No counterexample, unresolved record or structure failure: what
+    makes ``verify`` exit 0."""
+    return not (run.summary["counterexamples"] or run.summary["unresolved"]
+                or run.summary["structure_failures"])
+
+
+def _structure(g):
+    return check_extremal_structure(g, solve_connected_complement(g))
+
+
+# A dissection that fails: the witness vertices have two outside neighbors.
+_FAILED_STRUCTURE = StructureCheck(
+    set_size=3, complement_size=1, single_outside_neighbor=False,
+    complement_is_tree=True, boundary=6)
 
 
 @pytest.fixture
@@ -107,27 +124,24 @@ class TestVerifyStream:
     def test_n6_extremal_census(self):
         run = _sweep(6)
         assert len(run.records) == 112
-        assert run.ok
+        assert _clean(run)
         extremal = {r.extremal_class for r in run.records if r.equality}
         assert extremal == {"cycle", "complete", "balanced_complete_bipartite"}
         assert run.summary["per_n"][6]["extremal_count"] == 3
 
     def test_structure_failure_makes_run_not_ok(self, monkeypatch):
         monkeypatch.setattr(verifier, "check_extremal_structure",
-                            lambda g, **kw: StructureCheck(ok=False,
-                                                           absent=False))
+                            lambda g, solution: _FAILED_STRUCTURE)
         run = _sweep(6)
         assert run.summary["structure_failures"]
         assert not run.summary["counterexamples"]
         assert not run.summary["unresolved"]
-        assert not run.ok
 
     def test_refined_bound_violation_is_a_counterexample(self, monkeypatch):
         monkeypatch.setattr(verifier, "degree_refined_bound",
                             lambda n, dmax, dmin: (0, 1))
         run = _sweep(5)
         assert len(run.summary["counterexamples"]) == len(run.records)
-        assert not run.ok
 
     @pytest.mark.parametrize("graph,k", [("K5", 1), ("K5", 2),
                                          ("petersen", 1)])
@@ -143,7 +157,6 @@ class TestVerifyStream:
         run = verify_stream([g], k)
         assert run.records[0].f_k == 1
         assert run.summary["counterexamples"] == [encode_graph6(g)]
-        assert not run.ok
 
     def test_k2_equality_only_on_cycles_and_complete_graphs(self):
         # An observation of these sweeps at n <= 7, not a statement taken
@@ -151,7 +164,7 @@ class TestVerifyStream:
         # (C_4 = K_{2,2}, C_3 = K_3).
         for n in range(3, 8):
             run = _sweep(n, k=2)
-            assert run.ok and run.summary["counterexamples"] == []
+            assert _clean(run)
             tight = sorted((r.min_degree, r.max_degree, r.extremal_class)
                            for r in run.records if r.equality)
             expected = {
@@ -223,25 +236,53 @@ class TestVerifyStream:
         assert rec.status == "unresolved" and rec.f_k is None
         assert rec.solver_nodes == 20
         assert not rec.equality
-        assert not run.ok
         assert run.summary["unresolved"] == [rec.graph6]
 
     def test_structure_check_runs_on_what_the_forcing_number_left(self):
-        # K_{3,3}'s forcing number takes 7 nodes and its structure check
-        # 10, so 17 covers both and 16 aborts inside the check.
+        # K_{3,3}'s forcing number takes 7 nodes, and its structure check
+        # continues from f_k = 4 with a constrained scan of 3 and no
+        # wavefront of its own, so 10 covers both and 9 aborts in the scan.
         g6 = encode_graph6(complete_bipartite(3, 3))
-        run = verify_stream([g6], node_budget=16)
+        run = verify_stream([g6], node_budget=9)
         rec = run.records[0]
         assert (rec.status, rec.f_k, rec.equality, rec.structure_ok,
-                rec.solver_nodes) == ("unresolved", None, False, None, 16)
+                rec.solver_nodes) == ("unresolved", None, False, None, 9)
         assert run.summary["unresolved"] == [g6]
         assert run.summary["per_n"][6]["extremal_count"] == 0
-        assert not run.ok
-        run = verify_stream([g6], node_budget=17)
+        assert not (run.summary["counterexamples"]
+                    or run.summary["structure_failures"])
+        run = verify_stream([g6], node_budget=10)
         rec = run.records[0]
         assert (rec.status, rec.f_k, rec.equality, rec.structure_ok,
                 rec.solver_nodes) == ("ok", 4, True, True, 7)
-        assert run.ok
+        assert _clean(run)
+
+    def test_one_wavefront_per_record(self, monkeypatch):
+        # K6 (E~~w) and K_{3,3} (EFz_) also get a structure check, which
+        # continues the record's solve instead of running its own.
+        calls = []
+        wavefront = _kernels.wavefront
+        monkeypatch.setattr(_kernels, "wavefront",
+                            lambda *a: calls.append(a) or wavefront(*a))
+        run = _sweep(6)
+        assert len(calls) == len(run.records) == 112
+
+    def test_structure_witness_has_f_k_vertices(self, monkeypatch):
+        # The constrained scan starts at the record's f_k, and on every
+        # equality graph a set of that size has a connected complement.
+        sizes = {}
+        check = verifier.check_extremal_structure
+
+        def spy(g, solution):
+            sizes[encode_graph6(g)] = len(solution.witness)
+            return check(g, solution)
+        monkeypatch.setattr(verifier, "check_extremal_structure", spy)
+        checked = [(rec.graph6, rec.f_k) for n in range(4, 9)
+                   for rec in _sweep(n).records
+                   if rec.equality and rec.max_degree >= 3]
+        # K4..K8, K_{3,3} and K_{4,4}.
+        assert len(checked) == 7
+        assert sizes == dict(checked)
 
     def test_structure_abort_in_the_pool_is_unresolved(self, pooled):
         # The pool takes every item after the first.
@@ -432,13 +473,13 @@ class TestStreaming:
 
 class TestExtremalStructure:
     def test_complete_graph(self):
-        out = check_extremal_structure(complete(4))
-        assert out.ok and not out.absent
+        out = _structure(complete(4))
+        assert out.ok
         assert out.set_size == 3 and out.complement_size == 1
         assert out.boundary >= 3
 
     def test_balanced_bipartite(self):
-        out = check_extremal_structure(complete_bipartite(3, 3))
+        out = _structure(complete_bipartite(3, 3))
         assert out.ok
         assert out.set_size == 4 and out.complement_size == 2
         assert out.complement_is_tree
@@ -448,10 +489,9 @@ class TestExtremalStructure:
         # The counts sum to the edge boundary of S, which is also that of
         # its complement, and the structure check reports that sum.
         for g in (g for n in range(2, 7) for g in enumerate_connected(n)):
-            dissection = verifier._dissect_complement(g, k, 10**6)
-            if dissection is None:
-                continue
-            s, comp, counts = dissection
+            solution = solve_connected_complement(g, k)
+            assert not solution.complement_empty
+            s, comp, counts = verifier._dissect_complement(g, solution)
             assert comp == s.complement()
             nxg = nx.Graph(g.edges())
             nxg.add_nodes_from(range(g.n))
@@ -459,7 +499,8 @@ class TestExtremalStructure:
             assert sum(counts) == nx.cut_size(nxg, list(s)) \
                 == nx.cut_size(nxg, list(comp))
             if k == 1:
-                assert check_extremal_structure(g).boundary == sum(counts)
+                assert (check_extremal_structure(g, solution).boundary
+                        == sum(counts))
 
     def test_sweep_attaches_structure_only_where_it_applies(self):
         run = _sweep(6)
