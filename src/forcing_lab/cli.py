@@ -284,7 +284,7 @@ def _cmd_verify(args):
     summary = run.summary
     print(json.dumps({"summary": {
         "graphs_verified": summary["graphs_verified"],
-        "skipped": len(summary["skipped"]),
+        "skipped": sum(summary["skipped"].values()),
         "parse_failures": len(summary["parse_failures"]),
         "extremal": sum(r["extremal_count"] for r in summary["per_n"].values()),
         "counterexamples": len(summary["counterexamples"]),

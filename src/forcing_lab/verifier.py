@@ -121,9 +121,12 @@ def check_extremal_structure(g, solution):
 
 
 def _verify_one(lineno, item, k, node_budget):
-    """Process one graph6 line or Graph into ``(kind, entry, ms)``: the
-    summary list "parse_failures" or "skipped" and its entry (0 ms), or
-    "record", the record (a Graph's names its graph6) and its time.
+    """Process one graph6 line or Graph into ``(kind, entry, ms)``, with
+    0 ms unless a record: "parse_failures" and the line's entry;
+    "skipped" and the ``hypothesis_failure`` reason alone, so a skip
+    costs its summary a count; or "record", the record and its time. A
+    Graph is encoded to graph6, the name its record gives it, only once
+    it passes the hypotheses.
 
     ``solver_nodes`` counts the wavefront's closures (no witness level),
     or in an unresolved record all the nodes spent. The structure check's
@@ -137,11 +140,12 @@ def _verify_one(lineno, item, k, node_budget):
             return ("parse_failures",
                     {"line": lineno, "graph6": line, "error": str(exc)}, 0.0)
     else:
-        g, line = item, encode_graph6(item)
+        g, line = item, None
     reason = hypothesis_failure(g, k)
     if reason:
-        return ("skipped",
-                {"line": lineno, "graph6": line, "reason": reason}, 0.0)
+        return ("skipped", reason, 0.0)
+    if line is None:
+        line = encode_graph6(g)
     dmax, dmin, _ = degree_stats(g)
     num, den = forcing_upper_bound(g.n, dmax, k)
     # The three equality families are regular.
@@ -206,26 +210,28 @@ class VerifyRun:
     Lines are stripped, and blank lines are skipped but still counted as
     input lines. Only lines are parsed; a Graph is named in its record
     and in the summary by its graph6 encoding. Graphs that fall outside
-    the bound's hypotheses are skipped and counted with the reason
-    ``hypothesis_failure`` gives, never silently dropped. One node budget
+    the bound's hypotheses are skipped and counted per reason
+    ``hypothesis_failure`` gives, never silently dropped; a skip keeps
+    nothing else, so a long run of skips costs no memory. One node budget
     bounds all the solving done for one graph; an abort makes the record
     "unresolved", never a pass and never the end of the run.
 
     ``summary`` holds, in this order: k, workers, input_lines,
-    graphs_verified, skipped and parse_failures (each with its input
-    line), per_n (graph count, extremal count and graph6 list, max solver
-    nodes and summed time per order), then the graph6 lists of
-    counterexamples, unresolved records and structure failures. Each
-    outcome is folded in as it is yielded, and input_lines is set when the
-    input is exhausted, so the summary is complete only once ``records``
-    is drained (``write_jsonl`` drains it).
+    graphs_verified, skipped (a count per reason, the reasons in the
+    order the input first gives them), parse_failures (each with its
+    input line, text and error), per_n (graph count, extremal count and
+    graph6 list, max solver nodes and summed time per order), then the
+    graph6 lists of counterexamples, unresolved records and structure
+    failures. Each outcome is folded in as it is yielded, and input_lines
+    is set when the input is exhausted, so the summary is complete only
+    once ``records`` is drained (``write_jsonl`` drains it).
     """
 
     def __init__(self, items, k=1, *, workers=1,
                  node_budget=DEFAULT_NODE_BUDGET):
         self.summary = {
             "k": k, "workers": workers, "input_lines": 0,
-            "graphs_verified": 0, "skipped": [], "parse_failures": [],
+            "graphs_verified": 0, "skipped": {}, "parse_failures": [],
             "per_n": {}, "counterexamples": [], "unresolved": [],
             "structure_failures": []}
         self.records = _sweep(_numbered(items, k, node_budget, self.summary),
@@ -328,10 +334,14 @@ def _outcomes(payload, workers):
 
 def _sweep(payload, workers, summary):
     """The records of ``VerifyRun``, each outcome folded into ``summary``."""
+    skipped = summary["skipped"]
     with closing(_outcomes(payload, workers)) as outcomes:
         for kind, entry, elapsed in outcomes:
-            if kind != "record":
-                summary[kind].append(entry)
+            if kind == "skipped":
+                skipped[entry] = skipped.get(entry, 0) + 1
+                continue
+            if kind == "parse_failures":
+                summary["parse_failures"].append(entry)
                 continue
             rec = entry
             summary["graphs_verified"] += 1

@@ -4,6 +4,8 @@ and the structural/leaf/known-value suites."""
 import io
 import json
 import multiprocessing
+import tracemalloc
+from collections import deque
 from types import SimpleNamespace
 
 import networkx as nx
@@ -15,7 +17,8 @@ from forcing_lab import (Graph, StructureCheck, VerifyRun,
                          forcing_number, parse_graph6, path, run_known_values,
                          run_tree_leaf_suite, solve_connected_complement,
                          star, tree_from_pruefer, verify_stream)
-from forcing_lab import _kernels, verifier
+from forcing_lab import _kernels, enumeration, verifier
+from forcing_lab._kernels import pure as pure_kernels
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree
 
@@ -196,8 +199,8 @@ class TestVerifyStream:
                  encode_graph6(cycle(4))]
         run = verify_stream(lines)
         assert len(run.records) == 1
-        reasons = {s["reason"] for s in run.summary["skipped"]}
-        assert reasons == {"max degree < 2", "disconnected"}
+        assert run.summary["skipped"] == {"max degree < 2": 1,
+                                          "disconnected": 1}
 
     def test_records_preserve_input_order(self):
         lines = [encode_graph6(g) for g in enumerate_connected(5)]
@@ -310,9 +313,39 @@ class TestVerifyStream:
         assert all(r.f_k * r.bound_den <= r.bound_num for r in run.records)
         # one record or one skip per enumerated graph; trees and other
         # cut-vertex graphs land in the skips
-        reasons = {s["reason"] for s in run.summary["skipped"]}
-        assert reasons == {"not 2-connected"}
-        assert len(run.records) + len(run.summary["skipped"]) == 21
+        assert run.summary["skipped"] == {"not 2-connected": 11}
+        assert len(run.records) == 21 - 11
+
+    # Connected graphs on n = 3..7 vertices (A001349), and how many of them
+    # are 2-connected (A002218) and 3-connected (A006290).
+    CONNECTED = [2, 6, 21, 112, 853]
+    K_CONNECTED = {2: [1, 3, 10, 56, 468], 3: [0, 1, 3, 17, 136]}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_k_sweeps_verify_exactly_the_k_connected_graphs(
+            self, k, kernels, monkeypatch):
+        monkeypatch.setattr(_kernels, "_compiled",
+                            None if kernels is pure_kernels else kernels)
+        # Enumerate on this backend too, not from another test's cache.
+        enumeration._canonical_classes.cache_clear()
+        assert _sweep(2, k=k).summary["skipped"] == {"max degree < 2": 1}
+        for n, connected, verified in zip(range(3, 8), self.CONNECTED,
+                                          self.K_CONNECTED[k]):
+            summary = _sweep(n, k=k).summary
+            assert summary["graphs_verified"] == verified, n
+            assert summary["skipped"] == {
+                f"not {k}-connected": connected - verified}, n
+
+    def test_skipped_graphs_are_never_encoded(self, monkeypatch):
+        # Enumerated graphs are named by their graph6 only in a record;
+        # the 95 connected 6-vertex graphs that are not 3-connected never
+        # reach the encoder.
+        calls = []
+        encode = verifier.encode_graph6
+        monkeypatch.setattr(verifier, "encode_graph6",
+                            lambda g: calls.append(g) or encode(g))
+        run = _sweep(6, k=3)
+        assert len(calls) == len(run.records) == 17
 
     def test_csv_summary_shape(self):
         run = _sweep(4)
@@ -407,10 +440,26 @@ class TestStreaming:
                                  "unresolved", "structure_failures"]
         assert summary["input_lines"] == len(lines)
         assert [f["line"] for f in summary["parse_failures"]] == [3]
-        assert summary["skipped"][0] == {"line": 4, "graph6": "A?",
-                                         "reason": "disconnected"}
-        assert (summary["graphs_verified"] + len(summary["skipped"])
+        # Reasons in the order the input first gives them: the pair, then
+        # the 56 connected 6-vertex graphs with a cut vertex.
+        assert list(summary["skipped"].items()) == [("disconnected", 1),
+                                                     ("not 2-connected", 56)]
+        assert (summary["graphs_verified"] + sum(summary["skipped"].values())
                 == len(lines) - 2)
+
+    def test_skips_cost_a_count_not_memory(self):
+        # 20,000 disconnected pairs leave one count behind.
+        lines = ["A?"] * 20000
+        tracemalloc.start()
+        try:
+            run = VerifyRun(lines, 1)
+            deque(run.records, maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert run.summary["skipped"] == {"disconnected": 20000}
+        assert run.summary["input_lines"] == 20000
 
     def test_short_run_starts_no_pool(self, fake_clock, no_pool):
         # At the default threshold, 112 records at 8 ms each (0.9 s) stay
@@ -442,7 +491,9 @@ class TestStreaming:
         assert parallel.summary == dict(serial.summary, workers=2)
         assert serial.summary["input_lines"] == len(lines)
         assert [f["line"] for f in serial.summary["parse_failures"]] == [3, 7]
-        assert [s["line"] for s in serial.summary["skipped"]] == [4, 8]
+        # One skip on each side of the handoff, both counted.
+        assert head.count("A?") == tail.count("A?") == 1
+        assert serial.summary["skipped"] == {"disconnected": 2}
 
     def test_drawing_the_input_is_not_verification_time(
             self, monkeypatch, fake_clock, no_pool):
