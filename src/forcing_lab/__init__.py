@@ -24,7 +24,7 @@ from .graphs import (Graph, VertexSet, complete, complete_bipartite, cycle,
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, SolveResult,
                      brute_force_oracle, forcing_number, greedy_upper_bound,
                      solve, solve_connected_complement)
-from .verifier import (StructureCheck, VerificationRecord, VerifyRun,
+from .verifier import (VerificationRecord, VerifyRun,
                        check_extremal_structure, connected_k_dominating_suite,
                        run_known_values, run_tree_leaf_suite, verify_stream)
 
@@ -44,6 +44,6 @@ __all__ = [
     "forcing_upper_bound", "degree_refined_bound",
     "ExtremalClass", "classify_extremal",
     "VerificationRecord", "VerifyRun", "verify_stream",
-    "StructureCheck", "check_extremal_structure", "run_tree_leaf_suite",
+    "check_extremal_structure", "run_tree_leaf_suite",
     "run_known_values", "connected_k_dominating_suite",
 ]

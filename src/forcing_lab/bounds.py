@@ -1,7 +1,8 @@
 """Sharp degree-based upper bounds, their hypotheses and the
 extremal-family classifier. ``hypothesis_failure`` alone decides whether
-the bound applies: ``verify`` skips, ``bounds`` rejects and
-``classify_extremal`` refuses a graph by the reason it gives.
+the bound applies: ``verify`` skips and ``bounds`` rejects a graph by the
+reason it gives. ``classify_extremal`` needs no hypothesis, as a graph
+outside them is in no family.
 
 Everything here is exact integer arithmetic: bounds are returned as
 unreduced (numerator, denominator) pairs and every comparison is
@@ -63,21 +64,18 @@ class ExtremalClass(namedtuple("ExtremalClass", ["tag", "parameter"])):
 
 
 def classify_extremal(g):
-    """Match a graph inside the k = 1 hypotheses against the three
-    equality families; None when it is none of them. A graph outside
-    them raises ValueError with the ``hypothesis_failure`` reason.
+    """Which of the three k = 1 equality families ``g`` is in, or None:
+    exact on every graph with at least one vertex (``degree_stats``
+    raises on the empty one). Every family member is regular of degree
+    d >= 2, and connected.
 
     The families overlap on small orders; overlaps resolve in the fixed
     order complete > balanced_complete_bipartite > cycle, so K_3 reports
     "complete" and C_4 = K_{2,2} reports "balanced_complete_bipartite".
     """
-    reason = hypothesis_failure(g, 1)
-    if reason:
-        raise ValueError(f"graph outside the bound's hypotheses: {reason}")
-    dmax, dmin, _ = degree_stats(g)
-    if dmin != dmax:
+    d, dmin, _ = degree_stats(g)
+    if dmin != d or d < 2:
         return None
-    d = dmax
     if d == g.n - 1:
         return ExtremalClass("complete", d)
     if g.n == 2 * d:
@@ -90,6 +88,6 @@ def classify_extremal(g):
         b = nbrs[0]
         if all(m == b for v, m in enumerate(nbrs) if not b >> v & 1):
             return ExtremalClass("balanced_complete_bipartite", d)
-    if d == 2:
+    if d == 2 and is_connected(g):
         return ExtremalClass("cycle", g.n)
     return None

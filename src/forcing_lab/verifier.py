@@ -6,8 +6,8 @@ bound; at k = 1 it also checks the minimum-degree refinement and that
 equality holds exactly on the three structural families. Also hosts the
 property suites: the leaf-subset forcing check on trees, the closed-form
 values for the named families, and the structural dissection of
-bound-attaining graphs (one outside neighbor per set vertex, tree
-complement, edge boundary at least the set size).
+bound-attaining graphs (one outside neighbor per set vertex, so an edge
+boundary of exactly the set size, and a tree complement).
 
 Verification runs are deterministic: records come back in input order
 whatever the worker count, and every summary reduction is order-free.
@@ -72,23 +72,6 @@ class VerificationRecord(namedtuple("VerificationRecord", [
             f'"solver_nodes": {nodes}, "status": {quote(status)}}}')
 
 
-class StructureCheck(namedtuple("StructureCheck", [
-        "set_size", "complement_size", "single_outside_neighbor",
-        "complement_is_tree", "boundary"], defaults=(None,) * 5)):
-    """Dissection of a bound-attaining graph around a minimum forcing set
-    with connected complement; every field is None when no proper forcing
-    set has one."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self):
-        """Whether the dissection holds; None when there was none."""
-        return None if self.set_size is None else (
-            self.single_outside_neighbor and self.complement_is_tree
-            and self.boundary >= self.set_size)
-
-
 def _dissect_complement(g, solution):
     """``(S, complement, counts)`` for the witness S of a
     ``solve_connected_complement`` result, ``counts[i]`` being the number
@@ -100,24 +83,19 @@ def _dissect_complement(g, solution):
 def check_extremal_structure(g, solution):
     """For a bound-attaining graph with max degree >= 3 and its k = 1
     ``solve_connected_complement`` result, a minimum forcing set S whose
-    complement induces a connected subgraph: check that every vertex of S
-    has exactly one neighbor outside S, that the complement induces a tree,
-    and that the S-to-complement edge boundary is at least |S|.
-
-    Returns the empty check (ok None) when S = V. The check runs no solve,
-    so in ``verify`` it spends no wavefront of its own.
+    complement induces a connected subgraph: True when every vertex of S
+    has exactly one neighbor outside S, so that the S-to-complement edge
+    boundary is exactly |S|, and the complement induces a tree; False
+    otherwise; None when S = V. The check runs no solve, so in ``verify``
+    it spends no wavefront of its own.
     """
     if solution.complement_empty:
-        return StructureCheck()
-    s, comp, outside = _dissect_complement(g, solution)
+        return None
+    _, comp, outside = _dissect_complement(g, solution)
     comp_edges = sum(
         (g.neighbor_masks[v] & comp.mask).bit_count() for v in comp) // 2
-    return StructureCheck(
-        set_size=len(s), complement_size=len(comp),
-        single_outside_neighbor=all(count == 1 for count in outside),
-        complement_is_tree=(connected_within(g, comp)
-                            and comp_edges == len(comp) - 1),
-        boundary=sum(outside))
+    return (all(count == 1 for count in outside)
+            and connected_within(g, comp) and comp_edges == len(comp) - 1)
 
 
 def _verify_one(lineno, item, k, node_budget):
@@ -129,8 +107,9 @@ def _verify_one(lineno, item, k, node_budget):
     it passes the hypotheses.
 
     ``solver_nodes`` counts the wavefront's closures (no witness level),
-    or in an unresolved record all the nodes spent. The structure check's
-    scan continues from ``f_k``: no wavefront of its own."""
+    or in an unresolved record all the nodes spent. ``structure_ok`` is
+    ``check_extremal_structure``'s verdict, on a scan that continues
+    from ``f_k``: no wavefront of its own."""
     started = time.perf_counter()
     if isinstance(item, str):
         line = item
@@ -156,7 +135,7 @@ def _verify_one(lineno, item, k, node_budget):
         equality = f_k * den == num
         if k == 1 and equality and dmax >= 3:
             structure = check_extremal_structure(g, _connected_complement_from(
-                g, 1, f_k, node_budget, nodes)).ok
+                g, 1, f_k, node_budget, nodes))
     except BudgetExceeded as exc:
         f_k, equality, status = None, False, "unresolved"
         nodes = exc.nodes_explored

@@ -11,16 +11,16 @@ import time
 
 import pytest
 
-from forcing_lab import (brute_force_oracle, check_extremal_structure,
-                         closure, complete, complete_bipartite, cycle,
-                         degree_stats, forcing_upper_bound, is_k_connected,
-                         parse_graph6, replay, solve,
-                         solve_connected_complement, trace)
+from forcing_lab import (brute_force_oracle, closure, complete,
+                         complete_bipartite, cycle, degree_stats,
+                         forcing_upper_bound, is_k_connected, parse_graph6,
+                         replay, solve, solve_connected_complement, trace)
 from forcing_lab._kernels import canonical_mask
 from forcing_lab.enumeration import (CONNECTED_CLASS_COUNTS,
                                      enumerate_connected, random_trees)
 from forcing_lab.graphs import Graph, VertexSet, is_tree
-from forcing_lab.verifier import (connected_k_dominating_suite,
+from forcing_lab.verifier import (_dissect_complement,
+                                  connected_k_dominating_suite,
                                   run_tree_leaf_suite, verify_stream)
 
 SWEEP_ORDERS = range(3, 9)
@@ -232,16 +232,18 @@ def test_criterion_8_extremal_structure(sweeps):
             checked += 1
             if rec.structure_ok is not True:
                 failures.append(f"{rec.graph6}: structure_ok={rec.structure_ok}")
-    for g in (complete(4), complete(8), complete_bipartite(3, 3),
-              complete_bipartite(4, 4)):
-        out = check_extremal_structure(g, solve_connected_complement(g))
-        if not (out.ok and out.single_outside_neighbor
-                and out.complement_is_tree and out.boundary >= out.set_size):
-            failures.append(f"{g.name}: {out}")
+            # The paper's third property, read from the dissection itself:
+            # the edge boundary of S is exactly |S|.
+            g = parse_graph6(rec.graph6)
+            s, _, counts = _dissect_complement(g, solve_connected_complement(g))
+            if sum(counts) != len(s):
+                failures.append(f"{rec.graph6}: edge boundary {sum(counts)} "
+                                f"!= |S| = {len(s)}")
     expected_checked = 7  # completes at n=4..8 plus the two balanced bipartites
     if checked != expected_checked:
         failures.append(f"structure checks ran on {checked} graphs, "
                         f"expected {expected_checked}")
     _report(8, not failures,
             failures or f"all {checked} equality graphs with max degree >= 3 "
-                        f"pass the structural dissection")
+                        f"pass the structural dissection, each with edge "
+                        f"boundary exactly |S|")

@@ -5,7 +5,7 @@ import pytest
 
 from forcing_lab import (classify_extremal, complete, complete_bipartite,
                          cycle, degree_refined_bound, forcing_upper_bound,
-                         path, solve, star)
+                         parse_graph6, path, solve, star)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import Graph, degree_stats
 
@@ -94,12 +94,40 @@ class TestClassifier:
                 ("balanced_complete_bipartite", d)
 
     def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
-            classify_extremal(Graph(4, [(0, 1), (2, 3)]))
+        # Outside the hypotheses is outside every family. The two disjoint
+        # triangles are 2-regular, so only the cycle's connectivity test
+        # turns them away.
+        assert classify_extremal(Graph(4, [(0, 1), (2, 3)])) is None
+        assert classify_extremal(parse_graph6("EwCW")) is None
 
     def test_rejects_max_degree_below_two(self):
+        assert classify_extremal(path(2)) is None
+        assert classify_extremal(Graph(1)) is None
         with pytest.raises(ValueError):
-            classify_extremal(path(2))
+            classify_extremal(Graph(0))
+
+    def test_exact_on_the_atlas(self):
+        # Every graph on 1 to 7 vertices, connected or not: the tag is
+        # what isomorphism to K_n, K_{n/2,n/2} or C_n gives, in the
+        # classifier's overlap order.
+        atlas = nx.graph_atlas_g()[1:]
+        assert len(atlas) == 1252
+        tagged = 0
+        for nxg in atlas:
+            n = nxg.number_of_nodes()
+            expected = None
+            if n >= 3 and nx.is_isomorphic(nxg, nx.complete_graph(n)):
+                expected = ("complete", n - 1)
+            elif n >= 4 and n % 2 == 0 and nx.is_isomorphic(
+                    nxg, nx.complete_bipartite_graph(n // 2, n // 2)):
+                expected = ("balanced_complete_bipartite", n // 2)
+            elif n >= 3 and nx.is_isomorphic(nxg, nx.cycle_graph(n)):
+                expected = ("cycle", n)
+            got = classify_extremal(Graph(n, nxg.edges()))
+            assert got == expected, (n, sorted(nxg.edges()))
+            tagged += got is not None
+        # K_3..K_7, K_{2,2}, K_{3,3}, C_5, C_6 and C_7.
+        assert tagged == 10
 
 
 class TestBoundProperties:

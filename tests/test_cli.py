@@ -4,15 +4,14 @@ import hashlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 
 import pytest
 
 import forcing_lab
-from forcing_lab import (StructureCheck, _kernels, classify_extremal,
-                         complete, complete_bipartite, cycle, encode_graph6,
+from forcing_lab import (_kernels, classify_extremal, complete,
+                         complete_bipartite, cycle, encode_graph6,
                          enumerate_connected, parse_graph6, path, verifier,
                          verify_stream)
 from forcing_lab import cli
@@ -267,8 +266,9 @@ class TestBounds:
     def test_bounds_rejects_exactly_what_verify_skips(self, capsys, k):
         # Every connected graph with n <= 5, two disjoint triangles, P_2
         # and the empty graph: verify skips a graph exactly when bounds
-        # exits 2, for the same reason, and at k = 1 classify_extremal
-        # raises exactly then.
+        # exits 2, for the same reason. At k = 1 a skipped graph is in no
+        # equality family, so classify_extremal gives None for it (and
+        # raises only on the empty graph, which has no degrees).
         cases = [(("--graph6", encode_graph6(g)), g) for n in range(1, 6)
                  for g in enumerate_connected(n)]
         cases += [(("--graph6", "EwCW"), parse_graph6("EwCW")),
@@ -288,13 +288,12 @@ class TestBounds:
             else:
                 assert code == 2 and out == ""
                 assert err.endswith(f"hypotheses: {reason}\n")
-            if k == 1:
-                try:
-                    classify_extremal(g)
-                except ValueError as exc:
-                    assert reason and str(exc).endswith(reason)
+            if k == 1 and reason is not None:
+                if g.n:
+                    assert classify_extremal(g) is None
                 else:
-                    assert reason is None
+                    with pytest.raises(ValueError):
+                        classify_extremal(g)
         assert skips
 
 
@@ -448,13 +447,10 @@ class TestVerify:
 
     def test_structure_failure_exits_1_after_writing_every_record(
             self, capsys, monkeypatch):
-        # K4 is the only n = 4 graph at equality with max degree >= 3.
-        # Every witness vertex with two outside neighbours fails it.
+        # K4 is the only n = 4 graph at equality with max degree >= 3, so
+        # the only record a False structure verdict can mark.
         monkeypatch.setattr(verifier, "check_extremal_structure",
-                            lambda g, solution: StructureCheck(
-                                set_size=3, complement_size=1,
-                                single_outside_neighbor=False,
-                                complement_is_tree=True, boundary=6))
+                            lambda g, solution: False)
         code, out, err = run_cli(capsys, "verify", "--enumerate", "4")
         assert code == 1
         records = [json.loads(ln) for ln in out.splitlines()]
@@ -485,14 +481,19 @@ class TestVerify:
         assert len(out.strip().splitlines()) == 112
 
     def test_enumerate_7_values_and_witnesses_are_pinned(self, capsys):
-        # The record lines as written, with only the solver's node count
-        # cut out, which a different search order may legitimately change.
-        code, out, _ = run_cli(capsys, "verify", "--enumerate", "7")
-        assert code == 0
-        text = re.sub(r'"solver_nodes": \d+, ', "", out)
-        assert text.count("solver_nodes") == 0
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "4838dec9610ef03a5a9692d8fd4b90f26c52f9b52ce3ad073cc3b8be89455977")
+        # The whole stdout, solver node counts included, on both backends.
+        # A change that alters any byte of it must say so and re-pin.
+        for k, digest in [
+                (1, "e313dee3bbc1c2110db44281f9d69c7d"
+                    "1da3b2890c515bb35ac65ddf4a69f3ab"),
+                (2, "ef3f33f24bd95833c119c9f6db16b733"
+                    "2f3f68cb821361b86720777c14ffc382"),
+                (3, "45d5c107ede101f860ef086ebcf3a7c0"
+                    "8358af7a15ac829ff4bec5323cd52575")]:
+            code, out, _ = run_cli(capsys, "verify", "--enumerate", "7",
+                                   "--k", str(k))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, k
 
     def test_record_lines_are_what_json_dumps_writes(self, capsys, tmp_path,
                                                      petersen):

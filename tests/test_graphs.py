@@ -9,7 +9,7 @@ from functools import lru_cache
 import networkx as nx
 import pytest
 
-from forcing_lab import (Graph, SolveResult, StructureCheck, VertexSet,
+from forcing_lab import (Graph, SolveResult, VertexSet,
                          check_extremal_structure, classify_extremal,
                          complete, complete_bipartite, cycle, degree_stats,
                          generate, is_connected, is_k_connected,
@@ -80,18 +80,11 @@ class TestGraph:
             "graph6", "n", "max_degree", "min_degree", "k", "f_k",
             "bound_num", "bound_den", "equality", "extremal_class",
             "extremal_parameter", "structure_ok", "solver_nodes", "status"]
-        structure_fields = [
-            "set_size", "complement_size", "single_outside_neighbor",
-            "complement_is_tree", "boundary"]
         record = verify_stream([g]).records[0]
         results = [
             (solve(g, 1), ["value", "witness", "nodes_explored", "method",
                            "k", "constrained", "complement_empty"]),
             (record, record_fields),
-            (check_extremal_structure(
-                complete_bipartite(3, 3),
-                solve_connected_complement(complete_bipartite(3, 3))),
-             structure_fields),
             (classify_extremal(g), ["tag", "parameter"]),
             (trace(g, 1, [0, 1]), ["k", "initial", "events"]),
         ]
@@ -111,13 +104,6 @@ class TestGraph:
                            method="bnb", k=1) == SolveResult(
             2, witness, 1, "bnb", 1, constrained=False,
             complement_empty=False)
-        # ok is read from the fields. With no proper connected-complement
-        # forcing set, every field and ok are None.
-        assert results[2][0].ok is True
-        edgeless = Graph(2, [])
-        empty = check_extremal_structure(
-            edgeless, solve_connected_complement(edgeless))
-        assert empty == StructureCheck() == (None,) * 5 and empty.ok is None
 
 
 class TestFamilies:
@@ -221,17 +207,17 @@ class TestConnectivity:
 
 class TestEdgeBoundary:
     # The edge boundary of the connected-complement witness S is the sum of
-    # the dissection's per-vertex counts of neighbours outside S.
+    # the dissection's per-vertex counts of neighbours outside S. On these
+    # bound-attaining graphs it is |S|, and the structure check holds.
     def test_examples(self):
-        for g, size, boundary in ((complete(4), 3, 3),
-                                  (complete_bipartite(3, 3), 4, 4),
-                                  (cycle(6), 2, 2)):
+        for g, size in ((complete(4), 3), (complete_bipartite(3, 3), 4),
+                        (cycle(6), 2)):
             solution = solve_connected_complement(g)
             s, comp, counts = verifier._dissect_complement(g, solution)
-            assert (len(s), sum(counts)) == (size, boundary)
+            assert len(s) == sum(counts) == size
             cut = [(u, v) for u, v in g.edges() if (u in s) != (v in s)]
-            assert len(cut) == boundary
-            assert check_extremal_structure(g, solution).boundary == boundary
+            assert len(cut) == size
+            assert check_extremal_structure(g, solution) is True
 
     def test_complement_symmetry(self):
         rng = random.Random(11)

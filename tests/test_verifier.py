@@ -11,9 +11,8 @@ from types import SimpleNamespace
 import networkx as nx
 import pytest
 
-from forcing_lab import (Graph, StructureCheck, VerifyRun,
-                         check_extremal_structure, complete,
-                         complete_bipartite, cycle, encode_graph6,
+from forcing_lab import (Graph, VerifyRun, check_extremal_structure,
+                         complete, complete_bipartite, cycle, encode_graph6,
                          forcing_number, parse_graph6, path, run_known_values,
                          run_tree_leaf_suite, solve_connected_complement,
                          star, tree_from_pruefer, verify_stream)
@@ -38,14 +37,19 @@ def _clean(run):
                 or run.summary["structure_failures"])
 
 
-def _structure(g):
-    return check_extremal_structure(g, solve_connected_complement(g))
+def _dissection(g):
+    """The structure verdict on g's k = 1 connected-complement solve, then
+    its witness S, the complement and each vertex of S's count of
+    neighbours outside S."""
+    solution = solve_connected_complement(g)
+    return (check_extremal_structure(g, solution),
+            *verifier._dissect_complement(g, solution))
 
 
-# A dissection that fails: the witness vertices have two outside neighbors.
-_FAILED_STRUCTURE = StructureCheck(
-    set_size=3, complement_size=1, single_outside_neighbor=False,
-    complement_is_tree=True, boundary=6)
+def _induces_tree(g, vertices):
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(range(g.n))
+    return nx.is_tree(nxg.subgraph(vertices))
 
 
 @pytest.fixture
@@ -134,7 +138,7 @@ class TestVerifyStream:
 
     def test_structure_failure_makes_run_not_ok(self, monkeypatch):
         monkeypatch.setattr(verifier, "check_extremal_structure",
-                            lambda g, solution: _FAILED_STRUCTURE)
+                            lambda g, solution: False)
         run = _sweep(6)
         assert run.summary["structure_failures"]
         assert not run.summary["counterexamples"]
@@ -524,21 +528,31 @@ class TestStreaming:
 
 class TestExtremalStructure:
     def test_complete_graph(self):
-        out = _structure(complete(4))
-        assert out.ok
-        assert out.set_size == 3 and out.complement_size == 1
-        assert out.boundary >= 3
+        ok, s, comp, counts = _dissection(complete(4))
+        assert ok is True
+        assert (len(s), len(comp), sum(counts)) == (3, 1, 3)
 
     def test_balanced_bipartite(self):
-        out = _structure(complete_bipartite(3, 3))
-        assert out.ok
-        assert out.set_size == 4 and out.complement_size == 2
-        assert out.complement_is_tree
+        ok, s, comp, counts = _dissection(complete_bipartite(3, 3))
+        assert ok is True
+        assert (len(s), len(comp), sum(counts)) == (4, 2, 4)
+        assert _induces_tree(complete_bipartite(3, 3), comp)
+
+    def test_verdict_on_real_input(self):
+        # CN is K_{1,3} plus an edge; a vertex of its witness has two
+        # neighbours outside it.
+        ok, _, _, counts = _dissection(parse_graph6("CN"))
+        assert ok is False and 2 in counts
+        assert _dissection(Graph(2, []))[0] is None
+        verdicts = [_dissection(g)[0] for n in range(3, 7)
+                    for g in enumerate_connected(n)]
+        assert (verdicts.count(True), verdicts.count(False)) == (24, 117)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_dissection_counts_each_vertex_its_outside_neighbors(self, k):
         # The counts sum to the edge boundary of S, which is also that of
-        # its complement, and the structure check reports that sum.
+        # its complement. At k = 1 the structure check holds exactly when
+        # every count is 1 and the complement induces a tree.
         for g in (g for n in range(2, 7) for g in enumerate_connected(n)):
             solution = solve_connected_complement(g, k)
             assert not solution.complement_empty
@@ -550,8 +564,8 @@ class TestExtremalStructure:
             assert sum(counts) == nx.cut_size(nxg, list(s)) \
                 == nx.cut_size(nxg, list(comp))
             if k == 1:
-                assert (check_extremal_structure(g, solution).boundary
-                        == sum(counts))
+                assert check_extremal_structure(g, solution) == (
+                    set(counts) == {1} and _induces_tree(g, comp))
 
     def test_sweep_attaches_structure_only_where_it_applies(self):
         run = _sweep(6)
