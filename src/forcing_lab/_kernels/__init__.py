@@ -14,10 +14,12 @@ backends directly through the ``kernels`` fixture.
 
 from . import pure as _pure
 
-# Every kernel this module sends to the compiled extension.
+# Every kernel this module sends to the compiled extension: all of pure.py
+# but the two exhaustive level scans.
 COMPILED_KERNELS = ("closure", "connected_in", "search_level_pruned",
                     "wavefront", "canonical_mask", "augment",
-                    "triangle_masks", "graph6_masks", "k_connected")
+                    "triangle_masks", "graph6_masks", "k_connected",
+                    "graph_facts")
 
 
 def _load_compiled():
@@ -58,6 +60,10 @@ def connected_in(nbrs, mask):
 
 def k_connected(nbrs, k):
     return _impl(len(nbrs)).k_connected(nbrs, k)
+
+
+def graph_facts(nbrs, k):
+    return _impl(len(nbrs)).graph_facts(nbrs, k)
 
 
 def search_level_pruned(nbrs, k, size, node_budget):

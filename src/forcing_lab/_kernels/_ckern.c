@@ -1,6 +1,6 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: nine of its eleven functions, with the
+ * Mirrors _kernels/pure.py exactly: ten of its twelve functions, with the
  * same return values, witnesses and node counts. The other two, the
  * exhaustive level scans, stay pure-only: the plain one serves only the
  * brute-force oracle, which is thus independent of this file, and the
@@ -15,10 +15,11 @@
  * pass. triangle_masks and graph6_masks build a graph's neighbor masks from
  * the packed upper triangle and from a graph6 payload, through one helper
  * that alone knows the pair order; k_connected tests vertex connectivity
- * cut by cut. wavefront is the only kernel that allocates memory of its
- * own: its closed-set table and cost buckets grow by at most one entry per
- * node, so the node budget bounds them; every exit frees them, and a failed
- * allocation raises MemoryError.
+ * cut by cut, and graph_facts gives the degrees and decides the degree
+ * bound's hypotheses with the same cut walk. wavefront is the only kernel
+ * that allocates memory of its own: its closed-set table and cost buckets
+ * grow by at most one entry per node, so the node budget bounds them; every
+ * exit frees them, and a failed allocation raises MemoryError.
  *
  * A graph arrives as a sequence of neighbor bitmasks (nbrs[v] has bit u set
  * iff uv is an edge) and a vertex subset as one int. Both are held in
@@ -652,35 +653,76 @@ static PyObject *py_graph6_masks(PyObject *self, PyObject *args)
     return unpack_triangle(words, n);
 }
 
-/* Every removal set of fewer than k vertices, by size and then in ascending
- * mask order (Gosper's hack), must leave g connected; see pure.k_connected. */
-static PyObject *py_k_connected(PyObject *self, PyObject *args)
+/* 1 when g has more than k vertices and removing any set of 1 to k - 1
+ * vertices leaves it connected, 0 when not, -1 with an exception set when a
+ * signal handler raised. Removal sets are tried by size and then in
+ * ascending mask order (Gosper's hack). Whether g itself is connected is
+ * the caller's test. */
+static int no_small_cut(const graph *g, long long k)
 {
-    PyObject *nbrs, *k_obj;
-    graph g;
-    long long k;
     u64 tried = 0;
-    if (!PyArg_UnpackTuple(args, "k_connected", 2, 2, &nbrs, &k_obj)
-        || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0)
-        return NULL;
-    if (g.n <= k)
-        Py_RETURN_FALSE;
-    for (int size = 0; size < k; size++) {
-        u64 cut = (ONE << size) - 1, last = cut << (g.n - size);
+    if (g->n <= k)
+        return 0;
+    for (int size = 1; size < k; size++) {
+        u64 cut = (ONE << size) - 1, last = cut << (g->n - size);
         for (;;) {
             /* C(n, k - 1) cuts can be astronomically many: let Ctrl-C stop
              * the walk. */
             if ((++tried & 0xFFFF) == 0 && PyErr_CheckSignals() < 0)
-                return NULL;
-            if (!connected_in_u64(g.nbrs, g.full & ~cut))
-                Py_RETURN_FALSE;
+                return -1;
+            if (!connected_in_u64(g->nbrs, g->full & ~cut))
+                return 0;
             if (cut == last)
                 break;
             u64 c = cut & (0 - cut), r = cut + c;
             cut = ((r ^ cut) >> 2) / c | r;
         }
     }
-    Py_RETURN_TRUE;
+    return 1;
+}
+
+/* See pure.k_connected; below k = 1 it asks only for more than k vertices. */
+static PyObject *py_k_connected(PyObject *self, PyObject *args)
+{
+    PyObject *nbrs, *k_obj;
+    graph g;
+    long long k;
+    if (!PyArg_UnpackTuple(args, "k_connected", 2, 2, &nbrs, &k_obj)
+        || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0)
+        return NULL;
+    int ok = (k < 1 || connected_in_u64(g.nbrs, g.full)) ? no_small_cut(&g, k) : 0;
+    return ok < 0 ? NULL : PyBool_FromLong(ok);
+}
+
+/* The reasons graph_facts gives, in the order it checks them. */
+enum { APPLIES, DISCONNECTED, MAX_DEGREE_BELOW_2, NOT_K_CONNECTED };
+
+/* (max degree, min degree, reason); see pure.graph_facts. */
+static PyObject *py_graph_facts(PyObject *self, PyObject *args)
+{
+    PyObject *nbrs, *k_obj;
+    graph g;
+    long long k;
+    if (!PyArg_UnpackTuple(args, "graph_facts", 2, 2, &nbrs, &k_obj)
+        || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0)
+        return NULL;
+    int dmax = 0, dmin = g.n ? MAX_N : 0, reason = APPLIES;
+    for (int v = 0; v < g.n; v++) {
+        int d = __builtin_popcountll(g.nbrs[v]);
+        dmax = d > dmax ? d : dmax;
+        dmin = d < dmin ? d : dmin;
+    }
+    if (!connected_in_u64(g.nbrs, g.full))
+        reason = DISCONNECTED;
+    else if (dmax < 2)
+        reason = MAX_DEGREE_BELOW_2;
+    else if (k >= 2) {
+        int ok = no_small_cut(&g, k);
+        if (ok < 0)
+            return NULL;
+        reason = ok ? APPLIES : NOT_K_CONNECTED;
+    }
+    return Py_BuildValue("(iii)", dmax, dmin, reason);
 }
 
 
@@ -700,6 +742,7 @@ static PyMethodDef methods[] = {
     KERNEL(triangle_masks, "bits, n"),
     KERNEL(graph6_masks, "payload, n"),
     KERNEL(k_connected, "nbrs, k"),
+    KERNEL(graph_facts, "nbrs, k"),
     {NULL, NULL, 0, NULL},
 };
 

@@ -11,10 +11,12 @@ exhaustive subset scan, one Gosper walk, runs here on every backend: the
 brute-force oracle runs it plain (``search_level_exhaustive``) and the
 connected-complement solve as ``search_level_constrained``.
 
-Three kernels build or test whole graphs rather than search them:
+Four kernels build or test whole graphs rather than search them:
 ``triangle_masks`` unpacks the upper-triangle bit layout that graph6 and
 the canonical certificates share, ``graph6_masks`` decodes a graph6
-payload with it, and ``k_connected`` tests vertex connectivity.
+payload with it, ``k_connected`` tests vertex connectivity, and
+``graph_facts`` gives the degrees and decides the degree bound's
+hypotheses in one call.
 """
 
 from itertools import combinations
@@ -129,6 +131,24 @@ def k_connected(nbrs, k):
             if not connected_in(nbrs, rest):
                 return False
     return True
+
+
+def graph_facts(nbrs, k):
+    """``(max_degree, min_degree, reason)``: the degree extremes (0 and 0
+    on the empty graph) and why the degree bound at ``k`` does not apply,
+    checked in this order: 1 when the graph is disconnected, 2 when its
+    max degree is below 2, 3 when k >= 2 and it is not k-connected; 0 when
+    the bound applies. ``bounds.failure_reason`` names the codes.
+    """
+    degrees = [m.bit_count() for m in nbrs]
+    dmax, dmin = max(degrees, default=0), min(degrees, default=0)
+    if not connected_in(nbrs, (1 << len(nbrs)) - 1):
+        return dmax, dmin, 1
+    if dmax < 2:
+        return dmax, dmin, 2
+    if k >= 2 and not k_connected(nbrs, k):
+        return dmax, dmin, 3
+    return dmax, dmin, 0
 
 
 def search_level_exhaustive(nbrs, k, size, node_budget,

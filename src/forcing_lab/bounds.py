@@ -1,7 +1,9 @@
 """Sharp degree-based upper bounds, their hypotheses and the
-extremal-family classifier. ``hypothesis_failure`` alone decides whether
-the bound applies: ``verify`` skips and ``bounds`` rejects a graph by the
-reason it gives. ``classify_extremal`` needs no hypothesis, as a graph
+extremal-family classifier. The ``graph_facts`` kernel alone decides
+whether the bound applies, as a reason code read in the same call as the
+degrees; ``failure_reason`` names the code. ``verify`` skips and
+``bounds`` rejects a graph by that name, and ``hypothesis_failure`` gives
+it for a Graph. ``classify_extremal`` needs no hypothesis, as a graph
 outside them is in no family.
 
 Everything here is exact integer arithmetic: bounds are returned as
@@ -11,20 +13,24 @@ cross-multiplied. No floating point, so equality detection cannot drift.
 
 from collections import namedtuple
 
-from .graphs import degree_stats, is_connected, is_k_connected
+from . import _kernels
+from .graphs import degree_stats, is_connected
+
+
+def failure_reason(code, k):
+    """The name of a ``graph_facts`` reason code at ``k``: None for 0 (the
+    bound applies), then "disconnected", "max degree < 2" and "not
+    k-connected"."""
+    if code == 3:
+        return f"not {k}-connected"
+    return (None, "disconnected", "max degree < 2")[code]
 
 
 def hypothesis_failure(g, k):
     """Why the bound at ``k`` does not apply to ``g``: "disconnected",
     "max degree < 2" or "not k-connected" (k >= 2 only), checked in that
     order; None when it applies."""
-    if not is_connected(g):
-        return "disconnected"
-    if max(map(int.bit_count, g.neighbor_masks), default=0) < 2:
-        return "max degree < 2"
-    if k >= 2 and not is_k_connected(g, k):
-        return f"not {k}-connected"
-    return None
+    return failure_reason(_kernels.graph_facts(g.neighbor_masks, k)[2], k)
 
 
 def forcing_upper_bound(n, max_degree, k):

@@ -25,11 +25,11 @@ from itertools import accumulate
 
 from . import __version__, _kernels
 from .bounds import (classify_extremal, degree_refined_bound,
-                     forcing_upper_bound, hypothesis_failure)
+                     failure_reason, forcing_upper_bound)
 from .engine import trace
 from .enumeration import MAX_ENUMERATION_ORDER, enumerate_connected, random_trees
 from .graph6 import MAX_VERTICES, Graph6Error, parse_graph6
-from .graphs import VertexSet, degree_stats, generate, is_tree, parse_edge_list
+from .graphs import VertexSet, generate, is_tree, parse_edge_list
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, forcing_number,
                      solve, solve_connected_complement)
 from .verifier import VerifyRun, run_known_values, run_tree_leaf_suite
@@ -212,13 +212,13 @@ def _cmd_bounds(args):
     g = _load_graph(args)
     _echo_config(args, g.n)
     # Input outside the bound's hypotheses exits 2 without being solved.
-    reason = hypothesis_failure(g, args.k)
-    if reason:
-        raise ValueError(f"graph outside the bound's hypotheses: {reason}")
+    dmax, dmin, code = _kernels.graph_facts(g.neighbor_masks, args.k)
+    if code:
+        raise ValueError("graph outside the bound's hypotheses: "
+                         + failure_reason(code, args.k))
     z, nodes = forcing_number(g, 1, node_budget=args.node_budget)
     f_k = z if args.k == 1 else forcing_number(
         g, args.k, node_budget=args.node_budget - nodes)[0]
-    dmax, dmin, _ = degree_stats(g)
     num, den = forcing_upper_bound(g.n, dmax, args.k)
     rnum, rden = degree_refined_bound(g.n, dmax, dmin)
     out = {"n": g.n, "max_degree": dmax, "min_degree": dmin, "k": args.k,
@@ -285,7 +285,7 @@ def _cmd_verify(args):
     print(json.dumps({"summary": {
         "graphs_verified": summary["graphs_verified"],
         "skipped": sum(summary["skipped"].values()),
-        "parse_failures": len(summary["parse_failures"]),
+        "parse_failures": summary["parse_failure_count"],
         "extremal": sum(r["extremal_count"] for r in summary["per_n"].values()),
         "counterexamples": len(summary["counterexamples"]),
         "unresolved": len(summary["unresolved"]),

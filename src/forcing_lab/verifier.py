@@ -3,7 +3,10 @@
 Runs a stream of graph6 lines or Graph objects through the exact solver
 and checks, per graph, that the k-forcing number respects the degree
 bound; at k = 1 it also checks the minimum-degree refinement and that
-equality holds exactly on the three structural families. Also hosts the
+equality holds exactly on the three structural families. Each graph costs
+one ``graph_facts`` kernel call, which gives its degrees and decides the
+bound's hypotheses, and, when they hold, one ``wavefront`` call for its
+forcing number; the structure check continues that solve. Also hosts the
 property suites: the leaf-subset forcing check on trees, the closed-form
 values for the named families, and the structural dissection of
 bound-attaining graphs (one outside neighbor per set vertex, so an edge
@@ -28,12 +31,13 @@ from contextlib import closing
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
+from . import _kernels
 from .bounds import (classify_extremal, degree_refined_bound,
-                     forcing_upper_bound, hypothesis_failure)
+                     failure_reason, forcing_upper_bound)
 from .engine import is_forcing_set
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
-from .graphs import (VertexSet, connected_within, degree_stats,
-                     is_k_connected, is_tree, leaves)
+from .graphs import (VertexSet, connected_within, is_k_connected, is_tree,
+                     leaves)
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded,
                      _connected_complement_from, forcing_number,
                      solve_connected_complement)
@@ -101,15 +105,19 @@ def check_extremal_structure(g, solution):
 def _verify_one(lineno, item, k, node_budget):
     """Process one graph6 line or Graph into ``(kind, entry, ms)``, with
     0 ms unless a record: "parse_failures" and the line's entry;
-    "skipped" and the ``hypothesis_failure`` reason alone, so a skip
-    costs its summary a count; or "record", the record and its time. A
+    "skipped" and the ``failure_reason`` name alone, so a skip costs its
+    summary a count; or "record", the record and its time. One
+    ``graph_facts`` call gives the degrees and decides the hypotheses. A
     Graph is encoded to graph6, the name its record gives it, only once
-    it passes the hypotheses.
+    it passes them.
 
     ``solver_nodes`` counts the wavefront's closures (no witness level),
-    or in an unresolved record all the nodes spent. ``structure_ok`` is
-    ``check_extremal_structure``'s verdict, on a scan that continues
-    from ``f_k``: no wavefront of its own."""
+    or in an unresolved record all the nodes spent. The wavefront is the
+    kernel ``forcing_number`` calls; its ``aborted`` flag gives the
+    unresolved record where ``forcing_number`` would raise, and so does an
+    abort of the structure check. ``structure_ok`` is
+    ``check_extremal_structure``'s verdict, on a scan that continues from
+    ``f_k``: no wavefront of its own."""
     started = time.perf_counter()
     if isinstance(item, str):
         line = item
@@ -120,31 +128,33 @@ def _verify_one(lineno, item, k, node_budget):
                     {"line": lineno, "graph6": line, "error": str(exc)}, 0.0)
     else:
         g, line = item, None
-    reason = hypothesis_failure(g, k)
-    if reason:
-        return ("skipped", reason, 0.0)
+    nbrs = g.neighbor_masks
+    dmax, dmin, code = _kernels.graph_facts(nbrs, k)
+    if code:
+        return ("skipped", failure_reason(code, k), 0.0)
     if line is None:
         line = encode_graph6(g)
-    dmax, dmin, _ = degree_stats(g)
     num, den = forcing_upper_bound(g.n, dmax, k)
     # The three equality families are regular.
     cls = classify_extremal(g) if dmin == dmax else None
-    structure, nodes, status = None, 0, "ok"
-    try:
-        f_k, nodes = forcing_number(g, k, node_budget=node_budget)
+    f_k, nodes, aborted = _kernels.wavefront(nbrs, k, node_budget)
+    structure, equality, status = None, False, "ok"
+    if aborted:
+        f_k, status = None, "unresolved"
+    else:
         equality = f_k * den == num
         if k == 1 and equality and dmax >= 3:
-            structure = check_extremal_structure(g, _connected_complement_from(
-                g, 1, f_k, node_budget, nodes))
-    except BudgetExceeded as exc:
-        f_k, equality, status = None, False, "unresolved"
-        nodes = exc.nodes_explored
-    record = VerificationRecord(
-        graph6=line, n=g.n, max_degree=dmax, min_degree=dmin, k=k,
-        f_k=f_k, bound_num=num, bound_den=den, equality=equality,
-        extremal_class=cls.tag if cls else None,
-        extremal_parameter=cls.parameter if cls else None,
-        structure_ok=structure, solver_nodes=nodes, status=status)
+            try:
+                structure = check_extremal_structure(
+                    g, _connected_complement_from(g, 1, f_k, node_budget,
+                                                  nodes))
+            except BudgetExceeded as exc:
+                f_k, equality, status = None, False, "unresolved"
+                nodes = exc.nodes_explored
+    record = VerificationRecord._make((
+        line, g.n, dmax, dmin, k, f_k, num, den, equality,
+        cls.tag if cls else None, cls.parameter if cls else None,
+        structure, nodes, status))
     return ("record", record, (time.perf_counter() - started) * 1000.0)
 
 
@@ -190,29 +200,34 @@ class VerifyRun:
     input lines. Only lines are parsed; a Graph is named in its record
     and in the summary by its graph6 encoding. Graphs that fall outside
     the bound's hypotheses are skipped and counted per reason
-    ``hypothesis_failure`` gives, never silently dropped; a skip keeps
-    nothing else, so a long run of skips costs no memory. One node budget
+    ``failure_reason`` names, never silently dropped; a skip keeps
+    nothing else, so a long run of skips costs no memory. Malformed lines
+    are counted exactly, and only the first PARSE_FAILURES_KEPT are kept
+    in full, so a long run of them costs no memory either. One node budget
     bounds all the solving done for one graph; an abort makes the record
     "unresolved", never a pass and never the end of the run.
 
     ``summary`` holds, in this order: k, workers, input_lines,
     graphs_verified, skipped (a count per reason, the reasons in the
-    order the input first gives them), parse_failures (each with its
-    input line, text and error), per_n (graph count, extremal count and
-    graph6 list, max solver nodes and summed time per order), then the
-    graph6 lists of counterexamples, unresolved records and structure
-    failures. Each outcome is folded in as it is yielded, and input_lines
-    is set when the input is exhausted, so the summary is complete only
-    once ``records`` is drained (``write_jsonl`` drains it).
+    order the input first gives them), parse_failure_count (every
+    malformed line), parse_failures (the first PARSE_FAILURES_KEPT of
+    them, each with its input line, text and error), per_n (graph count,
+    extremal count and graph6 list, max solver nodes and summed time per
+    order), then the graph6 lists of counterexamples, unresolved records
+    and structure failures. Each outcome is folded in as it is yielded,
+    and input_lines is set when the input is exhausted, so the summary is
+    complete only once ``records`` is drained (``write_jsonl`` drains it).
     """
 
     def __init__(self, items, k=1, *, workers=1,
                  node_budget=DEFAULT_NODE_BUDGET):
+        if k < 1:
+            raise ValueError("k must be positive")
         self.summary = {
             "k": k, "workers": workers, "input_lines": 0,
-            "graphs_verified": 0, "skipped": {}, "parse_failures": [],
-            "per_n": {}, "counterexamples": [], "unresolved": [],
-            "structure_failures": []}
+            "graphs_verified": 0, "skipped": {}, "parse_failure_count": 0,
+            "parse_failures": [], "per_n": {}, "counterexamples": [],
+            "unresolved": [], "structure_failures": []}
         self.records = _sweep(_numbered(items, k, node_budget, self.summary),
                               workers, self.summary)
 
@@ -221,7 +236,7 @@ class VerifyRun:
             stream.write(rec.to_json_line() + "\n")
 
     def write_summary_csv(self, stream):
-        writer = csv.writer(stream)
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["n", "graph_count", "extremal_count",
                          "extremal_graph6_list", "max_solver_nodes",
                          "wall_time_ms"])
@@ -256,6 +271,10 @@ class VerifyRun:
 POOL_AFTER_S = 1.0
 CHUNK = 32
 WINDOW = 512
+
+# Malformed lines kept in full in the summary; past these only the count
+# grows. 20,000 lines of "B!" cost about 6.3 MB when every entry was kept.
+PARSE_FAILURES_KEPT = 100
 
 
 def _numbered(items, k, node_budget, summary):
@@ -313,20 +332,26 @@ def _outcomes(payload, workers):
 
 def _sweep(payload, workers, summary):
     """The records of ``VerifyRun``, each outcome folded into ``summary``."""
-    skipped = summary["skipped"]
+    skipped, failures, per_n = (summary["skipped"],
+                                summary["parse_failures"], summary["per_n"])
     with closing(_outcomes(payload, workers)) as outcomes:
         for kind, entry, elapsed in outcomes:
             if kind == "skipped":
                 skipped[entry] = skipped.get(entry, 0) + 1
                 continue
             if kind == "parse_failures":
-                summary["parse_failures"].append(entry)
+                summary["parse_failure_count"] += 1
+                if len(failures) < PARSE_FAILURES_KEPT:
+                    failures.append(entry)
                 continue
             rec = entry
             summary["graphs_verified"] += 1
-            row = summary["per_n"].setdefault(rec.n, {
-                "graph_count": 0, "extremal_count": 0, "extremal_graph6": [],
-                "max_solver_nodes": 0, "wall_time_ms": 0.0})
+            row = per_n.get(rec.n)
+            if row is None:
+                row = per_n[rec.n] = {
+                    "graph_count": 0, "extremal_count": 0,
+                    "extremal_graph6": [], "max_solver_nodes": 0,
+                    "wall_time_ms": 0.0}
             row["graph_count"] += 1
             row["wall_time_ms"] += elapsed
             row["max_solver_nodes"] = max(row["max_solver_nodes"],

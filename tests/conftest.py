@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,40 @@ import pytest
 
 from forcing_lab import Graph, _kernels
 from forcing_lab._kernels import pure as pure_kernels
+from forcing_lab.enumeration import enumerate_connected
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def random_masks(rng, n, p):
+    """Neighbor masks of a G(n, p) graph drawn from ``rng``."""
+    nbrs = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                nbrs[i] |= 1 << j
+                nbrs[j] |= 1 << i
+    return nbrs
+
+
+def hypothesis_inputs():
+    """Neighbor masks of every labeled graph on at most 5 vertices (every
+    edge set, so disconnected and max-degree-below-2 graphs are in), of
+    every connected graph on at most 7, and of seeded G(n, p) graphs up to
+    n = 62: sparse ones at every order, denser ones while the pure k = 4
+    cut walk is cheap, and one dense 62-vertex graph that walks every cut
+    of up to 3 vertices."""
+    for n in range(6):
+        for bits in range(1 << (n * (n - 1) // 2)):
+            yield pure_kernels.triangle_masks(bits, n)
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            yield g.neighbor_masks
+    rng = random.Random(73)
+    for n in (6, 9, 12, 16, 24, 32, 40, 48, 56, 62):
+        for p in (0.05, 0.15, 0.5) if n <= 24 else (0.05, 0.15):
+            yield random_masks(rng, n, p)
+    yield random_masks(rng, 62, 0.5)
 
 
 @pytest.fixture(scope="session")

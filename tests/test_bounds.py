@@ -6,8 +6,29 @@ import pytest
 from forcing_lab import (classify_extremal, complete, complete_bipartite,
                          cycle, degree_refined_bound, forcing_upper_bound,
                          parse_graph6, path, solve, star)
+from forcing_lab._kernels import pure
+from forcing_lab.bounds import hypothesis_failure
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import Graph, degree_stats
+
+from conftest import hypothesis_inputs
+
+
+def test_hypothesis_failure_is_the_rule_it_replaced():
+    # The rule as it was written before the graph_facts kernel decided it,
+    # on the pure kernels.
+    for nbrs in hypothesis_inputs():
+        g = Graph._from_masks(tuple(nbrs))
+        for k in (1, 2, 3, 4):
+            if not pure.connected_in(nbrs, (1 << g.n) - 1):
+                expected = "disconnected"
+            elif max(map(int.bit_count, nbrs), default=0) < 2:
+                expected = "max degree < 2"
+            elif k >= 2 and not pure.k_connected(nbrs, k):
+                expected = f"not {k}-connected"
+            else:
+                expected = None
+            assert hypothesis_failure(g, k) == expected, (nbrs, k)
 
 
 class TestForcingUpperBound:

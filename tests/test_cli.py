@@ -620,6 +620,23 @@ def test_short_pooled_verify_never_imports_multiprocessing():
     assert run.stderr.splitlines()[-1] == "0 False"
 
 
+def test_verify_writes_no_carriage_returns(tmp_path):
+    # The summary CSV ends its rows in "\n" like the JSON lines around it,
+    # on stderr and in the --out file alike.
+    base = [sys.executable, "-c",
+            f"import sys; sys.path.insert(0, {SRC!r}); "
+            "from forcing_lab.cli import main; sys.exit(main(sys.argv[1:]))",
+            "verify", "--enumerate", "5"]
+    run = subprocess.run(base, check=True, capture_output=True)
+    _, header, row, _, end = run.stderr.split(b"\n")
+    assert header.startswith(b"n,graph_count,") and row.startswith(b"5,21,")
+    assert end == b"" and b"\r" not in run.stderr
+    subprocess.run(base + ["--out", str(tmp_path / "sweep")], check=True,
+                   capture_output=True)
+    summary_csv = (tmp_path / "sweep.summary.csv").read_bytes()
+    assert summary_csv.count(b"\n") == 2 and b"\r" not in summary_csv
+
+
 def test_parser_is_built_once_and_reused(capsys):
     # A process that makes many main() calls builds the parser once; no
     # option value may leak from one call into the next.

@@ -18,17 +18,7 @@ from forcing_lab import (Graph, Graph6Error, _kernels, brute_force_oracle,
 from forcing_lab._kernels import pure
 from forcing_lab.enumeration import CONNECTED_CLASS_COUNTS, enumerate_connected
 
-from conftest import compiled_module
-
-
-def _random_masks(rng, n, p):
-    nbrs = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                nbrs[i] |= 1 << j
-                nbrs[j] |= 1 << i
-    return nbrs
+from conftest import compiled_module, hypothesis_inputs, random_masks
 
 
 @pytest.mark.parametrize("name", ["search_level_pruned"])
@@ -39,7 +29,7 @@ def test_level_searches_match_pure(compiled_kernels, name):
     compiled, reference = getattr(compiled_kernels, name), getattr(pure, name)
     for n in range(11):
         for p in (0.25, 0.5, 0.8):
-            nbrs = _random_masks(rng, n, p)
+            nbrs = random_masks(rng, n, p)
             for k in (1, 2, 3):
                 for size in range(-1, n + 2):
                     for budget in (0, 3, 10**9):
@@ -83,7 +73,7 @@ def _wavefront_inputs():
     rng = random.Random(53)
     for n in (12, 16, 20):
         for p in (0.2, 0.35, 0.5):
-            yield _random_masks(rng, n, p)
+            yield random_masks(rng, n, p)
 
 
 def test_wavefront_matches_pure(compiled_kernels):
@@ -164,7 +154,7 @@ def test_canonical_mask_matches_pure(compiled_kernels):
     rng = random.Random(47)
     for n in range(13):
         for _ in range(3):
-            nbrs = _random_masks(rng, n, 0.5)
+            nbrs = random_masks(rng, n, 0.5)
             assert compiled_kernels.canonical_mask(nbrs) == pure.canonical_mask(nbrs), n
 
 
@@ -185,7 +175,7 @@ def test_augment_matches_pure(compiled_kernels, monkeypatch):
     rng = random.Random(59)
     parents = [g.neighbor_masks for n in range(1, 7)
                for g in enumerate_connected(n)]
-    parents += [_random_masks(rng, n, p) for n in (7, 8) for p in (0.3, 0.6)]
+    parents += [random_masks(rng, n, p) for n in (7, 8) for p in (0.3, 0.6)]
     for nbrs in [[]] + parents:
         assert compiled_kernels.augment(nbrs) == pure.augment(nbrs), nbrs
     # 12-vertex children have 66-bit certificates, past the one-word path.
@@ -194,7 +184,7 @@ def test_augment_matches_pure(compiled_kernels, monkeypatch):
     monkeypatch.setattr(pure, "canonical_mask", compiled_kernels.canonical_mask)
     wide = []
     for nbrs in ([(1 << v - 1 if v else 0) | (1 << v + 1 if v < 10 else 0)
-                  for v in range(11)], _random_masks(rng, 11, 0.4)):
+                  for v in range(11)], random_masks(rng, 11, 0.4)):
         kept = compiled_kernels.augment(nbrs)
         assert kept == pure.augment(nbrs), nbrs
         wide += [cert for cert in kept if cert >> 64]
@@ -261,7 +251,7 @@ def _payloads():
     rng = random.Random(61)
     for n in range(63):
         for p in (0.1, 0.5, 0.9):
-            nbrs = _random_masks(rng, n, p)
+            nbrs = random_masks(rng, n, p)
             yield encode_graph6(Graph._from_masks(tuple(nbrs)))[1:], n
 
 
@@ -294,7 +284,7 @@ def test_out_of_range_payload_bytes(kernels, monkeypatch):
     monkeypatch.setattr(_kernels, "_compiled",
                         None if kernels is pure else kernels)
     rng = random.Random(71)
-    wide = Graph._from_masks(tuple(_random_masks(rng, 62, 0.5)))
+    wide = Graph._from_masks(tuple(random_masks(rng, 62, 0.5)))
     lines = ["Bw", "H~~~~~~", encode_graph6(wide)]
     for line in lines:
         n = ord(line[0]) - 63
@@ -347,23 +337,45 @@ def test_whole_graph_kernels_refuse(kernels, call, message):
 
 def test_k_connected_matches_pure(compiled_kernels):
     rng = random.Random(67)
-    graphs = [_random_masks(rng, n, p) for n in range(13)
+    graphs = [random_masks(rng, n, p) for n in range(13)
               for p in (0.2, 0.4, 0.6, 0.8)]
     for nbrs in graphs:
         for k in range(-1, len(nbrs) + 2):
             assert compiled_kernels.k_connected(nbrs, k) \
                 == pure.k_connected(nbrs, k), (nbrs, k)
-    for nbrs in (_random_masks(rng, 62, 0.1), _random_masks(rng, 62, 0.9)):
+    for nbrs in (random_masks(rng, 62, 0.1), random_masks(rng, 62, 0.9)):
         for k in (1, 2, 3):
             assert compiled_kernels.k_connected(nbrs, k) \
                 == pure.k_connected(nbrs, k), (nbrs, k)
+
+
+def test_graph_facts_matches_pure(compiled_kernels):
+    for nbrs in hypothesis_inputs():
+        for k in (1, 2, 3, 4):
+            assert compiled_kernels.graph_facts(nbrs, k) \
+                == pure.graph_facts(nbrs, k), (nbrs, k)
+
+
+def test_graph_facts_edge_cases(kernels):
+    # Degrees are 0 on the empty graph; the reasons come in their order: a
+    # disconnected graph of max degree 0 is "disconnected", and k-
+    # connectivity is asked only from k = 2 on, of a clamped k too.
+    triangle, path3 = [0b110, 0b101, 0b011], [0b010, 0b101, 0b010]
+    cases = [([], 1, (0, 0, 2)), ([0], 1, (0, 0, 2)), ([0, 0], 1, (0, 0, 1)),
+             ([0b10, 0b01], 1, (1, 1, 2)), (path3, 1, (2, 1, 0)),
+             (path3, 2, (2, 1, 3)), (triangle, 2, (2, 2, 0)),
+             (triangle, 3, (2, 2, 3)), (triangle, -10**30, (2, 2, 0)),
+             (triangle, 10**30, (2, 2, 3))]
+    for nbrs, k, expected in cases:
+        assert kernels.graph_facts(nbrs, k) == expected, (nbrs, k)
 
 
 @pytest.mark.skipif(not hasattr(__import__("signal"), "setitimer"),
                     reason="needs signal.setitimer")
 def test_compiled_k_connected_stops_on_a_signal(compiled_kernels):
     # K_62 at k = 31 has about 10^17 cuts to try, all of them connected: a
-    # signal handler that raises must end the walk.
+    # signal handler that raises must end the walk, in both kernels that
+    # walk the cuts.
     code = f"""
 import importlib.util, signal
 spec = importlib.util.spec_from_file_location(
@@ -373,16 +385,18 @@ spec.loader.exec_module(ckern)
 def interrupt(signum, frame):
     raise KeyboardInterrupt
 signal.signal(signal.SIGALRM, interrupt)
-signal.setitimer(signal.ITIMER_REAL, 0.2)
 full = (1 << 62) - 1
-try:
-    ckern.k_connected([full & ~(1 << v) for v in range(62)], 31)
-except KeyboardInterrupt:
-    print("interrupted")
+for kernel in (ckern.k_connected, ckern.graph_facts):
+    signal.setitimer(signal.ITIMER_REAL, 0.2)
+    try:
+        kernel([full & ~(1 << v) for v in range(62)], 31)
+    except KeyboardInterrupt:
+        print("interrupted")
 """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "interrupted\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "interrupted\n" * 2), \
+        done.stderr
 
 
 def test_stale_compiled_module_is_rebuilt_for_the_tests(monkeypatch, request,
@@ -435,8 +449,10 @@ print(parse_graph6("Bw").edges(), is_k_connected(cycle(5), 2))
     lambda m, nbrs: m.triangle_masks(0, len(nbrs)),
     lambda m, nbrs: m.graph6_masks("?" * 326, len(nbrs)),
     lambda m, nbrs: m.k_connected(nbrs, 1),
+    lambda m, nbrs: m.graph_facts(nbrs, 1),
 ], ids=["closure", "connected_in", "pruned", "wavefront", "canonical_mask",
-        "augment", "triangle_masks", "graph6_masks", "k_connected"])
+        "augment", "triangle_masks", "graph6_masks", "k_connected",
+        "graph_facts"])
 def test_compiled_refuses_63_vertices(compiled_kernels, call):
     with pytest.raises(ValueError, match="at most 62 vertices"):
         call(compiled_kernels, [0] * 63)
@@ -450,7 +466,7 @@ C4 = (0b1010, 0b0101, 0b1010, 0b0101)
     ("search_level_pruned", (C4, 1, 2, 10)), ("wavefront", (C4, 1, 10)),
     ("canonical_mask", (C4,)), ("augment", (C4,)),
     ("triangle_masks", (0b101101, 4)), ("graph6_masks", ("w", 3)),
-    ("k_connected", (C4, 2))])
+    ("k_connected", (C4, 2)), ("graph_facts", (C4, 2))])
 def test_compiled_kernels_take_positional_arguments_only(compiled_kernels,
                                                          name, args):
     # No caller names an argument, so the compiled kernels parse none: each
@@ -477,6 +493,8 @@ def test_compiled_refuses_masks_beyond_the_last_vertex(compiled_kernels):
         compiled_kernels.closure([0, 0], 1, 0b100)
     with pytest.raises(ValueError, match="beyond the last vertex"):
         compiled_kernels.closure([0, 0b100], 1, 0)
+    with pytest.raises(ValueError, match="beyond the last vertex"):
+        compiled_kernels.graph_facts([0, 0b100], 1)
 
 
 def test_c_source_compiles_cleanly_under_wall(c_compiler):

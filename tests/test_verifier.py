@@ -159,8 +159,8 @@ class TestVerifyStream:
         # off its equality family; K5 at k = 2 and Petersen are caught by
         # the lower bound alone.
         g = complete(5) if graph == "K5" else request.getfixturevalue(graph)
-        monkeypatch.setattr(verifier, "forcing_number",
-                            lambda g, k, **kw: (1, 0))
+        monkeypatch.setattr(_kernels, "wavefront",
+                            lambda nbrs, k, node_budget: (1, 0, False))
         run = verify_stream([g], k)
         assert run.records[0].f_k == 1
         assert run.summary["counterexamples"] == [encode_graph6(g)]
@@ -191,6 +191,10 @@ class TestVerifyStream:
         rec = run.records[0]
         assert rec.equality and rec.extremal_class == "complete"
         assert rec.f_k == 2 and (rec.bound_num, rec.bound_den) == (2, 1)
+
+    def test_k_below_1_is_refused_before_any_graph(self):
+        with pytest.raises(ValueError, match="k must be positive"):
+            VerifyRun(["Bw"], 0)
 
     def test_parse_failures_recorded_with_line_numbers(self):
         run = verify_stream(["Bw", "not graph6!", "Bg"])
@@ -440,9 +444,11 @@ class TestStreaming:
         assert pooled == [2]
         assert list(summary) == ["k", "workers", "input_lines",
                                  "graphs_verified", "skipped",
-                                 "parse_failures", "per_n", "counterexamples",
+                                 "parse_failure_count", "parse_failures",
+                                 "per_n", "counterexamples",
                                  "unresolved", "structure_failures"]
         assert summary["input_lines"] == len(lines)
+        assert summary["parse_failure_count"] == 1
         assert [f["line"] for f in summary["parse_failures"]] == [3]
         # Reasons in the order the input first gives them: the pair, then
         # the 56 connected 6-vertex graphs with a cut vertex.
@@ -464,6 +470,26 @@ class TestStreaming:
         assert peak < 1_000_000
         assert run.summary["skipped"] == {"disconnected": 20000}
         assert run.summary["input_lines"] == 20000
+
+    def test_parse_failures_cost_a_count_past_the_first_ones(self):
+        # 20,000 malformed lines keep their first PARSE_FAILURES_KEPT
+        # entries in full and an exact count; every entry cost about 6.3 MB.
+        lines = ["B!"] * 20000
+        tracemalloc.start()
+        try:
+            run = VerifyRun(lines, 1)
+            deque(run.records, maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        failures = run.summary["parse_failures"]
+        assert run.summary["parse_failure_count"] == 20000
+        assert [f["line"] for f in failures] == list(
+            range(1, verifier.PARSE_FAILURES_KEPT + 1))
+        assert failures[-1] == {
+            "line": 100, "graph6": "B!",
+            "error": "non-printable payload byte '!' (byte offset 1)"}
 
     def test_short_run_starts_no_pool(self, fake_clock, no_pool):
         # At the default threshold, 112 records at 8 ms each (0.9 s) stay
