@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 from ._kernels import HAVE_COMPILED, active_backend
 from .bounds import (ExtremalClass, classify_extremal, degree_refined_bound,
                      forcing_upper_bound)
-from .engine import (ForcingTrace, TraceError, closure, is_forcing_set,
-                     replay, trace)
+from .engine import ForcingTrace, closure, is_forcing_set, trace
 from .enumeration import enumerate_connected, random_trees
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
 from .graphs import (Graph, VertexSet, complete, complete_bipartite, cycle,
@@ -25,8 +24,8 @@ from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, SolveResult,
                      brute_force_oracle, forcing_number, greedy_upper_bound,
                      solve, solve_connected_complement)
 from .verifier import (VerificationRecord, VerifyRun,
-                       check_extremal_structure, connected_k_dominating_suite,
-                       run_known_values, run_tree_leaf_suite, verify_stream)
+                       check_extremal_structure, run_known_values,
+                       run_tree_leaf_suite)
 
 __all__ = [
     "__version__", "HAVE_COMPILED", "active_backend",
@@ -36,14 +35,12 @@ __all__ = [
     "tree_from_pruefer", "generate", "degree_stats", "is_connected",
     "is_k_connected",
     "enumerate_connected", "random_trees",
-    "closure", "is_forcing_set", "trace", "replay",
-    "ForcingTrace", "TraceError",
+    "closure", "is_forcing_set", "trace", "ForcingTrace",
     "SolveResult", "BudgetExceeded", "DEFAULT_NODE_BUDGET",
     "brute_force_oracle", "forcing_number", "solve", "greedy_upper_bound",
     "solve_connected_complement",
     "forcing_upper_bound", "degree_refined_bound",
     "ExtremalClass", "classify_extremal",
-    "VerificationRecord", "VerifyRun", "verify_stream",
-    "check_extremal_structure", "run_tree_leaf_suite",
-    "run_known_values", "connected_k_dominating_suite",
+    "VerificationRecord", "VerifyRun", "check_extremal_structure",
+    "run_tree_leaf_suite", "run_known_values",
 ]

@@ -2,9 +2,8 @@
 extremal-family classifier. The ``graph_facts`` kernel alone decides
 whether the bound applies, as a reason code read in the same call as the
 degrees; ``failure_reason`` names the code. ``verify`` skips and
-``bounds`` rejects a graph by that name, and ``hypothesis_failure`` gives
-it for a Graph. ``classify_extremal`` needs no hypothesis, as a graph
-outside them is in no family.
+``bounds`` rejects a graph by that name. ``classify_extremal`` needs no
+hypothesis, as a graph outside them is in no family.
 
 Everything here is exact integer arithmetic: bounds are returned as
 unreduced (numerator, denominator) pairs and every comparison is
@@ -13,7 +12,6 @@ cross-multiplied. No floating point, so equality detection cannot drift.
 
 from collections import namedtuple
 
-from . import _kernels
 from .graphs import degree_stats, is_connected
 
 
@@ -24,13 +22,6 @@ def failure_reason(code, k):
     if code == 3:
         return f"not {k}-connected"
     return (None, "disconnected", "max degree < 2")[code]
-
-
-def hypothesis_failure(g, k):
-    """Why the bound at ``k`` does not apply to ``g``: "disconnected",
-    "max degree < 2" or "not k-connected" (k >= 2 only), checked in that
-    order; None when it applies."""
-    return failure_reason(_kernels.graph_facts(g.neighbor_masks, k)[2], k)
 
 
 def forcing_upper_bound(n, max_degree, k):

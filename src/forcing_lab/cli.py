@@ -218,7 +218,7 @@ def _cmd_bounds(args):
                          + failure_reason(code, args.k))
     z, nodes = forcing_number(g, 1, node_budget=args.node_budget)
     f_k = z if args.k == 1 else forcing_number(
-        g, args.k, node_budget=args.node_budget - nodes)[0]
+        g, args.k, node_budget=args.node_budget, spent=nodes)[0]
     num, den = forcing_upper_bound(g.n, dmax, args.k)
     rnum, rden = degree_refined_bound(g.n, dmax, dmin)
     out = {"n": g.n, "max_degree": dmax, "min_degree": dmin, "k": args.k,

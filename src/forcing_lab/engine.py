@@ -3,17 +3,15 @@
 The color change rule: a colored vertex with at most k non-colored
 neighbors colors all of them. A set forces the graph when repeated
 application colors every vertex. All operations are pure functions on
-immutable inputs.
+immutable inputs. ``closure`` and ``is_forcing_set`` run the kernel;
+``trace`` fires the rule one event at a time, and the ``closure`` command
+prints its events.
 """
 
 from collections import namedtuple
 
 from . import _kernels
-from .graphs import Graph, VertexSet
-
-
-class TraceError(ValueError):
-    """A trace event violates the coloring rule during replay."""
+from .graphs import VertexSet
 
 
 def _as_mask(g, s):
@@ -90,27 +88,3 @@ def trace(g, k, s):
         events.append(fired)
     return ForcingTrace(k=k, initial=initial, events=tuple(events))
 
-
-def replay(g, tr):
-    """Re-run a trace, checking every event against the rule.
-
-    Returns the final colored VertexSet; raises TraceError on the first
-    event whose forcer is non-colored, over its non-colored-neighbor
-    budget, or forcing a vertex that is not an eligible neighbor.
-    """
-    if not isinstance(g, Graph):
-        raise TypeError("replay needs a Graph")
-    colored = tr.initial.mask
-    for step, (u, v) in enumerate(tr.events):
-        if not (colored >> u) & 1:
-            raise TraceError(f"event {step}: forcer {u} is not colored")
-        w = g.neighbor_masks[u] & ~colored
-        if not (w >> v) & 1:
-            raise TraceError(
-                f"event {step}: {v} is not a non-colored neighbor of {u}")
-        if w.bit_count() > tr.k:
-            raise TraceError(
-                f"event {step}: forcer {u} has {w.bit_count()} non-colored "
-                f"neighbors, over the budget k={tr.k}")
-        colored |= 1 << v
-    return VertexSet(colored, g.n)

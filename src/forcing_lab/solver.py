@@ -86,14 +86,17 @@ def _check_args(g, k):
         raise ValueError("k must be positive")
 
 
-def forcing_number(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
+def forcing_number(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET, spent=0):
     """The exact k-forcing number of ``g`` without a witness, as
     ``(value, nodes)``: the ``wavefront`` kernel's value and the closures
-    it computed. Raises BudgetExceeded past ``node_budget``; its
-    ``size_reached`` is then the cost being expanded, since no set that
-    small forces."""
+    it computed on what is left of ``node_budget`` after the ``spent``
+    nodes, which ``nodes`` includes. Raises BudgetExceeded past
+    ``node_budget``; its ``size_reached`` is then the cost being
+    expanded, since no set that small forces."""
     _check_args(g, k)
-    value, nodes, aborted = _kernels.wavefront(g.neighbor_masks, k, node_budget)
+    value, nodes, aborted = _kernels.wavefront(g.neighbor_masks, k,
+                                               node_budget - spent)
+    nodes += spent
     if aborted:
         raise BudgetExceeded(
             f"node budget {node_budget} exhausted; no set of {value} or "

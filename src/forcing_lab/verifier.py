@@ -6,11 +6,11 @@ bound; at k = 1 it also checks the minimum-degree refinement and that
 equality holds exactly on the three structural families. Each graph costs
 one ``graph_facts`` kernel call, which gives its degrees and decides the
 bound's hypotheses, and, when they hold, one ``wavefront`` call for its
-forcing number; the structure check continues that solve. Also hosts the
-property suites: the leaf-subset forcing check on trees, the closed-form
-values for the named families, and the structural dissection of
-bound-attaining graphs (one outside neighbor per set vertex, so an edge
-boundary of exactly the set size, and a tree complement).
+forcing number; the structure check continues that solve and dissects
+the bound-attaining graph (one outside neighbor per set vertex, so an
+edge boundary of exactly the set size, and a tree complement). Also
+hosts the two suites behind ``lemmas``: the leaf-subset forcing check on
+trees and the closed-form values of the named families.
 
 Verification runs are deterministic: records come back in input order
 whatever the worker count, and every summary reduction is order-free.
@@ -36,11 +36,9 @@ from .bounds import (classify_extremal, degree_refined_bound,
                      failure_reason, forcing_upper_bound)
 from .engine import is_forcing_set
 from .graph6 import Graph6Error, encode_graph6, parse_graph6
-from .graphs import (VertexSet, connected_within, is_k_connected, is_tree,
-                     leaves)
+from .graphs import VertexSet, connected_within, is_tree, leaves
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded,
-                     _connected_complement_from, forcing_number,
-                     solve_connected_complement)
+                     _connected_complement_from, forcing_number)
 
 # JSON for the values of the record fields that may be None or a bool.
 _LITERALS = {None: "null", True: "true", False: "false"}
@@ -76,14 +74,6 @@ class VerificationRecord(namedtuple("VerificationRecord", [
             f'"solver_nodes": {nodes}, "status": {quote(status)}}}')
 
 
-def _dissect_complement(g, solution):
-    """``(S, complement, counts)`` for the witness S of a
-    ``solve_connected_complement`` result, ``counts[i]`` being the number
-    of neighbors the i-th vertex of S has in the complement."""
-    s, comp = solution.witness, solution.witness.complement()
-    return s, comp, [(g.neighbor_masks[v] & comp.mask).bit_count() for v in s]
-
-
 def check_extremal_structure(g, solution):
     """For a bound-attaining graph with max degree >= 3 and its k = 1
     ``solve_connected_complement`` result, a minimum forcing set S whose
@@ -95,10 +85,10 @@ def check_extremal_structure(g, solution):
     """
     if solution.complement_empty:
         return None
-    _, comp, outside = _dissect_complement(g, solution)
-    comp_edges = sum(
-        (g.neighbor_masks[v] & comp.mask).bit_count() for v in comp) // 2
-    return (all(count == 1 for count in outside)
+    nbrs, s = g.neighbor_masks, solution.witness
+    comp = s.complement()
+    comp_edges = sum((nbrs[v] & comp.mask).bit_count() for v in comp) // 2
+    return (all((nbrs[v] & comp.mask).bit_count() == 1 for v in s)
             and connected_within(g, comp) and comp_edges == len(comp) - 1)
 
 
@@ -368,14 +358,6 @@ def _sweep(payload, workers, summary):
             yield rec
 
 
-def verify_stream(items, k=1, *, workers=1, node_budget=DEFAULT_NODE_BUDGET):
-    """A drained ``VerifyRun``: ``records`` is a list and the summary is
-    complete."""
-    run = VerifyRun(items, k, workers=workers, node_budget=node_budget)
-    run.records = list(run.records)
-    return run
-
-
 def run_tree_leaf_suite(trees):
     """Check, for every tree in the stream, that each subset keeping all
     leaves but one is a forcing set at k = 1.
@@ -436,35 +418,3 @@ def run_known_values(delta_max=4, cycle_max=12,
         record(complete_bipartite(d, d), 2 * d - 2)
     failures = [c for c in checks if not c["ok"]]
     return {"checks": checks, "failures": failures}
-
-
-def connected_k_dominating_suite(graphs, ks=(1, 2),
-                                 node_budget=DEFAULT_NODE_BUDGET):
-    """Across k-connected graphs: the complement of the minimum forcing
-    set with connected complement must be a connected set dominating every
-    outside vertex at least k times.
-
-    Each pair is solved once, by ``solve_connected_complement``; the
-    dissection, shared with the structure check, runs no wavefront of its
-    own. The complement is never empty: as n > k, V minus any vertex u
-    forces u and leaves {u} connected.
-    """
-    checked = 0
-    failures = []
-    for g in graphs:
-        for k in ks:
-            if not is_k_connected(g, k):
-                continue
-            checked += 1
-            s, comp, outside = _dissect_complement(
-                g, solve_connected_complement(g, k, node_budget=node_budget))
-            connected_ok = connected_within(g, comp)
-            dominating_ok = all(count >= k for count in outside)
-            if not (connected_ok and dominating_ok):
-                failures.append({
-                    "graph6": encode_graph6(g), "k": k,
-                    "witness": list(s),
-                    "connected": connected_ok,
-                    "dominating": dominating_ok,
-                })
-    return {"checked": checked, "failures": failures}

@@ -9,11 +9,55 @@ from pathlib import Path
 
 import pytest
 
-from forcing_lab import Graph, _kernels
+from forcing_lab import Graph, VerifyRun, VertexSet, _kernels
 from forcing_lab._kernels import pure as pure_kernels
 from forcing_lab.enumeration import enumerate_connected
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def verify_stream(items, k=1, **kwargs):
+    """A drained ``VerifyRun``: ``records`` is a list and the summary is
+    complete."""
+    run = VerifyRun(items, k, **kwargs)
+    run.records = list(run.records)
+    return run
+
+
+def outside_counts(g, solution):
+    """For the witness S of a ``solve_connected_complement`` result, each
+    vertex of S's number of neighbors outside S, in vertex order."""
+    comp = solution.witness.complement().mask
+    return [(g.neighbor_masks[v] & comp).bit_count() for v in solution.witness]
+
+
+class TraceError(ValueError):
+    """A trace event violates the coloring rule during replay."""
+
+
+def replay(g, tr):
+    """Re-run a trace, checking every event against the rule.
+
+    Returns the final colored VertexSet; raises TraceError on the first
+    event whose forcer is non-colored, over its non-colored-neighbor
+    budget, or forcing a vertex that is not an eligible neighbor.
+    """
+    if not isinstance(g, Graph):
+        raise TypeError("replay needs a Graph")
+    colored = tr.initial.mask
+    for step, (u, v) in enumerate(tr.events):
+        if not (colored >> u) & 1:
+            raise TraceError(f"event {step}: forcer {u} is not colored")
+        w = g.neighbor_masks[u] & ~colored
+        if not (w >> v) & 1:
+            raise TraceError(
+                f"event {step}: {v} is not a non-colored neighbor of {u}")
+        if w.bit_count() > tr.k:
+            raise TraceError(
+                f"event {step}: forcer {u} has {w.bit_count()} non-colored "
+                f"neighbors, over the budget k={tr.k}")
+        colored |= 1 << v
+    return VertexSet(colored, g.n)
 
 
 def random_masks(rng, n, p):
@@ -25,6 +69,30 @@ def random_masks(rng, n, p):
                 nbrs[i] |= 1 << j
                 nbrs[j] |= 1 << i
     return nbrs
+
+
+def random_graph(rng, n, p=0.4):
+    """A G(n, p) graph drawn from ``rng``, pairs i < j in order."""
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < p])
+
+
+def closure_random_order(g, k, start, rng):
+    """Reference fixed point from the mask ``start``: fire one qualifying
+    vertex at a time, chosen at random. Order independence says this
+    must match the engine."""
+    colored = start
+    while True:
+        eligible = []
+        for v in range(g.n):
+            if not (colored >> v) & 1:
+                continue
+            w = g.neighbor_masks[v] & ~colored
+            if w and w.bit_count() <= k:
+                eligible.append(w)
+        if not eligible:
+            return colored
+        colored |= eligible[rng.randrange(len(eligible))]
 
 
 def hypothesis_inputs():

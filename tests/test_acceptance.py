@@ -13,15 +13,16 @@ import pytest
 
 from forcing_lab import (brute_force_oracle, closure, complete,
                          complete_bipartite, cycle, degree_stats,
-                         forcing_upper_bound, is_k_connected, parse_graph6,
-                         replay, solve, solve_connected_complement, trace)
+                         encode_graph6, forcing_upper_bound, is_k_connected,
+                         parse_graph6, run_tree_leaf_suite, solve,
+                         solve_connected_complement, trace)
 from forcing_lab._kernels import canonical_mask
 from forcing_lab.enumeration import (CONNECTED_CLASS_COUNTS,
                                      enumerate_connected, random_trees)
-from forcing_lab.graphs import Graph, VertexSet, is_tree
-from forcing_lab.verifier import (_dissect_complement,
-                                  connected_k_dominating_suite,
-                                  run_tree_leaf_suite, verify_stream)
+from forcing_lab.graphs import VertexSet, connected_within, is_tree
+
+from conftest import (closure_random_order, outside_counts, random_graph,
+                      replay, verify_stream)
 
 SWEEP_ORDERS = range(3, 9)
 EXPECTED_EXTREMAL_COUNTS = {3: 1, 4: 2, 5: 2, 6: 3, 7: 2, 8: 3}
@@ -138,12 +139,21 @@ def test_criterion_4_leaf_subsets_force_trees():
 
 
 def test_criterion_5_connected_dominating_complements():
-    graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
-    out = connected_k_dominating_suite(graphs, ks=(1, 2))
-    ok = not out["failures"] and out["checked"] > 0
-    _report(5, ok,
-            out["failures"] or f"{out['checked']} (graph, k) pairs checked, "
-                               f"zero failures")
+    # Across k-connected graphs, the complement of the minimum forcing set
+    # with connected complement is a connected set that dominates each
+    # vertex of the forcing set at least k times. The complement is never
+    # empty: as n > k, V minus any vertex u forces u and leaves {u}
+    # connected.
+    checked, failures = 0, []
+    for g in (g for n in range(2, 8) for g in enumerate_connected(n)):
+        for k in (k for k in (1, 2) if is_k_connected(g, k)):
+            checked += 1
+            solution = solve_connected_complement(g, k)
+            if not (connected_within(g, solution.witness.complement())
+                    and min(outside_counts(g, solution)) >= k):
+                failures.append((encode_graph6(g), k, list(solution.witness)))
+    _report(5, not failures and checked > 0,
+            failures or f"{checked} (graph, k) pairs checked, zero failures")
 
 
 def test_criterion_6_bound_sweep_general_k():
@@ -174,38 +184,17 @@ def test_criterion_6_bound_sweep_general_k():
                           f"violations, sharpness witnessed at k=1")
 
 
-def _random_graph(rng, n, p):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
-
-
-def _closure_random_order(g, k, start, rng):
-    colored = start
-    while True:
-        eligible = []
-        for v in range(g.n):
-            if not (colored >> v) & 1:
-                continue
-            w = g.neighbor_masks[v] & ~colored
-            if w and w.bit_count() <= k:
-                eligible.append(w)
-        if not eligible:
-            return colored
-        colored |= eligible[rng.randrange(len(eligible))]
-
-
 def test_criterion_7_engine_properties():
     rng = random.Random(314159)
     failures = []
     for i in range(1000):
         n = rng.randint(2, 12)
-        g = _random_graph(rng, n, rng.uniform(0.15, 0.7))
+        g = random_graph(rng, n, rng.uniform(0.15, 0.7))
         k = rng.randint(1, 3)
         s = rng.getrandbits(n)
         expected = closure(g, k, VertexSet(s, n)).mask
         for _ in range(100):
-            if _closure_random_order(g, k, s, rng) != expected:
+            if closure_random_order(g, k, s, rng) != expected:
                 failures.append(f"instance {i}: order changed the closure")
                 break
         bigger = s | rng.getrandbits(n)
@@ -235,10 +224,11 @@ def test_criterion_8_extremal_structure(sweeps):
             # The paper's third property, read from the dissection itself:
             # the edge boundary of S is exactly |S|.
             g = parse_graph6(rec.graph6)
-            s, _, counts = _dissect_complement(g, solve_connected_complement(g))
-            if sum(counts) != len(s):
-                failures.append(f"{rec.graph6}: edge boundary {sum(counts)} "
-                                f"!= |S| = {len(s)}")
+            solution = solve_connected_complement(g)
+            boundary = sum(outside_counts(g, solution))
+            if boundary != len(solution.witness):
+                failures.append(f"{rec.graph6}: edge boundary {boundary} "
+                                f"!= |S| = {len(solution.witness)}")
     expected_checked = 7  # completes at n=4..8 plus the two balanced bipartites
     if checked != expected_checked:
         failures.append(f"structure checks ran on {checked} graphs, "

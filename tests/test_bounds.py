@@ -4,10 +4,11 @@ import networkx as nx
 import pytest
 
 from forcing_lab import (classify_extremal, complete, complete_bipartite,
-                         cycle, degree_refined_bound, forcing_upper_bound,
-                         parse_graph6, path, solve, star)
+                         cycle, degree_refined_bound, forcing_number,
+                         forcing_upper_bound, parse_graph6, path, solve, star)
+from forcing_lab import _kernels
 from forcing_lab._kernels import pure
-from forcing_lab.bounds import hypothesis_failure
+from forcing_lab.bounds import failure_reason
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import Graph, degree_stats
 
@@ -16,11 +17,10 @@ from conftest import hypothesis_inputs
 
 def test_hypothesis_failure_is_the_rule_it_replaced():
     # The rule as it was written before the graph_facts kernel decided it,
-    # on the pure kernels.
+    # on the pure kernels, against the reason verify and bounds name.
     for nbrs in hypothesis_inputs():
-        g = Graph._from_masks(tuple(nbrs))
         for k in (1, 2, 3, 4):
-            if not pure.connected_in(nbrs, (1 << g.n) - 1):
+            if not pure.connected_in(nbrs, (1 << len(nbrs)) - 1):
                 expected = "disconnected"
             elif max(map(int.bit_count, nbrs), default=0) < 2:
                 expected = "max degree < 2"
@@ -28,7 +28,34 @@ def test_hypothesis_failure_is_the_rule_it_replaced():
                 expected = f"not {k}-connected"
             else:
                 expected = None
-            assert hypothesis_failure(g, k) == expected, (nbrs, k)
+            got = failure_reason(_kernels.graph_facts(nbrs, k)[2], k)
+            assert got == expected, (nbrs, k)
+
+
+def _meets_bound(g, k):
+    """``(F_k(g), whether it equals the bound at k)``."""
+    value, _ = forcing_number(g, k)
+    num, den = forcing_upper_bound(g.n, degree_stats(g)[0], k)
+    return value, value * den == num
+
+
+class TestEqualityBeyondK1:
+    # Where the bound is tight at k >= 2, solved exactly for n <= 12.
+    def test_complete_graphs_meet_it_at_k_1_and_2_only(self):
+        # F_k(K_n) = n - k, and (n - 1)(n - 2) = (n - k)(n + k - 3) only
+        # for k in {1, 2}.
+        for n in range(3, 13):
+            assert [_meets_bound(complete(n), k) for k in range(1, n)] == [
+                (n - k, k <= 2) for k in range(1, n)]
+
+    def test_cycles_meet_it_at_k2(self):
+        assert all(_meets_bound(cycle(n), 2) == (1, True)
+                   for n in range(3, 13))
+
+    def test_balanced_bipartite_at_k2_meets_it_only_at_d2(self):
+        # The bound is 2d - 4 + 2/d, an integer only for d <= 2.
+        assert [d for d in range(2, 7)
+                if _meets_bound(complete_bipartite(d, d), 2)[1]] == [2]
 
 
 class TestForcingUpperBound:

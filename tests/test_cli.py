@@ -12,11 +12,12 @@ import pytest
 import forcing_lab
 from forcing_lab import (_kernels, classify_extremal, complete,
                          complete_bipartite, cycle, encode_graph6,
-                         enumerate_connected, parse_graph6, path, verifier,
-                         verify_stream)
+                         enumerate_connected, parse_graph6, path, verifier)
 from forcing_lab import cli
 from forcing_lab.cli import build_parser, main
 from forcing_lab.enumeration import MAX_ENUMERATION_ORDER
+
+from conftest import verify_stream
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +241,15 @@ class TestBounds:
                                  "--k", "2", "--node-budget", "1")
         assert code == 3 and out == ""
         assert "budget exceeded" in err
+
+    def test_k_solve_abort_names_the_given_budget(self, capsys):
+        # K_{4,4}'s k = 1 wavefront spends 33 of the 40 nodes, so the k = 2
+        # solve aborts on the 7 left; the message names the 40 given.
+        code, out, err = run_cli(capsys, "bounds", "--family",
+                                 "complete_bipartite:4,4", "--k", "2",
+                                 "--node-budget", "40")
+        assert code == 3 and out == ""
+        assert "node budget 40 exhausted" in err
 
     def test_max_degree_below_two_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--family", "path:2")
@@ -591,6 +601,15 @@ def test_every_export_exists_once():
     names = forcing_lab.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(forcing_lab, n)] == []
+
+
+def test_package_has_no_test_only_helpers():
+    # The package holds what the commands run; these serve only the tests.
+    names = ("verify_stream", "connected_k_dominating_suite", "replay",
+             "_dissect_complement", "TraceError", "hypothesis_failure")
+    for module in (forcing_lab, forcing_lab.verifier, forcing_lab.engine,
+                   forcing_lab.bounds):
+        assert [n for n in names if hasattr(module, n)] == [], module
 
 
 @pytest.mark.parametrize("module", ["multiprocessing", "dataclasses",

@@ -6,34 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from forcing_lab import (Graph, ForcingTrace, TraceError, VertexSet, closure,
-                         complete, complete_bipartite, cycle, is_forcing_set,
-                         path, replay, star, trace)
+from forcing_lab import (ForcingTrace, VertexSet, closure, complete,
+                         complete_bipartite, cycle, is_forcing_set, path,
+                         star, trace)
 from forcing_lab._kernels import pure as pure_kernels
 
-
-def _random_graph(rng, n, p=0.4):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
-
-
-def _closure_random_order(g, k, initial_mask, rng):
-    """Reference fixed point: fire one qualifying vertex at a time, chosen
-    at random. Order independence says this must match the engine."""
-    colored = initial_mask
-    while True:
-        eligible = []
-        for v in range(g.n):
-            if not (colored >> v) & 1:
-                continue
-            w = g.neighbor_masks[v] & ~colored
-            if w and w.bit_count() <= k:
-                eligible.append((v, w))
-        if not eligible:
-            return colored
-        _, w = eligible[rng.randrange(len(eligible))]
-        colored |= w
+from conftest import TraceError, closure_random_order, random_graph, replay
 
 
 class TestClosure:
@@ -105,7 +83,7 @@ class TestTrace:
         rng = random.Random(5)
         for _ in range(100):
             n = rng.randint(1, 10)
-            g = _random_graph(rng, n)
+            g = random_graph(rng, n)
             s = VertexSet(rng.getrandbits(n), n)
             k = rng.randint(1, 3)
             tr = trace(g, k, s)
@@ -142,18 +120,18 @@ class TestProperties:
         rng = random.Random(101)
         for _ in range(60):
             n = rng.randint(2, 10)
-            g = _random_graph(rng, n)
+            g = random_graph(rng, n)
             s = rng.getrandbits(n)
             k = rng.randint(1, 3)
             expected = closure(g, k, VertexSet(s, n)).mask
             for _ in range(100):
-                assert _closure_random_order(g, k, s, rng) == expected
+                assert closure_random_order(g, k, s, rng) == expected
 
     def test_monotone_in_initial_set(self):
         rng = random.Random(7)
         for _ in range(200):
             n = rng.randint(1, 10)
-            g = _random_graph(rng, n)
+            g = random_graph(rng, n)
             k = rng.randint(1, 3)
             small = rng.getrandbits(n)
             big = small | rng.getrandbits(n)
@@ -165,7 +143,7 @@ class TestProperties:
         rng = random.Random(13)
         for _ in range(200):
             n = rng.randint(1, 10)
-            g = _random_graph(rng, n)
+            g = random_graph(rng, n)
             s = VertexSet(rng.getrandbits(n), n)
             k = rng.randint(1, 3)
             assert closure(g, k, s).mask & ~closure(g, k + 1, s).mask == 0
@@ -174,7 +152,7 @@ class TestProperties:
         rng = random.Random(17)
         for _ in range(200):
             n = rng.randint(1, 10)
-            g = _random_graph(rng, n)
+            g = random_graph(rng, n)
             s = VertexSet(rng.getrandbits(n), n)
             k = rng.randint(1, 3)
             once = closure(g, k, s)
@@ -189,7 +167,7 @@ class TestKernelParity:
         rng = random.Random(31)
         for _ in range(300):
             n = rng.randint(1, 62)
-            g = _random_graph(rng, n, rng.choice((0.03, 0.08, 0.4)))
+            g = random_graph(rng, n, rng.choice((0.03, 0.08, 0.4)))
             s = rng.getrandbits(n)
             k = rng.randint(1, 4)
             expected = pure_kernels.closure(g.neighbor_masks, k, s)
@@ -199,7 +177,7 @@ class TestKernelParity:
         rng = random.Random(37)
         for _ in range(300):
             n = rng.randint(1, 62)
-            g = _random_graph(rng, n, rng.choice((0.03, 0.08, 0.4)))
+            g = random_graph(rng, n, rng.choice((0.03, 0.08, 0.4)))
             mask = rng.getrandbits(n)
             inside = [v for v in range(n) if (mask >> v) & 1]
             # reference: plain set-based reachability within the mask

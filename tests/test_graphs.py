@@ -15,10 +15,11 @@ from forcing_lab import (Graph, SolveResult, VertexSet,
                          generate, is_connected, is_k_connected,
                          parse_edge_list, path, solve,
                          solve_connected_complement, star, trace,
-                         tree_from_pruefer, verify_stream)
-from forcing_lab import verifier
+                         tree_from_pruefer)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree, leaves
+
+from conftest import outside_counts, random_graph, verify_stream
 
 
 class TestVertexSet:
@@ -64,9 +65,7 @@ class TestGraph:
         # Past 62 vertices the dispatcher must use the pure kernel.
         rng = random.Random(7)
         for n in [rng.randint(1, 9) for _ in range(50)] + [0, 62, 63, 70]:
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if rng.random() < 0.4]
-            g = Graph(n, edges)
+            g = random_graph(rng, n, 0.4)
             assert Graph.from_upper_triangle_mask(g.upper_triangle_mask(), n) == g
 
     def test_pickle_round_trip(self):
@@ -213,8 +212,8 @@ class TestEdgeBoundary:
         for g, size in ((complete(4), 3), (complete_bipartite(3, 3), 4),
                         (cycle(6), 2)):
             solution = solve_connected_complement(g)
-            s, comp, counts = verifier._dissect_complement(g, solution)
-            assert len(s) == sum(counts) == size
+            s = solution.witness
+            assert len(s) == sum(outside_counts(g, solution)) == size
             cut = [(u, v) for u, v in g.edges() if (u in s) != (v in s)]
             assert len(cut) == size
             assert check_extremal_structure(g, solution) is True
@@ -224,16 +223,15 @@ class TestEdgeBoundary:
         checked = 0
         for _ in range(60):
             n = rng.randint(1, 10)
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if rng.random() < 0.5]
-            g = Graph(n, edges)
+            g = random_graph(rng, n, 0.5)
             solution = solve_connected_complement(g)
             if solution.complement_empty:
                 continue
             checked += 1
-            s, comp, counts = verifier._dissect_complement(g, solution)
-            assert sum(counts) == sum(
-                (g.neighbor_masks[v] & s.mask).bit_count() for v in comp)
+            s = solution.witness
+            assert sum(outside_counts(g, solution)) == sum(
+                (g.neighbor_masks[v] & s.mask).bit_count()
+                for v in s.complement())
         assert checked
 
 

@@ -7,13 +7,14 @@ from itertools import combinations
 import pytest
 
 from forcing_lab import (BudgetExceeded, Graph, _kernels, brute_force_oracle,
-                         complete, complete_bipartite,
-                         connected_k_dominating_suite, cycle,
-                         forcing_number, greedy_upper_bound, is_forcing_set, is_k_connected,
-                         path, solve, solve_connected_complement, star)
+                         complete, complete_bipartite, cycle, forcing_number,
+                         greedy_upper_bound, is_forcing_set, path, solve,
+                         solve_connected_complement, star)
 from forcing_lab._kernels import pure
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import VertexSet, connected_within
+
+from conftest import random_graph
 
 
 def grid(m, n):
@@ -118,6 +119,16 @@ class TestSolve:
         assert err.value.size_reached == _kernels.wavefront(
             petersen.neighbor_masks, 1, 20)[0] < 5
 
+    def test_forcing_number_counts_the_spent_nodes(self):
+        # As in `bounds --k 2`: the k = 2 solve of K_{4,4} runs on what its
+        # k = 1 solve left, counts both, and names the whole budget.
+        g = complete_bipartite(4, 4)
+        assert forcing_number(g, 1) == (6, 33)
+        _, nodes = forcing_number(g, 2)
+        assert forcing_number(g, 2, spent=33) == (4, 33 + nodes)
+        with pytest.raises(BudgetExceeded, match="^node budget 40 exhausted"):
+            forcing_number(g, 2, node_budget=40, spent=33)
+
     def test_budget_abort_never_reported_as_optimum(self, petersen):
         with pytest.raises(BudgetExceeded) as err:
             solve(petersen, node_budget=20)
@@ -201,9 +212,7 @@ class TestGreedy:
         rng = random.Random(3)
         for _ in range(60):
             n = rng.randint(1, 9)
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if rng.random() < 0.5]
-            g = Graph(n, edges)
+            g = random_graph(rng, n, 0.5)
             for k in (1, 2):
                 res = greedy_upper_bound(g, k)
                 assert is_forcing_set(g, k, res.witness)
@@ -303,16 +312,3 @@ class TestConnectedComplement:
                 assert err.value.size_reached == 4
         res = solve_connected_complement(petersen, node_budget=total)
         assert res.value == 5
-
-
-def test_connected_k_dominating_property_small():
-    graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
-    out = connected_k_dominating_suite(graphs, ks=(1, 2))
-    assert out["failures"] == []
-    assert out["checked"] > 0
-
-
-def test_suite_skips_non_k_connected():
-    assert not is_k_connected(path(3), 2)
-    out = connected_k_dominating_suite([path(3)], ks=(2,))
-    assert out["checked"] == 0 and out["failures"] == []

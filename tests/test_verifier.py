@@ -15,11 +15,13 @@ from forcing_lab import (Graph, VerifyRun, check_extremal_structure,
                          complete, complete_bipartite, cycle, encode_graph6,
                          forcing_number, parse_graph6, path, run_known_values,
                          run_tree_leaf_suite, solve_connected_complement,
-                         star, tree_from_pruefer, verify_stream)
+                         star, tree_from_pruefer)
 from forcing_lab import _kernels, enumeration, verifier
 from forcing_lab._kernels import pure as pure_kernels
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree
+
+from conftest import outside_counts, verify_stream
 
 
 def _sweep(n, **kwargs):
@@ -42,8 +44,8 @@ def _dissection(g):
     its witness S, the complement and each vertex of S's count of
     neighbours outside S."""
     solution = solve_connected_complement(g)
-    return (check_extremal_structure(g, solution),
-            *verifier._dissect_complement(g, solution))
+    return (check_extremal_structure(g, solution), solution.witness,
+            solution.witness.complement(), outside_counts(g, solution))
 
 
 def _induces_tree(g, vertices):
@@ -582,8 +584,8 @@ class TestExtremalStructure:
         for g in (g for n in range(2, 7) for g in enumerate_connected(n)):
             solution = solve_connected_complement(g, k)
             assert not solution.complement_empty
-            s, comp, counts = verifier._dissect_complement(g, solution)
-            assert comp == s.complement()
+            s, comp = solution.witness, solution.witness.complement()
+            counts = outside_counts(g, solution)
             nxg = nx.Graph(g.edges())
             nxg.add_nodes_from(range(g.n))
             assert counts == [len(set(nxg[v]) & set(comp)) for v in s]
