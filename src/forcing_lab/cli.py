@@ -9,6 +9,10 @@ largest graph, and every option of the subcommand, defaults included, so
 the echo alone reproduces the run. The argument parser is built on the
 first ``main`` call and reused by every later call in the same process.
 
+``verify`` runs in one process. Its ``--workers`` is checked (at least
+1) and echoed, but ignored; more CPUs come from one ``verify --input``
+per part of the input, with the records concatenated in part order.
+
 Exit codes: 0 success, 1 counterexample or property failure, 2 input
 error (for ``bounds``, also a graph outside the bound's hypotheses),
 3 resource-budget abort, 141 (128 + SIGPIPE) stdout closed by its reader
@@ -156,9 +160,9 @@ def build_parser():
     _add_k(p_verify)
     _add_node_budget(p_verify)
     p_verify.add_argument("--workers", type=int, default=1,
-                          help="parallel workers, at most one process per CPU; "
-                               "the worker pool starts only after about 1 s "
-                               "of verification (default 1)")
+                          help="ignored: verify runs in one process; for "
+                               "more CPUs run one verify --input per part "
+                               "of the input (default 1)")
 
     p_lemmas = sub.add_parser("lemmas", help="property suites")
     lemmas_sub = p_lemmas.add_subparsers(dest="suite", required=True)
@@ -266,8 +270,7 @@ def _cmd_verify(args):
             items = _input_lines(stack.enter_context(open(args.input, "rb")))
         # Records are written as they arrive; the summary is complete once
         # write_jsonl has drained them.
-        run = VerifyRun(items, args.k, workers=args.workers,
-                        node_budget=args.node_budget)
+        run = VerifyRun(items, args.k, node_budget=args.node_budget)
         stack.enter_context(closing(run.records))
         if args.out:
             with open(args.out + ".records.jsonl", "w", encoding="ascii") as fh:

@@ -12,23 +12,18 @@ edge boundary of exactly the set size, and a tree complement). Also
 hosts the two suites behind ``lemmas``: the leaf-subset forcing check on
 trees and the closed-form values of the named families.
 
-Verification runs are deterministic: records come back in input order
-whatever the worker count, and every summary reduction is order-free.
-Records stream: ``VerifyRun`` draws its input lazily, folds each
-outcome into its summary and yields each record as soon as it and every
-record before it are done, so the first record never waits for the last
-and memory stays bounded however long the input is. With more than one
-worker, a fork pool takes over the rest of the input only after about a
-second of verification in this process (``POOL_AFTER_S``), so a short run
-never pays for starting one.
+Verification runs are deterministic: records come back in input order,
+and every summary reduction is order-free. Records stream: ``VerifyRun``
+verifies one item at a time in this process, folds each outcome into its
+summary and yields each record as soon as it is done, so the first record
+never waits for the last and memory stays bounded however long the input
+is. More CPUs come from more processes over disjoint parts of the input:
+their records, concatenated in input order, are those of one run.
 """
 
 import csv
-import os
 import time
-from collections import deque, namedtuple
-from contextlib import closing
-from itertools import islice
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from . import _kernels
@@ -148,10 +143,6 @@ def _verify_one(lineno, item, k, node_budget):
     return ("record", record, (time.perf_counter() - started) * 1000.0)
 
 
-def _verify_chunk(chunk):
-    return [_verify_one(*args) for args in chunk]
-
-
 def _is_counterexample(rec):
     if rec.status != "ok":
         return False
@@ -176,15 +167,9 @@ class VerifyRun:
     """The bound sweep over an iterable of graph6 lines and Graph objects,
     mixed freely: its records and the summary they reduce to.
 
-    ``records`` is a generator that yields each record in input order,
-    for any worker count, as soon as it and every record before it are
-    done. It draws the input lazily: one item at a time while items are
-    verified in this process, which is always the case with one worker or
-    one CPU and otherwise until about POOL_AFTER_S seconds of verification
-    have passed; after that a fork pool takes the rest, drawn at most a
-    bounded window (WINDOW) ahead. So memory does not grow with the length
-    of the input. The pool, if one started, is terminated and joined
-    however ``records`` ends, including when it is closed early.
+    ``records`` is a generator that yields each record in input order as
+    soon as it is verified. It draws the input lazily, one item per
+    outcome, so memory does not grow with the length of the input.
 
     Lines are stripped, and blank lines are skipped but still counted as
     input lines. Only lines are parsed; a Graph is named in its record
@@ -197,29 +182,27 @@ class VerifyRun:
     bounds all the solving done for one graph; an abort makes the record
     "unresolved", never a pass and never the end of the run.
 
-    ``summary`` holds, in this order: k, workers, input_lines,
-    graphs_verified, skipped (a count per reason, the reasons in the
-    order the input first gives them), parse_failure_count (every
-    malformed line), parse_failures (the first PARSE_FAILURES_KEPT of
-    them, each with its input line, text and error), per_n (graph count,
-    extremal count and graph6 list, max solver nodes and summed time per
-    order), then the graph6 lists of counterexamples, unresolved records
-    and structure failures. Each outcome is folded in as it is yielded,
-    and input_lines is set when the input is exhausted, so the summary is
-    complete only once ``records`` is drained (``write_jsonl`` drains it).
+    ``summary`` holds, in this order: k, input_lines, graphs_verified,
+    skipped (a count per reason, the reasons in the order the input first
+    gives them), parse_failure_count (every malformed line),
+    parse_failures (the first PARSE_FAILURES_KEPT of them, each with its
+    input line, text and error), per_n (graph count, extremal count and
+    graph6 list, max solver nodes and summed time per order), then the
+    graph6 lists of counterexamples, unresolved records and structure
+    failures. Each outcome is folded in as it is yielded, and input_lines
+    is set when the input is exhausted, so the summary is complete only
+    once ``records`` is drained (``write_jsonl`` drains it).
     """
 
-    def __init__(self, items, k=1, *, workers=1,
-                 node_budget=DEFAULT_NODE_BUDGET):
+    def __init__(self, items, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
         if k < 1:
             raise ValueError("k must be positive")
         self.summary = {
-            "k": k, "workers": workers, "input_lines": 0,
+            "k": k, "input_lines": 0,
             "graphs_verified": 0, "skipped": {}, "parse_failure_count": 0,
             "parse_failures": [], "per_n": {}, "counterexamples": [],
             "unresolved": [], "structure_failures": []}
-        self.records = _sweep(_numbered(items, k, node_budget, self.summary),
-                              workers, self.summary)
+        self.records = _sweep(items, k, node_budget, self.summary)
 
     def write_jsonl(self, stream):
         for rec in self.records:
@@ -238,124 +221,55 @@ class VerifyRun:
                 row["max_solver_nodes"], round(row["wall_time_ms"], 3)])
 
 
-# Items are verified in this process until the times _verify_one measures
-# for its records add up to POOL_AFTER_S seconds; only then may the rest go
-# to a fork pool. The time the input takes to draw (an enumeration, a slow
-# pipe) does not count, nor do skips and parse errors. On 2 vCPU, importing
-# multiprocessing and starting, terminating and joining a two-process pool
-# takes about 35 ms in process, and a fresh `verify` of 1,500 small graphs
-# ran about 65 ms longer with the pool than without. A run that starts a
-# pool has already spent 1 s verifying, so that fixed cost stays under about
-# 7% of it, and a shorter run never pays it. Past the switch the pool wins
-# on costly graphs: `verify` of 200 random cubic graphs on 36 vertices
-# (about 20 ms each) took a median 3.0 s with --workers 2 against 4.4 s with
-# one (10 alternating runs, 2 vCPU). It loses on cheap ones: `verify
-# --enumerate 9` (about 50 us a graph) took 21.6 and 28.2 s against 18.5
-# and 21.4 s, as the parent pickles, folds and writes every record while
-# the two workers run. The pool has one process per worker, but no more
-# than there are CPUs, and never starts with one process. Fewer than CHUNK
-# items left at the switch are verified in this process too. Otherwise
-# items go to the pool CHUNK at a time, and the input is drawn at most
-# WINDOW items (or two chunks per pool process, when that is more) ahead of
-# the outcomes already reduced.
-POOL_AFTER_S = 1.0
-CHUNK = 32
-WINDOW = 512
-
 # Malformed lines kept in full in the summary; past these only the count
 # grows. 20,000 lines of "B!" cost about 6.3 MB when every entry was kept.
 PARSE_FAILURES_KEPT = 100
 
 
-def _numbered(items, k, node_budget, summary):
-    """Worker arguments for the non-blank items, numbered by input line;
-    sets ``summary["input_lines"]`` once the input is exhausted."""
+def _sweep(items, k, node_budget, summary):
+    """The records of ``VerifyRun``: each non-blank item, numbered by input
+    line, is verified and its outcome folded into ``summary``;
+    ``summary["input_lines"]`` is set once the input is exhausted."""
+    skipped, failures, per_n = (summary["skipped"],
+                                summary["parse_failures"], summary["per_n"])
     lineno = 0
     for lineno, item in enumerate(items, 1):
         if isinstance(item, str):
             item = item.strip()
             if not item:
                 continue
-        yield (lineno, item, k, node_budget)
+        kind, entry, elapsed = _verify_one(lineno, item, k, node_budget)
+        if kind == "skipped":
+            skipped[entry] = skipped.get(entry, 0) + 1
+            continue
+        if kind == "parse_failures":
+            summary["parse_failure_count"] += 1
+            if len(failures) < PARSE_FAILURES_KEPT:
+                failures.append(entry)
+            continue
+        rec = entry
+        summary["graphs_verified"] += 1
+        row = per_n.get(rec.n)
+        if row is None:
+            row = per_n[rec.n] = {
+                "graph_count": 0, "extremal_count": 0,
+                "extremal_graph6": [], "max_solver_nodes": 0,
+                "wall_time_ms": 0.0}
+        row["graph_count"] += 1
+        row["wall_time_ms"] += elapsed
+        row["max_solver_nodes"] = max(row["max_solver_nodes"],
+                                      rec.solver_nodes)
+        if rec.status == "ok" and rec.equality:
+            row["extremal_count"] += 1
+            row["extremal_graph6"].append(rec.graph6)
+        if _is_counterexample(rec):
+            summary["counterexamples"].append(rec.graph6)
+        if rec.status == "unresolved":
+            summary["unresolved"].append(rec.graph6)
+        if rec.structure_ok is False:
+            summary["structure_failures"].append(rec.graph6)
+        yield rec
     summary["input_lines"] = lineno
-
-
-def _outcomes(payload, workers):
-    """Outcomes of the payload, in input order. Items are verified in this
-    process until POOL_AFTER_S seconds of verification have passed; then,
-    with more than one process and at least CHUNK items left, a fork pool
-    takes the rest. The pool has at most ``limit`` chunks submitted and
-    not yet consumed, and is terminated and joined however this generator
-    ends."""
-    processes = min(workers, os.cpu_count() or 1)
-    # _verify_one times each record itself: outcome[-1] is its ms.
-    budget_ms = POOL_AFTER_S * 1000.0 if processes > 1 else float("inf")
-    spent_ms = 0.0
-    for args in payload:
-        outcome = _verify_one(*args)
-        yield outcome
-        spent_ms += outcome[-1]
-        if spent_ms >= budget_ms:
-            break
-    else:
-        return
-    chunk = list(islice(payload, CHUNK))
-    if len(chunk) < CHUNK:
-        yield from _verify_chunk(chunk)
-        return
-    from multiprocessing import get_context
-    pool = get_context("fork").Pool(processes)
-    try:
-        pending = deque()
-        limit = max(WINDOW // CHUNK, 2 * processes)
-        while chunk:
-            pending.append(pool.apply_async(_verify_chunk, (chunk,)))
-            if len(pending) == limit:
-                yield from pending.popleft().get()
-            chunk = list(islice(payload, CHUNK))
-        while pending:
-            yield from pending.popleft().get()
-    finally:
-        pool.terminate()
-        pool.join()
-
-
-def _sweep(payload, workers, summary):
-    """The records of ``VerifyRun``, each outcome folded into ``summary``."""
-    skipped, failures, per_n = (summary["skipped"],
-                                summary["parse_failures"], summary["per_n"])
-    with closing(_outcomes(payload, workers)) as outcomes:
-        for kind, entry, elapsed in outcomes:
-            if kind == "skipped":
-                skipped[entry] = skipped.get(entry, 0) + 1
-                continue
-            if kind == "parse_failures":
-                summary["parse_failure_count"] += 1
-                if len(failures) < PARSE_FAILURES_KEPT:
-                    failures.append(entry)
-                continue
-            rec = entry
-            summary["graphs_verified"] += 1
-            row = per_n.get(rec.n)
-            if row is None:
-                row = per_n[rec.n] = {
-                    "graph_count": 0, "extremal_count": 0,
-                    "extremal_graph6": [], "max_solver_nodes": 0,
-                    "wall_time_ms": 0.0}
-            row["graph_count"] += 1
-            row["wall_time_ms"] += elapsed
-            row["max_solver_nodes"] = max(row["max_solver_nodes"],
-                                          rec.solver_nodes)
-            if rec.status == "ok" and rec.equality:
-                row["extremal_count"] += 1
-                row["extremal_graph6"].append(rec.graph6)
-            if _is_counterexample(rec):
-                summary["counterexamples"].append(rec.graph6)
-            if rec.status == "unresolved":
-                summary["unresolved"].append(rec.graph6)
-            if rec.structure_ok is False:
-                summary["structure_failures"].append(rec.graph6)
-            yield rec
 
 
 def run_tree_leaf_suite(trees):

@@ -1,9 +1,11 @@
 """Command-line surface: output shapes, exit codes, file handling."""
 
+import ast
 import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -534,13 +536,31 @@ class TestVerify:
         assert r"F@\u?" in {r["graph6"] for r in records}
 
     def test_workers_flag_gives_same_records(self, capsys, tmp_path):
-        a = str(tmp_path / "a")
-        b = str(tmp_path / "b")
-        run_cli(capsys, "verify", "--enumerate", "5", "--out", a)
-        run_cli(capsys, "verify", "--enumerate", "5", "--workers", "3",
-                "--out", b)
-        assert ((tmp_path / "a.records.jsonl").read_text()
-                == (tmp_path / "b.records.jsonl").read_text())
+        # --workers is checked and echoed, and changes nothing else: the
+        # same record bytes, and summaries equal apart from wall times.
+        for k in ("1", "2"):
+            outputs = []
+            for workers in ("1", "3"):
+                prefix = str(tmp_path / f"k{k}w{workers}")
+                code, _, err = run_cli(capsys, "verify", "--enumerate", "6",
+                                       "--k", k, "--workers", workers,
+                                       "--out", prefix)
+                assert code == 0
+                assert first_json(err)["config"]["workers"] == int(workers)
+                with open(prefix + ".records.jsonl", "rb") as fh:
+                    records = fh.read()
+                with open(prefix + ".summary.csv") as fh:
+                    csv_rows = [row.rsplit(",", 1)[0] for row in fh]
+                with open(prefix + ".summary.json") as fh:
+                    summary = json.load(fh)
+                for row in summary["per_n"].values():
+                    del row["wall_time_ms"]
+                outputs.append((records, csv_rows, summary))
+            assert outputs[0][0].count(b"\n") == {"1": 112, "2": 56}[k]
+            assert outputs[0] == outputs[1]
+        code, _, err = run_cli(capsys, "verify", "--enumerate", "6",
+                               "--workers", "0")
+        assert code == 2 and "--workers must be positive" in err
 
 
 class TestLemmas:
@@ -615,10 +635,10 @@ def test_package_has_no_test_only_helpers():
 @pytest.mark.parametrize("module", ["multiprocessing", "dataclasses",
                                     "inspect"])
 def test_cli_import_leaves_module_unloaded(module):
-    # Every CLI process pays for its imports before its first graph. The
-    # pool's module loads only when a run starts a pool; the result
-    # types are named tuples, so neither dataclasses nor the inspect it
-    # pulls in loads at all.
+    # Every CLI process pays for its imports before its first graph. No
+    # module of the package starts processes, and the result types are
+    # named tuples, so neither dataclasses nor the inspect it pulls in
+    # loads at all.
     code = (f"import sys; sys.path.insert(0, {SRC!r}); "
             f"import forcing_lab.cli; print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
@@ -626,17 +646,26 @@ def test_cli_import_leaves_module_unloaded(module):
     assert out.strip() == "False"
 
 
-def test_short_pooled_verify_never_imports_multiprocessing():
-    # --workers 2 on two CPUs, but the n = 6 sweep spends 2-6 ms verifying
-    # compiled and 5-30 ms on the pure kernels, far below POOL_AFTER_S.
-    code = (f"import os, sys; sys.path.insert(0, {SRC!r}); "
-            "os.cpu_count = lambda: 2; from forcing_lab.cli import main; "
-            "code = main(['verify', '--enumerate', '6', '--workers', '2']); "
-            "print(code, 'multiprocessing' in sys.modules, file=sys.stderr)")
-    run = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True)
-    assert len(run.stdout.splitlines()) == 112
-    assert run.stderr.splitlines()[-1] == "0 False"
+def test_package_starts_no_process_pool():
+    # verify runs in one process; more CPUs come from one verify --input
+    # per part of the input. No module imports a process pool or forks.
+    found = []
+    for path in sorted(pathlib.Path(forcing_lab.__file__).parent.rglob(
+            "*.py")):
+        for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}"
+                         for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [ast.unparse(node.func)]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if name == "os.fork" or name.split(".")[0] in (
+                          "multiprocessing", "concurrent")]
+    assert found == []
 
 
 def test_verify_writes_no_carriage_returns(tmp_path):

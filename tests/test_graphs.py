@@ -73,8 +73,9 @@ class TestGraph:
         for obj in (g, VertexSet(3, 4)):
             assert pickle.loads(pickle.dumps(obj)) == obj
         assert pickle.loads(pickle.dumps(g)).name == "C_5"
-        # Result types, each with its fields in order. The pool returns
-        # records by pickle; results are immutable.
+        # Result types, each with its fields in order. They pickle, for
+        # callers that split work across their own processes; results are
+        # immutable.
         record_fields = [
             "graph6", "n", "max_degree", "min_degree", "k", "f_k",
             "bound_num", "bound_den", "equality", "extremal_class",

@@ -1,12 +1,10 @@
-"""Verification pipeline: sweeps, records, summaries, parallel determinism,
-and the structural/leaf/known-value suites."""
+"""Verification pipeline: sweeps, records, summaries, streaming, and the
+structural/leaf/known-value suites."""
 
 import io
 import json
-import multiprocessing
 import tracemalloc
 from collections import deque
-from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -26,10 +24,6 @@ from conftest import outside_counts, verify_stream
 
 def _sweep(n, **kwargs):
     return verify_stream(enumerate_connected(n), **kwargs)
-
-
-def _lines(run):
-    return [r.to_json_line() for r in run.records]
 
 
 def _clean(run):
@@ -52,81 +46,6 @@ def _induces_tree(g, vertices):
     nxg = nx.Graph(g.edges())
     nxg.add_nodes_from(range(g.n))
     return nx.is_tree(nxg.subgraph(vertices))
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
-
-
-@pytest.fixture
-def pooled(monkeypatch, two_cpus):
-    """Hands the input to a real fork pool after the first item; returns
-    the process count of each pool started."""
-    monkeypatch.setattr(verifier, "POOL_AFTER_S", 0)
-    started = []
-    get_context = multiprocessing.get_context
-
-    def spy(method):
-        context = get_context(method)
-
-        def pool(processes):
-            started.append(processes)
-            return context.Pool(processes)
-        return SimpleNamespace(Pool=pool)
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    return started
-
-
-@pytest.fixture
-def fake_pool(monkeypatch, two_cpus):
-    """A pool that runs each chunk in this process; returns the pools
-    started, each with its process count and the chunks it was given."""
-    pools = []
-
-    class FakePool:
-        def __init__(self, processes):
-            self.processes, self.chunks = processes, []
-            pools.append(self)
-
-        def apply_async(self, fn, args):
-            self.chunks.append(args[0])
-            out = fn(*args)
-            return SimpleNamespace(get=lambda: out)
-
-        def terminate(self):
-            pass
-
-        def join(self):
-            pass
-
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: SimpleNamespace(Pool=FakePool))
-    return pools
-
-
-@pytest.fixture
-def no_pool(monkeypatch, two_cpus):
-    def get_context(method):
-        raise AssertionError("a pool started")
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-
-
-@pytest.fixture
-def fake_clock(monkeypatch):
-    """The verifier's clock. Each reading returns ``clock.now`` and then
-    advances it by ``clock.step`` (1 s unless a test sets it), so
-    _verify_one, which reads it before and after each record, times every
-    record at exactly one step; skips and parse errors take no time."""
-    clock = SimpleNamespace(now=0.0, step=1.0)
-
-    def perf_counter():
-        now = clock.now
-        clock.now += clock.step
-        return now
-    monkeypatch.setattr(verifier, "time",
-                        SimpleNamespace(perf_counter=perf_counter))
-    return clock
 
 
 class TestVerifyStream:
@@ -217,19 +136,6 @@ class TestVerifyStream:
         run = verify_stream(lines)
         assert [r.graph6 for r in run.records] == lines
 
-    def test_worker_count_does_not_change_records(self, pooled):
-        lines = [encode_graph6(g) for g in enumerate_connected(6)]
-        serial = verify_stream(lines, workers=1)
-        parallel = verify_stream(lines, workers=4)
-        assert pooled == [2]
-        assert _lines(serial) == _lines(parallel)
-
-    def test_worker_count_does_not_change_graph_records(self, pooled):
-        serial = verify_stream(enumerate_connected(6), workers=1)
-        parallel = verify_stream(enumerate_connected(6), workers=3)
-        assert pooled == [2]
-        assert _lines(serial) == _lines(parallel)
-
     def test_padding_bits_are_ignored_and_the_line_kept(self):
         # 'x' sets the last padding bit of the triangle's payload byte.
         assert parse_graph6("Bx") == complete(3)
@@ -296,18 +202,6 @@ class TestVerifyStream:
         # K4..K8, K_{3,3} and K_{4,4}.
         assert len(checked) == 7
         assert sizes == dict(checked)
-
-    def test_structure_abort_in_the_pool_is_unresolved(self, pooled):
-        # The pool takes every item after the first.
-        lines = ["Bw"] + ["Cr"] * 16 + ["EFz_"] + ["Cr"] * 16
-        serial = verify_stream(lines, node_budget=8)
-        parallel = verify_stream(lines, workers=2, node_budget=8)
-        assert pooled == [2]
-        assert _lines(parallel) == _lines(serial)
-        assert [r.graph6 for r in parallel.records
-                if r.status == "unresolved"] == ["EFz_"]
-        assert parallel.summary["unresolved"] == ["EFz_"]
-        assert parallel.summary["graphs_verified"] == len(lines)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_solver_nodes_are_the_forcing_number_nodes(self, k):
@@ -386,69 +280,44 @@ def _counting(items, drawn):
 
 class TestStreaming:
     def test_one_worker_draws_one_item_per_record(self):
+        # Each record is yielded once its own input line is drawn and
+        # before the next one is; blank, malformed and skipped lines are
+        # drawn on the way.
+        lines = ["", "not graph6!", "A?"] + [
+            encode_graph6(g) for g in enumerate_connected(6)] + ["", "A?"]
         drawn = [0]
-        run = VerifyRun(_counting(enumerate_connected(6), drawn), 1)
+        run = VerifyRun(_counting(lines, drawn), 1)
         first = next(run.records)
-        assert drawn == [1]
+        assert drawn == [4]
         assert run.summary["graphs_verified"] == 1
         assert first.to_json_line() == _sweep(6).records[0].to_json_line()
+        assert [drawn[0] for _ in run.records] == list(range(5, 4 + 112))
+        assert drawn[0] == len(lines) == run.summary["input_lines"]
+
+    def test_closing_early_runs_the_input_finally(self):
+        ended = []
+
+        def items():
+            try:
+                yield from enumerate_connected(6)
+            finally:
+                ended.append(True)
+        run = VerifyRun(items(), 1)
+        next(run.records)
+        next(run.records)
+        assert ended == []
         run.records.close()
+        assert ended == [True]
 
-    def test_pool_reads_at_most_a_window_ahead(self, pooled):
-        lines = [encode_graph6(g) for g in enumerate_connected(5)] * 60
-        assert len(lines) > 2 * verifier.WINDOW
-        drawn = [0]
-        run = VerifyRun(_counting(lines, drawn), 1, workers=2)
-        ahead = [drawn[0] - i for i, _ in enumerate(run.records, 1)]
-        assert pooled == [2]
-        assert len(ahead) == len(lines) == run.summary["input_lines"]
-        assert 0 <= max(ahead) <= verifier.WINDOW
-
-    def test_closing_early_stops_the_pool(self, pooled):
-        records = VerifyRun(enumerate_connected(6), 1, workers=2).records
-        # The first record is verified here, the second by the pool.
-        next(records)
-        next(records)
-        assert pooled == [2]
-        assert multiprocessing.active_children()
-        records.close()
-        assert multiprocessing.active_children() == []
-
-    def test_input_shorter_than_a_chunk_starts_no_pool(self, monkeypatch,
-                                                       no_pool):
-        monkeypatch.setattr(verifier, "POOL_AFTER_S", 0)
-        records = VerifyRun(["Bw"] * (verifier.CHUNK - 1), 1,
-                            workers=2).records
-        next(records)
-        assert len(list(records)) == verifier.CHUNK - 2
-
-    def test_pool_starts_at_most_one_process_per_cpu(self, monkeypatch,
-                                                     fake_pool):
-        monkeypatch.setattr(verifier, "POOL_AFTER_S", 0)
-        lines = [encode_graph6(g) for g in enumerate_connected(5)] * 2
-        assert len(lines) > verifier.CHUNK
-        serial = _lines(verify_stream(lines))
-        # One CPU starts no pool: the items are verified in this process.
-        for cpus, workers, processes in [(2, 2, 2), (2, 3, 2), (2, 1000, 2),
-                                         (None, 4, None)]:
-            monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
-            run = verify_stream(lines, workers=workers)
-            assert (fake_pool.pop().processes if fake_pool else None) \
-                == processes
-            assert run.summary["workers"] == workers
-            assert _lines(run) == serial
-        assert fake_pool == []
-
-    def test_pooled_summary_keeps_its_keys_and_line_numbers(self, pooled):
+    def test_summary_keeps_its_keys_and_line_numbers(self):
         lines = ["Bw", "", "not graph6!", "A?"] + [
             encode_graph6(g) for g in enumerate_connected(6)]
-        summary = verify_stream(lines, 2, workers=2).summary
-        assert pooled == [2]
-        assert list(summary) == ["k", "workers", "input_lines",
-                                 "graphs_verified", "skipped",
-                                 "parse_failure_count", "parse_failures",
-                                 "per_n", "counterexamples",
-                                 "unresolved", "structure_failures"]
+        summary = verify_stream(lines, 2).summary
+        assert list(summary) == ["k", "input_lines", "graphs_verified",
+                                 "skipped", "parse_failure_count",
+                                 "parse_failures", "per_n",
+                                 "counterexamples", "unresolved",
+                                 "structure_failures"]
         assert summary["input_lines"] == len(lines)
         assert summary["parse_failure_count"] == 1
         assert [f["line"] for f in summary["parse_failures"]] == [3]
@@ -492,66 +361,6 @@ class TestStreaming:
         assert failures[-1] == {
             "line": 100, "graph6": "B!",
             "error": "non-printable payload byte '!' (byte offset 1)"}
-
-    def test_short_run_starts_no_pool(self, fake_clock, no_pool):
-        # At the default threshold, 112 records at 8 ms each (0.9 s) stay
-        # in this process. The real n = 6 sweep spends 2-6 ms verifying
-        # compiled and 5-30 ms on the pure kernels.
-        fake_clock.step = 0.008
-        assert (_lines(_sweep(6, workers=2))
-                == _lines(_sweep(6, workers=1)))
-
-    def test_pool_takes_over_after_exactly_m_items(self, monkeypatch,
-                                                   fake_clock, fake_pool):
-        # Blank, malformed and skipped lines on both sides of the handoff;
-        # they take no verification time, so the m records of the head
-        # reach a threshold of m seconds.
-        head = ["Bw", "", "not graph6!", "A?", "Bw"]
-        tail = ["", "not graph6!", "A?"] + [
-            encode_graph6(g) for g in enumerate_connected(5)] * 2 + [""]
-        lines = head + tail
-        monkeypatch.setattr(verifier, "POOL_AFTER_S", head.count("Bw"))
-        serial = verify_stream(lines, workers=1)
-        assert fake_pool == []
-        parallel = verify_stream(lines, workers=2)
-        [pool] = fake_pool
-        assert [args[0] for chunk in pool.chunks for args in chunk] == [
-            i for i, line in enumerate(lines, 1) if line and i > len(head)]
-        assert _lines(parallel) == _lines(serial)
-        # Every record takes 1 s on the fake clock in both runs, so even
-        # the summed times per order agree.
-        assert parallel.summary == dict(serial.summary, workers=2)
-        assert serial.summary["input_lines"] == len(lines)
-        assert [f["line"] for f in serial.summary["parse_failures"]] == [3, 7]
-        # One skip on each side of the handoff, both counted.
-        assert head.count("A?") == tail.count("A?") == 1
-        assert serial.summary["skipped"] == {"disconnected": 2}
-
-    def test_drawing_the_input_is_not_verification_time(
-            self, monkeypatch, fake_clock, no_pool):
-        # 112 graphs take 112 s to verify and 1,120 s to draw.
-        monkeypatch.setattr(verifier, "POOL_AFTER_S", 200)
-
-        def slow(items):
-            for item in items:
-                fake_clock.now += 10.0
-                yield item
-        serial = verify_stream(enumerate_connected(6), workers=1)
-        assert (_lines(verify_stream(slow(enumerate_connected(6)), workers=2))
-                == _lines(serial))
-
-    def test_closing_before_the_handoff_starts_no_pool(self, monkeypatch,
-                                                       fake_clock, fake_pool):
-        monkeypatch.setattr(verifier, "POOL_AFTER_S", 3)
-        records = VerifyRun(enumerate_connected(6), 1, workers=2).records
-        # The third record reaches the threshold; the switch would come
-        # with the fourth.
-        for _ in range(3):
-            next(records)
-        records.close()
-        assert fake_pool == []
-        assert list(VerifyRun(enumerate_connected(6), 1, workers=2).records)
-        assert len(fake_pool) == 1
 
 
 class TestExtremalStructure:
