@@ -15,11 +15,11 @@ backends directly through the ``kernels`` fixture.
 from . import pure as _pure
 
 # Every kernel this module sends to the compiled extension: all of pure.py
-# but the two exhaustive level scans.
+# but the two exhaustive level scans and k_connected, whose cut walk
+# graph_facts runs.
 COMPILED_KERNELS = ("closure", "connected_in", "search_level_pruned",
                     "wavefront", "canonical_mask", "augment",
-                    "triangle_masks", "graph6_masks", "k_connected",
-                    "graph_facts")
+                    "triangle_masks", "graph6_masks", "graph_facts")
 
 
 def _load_compiled():
@@ -56,10 +56,6 @@ def closure(nbrs, k, colored):
 
 def connected_in(nbrs, mask):
     return _impl(len(nbrs)).connected_in(nbrs, mask)
-
-
-def k_connected(nbrs, k):
-    return _impl(len(nbrs)).k_connected(nbrs, k)
 
 
 def graph_facts(nbrs, k):

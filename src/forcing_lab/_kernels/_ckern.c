@@ -1,11 +1,12 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: ten of its twelve functions, with the
- * same return values, witnesses and node counts. The other two, the
- * exhaustive level scans, stay pure-only: the plain one serves only the
- * brute-force oracle, which is thus independent of this file, and the
- * connected-complement one runs only from the forcing number up. Keep the
- * two files in sync; the differential tests compare them kernel by kernel.
+ * Mirrors _kernels/pure.py exactly: nine of its twelve functions, with the
+ * same return values, witnesses and node counts. The other three stay
+ * pure-only: the plain exhaustive level scan serves only the brute-force
+ * oracle, which is thus independent of this file, the connected-complement
+ * one runs only from the forcing number up, and graph_facts here runs
+ * k_connected's cut walk itself. Keep the two files in sync; the
+ * differential tests compare them kernel by kernel.
  *
  * The exact solver is wavefront (the forcing number, by best-first search
  * over closed sets) followed by one search_level_pruned at that size (the
@@ -14,9 +15,9 @@
  * stack masks and calls canonical_mask's search only for the children that
  * pass. triangle_masks and graph6_masks build a graph's neighbor masks from
  * the packed upper triangle and from a graph6 payload, through one helper
- * that alone knows the pair order; k_connected tests vertex connectivity
- * cut by cut, and graph_facts gives the degrees and decides the degree
- * bound's hypotheses with the same cut walk. wavefront is the only kernel
+ * that alone knows the pair order; graph_facts gives the degrees and
+ * decides the degree bound's hypotheses, k-connectivity cut by cut.
+ * wavefront is the only kernel
  * that allocates memory of its own: its closed-set table and cost buckets
  * grow by at most one entry per node, so the node budget bounds them; every
  * exit frees them, and a failed allocation raises MemoryError.
@@ -681,19 +682,6 @@ static int no_small_cut(const graph *g, long long k)
     return 1;
 }
 
-/* See pure.k_connected; below k = 1 it asks only for more than k vertices. */
-static PyObject *py_k_connected(PyObject *self, PyObject *args)
-{
-    PyObject *nbrs, *k_obj;
-    graph g;
-    long long k;
-    if (!PyArg_UnpackTuple(args, "k_connected", 2, 2, &nbrs, &k_obj)
-        || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0)
-        return NULL;
-    int ok = (k < 1 || connected_in_u64(g.nbrs, g.full)) ? no_small_cut(&g, k) : 0;
-    return ok < 0 ? NULL : PyBool_FromLong(ok);
-}
-
 /* The reasons graph_facts gives, in the order it checks them. */
 enum { APPLIES, DISCONNECTED, MAX_DEGREE_BELOW_2, NOT_K_CONNECTED };
 
@@ -741,7 +729,6 @@ static PyMethodDef methods[] = {
     KERNEL(augment, "nbrs"),
     KERNEL(triangle_masks, "bits, n"),
     KERNEL(graph6_masks, "payload, n"),
-    KERNEL(k_connected, "nbrs, k"),
     KERNEL(graph_facts, "nbrs, k"),
     {NULL, NULL, 0, NULL},
 };

@@ -11,12 +11,12 @@ exhaustive subset scan, one Gosper walk, runs here on every backend: the
 brute-force oracle runs it plain (``search_level_exhaustive``) and the
 connected-complement solve as ``search_level_constrained``.
 
-Four kernels build or test whole graphs rather than search them:
+Three kernels build or test whole graphs rather than search them:
 ``triangle_masks`` unpacks the upper-triangle bit layout that graph6 and
 the canonical certificates share, ``graph6_masks`` decodes a graph6
-payload with it, ``k_connected`` tests vertex connectivity, and
-``graph_facts`` gives the degrees and decides the degree bound's
-hypotheses in one call.
+payload with it, and ``graph_facts`` gives the degrees and decides the
+degree bound's hypotheses in one call, k-connectivity by ``k_connected``,
+which is pure only.
 """
 
 from itertools import combinations

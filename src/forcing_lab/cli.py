@@ -9,9 +9,11 @@ largest graph, and every option of the subcommand, defaults included, so
 the echo alone reproduces the run. The argument parser is built on the
 first ``main`` call and reused by every later call in the same process.
 
-``verify`` runs in one process. Its ``--workers`` is checked (at least
-1) and echoed, but ignored; more CPUs come from one ``verify --input``
-per part of the input, with the records concatenated in part order.
+``verify`` reads graph6 lines only: ``--enumerate N`` is ``--input`` of
+the lines ``enumerate_connected(N)`` yields, record for record. It runs
+in one process. Its ``--workers`` is checked (at least 1) and echoed, but
+ignored; more CPUs come from one ``verify --input`` per part of the
+input, with the records concatenated in part order.
 
 Exit codes: 0 success, 1 counterexample or property failure, 2 input
 error (for ``bounds``, also a graph outside the bound's hypotheses),
@@ -263,14 +265,14 @@ def _cmd_verify(args):
     _echo_config(args, MAX_VERTICES)
     with ExitStack() as stack:
         if args.enumerate is not None:
-            items = enumerate_connected(args.enumerate)
+            lines = enumerate_connected(args.enumerate)
         elif args.input == "-":
-            items = _input_lines(sys.stdin.buffer)
+            lines = _input_lines(sys.stdin.buffer)
         else:
-            items = _input_lines(stack.enter_context(open(args.input, "rb")))
+            lines = _input_lines(stack.enter_context(open(args.input, "rb")))
         # Records are written as they arrive; the summary is complete once
         # write_jsonl has drained them.
-        run = VerifyRun(items, args.k, node_budget=args.node_budget)
+        run = VerifyRun(lines, args.k, node_budget=args.node_budget)
         stack.enter_context(closing(run.records))
         if args.out:
             with open(args.out + ".records.jsonl", "w", encoding="ascii") as fh:
@@ -312,7 +314,8 @@ def _cmd_lemmas(args):
 
         def stream():
             for n in range(2, args.max_n + 1):
-                yield from filter(is_tree, enumerate_connected(n))
+                yield from filter(is_tree,
+                                  map(parse_graph6, enumerate_connected(n)))
             yield from randoms
         result = run_tree_leaf_suite(stream())
         result["seed"] = args.seed

@@ -7,11 +7,13 @@ canonical-deletion rule of McKay's "Isomorph-free exhaustive generation"
 (J. Algorithms 1998) drops the children whose new vertex could not be the
 one deleted, and the minimum-relabeling certificate collapses the
 isomorphs that remain. Disconnected graphs are never built. Each order's
-class count is checked against the published total. This is the built-in
-fallback for the verification sweeps; larger orders are expected to
-arrive as graph6 files from external generators.
+class count is checked against the published total. The classes come out
+as graph6 lines, the format every sweep reads: this is the built-in
+source for orders up to 9, and larger orders are expected to arrive as
+graph6 files from external generators (nauty's ``geng``).
 
-Trees come one per class as ``filter(is_tree, enumerate_connected(n))``;
+Trees come one per class as
+``filter(is_tree, map(parse_graph6, enumerate_connected(n)))``;
 ``random_trees`` draws larger ones from seeded Pruefer sequences.
 """
 
@@ -19,7 +21,8 @@ import random
 from functools import lru_cache
 
 from . import _kernels
-from .graphs import Graph, tree_from_pruefer
+from .graph6 import encode_triangle_mask
+from .graphs import tree_from_pruefer
 
 MAX_ENUMERATION_ORDER = 9
 
@@ -57,8 +60,9 @@ def _canonical_classes(n):
 
 
 def enumerate_connected(n):
-    """An iterator over one representative per isomorphism class of
-    connected graphs on n vertices, in canonical-certificate order.
+    """An iterator over the graph6 lines of one representative per
+    isomorphism class of connected graphs on n vertices, in certificate
+    order, each written straight from its certificate, no Graph built.
 
     Supported for n <= 9 only, checked at the call; beyond that, supply a
     graph6 file produced by an external generator instead. The classes of
@@ -71,10 +75,10 @@ def enumerate_connected(n):
             f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_ORDER}; "
             "supply a graph6 file for larger orders")
 
-    def graphs():
+    def lines():
         for cert in _canonical_classes(n):
-            yield Graph.from_upper_triangle_mask(cert, n)
-    return graphs()
+            yield encode_triangle_mask(cert, n)
+    return lines()
 
 
 def random_trees(count, min_n, max_n, seed):

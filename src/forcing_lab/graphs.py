@@ -101,11 +101,6 @@ class Graph:
         return (Graph._from_masks, (self.neighbor_masks, self.name))
 
     @classmethod
-    def from_upper_triangle_mask(cls, bits, n):
-        """Rebuild from the packed upper triangle (bit j(j-1)/2 + i for pair i<j)."""
-        return cls._from_masks(_kernels.triangle_masks(bits, n))
-
-    @classmethod
     def _from_masks(cls, masks, name=None):
         """Wrap a tuple of neighbor masks that a kernel built, unchecked:
         the kernel already guarantees the invariants."""
@@ -258,13 +253,14 @@ def is_connected(g):
 def is_k_connected(g, k):
     """Exact k-connectivity: n > k and no vertex cut of fewer than k vertices.
 
-    The ``k_connected`` kernel runs one connectivity test per removal set
-    of fewer than k vertices, so the cost still grows as n^(k-1): cheap at
-    the small k the verification sweeps use, on any order graph6 carries.
+    ``graph_facts`` decides the cuts: reason 0 or 2 (max degree below 2, so
+    at most 2 vertices) means connected with no such cut. Its walk runs one
+    connectivity test per removal set, so the cost grows as n^(k-1): cheap
+    at the small k the sweeps use, on any order graph6 carries.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return _kernels.k_connected(g.neighbor_masks, k)
+    return g.n > k and _kernels.graph_facts(g.neighbor_masks, k)[2] in (0, 2)
 
 
 def connected_within(g, s):

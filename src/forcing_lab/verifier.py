@@ -1,10 +1,11 @@
 """Exhaustive verification of the sharp bound and its equality families.
 
-Runs a stream of graph6 lines or Graph objects through the exact solver
-and checks, per graph, that the k-forcing number respects the degree
-bound; at k = 1 it also checks the minimum-degree refinement and that
-equality holds exactly on the three structural families. Each graph costs
-one ``graph_facts`` kernel call, which gives its degrees and decides the
+Runs a stream of graph6 lines through the exact solver and checks, per
+graph, that the k-forcing number respects the degree bound; at k = 1 it
+also checks the minimum-degree refinement and that equality holds exactly
+on the three structural families. A file, stdin and the built-in
+enumeration all give lines. Each graph costs one parse, one
+``graph_facts`` kernel call, which gives its degrees and decides the
 bound's hypotheses, and, when they hold, one ``wavefront`` call for its
 forcing number; the structure check continues that solve and dissects
 the bound-attaining graph (one outside neighbor per set vertex, so an
@@ -14,7 +15,7 @@ trees and the closed-form values of the named families.
 
 Verification runs are deterministic: records come back in input order,
 and every summary reduction is order-free. Records stream: ``VerifyRun``
-verifies one item at a time in this process, folds each outcome into its
+verifies one line at a time in this process, folds each outcome into its
 summary and yields each record as soon as it is done, so the first record
 never waits for the last and memory stays bounded however long the input
 is. More CPUs come from more processes over disjoint parts of the input:
@@ -30,7 +31,7 @@ from . import _kernels
 from .bounds import (classify_extremal, degree_refined_bound,
                      failure_reason, forcing_upper_bound)
 from .engine import is_forcing_set
-from .graph6 import Graph6Error, encode_graph6, parse_graph6
+from .graph6 import HEADER, Graph6Error, parse_graph6
 from .graphs import VertexSet, connected_within, is_tree, leaves
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded,
                      _connected_complement_from, forcing_number)
@@ -87,14 +88,9 @@ def check_extremal_structure(g, solution):
             and connected_within(g, comp) and comp_edges == len(comp) - 1)
 
 
-def _verify_one(lineno, item, k, node_budget):
-    """Process one graph6 line or Graph into ``(kind, entry, ms)``, with
-    0 ms unless a record: "parse_failures" and the line's entry;
-    "skipped" and the ``failure_reason`` name alone, so a skip costs its
-    summary a count; or "record", the record and its time. One
-    ``graph_facts`` call gives the degrees and decides the hypotheses. A
-    Graph is encoded to graph6, the name its record gives it, only once
-    it passes them.
+def _record(g, name, k, dmax, dmin, node_budget):
+    """The record of a graph that meets the bound's hypotheses, named
+    ``name``, with the degree extremes ``graph_facts`` gave.
 
     ``solver_nodes`` counts the wavefront's closures (no witness level),
     or in an unresolved record all the nodes spent. The wavefront is the
@@ -103,26 +99,10 @@ def _verify_one(lineno, item, k, node_budget):
     abort of the structure check. ``structure_ok`` is
     ``check_extremal_structure``'s verdict, on a scan that continues from
     ``f_k``: no wavefront of its own."""
-    started = time.perf_counter()
-    if isinstance(item, str):
-        line = item
-        try:
-            g = parse_graph6(line)
-        except Graph6Error as exc:
-            return ("parse_failures",
-                    {"line": lineno, "graph6": line, "error": str(exc)}, 0.0)
-    else:
-        g, line = item, None
-    nbrs = g.neighbor_masks
-    dmax, dmin, code = _kernels.graph_facts(nbrs, k)
-    if code:
-        return ("skipped", failure_reason(code, k), 0.0)
-    if line is None:
-        line = encode_graph6(g)
     num, den = forcing_upper_bound(g.n, dmax, k)
     # The three equality families are regular.
     cls = classify_extremal(g) if dmin == dmax else None
-    f_k, nodes, aborted = _kernels.wavefront(nbrs, k, node_budget)
+    f_k, nodes, aborted = _kernels.wavefront(g.neighbor_masks, k, node_budget)
     structure, equality, status = None, False, "ok"
     if aborted:
         f_k, status = None, "unresolved"
@@ -136,11 +116,10 @@ def _verify_one(lineno, item, k, node_budget):
             except BudgetExceeded as exc:
                 f_k, equality, status = None, False, "unresolved"
                 nodes = exc.nodes_explored
-    record = VerificationRecord._make((
-        line, g.n, dmax, dmin, k, f_k, num, den, equality,
+    return VerificationRecord._make((
+        name, g.n, dmax, dmin, k, f_k, num, den, equality,
         cls.tag if cls else None, cls.parameter if cls else None,
         structure, nodes, status))
-    return ("record", record, (time.perf_counter() - started) * 1000.0)
 
 
 def _is_counterexample(rec):
@@ -164,17 +143,18 @@ def _is_counterexample(rec):
 
 
 class VerifyRun:
-    """The bound sweep over an iterable of graph6 lines and Graph objects,
-    mixed freely: its records and the summary they reduce to.
+    """The bound sweep over an iterable of graph6 lines: its records and
+    the summary they reduce to.
 
     ``records`` is a generator that yields each record in input order as
-    soon as it is verified. It draws the input lazily, one item per
+    soon as it is verified. It draws the input lazily, one line per
     outcome, so memory does not grow with the length of the input.
 
     Lines are stripped, and blank lines are skipped but still counted as
-    input lines. Only lines are parsed; a Graph is named in its record
-    and in the summary by its graph6 encoding. Graphs that fall outside
-    the bound's hypotheses are skipped and counted per reason
+    input lines. A graph is named in its record and in the summary by its
+    line without the optional ">>graph6<<" header; a malformed line is
+    kept as it is, with the byte offset of its fault. Graphs that fall
+    outside the bound's hypotheses are skipped and counted per reason
     ``failure_reason`` names, never silently dropped; a skip keeps
     nothing else, so a long run of skips costs no memory. Malformed lines
     are counted exactly, and only the first PARSE_FAILURES_KEPT are kept
@@ -194,7 +174,7 @@ class VerifyRun:
     once ``records`` is drained (``write_jsonl`` drains it).
     """
 
-    def __init__(self, items, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
+    def __init__(self, lines, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
         if k < 1:
             raise ValueError("k must be positive")
         self.summary = {
@@ -202,7 +182,7 @@ class VerifyRun:
             "graphs_verified": 0, "skipped": {}, "parse_failure_count": 0,
             "parse_failures": [], "per_n": {}, "counterexamples": [],
             "unresolved": [], "structure_failures": []}
-        self.records = _sweep(items, k, node_budget, self.summary)
+        self.records = _sweep(lines, k, node_budget, self.summary)
 
     def write_jsonl(self, stream):
         for rec in self.records:
@@ -226,28 +206,34 @@ class VerifyRun:
 PARSE_FAILURES_KEPT = 100
 
 
-def _sweep(items, k, node_budget, summary):
-    """The records of ``VerifyRun``: each non-blank item, numbered by input
-    line, is verified and its outcome folded into ``summary``;
+def _sweep(lines, k, node_budget, summary):
+    """The records of ``VerifyRun``: each non-blank line, numbered by input
+    line, is parsed and then counted as a parse failure, counted as a skip,
+    or verified into a record, and its outcome folded into ``summary``;
     ``summary["input_lines"]`` is set once the input is exhausted."""
     skipped, failures, per_n = (summary["skipped"],
                                 summary["parse_failures"], summary["per_n"])
     lineno = 0
-    for lineno, item in enumerate(items, 1):
-        if isinstance(item, str):
-            item = item.strip()
-            if not item:
-                continue
-        kind, entry, elapsed = _verify_one(lineno, item, k, node_budget)
-        if kind == "skipped":
-            skipped[entry] = skipped.get(entry, 0) + 1
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
             continue
-        if kind == "parse_failures":
+        started = time.perf_counter()
+        try:
+            g = parse_graph6(line)
+        except Graph6Error as exc:
             summary["parse_failure_count"] += 1
             if len(failures) < PARSE_FAILURES_KEPT:
-                failures.append(entry)
+                failures.append(
+                    {"line": lineno, "graph6": line, "error": str(exc)})
             continue
-        rec = entry
+        dmax, dmin, code = _kernels.graph_facts(g.neighbor_masks, k)
+        if code:
+            reason = failure_reason(code, k)
+            skipped[reason] = skipped.get(reason, 0) + 1
+            continue
+        rec = _record(g, line.removeprefix(HEADER), k, dmax, dmin,
+                      node_budget)
         summary["graphs_verified"] += 1
         row = per_n.get(rec.n)
         if row is None:
@@ -256,7 +242,7 @@ def _sweep(items, k, node_budget, summary):
                 "extremal_graph6": [], "max_solver_nodes": 0,
                 "wall_time_ms": 0.0}
         row["graph_count"] += 1
-        row["wall_time_ms"] += elapsed
+        row["wall_time_ms"] += (time.perf_counter() - started) * 1000.0
         row["max_solver_nodes"] = max(row["max_solver_nodes"],
                                       rec.solver_nodes)
         if rec.status == "ok" and rec.equality:

@@ -9,17 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from forcing_lab import Graph, VerifyRun, VertexSet, _kernels
+from forcing_lab import Graph, VerifyRun, VertexSet, _kernels, parse_graph6
 from forcing_lab._kernels import pure as pure_kernels
 from forcing_lab.enumeration import enumerate_connected
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def verify_stream(items, k=1, **kwargs):
-    """A drained ``VerifyRun``: ``records`` is a list and the summary is
-    complete."""
-    run = VerifyRun(items, k, **kwargs)
+def verify_stream(lines, k=1, **kwargs):
+    """A drained ``VerifyRun`` over graph6 lines: ``records`` is a list and
+    the summary is complete."""
+    run = VerifyRun(lines, k, **kwargs)
     run.records = list(run.records)
     return run
 
@@ -106,8 +106,8 @@ def hypothesis_inputs():
         for bits in range(1 << (n * (n - 1) // 2)):
             yield pure_kernels.triangle_masks(bits, n)
     for n in range(1, 8):
-        for g in enumerate_connected(n):
-            yield g.neighbor_masks
+        for line in enumerate_connected(n):
+            yield parse_graph6(line).neighbor_masks
     rng = random.Random(73)
     for n in (6, 9, 12, 16, 24, 32, 40, 48, 56, 62):
         for p in (0.05, 0.15, 0.5) if n <= 24 else (0.05, 0.15):

@@ -109,7 +109,7 @@ def test_criterion_3_oracle_equivalence():
     mismatches = []
     checked = 0
     for n in range(1, 8):
-        for g in enumerate_connected(n):
+        for g in map(parse_graph6, enumerate_connected(n)):
             for k in (1, 2, 3):
                 checked += 1
                 fast = solve(g, k).value
@@ -126,7 +126,8 @@ def test_criterion_4_leaf_subsets_force_trees():
     # 500 random trees on 9..16 vertices.
     def stream():
         for n in range(2, 9):
-            yield from filter(is_tree, enumerate_connected(n))
+            yield from filter(is_tree,
+                              map(parse_graph6, enumerate_connected(n)))
         yield from random_trees(500, 9, 16, seed=20260810)
 
     out = run_tree_leaf_suite(stream())
@@ -145,7 +146,8 @@ def test_criterion_5_connected_dominating_complements():
     # empty: as n > k, V minus any vertex u forces u and leaves {u}
     # connected.
     checked, failures = 0, []
-    for g in (g for n in range(2, 8) for g in enumerate_connected(n)):
+    for g in (parse_graph6(line) for n in range(2, 8)
+              for line in enumerate_connected(n)):
         for k in (k for k in (1, 2) if is_k_connected(g, k)):
             checked += 1
             solution = solve_connected_complement(g, k)
@@ -161,7 +163,7 @@ def test_criterion_6_bound_sweep_general_k():
     checked = 0
     equality_at_1 = 0
     for n in range(2, 9):
-        for g in enumerate_connected(n):
+        for g in map(parse_graph6, enumerate_connected(n)):
             dmax, _, _ = degree_stats(g)
             if dmax < 2:
                 continue

@@ -127,7 +127,7 @@ class TestClassifier:
         # when it is bipartite.
         checked = 0
         for n in range(4, 9, 2):
-            for g in enumerate_connected(n):
+            for g in map(parse_graph6, enumerate_connected(n)):
                 dmax, dmin, _ = degree_stats(g)
                 if not dmax == dmin == n // 2:
                     continue
@@ -182,7 +182,7 @@ class TestBoundProperties:
     def test_bound_holds_exhaustively_small(self):
         # cross-multiplied, exact integers only
         for n in range(3, 7):
-            for g in enumerate_connected(n):
+            for g in map(parse_graph6, enumerate_connected(n)):
                 dmax, _, _ = degree_stats(g)
                 if dmax < 2:
                     continue
@@ -192,7 +192,7 @@ class TestBoundProperties:
 
     def test_refined_bound_dominates(self):
         for n in range(3, 7):
-            for g in enumerate_connected(n):
+            for g in map(parse_graph6, enumerate_connected(n)):
                 dmax, dmin, _ = degree_stats(g)
                 if dmax < 2 or dmin < 1:
                     continue

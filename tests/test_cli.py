@@ -281,15 +281,15 @@ class TestBounds:
         # exits 2, for the same reason. At k = 1 a skipped graph is in no
         # equality family, so classify_extremal gives None for it (and
         # raises only on the empty graph, which has no degrees).
-        cases = [(("--graph6", encode_graph6(g)), g) for n in range(1, 6)
-                 for g in enumerate_connected(n)]
+        cases = [(("--graph6", line), parse_graph6(line)) for n in range(1, 6)
+                 for line in enumerate_connected(n)]
         cases += [(("--graph6", "EwCW"), parse_graph6("EwCW")),
                   (("--family", "path:2"), path(2)),
                   (("--graph6", "?"), parse_graph6("?"))]
         skips = 0
         for source, g in cases:
             # Verified alone, a graph gives one record or one skip.
-            run = verify_stream([g], k)
+            run = verify_stream([encode_graph6(g)], k)
             skipped = run.summary["skipped"]
             assert len(run.records) + sum(skipped.values()) == 1
             reason = next(iter(skipped), None)
@@ -472,14 +472,50 @@ class TestVerify:
         assert json.loads(err.splitlines()[-1])["summary"][
             "structure_failures"] == 1
 
-    def test_enumerate_never_parses_graph6(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("enumerated graphs must not be parsed")
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_enumerate_is_input_of_the_enumerated_lines(self, capsys,
+                                                        tmp_path, k):
+        # One path: --enumerate N verifies the lines enumerate_connected(N)
+        # yields, so its stdout is that of --input over a file of them.
+        path = tmp_path / "n6.g6"
+        path.write_text("\n".join(enumerate_connected(6)) + "\n")
+        code, enumerated, _ = run_cli(capsys, "verify", "--enumerate", "6",
+                                      "--k", str(k))
+        code_input, from_file, _ = run_cli(capsys, "verify", "--input",
+                                           str(path), "--k", str(k))
+        assert code == code_input == 0
+        assert enumerated == from_file and enumerated.count("\n") > 0
 
-        monkeypatch.setattr(verifier, "parse_graph6", refuse)
+    def test_enumerate_never_builds_an_upper_triangle_mask(self, capsys,
+                                                          monkeypatch):
+        # An enumerated line is written from its certificate, which is
+        # already the upper-triangle mask.
+        def refuse(self):
+            raise AssertionError("an enumerated graph's mask was rebuilt")
+
+        monkeypatch.setattr(forcing_lab.Graph, "upper_triangle_mask", refuse)
         code, out, _ = run_cli(capsys, "verify", "--enumerate", "6")
         assert code == 0
         assert len(out.strip().splitlines()) == 112
+
+    def test_headered_lines_are_named_without_the_header(self, capsys,
+                                                         tmp_path):
+        # geng -h writes the header before the first record, with no
+        # newline between them.
+        path = tmp_path / "headered.g6"
+        path.write_text(">>graph6<<Bw\nBw\n>>graph6<<B!\n")
+        prefix = str(tmp_path / "run")
+        code, _, _ = run_cli(capsys, "verify", "--input", str(path),
+                             "--out", prefix)
+        assert code == 0
+        records = (tmp_path / "run.records.jsonl").read_text().splitlines()
+        assert [json.loads(r)["graph6"] for r in records] == ["Bw", "Bw"]
+        csv_text = (tmp_path / "run.summary.csv").read_text()
+        assert csv_text.splitlines()[1].startswith("3,2,2,Bw Bw,")
+        summary = json.loads((tmp_path / "run.summary.json").read_text())
+        assert summary["parse_failures"] == [
+            {"line": 3, "graph6": ">>graph6<<B!",
+             "error": "non-printable payload byte '!' (byte offset 11)"}]
 
     def test_enumerate_never_runs_a_witness_level(self, capsys, monkeypatch):
         # Records carry f_k and no witness, so verify never runs the pruned

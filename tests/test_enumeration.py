@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 from forcing_lab import (_kernels, encode_graph6, enumeration, is_connected,
-                         run_tree_leaf_suite)
+                         parse_graph6, run_tree_leaf_suite)
 from forcing_lab.enumeration import (CONNECTED_CLASS_COUNTS,
                                      enumerate_connected, random_trees)
 from forcing_lab.graphs import degree_stats, is_tree
@@ -79,12 +79,13 @@ def test_out_of_range_points_to_graph6_files():
 def test_all_representatives_connected_and_distinct():
     for n in range(1, 7):
         seen = set()
-        for g in enumerate_connected(n):
+        for line in enumerate_connected(n):
+            g = parse_graph6(line)
             assert g.n == n
             assert is_connected(g)
-            text = encode_graph6(g)
-            assert text not in seen
-            seen.add(text)
+            assert encode_graph6(g) == line
+            assert line not in seen
+            seen.add(line)
 
 
 def _triangle_count(g):
@@ -100,7 +101,7 @@ def test_pairwise_non_isomorphic_spot_check():
     # isomorphism test.
     for n in range(3, 7):
         buckets = {}
-        for g in enumerate_connected(n):
+        for g in map(parse_graph6, enumerate_connected(n)):
             key = (tuple(sorted(degree_stats(g)[2])), _triangle_count(g))
             buckets.setdefault(key, []).append(g)
         for group in buckets.values():
@@ -111,9 +112,7 @@ def test_pairwise_non_isomorphic_spot_check():
 
 
 def test_enumeration_is_deterministic():
-    first = [encode_graph6(g) for g in enumerate_connected(6)]
-    second = [encode_graph6(g) for g in enumerate_connected(6)]
-    assert first == second
+    assert list(enumerate_connected(6)) == list(enumerate_connected(6))
 
 
 class TestTreeStreams:
@@ -122,7 +121,8 @@ class TestTreeStreams:
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 1), (4, 2), (5, 3),
                                          (6, 6), (7, 11), (8, 23)])
     def test_tree_class_counts(self, n, count):
-        trees = list(filter(is_tree, enumerate_connected(n)))
+        trees = list(filter(is_tree,
+                            map(parse_graph6, enumerate_connected(n))))
         assert len(trees) == count
         assert all(t.n == n for t in trees)
 

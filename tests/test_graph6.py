@@ -59,8 +59,8 @@ def test_round_trip_families(g):
 
 def test_round_trip_every_enumerated_graph():
     for n in range(1, 6):
-        for g in enumerate_connected(n):
-            assert parse_graph6(encode_graph6(g)) == g
+        for line in enumerate_connected(n):
+            assert encode_graph6(parse_graph6(line)) == line
 
 
 def test_matches_networkx_codec():

@@ -9,12 +9,12 @@ from functools import lru_cache
 import networkx as nx
 import pytest
 
-from forcing_lab import (Graph, SolveResult, VertexSet,
+from forcing_lab import (Graph, SolveResult, VertexSet, _kernels,
                          check_extremal_structure, classify_extremal,
                          complete, complete_bipartite, cycle, degree_stats,
-                         generate, is_connected, is_k_connected,
-                         parse_edge_list, path, solve,
-                         solve_connected_complement, star, trace,
+                         encode_graph6, generate, is_connected,
+                         is_k_connected, parse_edge_list, parse_graph6, path,
+                         solve, solve_connected_complement, star, trace,
                          tree_from_pruefer)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree, leaves
@@ -66,7 +66,8 @@ class TestGraph:
         rng = random.Random(7)
         for n in [rng.randint(1, 9) for _ in range(50)] + [0, 62, 63, 70]:
             g = random_graph(rng, n, 0.4)
-            assert Graph.from_upper_triangle_mask(g.upper_triangle_mask(), n) == g
+            assert _kernels.triangle_masks(g.upper_triangle_mask(), n) \
+                == g.neighbor_masks
 
     def test_pickle_round_trip(self):
         g = cycle(5)
@@ -80,7 +81,7 @@ class TestGraph:
             "graph6", "n", "max_degree", "min_degree", "k", "f_k",
             "bound_num", "bound_den", "equality", "extremal_class",
             "extremal_parameter", "structure_ok", "solver_nodes", "status"]
-        record = verify_stream([g]).records[0]
+        record = verify_stream([encode_graph6(g)]).records[0]
         results = [
             (solve(g, 1), ["value", "witness", "nodes_explored", "method",
                            "k", "constrained", "complement_empty"]),
@@ -174,7 +175,7 @@ def _node_connectivities():
     on at most 7 vertices."""
     out = []
     for n in range(1, 8):
-        for g in enumerate_connected(n):
+        for g in map(parse_graph6, enumerate_connected(n)):
             nxg = nx.Graph()
             nxg.add_nodes_from(range(g.n))
             nxg.add_edges_from(g.edges())
@@ -198,11 +199,22 @@ class TestConnectivity:
         assert not is_k_connected(path(3), 2)
         assert is_k_connected(complete(4), 3)
         assert not is_k_connected(complete(1), 1)
+        # More than k vertices are asked for, of a huge k too.
+        assert is_k_connected(path(2), 1)
+        assert not is_k_connected(path(2), 2)
+        assert not is_k_connected(Graph(0), 1)
+        assert not is_k_connected(Graph(2), 1)
+        assert not is_k_connected(complete(4), 10**30)
 
-    def test_matches_networkx_connectivity(self, kernels):
+    def test_matches_networkx_connectivity(self, kernels, monkeypatch):
+        # k-connectivity as graph_facts decides it, through is_k_connected
+        # on each backend.
+        monkeypatch.setattr(_kernels, "_compiled",
+                            None if kernels.BACKEND == "pure" else kernels)
         for nbrs, kappa in _node_connectivities():
+            g = Graph._from_masks(nbrs)
             for k in range(1, 5):
-                assert kernels.k_connected(nbrs, k) == (kappa >= k), (nbrs, k)
+                assert is_k_connected(g, k) == (kappa >= k), (nbrs, k)
 
 
 class TestEdgeBoundary:

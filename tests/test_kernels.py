@@ -48,7 +48,7 @@ def test_constrained_scan_counts_every_subset_visited(name):
     constrained = name == "search_level_constrained"
     for n in range(1, 7):
         full = (1 << n) - 1
-        for g in enumerate_connected(n):
+        for g in map(parse_graph6, enumerate_connected(n)):
             nbrs = g.neighbor_masks
             for size in range(1, n + 1):
                 subsets = [m for m in range(1 << n) if m.bit_count() == size]
@@ -68,7 +68,7 @@ def _wavefront_inputs():
     """Every connected graph with at most 7 vertices and seeded G(n, p)
     graphs up to n = 20, as neighbor masks."""
     for n in range(1, 8):
-        for g in enumerate_connected(n):
+        for g in map(parse_graph6, enumerate_connected(n)):
             yield g.neighbor_masks
     rng = random.Random(53)
     for n in (12, 16, 20):
@@ -95,7 +95,7 @@ def test_wavefront_matches_pure(compiled_kernels):
 
 def test_wavefront_is_the_forcing_number(kernels):
     for n in range(1, 7):
-        for g in enumerate_connected(n):
+        for g in map(parse_graph6, enumerate_connected(n)):
             for k in (1, 2, 3):
                 value, _, aborted = kernels.wavefront(g.neighbor_masks, k, 10**9)
                 assert not aborted
@@ -160,7 +160,8 @@ def test_canonical_mask_matches_pure(compiled_kernels):
 
 def _parents(m):
     """Neighbor masks of every connected class on m - 1 vertices."""
-    return [g.neighbor_masks for g in enumerate_connected(m - 1)]
+    return [parse_graph6(line).neighbor_masks
+            for line in enumerate_connected(m - 1)]
 
 
 def _child(nbrs, s):
@@ -173,8 +174,8 @@ def test_augment_matches_pure(compiled_kernels, monkeypatch):
     # Every connected graph with n <= 6 and seeded G(n, p) parents up to
     # n = 8, connected or not: the same certificates in the same order.
     rng = random.Random(59)
-    parents = [g.neighbor_masks for n in range(1, 7)
-               for g in enumerate_connected(n)]
+    parents = [parse_graph6(line).neighbor_masks for n in range(1, 7)
+               for line in enumerate_connected(n)]
     parents += [random_masks(rng, n, p) for n in (7, 8) for p in (0.3, 0.6)]
     for nbrs in [[]] + parents:
         assert compiled_kernels.augment(nbrs) == pure.augment(nbrs), nbrs
@@ -246,8 +247,8 @@ def _payloads():
     """(payload, n) of every connected graph with at most 7 vertices and of
     seeded G(n, p) graphs for every n up to 62, by the Python encoder."""
     for n in range(1, 8):
-        for g in enumerate_connected(n):
-            yield encode_graph6(g)[1:], n
+        for line in enumerate_connected(n):
+            yield line[1:], n
     rng = random.Random(61)
     for n in range(63):
         for p in (0.1, 0.5, 0.9):
@@ -311,13 +312,6 @@ def test_whole_graph_kernel_edge_cases(kernels):
     full = (1 << 62) - 1
     assert kernels.triangle_masks((1 << 1891) - 1, 62) \
         == tuple(full & ~(1 << v) for v in range(62))
-    # k_connected asks for more than k vertices; a clamped k must agree.
-    cases = [([], -1, True), ([], 0, False), ([], 1, False), ([0], 0, True),
-             ([0], 1, False), ([0b10, 0b01], 1, True),
-             ([0b10, 0b01], 2, False), ([0, 0], 1, False),
-             ([0b10, 0b01], -10**30, True), ([0b10, 0b01], 10**30, False)]
-    for nbrs, k, expected in cases:
-        assert kernels.k_connected(nbrs, k) is expected, (nbrs, k)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -336,17 +330,20 @@ def test_whole_graph_kernels_refuse(kernels, call, message):
 
 
 def test_k_connected_matches_pure(compiled_kernels):
+    # The compiled cut walk runs inside graph_facts: the graph is
+    # k-connected exactly when it has more than k vertices and the reason
+    # is 0 or 2 (max degree below 2 leaves at most 2 vertices).
     rng = random.Random(67)
     graphs = [random_masks(rng, n, p) for n in range(13)
               for p in (0.2, 0.4, 0.6, 0.8)]
-    for nbrs in graphs:
-        for k in range(-1, len(nbrs) + 2):
-            assert compiled_kernels.k_connected(nbrs, k) \
-                == pure.k_connected(nbrs, k), (nbrs, k)
-    for nbrs in (random_masks(rng, 62, 0.1), random_masks(rng, 62, 0.9)):
-        for k in (1, 2, 3):
-            assert compiled_kernels.k_connected(nbrs, k) \
-                == pure.k_connected(nbrs, k), (nbrs, k)
+    cases = [(nbrs, k) for nbrs in graphs for k in range(1, len(nbrs) + 2)]
+    cases += [(nbrs, k) for nbrs in (random_masks(rng, 62, 0.1),
+                                     random_masks(rng, 62, 0.9))
+              for k in (1, 2, 3)]
+    for nbrs, k in cases:
+        reason = compiled_kernels.graph_facts(nbrs, k)[2]
+        assert (len(nbrs) > k and reason in (0, 2)) \
+            == pure.k_connected(nbrs, k), (nbrs, k)
 
 
 def test_graph_facts_matches_pure(compiled_kernels):
@@ -374,8 +371,7 @@ def test_graph_facts_edge_cases(kernels):
                     reason="needs signal.setitimer")
 def test_compiled_k_connected_stops_on_a_signal(compiled_kernels):
     # K_62 at k = 31 has about 10^17 cuts to try, all of them connected: a
-    # signal handler that raises must end the walk, in both kernels that
-    # walk the cuts.
+    # signal handler that raises must end graph_facts's walk over them.
     code = f"""
 import importlib.util, signal
 spec = importlib.util.spec_from_file_location(
@@ -386,16 +382,15 @@ def interrupt(signum, frame):
     raise KeyboardInterrupt
 signal.signal(signal.SIGALRM, interrupt)
 full = (1 << 62) - 1
-for kernel in (ckern.k_connected, ckern.graph_facts):
-    signal.setitimer(signal.ITIMER_REAL, 0.2)
-    try:
-        kernel([full & ~(1 << v) for v in range(62)], 31)
-    except KeyboardInterrupt:
-        print("interrupted")
+signal.setitimer(signal.ITIMER_REAL, 0.2)
+try:
+    ckern.graph_facts([full & ~(1 << v) for v in range(62)], 31)
+except KeyboardInterrupt:
+    print("interrupted")
 """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "interrupted\n" * 2), \
+    assert (done.returncode, done.stdout) == (0, "interrupted\n"), \
         done.stderr
 
 
@@ -448,11 +443,9 @@ print(parse_graph6("Bw").edges(), is_k_connected(cycle(5), 2))
     lambda m, nbrs: m.augment(nbrs),
     lambda m, nbrs: m.triangle_masks(0, len(nbrs)),
     lambda m, nbrs: m.graph6_masks("?" * 326, len(nbrs)),
-    lambda m, nbrs: m.k_connected(nbrs, 1),
     lambda m, nbrs: m.graph_facts(nbrs, 1),
 ], ids=["closure", "connected_in", "pruned", "wavefront", "canonical_mask",
-        "augment", "triangle_masks", "graph6_masks", "k_connected",
-        "graph_facts"])
+        "augment", "triangle_masks", "graph6_masks", "graph_facts"])
 def test_compiled_refuses_63_vertices(compiled_kernels, call):
     with pytest.raises(ValueError, match="at most 62 vertices"):
         call(compiled_kernels, [0] * 63)
@@ -466,7 +459,7 @@ C4 = (0b1010, 0b0101, 0b1010, 0b0101)
     ("search_level_pruned", (C4, 1, 2, 10)), ("wavefront", (C4, 1, 10)),
     ("canonical_mask", (C4,)), ("augment", (C4,)),
     ("triangle_masks", (0b101101, 4)), ("graph6_masks", ("w", 3)),
-    ("k_connected", (C4, 2)), ("graph_facts", (C4, 2))])
+    ("graph_facts", (C4, 2))])
 def test_compiled_kernels_take_positional_arguments_only(compiled_kernels,
                                                          name, args):
     # No caller names an argument, so the compiled kernels parse none: each

@@ -8,8 +8,8 @@ import pytest
 
 from forcing_lab import (BudgetExceeded, Graph, _kernels, brute_force_oracle,
                          complete, complete_bipartite, cycle, forcing_number,
-                         greedy_upper_bound, is_forcing_set, path, solve,
-                         solve_connected_complement, star)
+                         greedy_upper_bound, is_forcing_set, parse_graph6,
+                         path, solve, solve_connected_complement, star)
 from forcing_lab._kernels import pure
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import VertexSet, connected_within
@@ -59,7 +59,7 @@ class TestOracle:
 class TestSolve:
     def test_matches_oracle_everywhere_small(self):
         for n in range(1, 7):
-            for g in enumerate_connected(n):
+            for g in map(parse_graph6, enumerate_connected(n)):
                 for k in (1, 2, 3):
                     assert (solve(g, k).value
                             == brute_force_oracle(g, k).value), (g.edges(), k)
@@ -82,13 +82,13 @@ class TestSolve:
 
     def test_anti_monotone_in_k(self):
         for n in range(2, 6):
-            for g in enumerate_connected(n):
+            for g in map(parse_graph6, enumerate_connected(n)):
                 values = [solve(g, k).value for k in (1, 2, 3, 4)]
                 assert values == sorted(values, reverse=True), g.edges()
 
     def test_value_range(self):
         for n in range(1, 6):
-            for g in enumerate_connected(n):
+            for g in map(parse_graph6, enumerate_connected(n)):
                 v = solve(g).value
                 assert 1 <= v <= g.n
 
@@ -101,7 +101,7 @@ class TestSolve:
     def test_forcing_number_is_the_wavefront_alone(self):
         # solve's value, from the wavefront's closures only: no level runs.
         for n in range(1, 7):
-            for g in enumerate_connected(n):
+            for g in map(parse_graph6, enumerate_connected(n)):
                 for k in (1, 2, 3):
                     value, nodes = forcing_number(g, k)
                     assert (value, nodes, False) == _kernels.wavefront(
@@ -239,7 +239,7 @@ class TestConnectedComplement:
 
     def test_witness_forces_and_complement_connects(self):
         for n in range(2, 6):
-            for g in enumerate_connected(n):
+            for g in map(parse_graph6, enumerate_connected(n)):
                 res = solve_connected_complement(g)
                 assert is_forcing_set(g, 1, res.witness)
                 if not res.complement_empty:
@@ -247,7 +247,7 @@ class TestConnectedComplement:
 
     def test_constrained_never_below_unconstrained(self):
         for n in range(2, 6):
-            for g in enumerate_connected(n):
+            for g in map(parse_graph6, enumerate_connected(n)):
                 assert (solve_connected_complement(g).value
                         >= solve(g).value)
 
@@ -258,7 +258,7 @@ class TestConnectedComplement:
         for n in range(1, 7):
             full = (1 << n) - 1
             order = sorted(range(full), key=lambda m: (m.bit_count(), m))
-            for g in enumerate_connected(n):
+            for g in map(parse_graph6, enumerate_connected(n)):
                 nbrs = g.neighbor_masks
                 for k in (1, 2, 3):
                     first = next((m for m in order

@@ -82,7 +82,7 @@ class TestVerifyStream:
         g = complete(5) if graph == "K5" else request.getfixturevalue(graph)
         monkeypatch.setattr(_kernels, "wavefront",
                             lambda nbrs, k, node_budget: (1, 0, False))
-        run = verify_stream([g], k)
+        run = verify_stream([encode_graph6(g)], k)
         assert run.records[0].f_k == 1
         assert run.summary["counterexamples"] == [encode_graph6(g)]
 
@@ -132,7 +132,7 @@ class TestVerifyStream:
                                           "disconnected": 1}
 
     def test_records_preserve_input_order(self):
-        lines = [encode_graph6(g) for g in enumerate_connected(5)]
+        lines = list(enumerate_connected(5))
         run = verify_stream(lines)
         assert [r.graph6 for r in run.records] == lines
 
@@ -240,17 +240,6 @@ class TestVerifyStream:
             assert summary["skipped"] == {
                 f"not {k}-connected": connected - verified}, n
 
-    def test_skipped_graphs_are_never_encoded(self, monkeypatch):
-        # Enumerated graphs are named by their graph6 only in a record;
-        # the 95 connected 6-vertex graphs that are not 3-connected never
-        # reach the encoder.
-        calls = []
-        encode = verifier.encode_graph6
-        monkeypatch.setattr(verifier, "encode_graph6",
-                            lambda g: calls.append(g) or encode(g))
-        run = _sweep(6, k=3)
-        assert len(calls) == len(run.records) == 17
-
     def test_csv_summary_shape(self):
         run = _sweep(4)
         buf = io.StringIO()
@@ -283,8 +272,8 @@ class TestStreaming:
         # Each record is yielded once its own input line is drawn and
         # before the next one is; blank, malformed and skipped lines are
         # drawn on the way.
-        lines = ["", "not graph6!", "A?"] + [
-            encode_graph6(g) for g in enumerate_connected(6)] + ["", "A?"]
+        lines = (["", "not graph6!", "A?"] + list(enumerate_connected(6))
+                 + ["", "A?"])
         drawn = [0]
         run = VerifyRun(_counting(lines, drawn), 1)
         first = next(run.records)
@@ -310,8 +299,7 @@ class TestStreaming:
         assert ended == [True]
 
     def test_summary_keeps_its_keys_and_line_numbers(self):
-        lines = ["Bw", "", "not graph6!", "A?"] + [
-            encode_graph6(g) for g in enumerate_connected(6)]
+        lines = ["Bw", "", "not graph6!", "A?"] + list(enumerate_connected(6))
         summary = verify_stream(lines, 2).summary
         assert list(summary) == ["k", "input_lines", "graphs_verified",
                                  "skipped", "parse_failure_count",
@@ -382,7 +370,7 @@ class TestExtremalStructure:
         assert ok is False and 2 in counts
         assert _dissection(Graph(2, []))[0] is None
         verdicts = [_dissection(g)[0] for n in range(3, 7)
-                    for g in enumerate_connected(n)]
+                    for g in map(parse_graph6, enumerate_connected(n))]
         assert (verdicts.count(True), verdicts.count(False)) == (24, 117)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -390,7 +378,8 @@ class TestExtremalStructure:
         # The counts sum to the edge boundary of S, which is also that of
         # its complement. At k = 1 the structure check holds exactly when
         # every count is 1 and the complement induces a tree.
-        for g in (g for n in range(2, 7) for g in enumerate_connected(n)):
+        for g in (parse_graph6(line) for n in range(2, 7)
+                  for line in enumerate_connected(n)):
             solution = solve_connected_complement(g, k)
             assert not solution.complement_empty
             s, comp = solution.witness, solution.witness.complement()
@@ -423,7 +412,8 @@ class TestTreeLeafSuite:
         assert out["failures"] == []
 
     def test_exhaustive_order_five(self):
-        out = run_tree_leaf_suite(filter(is_tree, enumerate_connected(5)))
+        out = run_tree_leaf_suite(
+            filter(is_tree, map(parse_graph6, enumerate_connected(5))))
         assert out["trees_checked"] == 3
         assert out["failures"] == []
 
