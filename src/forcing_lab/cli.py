@@ -6,8 +6,8 @@ Graphs arrive inline (--graph6, --family name:params) or from files
 takes only the options its handler reads. Every run echoes to stderr, as
 one JSON line, the package version, the kernel backend that serves its
 largest graph, and every option of the subcommand, defaults included, so
-the echo alone reproduces the run. The argument parser is built on the
-first ``main`` call and reused by every later call in the same process.
+the echo alone reproduces the run. One table, ``COMMANDS``, lists each
+subcommand's options; ``parse_args`` reads it, and -h or --help prints it.
 
 ``verify`` reads graph6 lines only: ``--enumerate N`` is ``--input`` of
 the lines ``enumerate_connected(N)`` yields, record for record. It runs
@@ -21,13 +21,13 @@ error (for ``bounds``, also a graph outside the bound's hypotheses),
 before the output was complete.
 """
 
-import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from contextlib import ExitStack, closing
-from functools import cache
 from itertools import accumulate
+from types import SimpleNamespace
 
 from . import __version__, _kernels
 from .bounds import (classify_extremal, degree_refined_bound,
@@ -101,89 +101,6 @@ def _echo_config(args, n):
               "backend": _kernels.active_backend(n), **vars(args)}
     print(json.dumps({"config": config}), file=sys.stderr)
     return config
-
-
-def _add_graph_source(p):
-    p.add_argument("--graph6", help="inline graph6 record")
-    p.add_argument("--family", help="inline family spec, e.g. cycle:5 or "
-                   "complete_bipartite:3,3")
-    p.add_argument("--input", help="path to a graph6 or edge-list file")
-
-
-def _add_k(p):
-    p.add_argument("--k", type=int, default=1, help="forcing parameter (default 1)")
-
-
-def _add_node_budget(p):
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   dest="node_budget", help="search node budget; one "
-                   "budget bounds all the solving done for one graph")
-
-
-@cache
-def build_parser():
-    """The argument parser, built once per process and shared by every
-    caller, so no caller may modify it."""
-    parser = argparse.ArgumentParser(
-        prog="forcing-lab",
-        description="Exact k-forcing numbers, sharp degree bounds, and "
-                    "exhaustive verification of their equality families.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="exact minimum k-forcing set")
-    _add_graph_source(p_solve)
-    _add_k(p_solve)
-    _add_node_budget(p_solve)
-    p_solve.add_argument("--constrained", action="store_true",
-                         help="restrict to sets with connected complement")
-
-    p_closure = sub.add_parser("closure", help="trace the coloring process "
-                                               "from an initial set")
-    _add_graph_source(p_closure)
-    _add_k(p_closure)
-    p_closure.add_argument("--set", required=True, dest="initial",
-                           help="comma-separated initial vertex ids")
-
-    p_bounds = sub.add_parser("bounds", help="degree bounds and equality "
-                              "verdict; exits 2 outside the bound's hypotheses")
-    _add_graph_source(p_bounds)
-    _add_k(p_bounds)
-    _add_node_budget(p_bounds)
-
-    p_verify = sub.add_parser("verify", help="sweep a graph6 stream against "
-                                             "the bound and its equality families")
-    p_verify.add_argument("--input", help="graph6 file (one graph per line); "
-                          "'-' for stdin")
-    p_verify.add_argument("--enumerate", type=int, dest="enumerate",
-                          help="use the built-in connected enumeration at this order")
-    p_verify.add_argument("--out", help="output path prefix (writes "
-                          "PREFIX.records.jsonl, PREFIX.summary.csv, "
-                          "PREFIX.summary.json)")
-    _add_k(p_verify)
-    _add_node_budget(p_verify)
-    p_verify.add_argument("--workers", type=int, default=1,
-                          help="ignored: verify runs in one process; for "
-                               "more CPUs run one verify --input per part "
-                               "of the input (default 1)")
-
-    p_lemmas = sub.add_parser("lemmas", help="property suites")
-    lemmas_sub = p_lemmas.add_subparsers(dest="suite", required=True)
-    p_trees = lemmas_sub.add_parser("trees", help="leaf-subset forcing on trees")
-    p_trees.add_argument("--max-n", type=int, default=8, dest="max_n",
-                         help="exhaustive tree orders 2..max_n, one tree per "
-                              f"class (max_n <= {MAX_ENUMERATION_ORDER})")
-    p_trees.add_argument("--random-count", type=int, default=500,
-                         dest="random_count", help="extra random trees")
-    p_trees.add_argument("--random-min", type=int, default=9, dest="random_min")
-    p_trees.add_argument("--random-max", type=int, default=16, dest="random_max")
-    p_trees.add_argument("--seed", type=int, default=0,
-                         help="seed of the random trees")
-    p_known = lemmas_sub.add_parser("known", help="closed-form family values")
-    p_known.add_argument("--delta-max", type=int, default=4, dest="delta_max")
-    p_known.add_argument("--cycle-max", type=int, default=12, dest="cycle_max")
-    _add_node_budget(p_known)
-
-    return parser
 
 
 def _cmd_solve(args):
@@ -331,28 +248,111 @@ def _cmd_lemmas(args):
     return EXIT_OK if not result["failures"] else EXIT_FAILURE
 
 
-def _validate_common(args):
-    if getattr(args, "k", 1) < 1:
-        raise ValueError("--k must be at least 1")
-    if getattr(args, "node_budget", 1) < 1:
-        raise ValueError("--node-budget must be positive")
-    if getattr(args, "workers", 1) < 1:
-        raise ValueError("--workers must be positive")
+# One option of a command. ``type`` is int, str or bool (a flag that takes
+# no value); ``floor`` is the error for an int below 1, and a REQUIRED
+# default must be replaced by a given value.
+Option = namedtuple("Option", "flag dest type default help floor",
+                    defaults=(None,))
+REQUIRED = object()
+_SOURCE = (Option("--graph6", "graph6", str, None, "inline graph6 record"),
+           Option("--family", "family", str, None, "e.g. cycle:5, complete:4"),
+           Option("--input", "input", str, None, "graph6 or edge-list file"))
+_K = Option("--k", "k", int, 1, "forcing parameter", "--k must be at least 1")
+_BUDGET = Option("--node-budget", "node_budget", int, DEFAULT_NODE_BUDGET,
+                 "search nodes per graph", "--node-budget must be positive")
+
+# Each command's handler, summary and options, in the order that the config
+# echo lists them after the command (and the lemmas suite).
+COMMANDS = {
+    "solve": (_cmd_solve, "exact minimum k-forcing set", (
+        *_SOURCE, _K, _BUDGET, Option("--constrained", "constrained", bool,
+                                      False, "connected complement only"))),
+    "closure": (_cmd_closure, "trace the coloring process from a set", (
+        *_SOURCE, _K, Option("--set", "initial", str, REQUIRED,
+                             "initial vertex ids, e.g. 0,1 (required)"))),
+    "bounds": (_cmd_bounds, "degree bounds and equality verdict; exits 2 "
+               "outside their hypotheses", (*_SOURCE, _K, _BUDGET)),
+    "verify": (_cmd_verify, "sweep graph6 lines against the bound", (
+        Option("--input", "input", str, None, "graph6 lines; '-' for stdin"),
+        Option("--enumerate", "enumerate", int, None,
+               "every connected graph of this order"),
+        Option("--out", "out", str, None,
+               "write PREFIX.records.jsonl, .summary.csv and .summary.json"),
+        _K, _BUDGET, Option("--workers", "workers", int, 1, "ignored: verify "
+                            "is one process", "--workers must be positive"))),
+    "lemmas trees": (_cmd_lemmas, "leaf-subset forcing on trees", (
+        Option("--max-n", "max_n", int, 8,
+               f"every tree of order 2..max_n <= {MAX_ENUMERATION_ORDER}"),
+        Option("--random-count", "random_count", int, 500, "random trees"),
+        Option("--random-min", "random_min", int, 9, "least random order"),
+        Option("--random-max", "random_max", int, 16, "greatest random order"),
+        Option("--seed", "seed", int, 0, "seed of the random trees"))),
+    "lemmas known": (_cmd_lemmas, "closed-form family values", (
+        Option("--delta-max", "delta_max", int, 4, "greatest degree checked"),
+        Option("--cycle-max", "cycle_max", int, 12, "longest cycle checked"),
+        _BUDGET)),
+}
+_HELP = {"-h", "--help"}
+
+
+def _help(name):
+    """The usage of command ``name``, or the command list."""
+    usage, rows = "COMMAND", [(key, cmd[1]) for key, cmd in COMMANDS.items()]
+    if name in COMMANDS:
+        usage, rows = name, [
+            (o.flag + ("" if o.type is bool else " " + o.dest.upper()),
+             o.help if o.type is bool or o.default in (None, REQUIRED)
+             else f"{o.help} (default {o.default})") for o in COMMANDS[name][2]]
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(flag) for flag, _ in rows) + 2
+    return "\n".join([f"usage: forcing-lab {usage} [OPTIONS]", ""] + [
+        f"  {flag:<{width}}{text}" for flag, text in rows])
+
+
+def parse_args(argv):
+    """The handler and namespace (command, lemmas suite, then options in
+    table order) of ``argv``, or (None, None) once -h or --help is printed.
+    Raises ValueError on anything the table does not accept."""
+    words = list(argv)
+    ns = {"command": words.pop(0) if words else ""}
+    if ns["command"] == "lemmas":
+        ns["suite"] = words.pop(0) if words else ""
+    name = " ".join(ns.values())
+    if _HELP.intersection(argv):
+        print(_help(name))
+        return None, None
+    if name not in COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)}), "
+                         f"got {name.strip()!r}")
+    handler, _, options = COMMANDS[name]
+    ns.update((o.dest, o.default) for o in options)
+    while words:
+        flag, eq, value = words.pop(0).partition("=")
+        opt = next((o for o in options if o.flag == flag), None)
+        if opt is None or (opt.type is bool and eq):
+            raise ValueError(f"{name} does not take {flag + eq + value!r}")
+        if opt.type is bool:
+            value = True
+        elif not eq:
+            if not words or words[0].startswith("--"):
+                raise ValueError(f"{flag} needs a value")
+            value = words.pop(0)
+        try:
+            ns[opt.dest] = opt.type(value)
+        except ValueError:
+            raise ValueError(f"{flag} needs an integer: {value!r}") from None
+    for o in options:
+        if ns[o.dest] is REQUIRED:
+            raise ValueError(f"{name} needs {o.flag}")
+        if o.floor and ns[o.dest] < 1:
+            raise ValueError(o.floor)
+    return handler, SimpleNamespace(**ns)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "closure": _cmd_closure,
-        "bounds": _cmd_bounds,
-        "verify": _cmd_verify,
-        "lemmas": _cmd_lemmas,
-    }
     try:
-        _validate_common(args)
-        code = handlers[args.command](args)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+        code = handler(args) if handler else EXIT_OK
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -22,7 +22,6 @@ is. More CPUs come from more processes over disjoint parts of the input:
 their records, concatenated in input order, are those of one run.
 """
 
-import csv
 import time
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
@@ -189,16 +188,16 @@ class VerifyRun:
             stream.write(rec.to_json_line() + "\n")
 
     def write_summary_csv(self, stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["n", "graph_count", "extremal_count",
-                         "extremal_graph6_list", "max_solver_nodes",
-                         "wall_time_ms"])
+        # No field needs CSV quoting: graph6 text is "?".."~", which holds
+        # no ",", '"' or line break.
+        stream.write("n,graph_count,extremal_count,extremal_graph6_list,"
+                     "max_solver_nodes,wall_time_ms\n")
         for n in sorted(self.summary["per_n"]):
             row = self.summary["per_n"][n]
-            writer.writerow([
+            stream.write(",".join(map(str, (
                 n, row["graph_count"], row["extremal_count"],
-                " ".join(row["extremal_graph6"]),
-                row["max_solver_nodes"], round(row["wall_time_ms"], 3)])
+                " ".join(row["extremal_graph6"]), row["max_solver_nodes"],
+                round(row["wall_time_ms"], 3)))) + "\n")
 
 
 # Malformed lines kept in full in the summary; past these only the count

@@ -16,7 +16,7 @@ from forcing_lab import (_kernels, classify_extremal, complete,
                          complete_bipartite, cycle, encode_graph6,
                          enumerate_connected, parse_graph6, path, verifier)
 from forcing_lab import cli
-from forcing_lab.cli import build_parser, main
+from forcing_lab.cli import COMMANDS, main, parse_args
 from forcing_lab.enumeration import MAX_ENUMERATION_ORDER
 
 from conftest import verify_stream
@@ -669,12 +669,13 @@ def test_package_has_no_test_only_helpers():
 
 
 @pytest.mark.parametrize("module", ["multiprocessing", "dataclasses",
-                                    "inspect"])
+                                    "inspect", "argparse", "gettext", "csv"])
 def test_cli_import_leaves_module_unloaded(module):
     # Every CLI process pays for its imports before its first graph. No
     # module of the package starts processes, and the result types are
     # named tuples, so neither dataclasses nor the inspect it pulls in
-    # loads at all.
+    # loads at all. The options are read from the COMMANDS table, not by
+    # argparse (and its gettext), and the summary CSV is joined by hand.
     code = (f"import sys; sys.path.insert(0, {SRC!r}); "
             f"import forcing_lab.cli; print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
@@ -721,10 +722,9 @@ def test_verify_writes_no_carriage_returns(tmp_path):
     assert summary_csv.count(b"\n") == 2 and b"\r" not in summary_csv
 
 
-def test_parser_is_built_once_and_reused(capsys):
-    # A process that makes many main() calls builds the parser once; no
-    # option value may leak from one call into the next.
-    assert build_parser() is build_parser()
+def test_options_do_not_leak_between_calls(capsys):
+    # A process may make many main() calls (the benchmark does); no option
+    # value may leak from one call into the next.
     calls = [["solve", "--family", "complete_bipartite:3,3", "--constrained"],
              ["solve", "--family", "complete_bipartite:3,3"]]
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -797,6 +797,47 @@ def test_config_echo_holds_exactly_the_subcommand_options(capsys, argv, options)
     assert set(config) == {"version", "backend", "command"} | options
 
 
+@pytest.mark.parametrize("argv, options", [
+    (["solve", "--family", "cycle:5"],
+     '"command": "solve", "graph6": null, "family": "cycle:5", '
+     '"input": null, "k": 1, "node_budget": 100000000, '
+     '"constrained": false'),
+    (["closure", "--family", "cycle:5", "--set", "0,1"],
+     '"command": "closure", "graph6": null, "family": "cycle:5", '
+     '"input": null, "k": 1, "initial": "0,1"'),
+    (["bounds", "--family", "cycle:5"],
+     '"command": "bounds", "graph6": null, "family": "cycle:5", '
+     '"input": null, "k": 1, "node_budget": 100000000'),
+    (["verify", "--enumerate", "3"],
+     '"command": "verify", "input": null, "enumerate": 3, "out": null, '
+     '"k": 1, "node_budget": 100000000, "workers": 1'),
+    (["lemmas", "trees", "--max-n", "3", "--random-count", "2"],
+     '"command": "lemmas", "suite": "trees", "max_n": 3, '
+     '"random_count": 2, "random_min": 9, "random_max": 16, "seed": 0'),
+    (["lemmas", "known", "--delta-max", "2", "--cycle-max", "3"],
+     '"command": "lemmas", "suite": "known", "delta_max": 2, '
+     '"cycle_max": 3, "node_budget": 100000000'),
+    (["solve", "--family", "cycle:5", "--k=2"],
+     '"command": "solve", "graph6": null, "family": "cycle:5", '
+     '"input": null, "k": 2, "node_budget": 100000000, '
+     '"constrained": false'),
+    (["solve", "--family", "cycle:5", "--k", "2", "--k", "3"],
+     '"command": "solve", "graph6": null, "family": "cycle:5", '
+     '"input": null, "k": 3, "node_budget": 100000000, '
+     '"constrained": false'),
+], ids=["solve", "closure", "bounds", "verify", "lemmas-trees",
+        "lemmas-known", "equals-form", "repeated-option-last-wins"])
+def test_config_echo_line_is_pinned(capsys, argv, options):
+    # The echo line byte for byte, key order included: the command, the
+    # lemmas suite, then every option of the command in table order.
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    backend = "compiled" if _kernels.HAVE_COMPILED else "pure"
+    assert err.splitlines()[0] == (
+        f'{{"config": {{"version": "{forcing_lab.__version__}", '
+        f'"backend": "{backend}", {options}}}}}')
+
+
 def test_config_echo_records_option_values(capsys):
     _, _, err = run_cli(capsys, "solve", "--family", "complete:1",
                         "--constrained")
@@ -821,10 +862,64 @@ def test_config_echo_records_option_values(capsys):
     (["lemmas", "known"], ["--seed", "1"]),
 ])
 def test_flags_a_subcommand_does_not_read_exit_2(capsys, base, flag):
-    build_parser().parse_args(base)
-    with pytest.raises(SystemExit) as exc:
-        main(base + flag)
-    assert exc.value.code == 2
+    handler, _ = parse_args(base)
+    assert handler is not None
+    code, out, err = run_cli(capsys, *base, *flag)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag[0] in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_option_of_the_command(capsys, command, flag):
+    code, out, err = run_cli(capsys, *command.split(), flag)
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: forcing-lab {command} ")
+    for option in COMMANDS[command][2]:
+        assert f"  {option.flag}" in out
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["lemmas", "-h"]])
+def test_help_lists_every_command(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: forcing-lab COMMAND ")
+    for command, (_, summary, _) in COMMANDS.items():
+        assert f"  {command}" in out and summary in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sovle", "--family", "cycle:5"],
+     "expected a command (solve, closure, bounds, verify, lemmas trees, "
+     "lemmas known), got 'sovle'"),
+    ([], "expected a command (solve, closure, bounds, verify, lemmas trees, "
+         "lemmas known), got ''"),
+    (["lemmas"], "expected a command (solve, closure, bounds, verify, "
+                 "lemmas trees, lemmas known), got 'lemmas'"),
+    (["closure", "--family", "cycle:5"], "closure needs --set"),
+    (["solve", "--family", "cycle:5", "--k", "x"],
+     "--k needs an integer: 'x'"),
+    (["solve", "--family", "cycle:5", "--k"], "--k needs a value"),
+    (["solve", "--k", "--family", "cycle:5"], "--k needs a value"),
+    (["solve", "--family", "cycle:5", "--constrained=yes"],
+     "solve does not take '--constrained=yes'"),
+    (["solve", "--fam", "cycle:5"], "solve does not take '--fam'"),
+    (["solve", "--family", "cycle:5", "C~"], "solve does not take 'C~'"),
+], ids=["unknown-command", "no-command", "lemmas-without-suite",
+        "missing-set", "k-not-an-integer", "k-without-value",
+        "k-before-option", "flag-with-value", "abbreviation", "positional"])
+def test_parse_error_exits_2_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["forcing-lab", "solve", "--family",
+                                      "cycle:5"])
+    assert main() == 0
+    assert first_json(capsys.readouterr().out)["value"] == 2
 
 
 @pytest.mark.parametrize("argv, message", [

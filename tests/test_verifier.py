@@ -1,6 +1,7 @@
 """Verification pipeline: sweeps, records, summaries, streaming, and the
 structural/leaf/known-value suites."""
 
+import csv
 import io
 import json
 import tracemalloc
@@ -249,6 +250,25 @@ class TestVerifyStream:
                             "extremal_graph6_list,max_solver_nodes,"
                             "wall_time_ms")
         assert lines[1].startswith("4,6,2,")
+
+    def test_csv_summary_is_what_csv_writer_writes(self):
+        # write_summary_csv joins the fields itself; csv.writer, which
+        # quotes any field that needs it, writes the same text.
+        run = verify_stream([line for n in range(3, 7)
+                             for line in enumerate_connected(n)])
+        got, want = io.StringIO(), io.StringIO()
+        run.write_summary_csv(got)
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["n", "graph_count", "extremal_count",
+                         "extremal_graph6_list", "max_solver_nodes",
+                         "wall_time_ms"])
+        for n, row in sorted(run.summary["per_n"].items()):
+            writer.writerow([
+                n, row["graph_count"], row["extremal_count"],
+                " ".join(row["extremal_graph6"]),
+                row["max_solver_nodes"], round(row["wall_time_ms"], 3)])
+        assert len(got.getvalue().splitlines()) == 5
+        assert got.getvalue() == want.getvalue()
 
     def test_jsonl_fields(self):
         run = verify_stream(["Bw"])
