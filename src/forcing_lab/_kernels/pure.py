@@ -3,20 +3,21 @@
 All kernels speak a single low-level dialect: a graph is a sequence of
 neighbor bitmasks (``nbrs[v]`` has bit ``u`` set iff ``uv`` is an edge)
 and a vertex subset is one Python integer. The compiled extension
-(``_ckern``, built from ``_ckern.c``) implements all but the exhaustive
-subset scan with identical semantics (same return values, same node
+(``_ckern``, built from ``_ckern.c``) implements nine of the twelve
+functions here with identical semantics (same return values, same node
 counts) for n <= 62; this module is the reference, the fallback when the
 extension is not built, and the only implementation for n > 62. The
-exhaustive subset scan, one Gosper walk, runs here on every backend: the
-brute-force oracle runs it plain (``search_level_exhaustive``) and the
-connected-complement solve as ``search_level_constrained``.
+other three run here on every backend. Two are the exhaustive subset
+scan, one Gosper walk: the brute-force oracle runs it plain
+(``search_level_exhaustive``) and the connected-complement solve as
+``search_level_constrained``. The third is ``k_connected``, whose cut
+walk the compiled ``graph_facts`` runs inside itself.
 
 Three kernels build or test whole graphs rather than search them:
 ``triangle_masks`` unpacks the upper-triangle bit layout that graph6 and
 the canonical certificates share, ``graph6_masks`` decodes a graph6
 payload with it, and ``graph_facts`` gives the degrees and decides the
-degree bound's hypotheses in one call, k-connectivity by ``k_connected``,
-which is pure only.
+degree bound's hypotheses in one call, k-connectivity by ``k_connected``.
 """
 
 from itertools import combinations

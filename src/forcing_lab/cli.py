@@ -7,7 +7,10 @@ takes only the options its handler reads. Every run echoes to stderr, as
 one JSON line, the package version, the kernel backend that serves its
 largest graph, and every option of the subcommand, defaults included, so
 the echo alone reproduces the run. One table, ``COMMANDS``, lists each
-subcommand's options; ``parse_args`` reads it, and -h or --help prints it.
+subcommand's options and the range of each integer one; ``parse_args``
+reads it, and -h or --help prints it. The echo means that the run has
+started: every check that can reject a run comes before it, so a
+rejected run prints one ``error:`` line only.
 
 ``verify`` reads graph6 lines only: ``--enumerate N`` is ``--input`` of
 the lines ``enumerate_connected(N)`` yields, record for record. It runs
@@ -133,12 +136,12 @@ def _cmd_closure(args):
 
 def _cmd_bounds(args):
     g = _load_graph(args)
-    _echo_config(args, g.n)
-    # Input outside the bound's hypotheses exits 2 without being solved.
+    # Input outside the bound's hypotheses exits 2, neither echoed nor solved.
     dmax, dmin, code = _kernels.graph_facts(g.neighbor_masks, args.k)
     if code:
         raise ValueError("graph outside the bound's hypotheses: "
                          + failure_reason(code, args.k))
+    _echo_config(args, g.n)
     z, nodes = forcing_number(g, 1, node_budget=args.node_budget)
     f_k = z if args.k == 1 else forcing_number(
         g, args.k, node_budget=args.node_budget, spent=nodes)[0]
@@ -179,7 +182,6 @@ def _input_lines(stream):
 def _cmd_verify(args):
     if (args.input is None) == (args.enumerate is None):
         raise ValueError("give exactly one of --input or --enumerate")
-    _echo_config(args, MAX_VERTICES)
     with ExitStack() as stack:
         if args.enumerate is not None:
             lines = enumerate_connected(args.enumerate)
@@ -187,13 +189,17 @@ def _cmd_verify(args):
             lines = _input_lines(sys.stdin.buffer)
         else:
             lines = _input_lines(stack.enter_context(open(args.input, "rb")))
+        if args.out:
+            records = stack.enter_context(open(
+                args.out + ".records.jsonl", "w", encoding="ascii"))
+        _echo_config(args, MAX_VERTICES)
         # Records are written as they arrive; the summary is complete once
         # write_jsonl has drained them.
         run = VerifyRun(lines, args.k, node_budget=args.node_budget)
         stack.enter_context(closing(run.records))
         if args.out:
-            with open(args.out + ".records.jsonl", "w", encoding="ascii") as fh:
-                run.write_jsonl(fh)
+            with records:
+                run.write_jsonl(records)
             with open(args.out + ".summary.csv", "w", encoding="ascii",
                       newline="") as fh:
                 run.write_summary_csv(fh)
@@ -223,8 +229,6 @@ def _cmd_verify(args):
 
 def _cmd_lemmas(args):
     if args.suite == "trees":
-        if args.max_n > MAX_ENUMERATION_ORDER:
-            raise ValueError(f"--max-n is capped at {MAX_ENUMERATION_ORDER}")
         randoms = random_trees(args.random_count, args.random_min,
                                args.random_max, args.seed)
         _echo_config(args, max(args.max_n, args.random_max))
@@ -249,17 +253,17 @@ def _cmd_lemmas(args):
 
 
 # One option of a command. ``type`` is int, str or bool (a flag that takes
-# no value); ``floor`` is the error for an int below 1, and a REQUIRED
+# no value); ``least`` and ``most`` bound an int's value, and a REQUIRED
 # default must be replaced by a given value.
-Option = namedtuple("Option", "flag dest type default help floor",
-                    defaults=(None,))
+Option = namedtuple("Option", "flag dest type default help least most",
+                    defaults=(None, None))
 REQUIRED = object()
 _SOURCE = (Option("--graph6", "graph6", str, None, "inline graph6 record"),
            Option("--family", "family", str, None, "e.g. cycle:5, complete:4"),
            Option("--input", "input", str, None, "graph6 or edge-list file"))
-_K = Option("--k", "k", int, 1, "forcing parameter", "--k must be at least 1")
+_K = Option("--k", "k", int, 1, "forcing parameter", 1)
 _BUDGET = Option("--node-budget", "node_budget", int, DEFAULT_NODE_BUDGET,
-                 "search nodes per graph", "--node-budget must be positive")
+                 "search nodes per graph", 1)
 
 # Each command's handler, summary and options, in the order that the config
 # echo lists them after the command (and the lemmas suite).
@@ -278,21 +282,31 @@ COMMANDS = {
                "every connected graph of this order"),
         Option("--out", "out", str, None,
                "write PREFIX.records.jsonl, .summary.csv and .summary.json"),
-        _K, _BUDGET, Option("--workers", "workers", int, 1, "ignored: verify "
-                            "is one process", "--workers must be positive"))),
+        _K, _BUDGET, Option("--workers", "workers", int, 1,
+                            "ignored: verify is one process", 1))),
     "lemmas trees": (_cmd_lemmas, "leaf-subset forcing on trees", (
-        Option("--max-n", "max_n", int, 8,
-               f"every tree of order 2..max_n <= {MAX_ENUMERATION_ORDER}"),
-        Option("--random-count", "random_count", int, 500, "random trees"),
-        Option("--random-min", "random_min", int, 9, "least random order"),
+        Option("--max-n", "max_n", int, 8, "every tree of order 2..max_n",
+               most=MAX_ENUMERATION_ORDER),
+        Option("--random-count", "random_count", int, 500, "random trees", 0),
+        Option("--random-min", "random_min", int, 9, "least random order", 2),
         Option("--random-max", "random_max", int, 16, "greatest random order"),
         Option("--seed", "seed", int, 0, "seed of the random trees"))),
     "lemmas known": (_cmd_lemmas, "closed-form family values", (
-        Option("--delta-max", "delta_max", int, 4, "greatest degree checked"),
-        Option("--cycle-max", "cycle_max", int, 12, "longest cycle checked"),
+        Option("--delta-max", "delta_max", int, 4, "greatest degree checked",
+               2),
+        Option("--cycle-max", "cycle_max", int, 12, "longest cycle checked", 3),
         _BUDGET)),
 }
 _HELP = {"-h", "--help"}
+
+
+def _describe(o):
+    """The help text of option ``o``, with its range and default."""
+    notes = [f"{word} {value}" for word, value in (
+        ("at least", o.least), ("at most", o.most),
+        ("default", None if o.type is bool else o.default))
+        if value not in (None, REQUIRED)]
+    return f"{o.help} ({', '.join(notes)})" if notes else o.help
 
 
 def _help(name):
@@ -301,8 +315,7 @@ def _help(name):
     if name in COMMANDS:
         usage, rows = name, [
             (o.flag + ("" if o.type is bool else " " + o.dest.upper()),
-             o.help if o.type is bool or o.default in (None, REQUIRED)
-             else f"{o.help} (default {o.default})") for o in COMMANDS[name][2]]
+             _describe(o)) for o in COMMANDS[name][2]]
     rows.append(("-h, --help", "print this help and exit"))
     width = max(len(flag) for flag, _ in rows) + 2
     return "\n".join([f"usage: forcing-lab {usage} [OPTIONS]", ""] + [
@@ -342,10 +355,13 @@ def parse_args(argv):
         except ValueError:
             raise ValueError(f"{flag} needs an integer: {value!r}") from None
     for o in options:
-        if ns[o.dest] is REQUIRED:
+        value = ns[o.dest]
+        if value is REQUIRED:
             raise ValueError(f"{name} needs {o.flag}")
-        if o.floor and ns[o.dest] < 1:
-            raise ValueError(o.floor)
+        if o.least is not None and value < o.least:
+            raise ValueError(f"{o.flag} must be at least {o.least}")
+        if o.most is not None and value > o.most:
+            raise ValueError(f"{o.flag} must be at most {o.most}")
     return handler, SimpleNamespace(**ns)
 
 

@@ -409,8 +409,8 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--enumerate",
                                  str(cap + 1), "--out", str(tmp_path / "P"))
         assert code == 2 and out == ""
-        assert err.endswith(f"error: built-in enumeration covers 1 <= n <= "
-                            f"{cap}; supply a graph6 file for larger orders\n")
+        assert err == (f"error: built-in enumeration covers 1 <= n <= {cap}; "
+                       "supply a graph6 file for larger orders\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_requires_one_source(self, capsys):
@@ -596,7 +596,7 @@ class TestVerify:
             assert outputs[0] == outputs[1]
         code, _, err = run_cli(capsys, "verify", "--enumerate", "6",
                                "--workers", "0")
-        assert code == 2 and "--workers must be positive" in err
+        assert code == 2 and err == "error: --workers must be at least 1\n"
 
 
 class TestLemmas:
@@ -620,7 +620,7 @@ class TestLemmas:
         code, out, err = run_cli(capsys, "lemmas", "trees", "--max-n",
                                  str(cap + 1))
         assert code == 2 and out == ""
-        assert err == f"error: --max-n is capped at {cap}\n"
+        assert err == f"error: --max-n must be at most {cap}\n"
 
     def test_bad_random_range_exits_2_before_any_tree(self, capsys,
                                                       monkeypatch):
@@ -628,10 +628,15 @@ class TestLemmas:
             raise AssertionError("a tree was checked")
 
         monkeypatch.setattr(cli, "run_tree_leaf_suite", refuse)
-        code, out, err = run_cli(capsys, "lemmas", "trees", "--max-n", "9",
-                                 "--random-min", "1")
-        assert code == 2 and out == ""
-        assert err == "error: need 2 <= min_n <= max_n\n"
+        # The table's range first, then random_trees' own check.
+        for bounds, message in [(("--random-min", "1"),
+                                 "--random-min must be at least 2"),
+                                (("--random-min", "10", "--random-max", "9"),
+                                 "need 2 <= min_n <= max_n")]:
+            code, out, err = run_cli(capsys, "lemmas", "trees", "--max-n",
+                                     "9", *bounds)
+            assert code == 2 and out == ""
+            assert err == f"error: {message}\n"
 
     def test_known_suite(self, capsys):
         code, out, _ = run_cli(capsys, "lemmas", "known", "--delta-max", "4")
@@ -645,7 +650,7 @@ class TestLemmas:
         monkeypatch.setattr(verifier, "forcing_number", refuse)
         code, out, err = run_cli(capsys, "lemmas", "known", "--cycle-max", "2")
         assert code == 2 and out == ""
-        assert err.endswith("error: cycle_max must be at least 3\n")
+        assert err == "error: --cycle-max must be at least 3\n"
 
 
 SRC = os.path.dirname(os.path.dirname(forcing_lab.__file__))
@@ -876,8 +881,12 @@ def test_help_lists_every_option_of_the_command(capsys, command, flag):
     code, out, err = run_cli(capsys, *command.split(), flag)
     assert code == 0 and err == ""
     assert out.startswith(f"usage: forcing-lab {command} ")
+    lines = out.splitlines()
     for option in COMMANDS[command][2]:
-        assert f"  {option.flag}" in out
+        line, = [ln for ln in lines if ln.startswith(f"  {option.flag} ")]
+        for word, bound in (("at least", option.least),
+                            ("at most", option.most)):
+            assert bound is None or f"{word} {bound}" in line
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["lemmas", "-h"]])
@@ -925,26 +934,48 @@ def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--family", "cycle:5", "--k", "0"], "--k must be at least 1"),
     (["bounds", "--family", "cycle:5", "--node-budget", "0"],
-     "--node-budget must be positive"),
+     "--node-budget must be at least 1"),
     (["verify", "--enumerate", "3", "--workers", "0"],
-     "--workers must be positive"),
+     "--workers must be at least 1"),
     (["solve", "--family", "cycle"],
      "family spec must look like name:params, got 'cycle'"),
     (["solve", "--family", "cycle:x"],
      "family parameters must be integers: 'x'"),
     (["closure", "--family", "cycle:5", "--set", "0,x"],
      "--set must be a comma-separated id list, got '0,x'"),
-    (["solve", "--input", "NEGATIVE_ORDER"],
+    (["solve", "--input", "negative.edges"],
      "vertex count must be non-negative"),
+    (["verify", "--enumerate", "0"], "built-in enumeration covers 1 <= n <= "
+     f"{MAX_ENUMERATION_ORDER}; supply a graph6 file for larger orders"),
+    (["verify", "--enumerate", str(MAX_ENUMERATION_ORDER + 1)],
+     f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_ORDER}; "
+     "supply a graph6 file for larger orders"),
+    (["verify", "--input", "missing.g6"],
+     "[Errno 2] No such file or directory: 'missing.g6'"),
+    (["verify", "--enumerate", "3", "--out", "missing/P"],
+     "[Errno 2] No such file or directory: 'missing/P.records.jsonl'"),
+    (["bounds", "--family", "path:2"],
+     "graph outside the bound's hypotheses: max degree < 2"),
+    (["lemmas", "trees", "--max-n", str(MAX_ENUMERATION_ORDER + 1)],
+     f"--max-n must be at most {MAX_ENUMERATION_ORDER}"),
+    (["lemmas", "trees", "--random-count", "-1"],
+     "--random-count must be at least 0"),
+    (["lemmas", "known", "--delta-max", "1"], "--delta-max must be at least 2"),
+    (["lemmas", "known", "--cycle-max", "2"], "--cycle-max must be at least 3"),
 ], ids=["k-0", "node-budget-0", "workers-0", "family-without-params",
         "family-params-not-integers", "set-not-integers",
-        "edge-list-negative-order"])
-def test_bad_option_value_exits_2_with_its_message(capsys, tmp_path, argv,
-                                                   message):
-    edges = tmp_path / "g.edges"
-    edges.write_text("-1 0\n")
-    argv = [str(edges) if a == "NEGATIVE_ORDER" else a for a in argv]
+        "edge-list-negative-order", "enumerate-0", "enumerate-above-cap",
+        "input-missing", "out-in-missing-dir", "bounds-outside-hypotheses",
+        "max-n-above-cap", "random-count-negative", "delta-max-1",
+        "cycle-max-2"])
+def test_bad_option_value_exits_2_with_its_message(capsys, tmp_path,
+                                                   monkeypatch, argv, message):
+    # A rejected run prints its one error line, no config echo, and writes
+    # no file (paths are relative to tmp_path).
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "negative.edges").write_text("-1 0\n")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.splitlines()[-1] == f"error: {message}"
+    assert err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["negative.edges"]
