@@ -11,16 +11,24 @@
  * The exact solver is wavefront (the forcing number, by best-first search
  * over closed sets) followed by one search_level_pruned at that size (the
  * lexicographically smallest witness). Enumeration calls augment once per
- * parent class; it runs the deletion test and the connectivity check on
- * stack masks and calls canonical_mask's search only for the children that
- * pass. triangle_masks and graph6_masks build a graph's neighbor masks from
+ * parent class: canonical augmentation, which returns one child per class
+ * that has the parent as its canonical parent, each as the parent's mask
+ * with the new vertex's neighborhood as the last column. It tries one
+ * neighborhood per orbit of the parent's automorphism group (from
+ * generators found by backtracking over colour-preserving bijections, the
+ * colours those of refine) and keeps a child when its new vertex wins the
+ * deletion cuts: invariant and non-cut on stack masks, then the refine
+ * colour, then place, the one labeling search that canonical_mask also
+ * runs. triangle_masks and graph6_masks build a graph's neighbor masks from
  * the packed upper triangle and from a graph6 payload, through one helper
  * that alone knows the pair order; graph_facts gives the degrees and
  * decides the degree bound's hypotheses, k-connectivity cut by cut.
- * wavefront is the only kernel
- * that allocates memory of its own: its closed-set table and cost buckets
- * grow by at most one entry per node, so the node budget bounds them; every
- * exit frees them, and a failed allocation raises MemoryError.
+ * Two kernels allocate memory of their own: wavefront its closed-set table
+ * and cost buckets, which grow by at most one entry per node, so the node
+ * budget bounds them, and augment its automorphism generators and orbit
+ * marks (one bit per vertex subset, taken only when the parent has an
+ * automorphism besides the identity). Each frees what it took on every
+ * exit, and a failed allocation raises MemoryError.
  *
  * A graph arrives as a sequence of neighbor bitmasks (nbrs[v] has bit u set
  * iff uv is an edge) and a vertex subset as one int. Both are held in
@@ -30,7 +38,7 @@
  * n > 62 in the same way.
  * augment builds children one vertex larger, so it refuses a parent of 62
  * vertices. Only canonical_mask and augment return ints wider than 64
- * bits: a certificate has n(n-1)/2 bits, built in one uint64 up to n = 11.
+ * bits: a mask has n(n-1)/2 bits, built in one uint64 up to n = 11.
  *
  * Every kernel takes its arguments by position only (METH_VARARGS and
  * PyArg_UnpackTuple): no caller names one, so no call pays for parsing
@@ -44,6 +52,7 @@
 #include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef uint64_t u64;
 
@@ -293,16 +302,19 @@ done:
     return outcome;
 }
 
-/* Branch and bound over relabelings: perm[0..pos) is placed, and best[j]
- * is column j of the smallest labeling found so far (1 << j, which has one
- * bit too many for a column, marks "none yet"). */
-static void place(const graph *g, int pos, int *perm, u64 used, u64 *best)
+/* Branch and bound over the labelings that extend perm[0..pos) by placing
+ * an unused vertex of cells[p] at each later position p, in ascending
+ * order; see pure._place. best[j] is column j of the smallest labeling
+ * found so far (1 << j, which has one bit too many for a column, marks
+ * "none yet"). Unless bounded, a smaller prefix replaces it; when bounded,
+ * best is fixed and the search returns 1 at the first prefix below it. */
+static int place(const graph *g, const u64 *cells, int *perm, int pos,
+                 u64 used, u64 *best, int bounded)
 {
     if (pos == g->n)
-        return;
-    for (int v = 0; v < g->n; v++) {
-        if (used >> v & 1)
-            continue;
+        return 0;
+    for (u64 m = cells[pos] & ~used; m; m &= m - 1) {
+        int v = __builtin_ctzll(m);
         u64 col = 0;
         for (int i = 0; i < pos; i++)
             col = col << 1 | (g->nbrs[v] >> perm[i] & 1);
@@ -310,14 +322,164 @@ static void place(const graph *g, int pos, int *perm, u64 used, u64 *best)
             if (col > best[pos])
                 continue;
             if (col < best[pos]) {
+                if (bounded)
+                    return 1;
                 best[pos] = col;
                 for (int j = pos + 1; j < g->n; j++)
                     best[j] = ONE << j;
             }
         }
         perm[pos] = v;
-        place(g, pos + 1, perm, used | ONE << v, best);
+        if (place(g, cells, perm, pos + 1, used | ONE << v, best, bounded))
+            return 1;
     }
+    return 0;
+}
+
+/* Vertices a and b by refinement signature: colour, then the sorted
+ * colours of the neighbors (a and b have one degree when their colours
+ * are equal). */
+static int signature_cmp(const int *col, const int *deg,
+                         unsigned char (*nbr_cols)[MAX_N], int a, int b)
+{
+    if (col[a] != col[b])
+        return col[a] < col[b] ? -1 : 1;
+    return memcmp(nbr_cols[a], nbr_cols[b], (size_t)deg[a]);
+}
+
+/* Degree-seeded colour refinement; see pure._refine. Sets col[v] to v's
+ * stable colour and returns the number of colours. */
+static int refine(const graph *g, int *col)
+{
+    int n = g->n, deg[MAX_N], present[MAX_N] = {0}, rank[MAX_N];
+    int order[MAX_N], next[MAX_N], count = 0;
+    unsigned char nbr_cols[MAX_N][MAX_N];
+    for (int v = 0; v < n; v++) {
+        deg[v] = __builtin_popcountll(g->nbrs[v]);
+        present[deg[v]] = 1;
+    }
+    for (int d = 0; d < n; d++) {
+        rank[d] = count;
+        count += present[d];
+    }
+    for (int v = 0; v < n; v++)
+        col[v] = rank[deg[v]];
+    while (count < n) {
+        for (int v = 0; v < n; v++) {
+            int k = 0;
+            for (u64 m = g->nbrs[v]; m; m &= m - 1) {
+                unsigned char c = (unsigned char)col[__builtin_ctzll(m)];
+                int i = k++;
+                for (; i > 0 && nbr_cols[v][i - 1] > c; i--)
+                    nbr_cols[v][i] = nbr_cols[v][i - 1];
+                nbr_cols[v][i] = c;
+            }
+        }
+        for (int v = 0; v < n; v++) {
+            int i = v;
+            for (; i > 0 && signature_cmp(col, deg, nbr_cols, order[i - 1], v) > 0; i--)
+                order[i] = order[i - 1];
+            order[i] = v;
+        }
+        int colours = 1;
+        next[order[0]] = 0;
+        for (int i = 1; i < n; i++) {
+            colours += signature_cmp(col, deg, nbr_cols, order[i - 1], order[i]) != 0;
+            next[order[i]] = colours - 1;
+        }
+        if (colours == count)
+            break;
+        count = colours;
+        memcpy(col, next, (size_t)n * sizeof *col);
+    }
+    return count;
+}
+
+/* Whether mapping i to x keeps i's adjacency to 0..i-1, whose images are
+ * img[0..i). */
+static int fits(const graph *g, const int *img, int i, int x)
+{
+    for (int j = 0; j < i; j++)
+        if ((g->nbrs[i] >> j & 1) != (g->nbrs[x] >> img[j] & 1))
+            return 0;
+    return 1;
+}
+
+/* Extends img[0..i) to an automorphism that keeps colours; used holds the
+ * images taken. Returns 1 when it did. */
+static int extend(const graph *g, const int *col, int *img, int i, u64 used)
+{
+    if (i == g->n)
+        return 1;
+    for (int x = 0; x < g->n; x++) {
+        if (used >> x & 1 || col[x] != col[i] || !fits(g, img, i, x))
+            continue;
+        img[i] = x;
+        if (extend(g, col, img, i + 1, used | ONE << x))
+            return 1;
+    }
+    return 0;
+}
+
+/* Generators of Aut(g), n image bytes each, written to gens (room for
+ * n^2 of them; there are at most n(n-1)/2); see pure._automorphism_generators. Returns their
+ * number. */
+static int automorphism_generators(const graph *g, unsigned char *gens)
+{
+    int n = g->n, col[MAX_N], img[MAX_N], count = 0;
+    refine(g, col);
+    for (int i = 0; i < n; i++) {
+        for (int x = i + 1; x < n; x++) {
+            for (int j = 0; j < i; j++)
+                img[j] = j;
+            if (col[x] != col[i] || !fits(g, img, i, x))
+                continue;
+            img[i] = x;
+            if (!extend(g, col, img, i + 1, ((ONE << i) - 1) | ONE << x))
+                continue;
+            for (int v = 0; v < n; v++)
+                gens[count * n + v] = (unsigned char)img[v];
+            count++;
+        }
+    }
+    return count;
+}
+
+/* Cuts 2 to 4 of augment: whether the last vertex w of c stays in the
+ * canonical deletion class against rivals, the other non-cut vertices
+ * whose invariant equals w's; see pure._wins_deletion. */
+static int wins_deletion(const graph *c, u64 rivals)
+{
+    int n = c->n, w = n - 1, col[MAX_N], perm[MAX_N];
+    u64 members[MAX_N] = {0}, cells[MAX_N], key[MAX_N], ties = 0;
+    int colours = refine(c, col);
+    for (u64 m = rivals; m; m &= m - 1) {
+        int u = __builtin_ctzll(m);
+        if (col[u] < col[w])
+            return 0;
+        if (col[u] == col[w])
+            ties |= ONE << u;
+    }
+    if (!ties)
+        return 1;
+    /* Position 0 holds the first vertex, the rest the others by colour. */
+    for (int v = 0; v < n; v++)
+        members[col[v]] |= ONE << v;
+    int pos = 1;
+    for (int k = 0; k < colours; k++)
+        for (int size = __builtin_popcountll(members[k]) - (k == col[w]);
+             size > 0; size--)
+            cells[pos++] = members[k];
+    cells[0] = ONE << w;
+    for (int j = 0; j < n; j++)
+        key[j] = ONE << j;
+    place(c, cells, perm, 0, 0, key, 0);
+    for (u64 m = ties; m; m &= m - 1) {
+        cells[0] = m & (0 - m);
+        if (place(c, cells, perm, 0, 0, key, 1))
+            return 0;
+    }
+    return 1;
 }
 
 
@@ -387,27 +549,21 @@ static u64 column_bits(const u64 *best, int j)
     return col;
 }
 
-/* The canonical certificate of g: the minimum upper-triangle mask over all
- * relabelings, built in one u64 when its n(n-1)/2 bits fit. */
-static PyObject *certificate(const graph *g)
+/* The packed upper triangle whose column j, bits j(j-1)/2 .. j(j+1)/2 - 1,
+ * is cols[j] (row i at bit i), built in one u64 when its n(n-1)/2 bits
+ * fit. */
+static PyObject *pack_columns(const u64 *cols, int n)
 {
-    u64 best[MAX_N];
-    int perm[MAX_N], n = g->n;
-    if (n <= 1)
-        return PyLong_FromLong(0);
-    for (int j = 0; j < n; j++)
-        best[j] = ONE << j;
-    place(g, 0, perm, 0, best);
     if (n * (n - 1) / 2 <= 64) {
         u64 out = 0;
         for (int j = n - 1; j >= 1; j--)
-            out = out << j | column_bits(best, j);
+            out = out << j | cols[j];
         return PyLong_FromUnsignedLongLong(out);
     }
     PyObject *out = PyLong_FromLong(0);
     for (int j = n - 1; j >= 1 && out != NULL; j--) {
         PyObject *width = PyLong_FromLong(j);
-        PyObject *bits = PyLong_FromUnsignedLongLong(column_bits(best, j));
+        PyObject *bits = PyLong_FromUnsignedLongLong(cols[j]);
         PyObject *shifted = width && bits ? PyNumber_Lshift(out, width) : NULL;
         Py_DECREF(out);
         out = shifted ? PyNumber_Or(shifted, bits) : NULL;
@@ -416,6 +572,22 @@ static PyObject *certificate(const graph *g)
         Py_XDECREF(bits);
     }
     return out;
+}
+
+/* The canonical certificate of g: the minimum upper-triangle mask over all
+ * relabelings, the search of place with every vertex allowed everywhere. */
+static PyObject *certificate(const graph *g)
+{
+    u64 best[MAX_N], cells[MAX_N], cols[MAX_N];
+    int perm[MAX_N], n = g->n;
+    for (int j = 0; j < n; j++) {
+        best[j] = ONE << j;
+        cells[j] = g->full;
+    }
+    place(g, cells, perm, 0, 0, best, 0);
+    for (int j = 1; j < n; j++)
+        cols[j] = column_bits(best, j);
+    return pack_columns(cols, n);
 }
 
 /* An order n for the kernels that take it as an argument. */
@@ -532,14 +704,15 @@ static PyObject *py_canonical_mask(PyObject *self, PyObject *args)
     return certificate(&g);
 }
 
-/* Certificates of the children that pass the deletion rule; see
- * pure.augment. The child has one vertex more than the parent, so the
- * parent may have at most 61. */
+/* Upper-triangle masks of the children of a parent, one per class of
+ * child that has it as canonical parent; see pure.augment. The child has
+ * one vertex more than the parent, so the parent may have at most 61. */
 static PyObject *py_augment(PyObject *self, PyObject *args)
 {
     PyObject *nbrs;
     graph p, c;
     int deg[MAX_N], nsum[MAX_N];
+    u64 cols[MAX_N + 1];
     if (!PyArg_UnpackTuple(args, "augment", 1, 1, &nbrs)
         || load(nbrs, &p) < 0)
         return NULL;
@@ -549,21 +722,62 @@ static PyObject *py_augment(PyObject *self, PyObject *args)
                         "compiled kernels support at most 62 vertices");
         return NULL;
     }
+    PyObject *out = PyList_New(0);
+    if (out == NULL || !connected_in_u64(p.nbrs, p.full))
+        return out;
     for (int v = 0; v < n; v++)
         deg[v] = __builtin_popcountll(p.nbrs[v]);
     for (int v = 0; v < n; v++) {
         nsum[v] = 0;
         for (u64 m = p.nbrs[v]; m; m &= m - 1)
             nsum[v] += deg[__builtin_ctzll(m)];
+        cols[v] = p.nbrs[v] & ((ONE << v) - 1);
     }
     c.n = n + 1;
     c.full = (ONE << c.n) - 1;
-    PyObject *out = PyList_New(0);
-    for (u64 s = 1; out != NULL && s < ONE << n; s++) {
+    /* The orbits of Aut(p) on subsets: seen has one bit per subset, set
+     * once the subset's orbit has been met, and orbit is the search's
+     * stack. */
+    unsigned char *gens = malloc((size_t)n * n * n + 1);
+    int ngens = gens ? automorphism_generators(&p, gens) : 0;
+    u64 *seen = NULL;
+    bucket orbit = {0};
+    if (gens == NULL
+        || (ngens && (seen = calloc(((ONE << n) + 63) >> 6, sizeof *seen)) == NULL)) {
+        Py_CLEAR(out);
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (u64 s = 1; s < ONE << n; s++) {
         /* A large parent has 2^n candidates: let Ctrl-C stop the loop. */
         if ((s & 0xFFFF) == 0 && PyErr_CheckSignals() < 0) {
             Py_CLEAR(out);
-            break;
+            goto done;
+        }
+        if (ngens) {
+            if (seen[s >> 6] >> (s & 63) & 1)
+                continue;
+            seen[s >> 6] |= ONE << (s & 63);
+            orbit.len = 0;
+            for (u64 t = s;;) {
+                for (int i = 0; i < ngens; i++) {
+                    const unsigned char *img = gens + (size_t)i * n;
+                    u64 image = 0;
+                    for (u64 m = t; m; m &= m - 1)
+                        image |= ONE << img[__builtin_ctzll(m)];
+                    if (seen[image >> 6] >> (image & 63) & 1)
+                        continue;
+                    seen[image >> 6] |= ONE << (image & 63);
+                    if (bucket_push(&orbit, image) < 0) {
+                        Py_CLEAR(out);
+                        PyErr_NoMemory();
+                        goto done;
+                    }
+                }
+                if (orbit.len == 0)
+                    break;
+                t = orbit.items[--orbit.len];
+            }
         }
         int k = __builtin_popcountll(s), sw = k, keep = 1;
         for (u64 m = s; m; m &= m - 1)
@@ -571,20 +785,36 @@ static PyObject *py_augment(PyObject *self, PyObject *args)
         for (int v = 0; v < n; v++)
             c.nbrs[v] = p.nbrs[v] | (s >> v & 1) << n;
         c.nbrs[n] = s;
+        u64 rivals = 0;
         for (int u = 0; keep && u < n; u++) {
             int inside = s >> u & 1, du = deg[u] + inside;
-            if (du > k || (du == k && nsum[u] + __builtin_popcountll(p.nbrs[u] & s)
-                                      + inside * k >= sw))
+            if (du > k)
                 continue;
-            keep = !connected_in_u64(c.nbrs, c.full & ~(ONE << u));
+            int su = nsum[u] + __builtin_popcountll(p.nbrs[u] & s) + inside * k;
+            if (du == k && su > sw)
+                continue;
+            if (connected_in_u64(c.nbrs, c.full & ~(ONE << u))) {
+                if (du < k || su < sw)
+                    keep = 0;
+                else
+                    rivals |= ONE << u;
+            }
         }
-        if (!keep)
+        if (!keep || (rivals && !wins_deletion(&c, rivals)))
             continue;
-        PyObject *cert = certificate(&c);
-        if (cert == NULL || PyList_Append(out, cert) < 0)
+        cols[n] = s;
+        PyObject *mask = pack_columns(cols, n + 1);
+        if (mask == NULL || PyList_Append(out, mask) < 0) {
+            Py_XDECREF(mask);
             Py_CLEAR(out);
-        Py_XDECREF(cert);
+            goto done;
+        }
+        Py_DECREF(mask);
     }
+done:
+    free(gens);
+    free(seen);
+    free(orbit.items);
     return out;
 }
 

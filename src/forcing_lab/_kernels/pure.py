@@ -14,10 +14,11 @@ scan, one Gosper walk: the brute-force oracle runs it plain
 walk the compiled ``graph_facts`` runs inside itself.
 
 Three kernels build or test whole graphs rather than search them:
-``triangle_masks`` unpacks the upper-triangle bit layout that graph6 and
-the canonical certificates share, ``graph6_masks`` decodes a graph6
-payload with it, and ``graph_facts`` gives the degrees and decides the
-degree bound's hypotheses in one call, k-connectivity by ``k_connected``.
+``triangle_masks`` unpacks the upper-triangle bit layout that graph6, the
+canonical certificates and the children of ``augment`` share,
+``graph6_masks`` decodes a graph6 payload with it, and ``graph_facts``
+gives the degrees and decides the degree bound's hypotheses in one call,
+k-connectivity by ``k_connected``.
 """
 
 from itertools import combinations
@@ -302,45 +303,91 @@ def search_level_constrained(nbrs, k, size, node_budget):
     return search_level_exhaustive(nbrs, k, size, node_budget, True)
 
 
+def _refine(nbrs):
+    """Stable colours of degree-seeded colour refinement (1-WL), as ranks
+    0, 1, ...
+
+    The first colour of a vertex is the rank of its degree among the
+    distinct degrees. Each round gives every vertex the signature (its
+    colour, the sorted colours of its neighbors) and recolours it by the
+    rank of that signature among the sorted distinct signatures; it stops
+    when a round splits no colour. A signature starts with the old colour,
+    so a round keeps the order of the colours it splits. The ranks depend
+    on nothing but the graph, so an isomorphism maps each vertex to one of
+    the same colour; the compiled kernels compute the same integers.
+    """
+    n = len(nbrs)
+    degs = [m.bit_count() for m in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degs)))}
+    col = [rank[d] for d in degs]
+    adj = [[u for u in range(n) if m >> u & 1] for m in nbrs]
+    count = len(rank)
+    while count < n:
+        sig = [(col[v], tuple(sorted(col[u] for u in adj[v])))
+               for v in range(n)]
+        rank = {x: i for i, x in enumerate(sorted(set(sig)))}
+        if len(rank) == count:
+            break
+        col = [rank[x] for x in sig]
+        count = len(rank)
+    return col
+
+
+def _place(nbrs, cells, perm, pos, used, best, bounded):
+    """Branch and bound over the labelings that extend perm[:pos] by placing
+    at each later position p an unused vertex of the mask ``cells[p]``, in
+    ascending order. Column j of a labeling is the adjacency of the vertex
+    at position j to those at positions 0..j-1, the earlier more
+    significant; labelings compare column by column.
+
+    ``best[j]`` is column j of the smallest labeling found so far (1 << j,
+    one bit too wide for a column, while there is none); a prefix whose
+    latest column exceeds it is cut. Unless ``bounded``, a smaller prefix
+    replaces it. When ``bounded``, ``best`` is a fixed labeling: the search
+    returns True at the first prefix strictly below it, which every
+    completion then stays, and False when there is none.
+    """
+    n = len(nbrs)
+    if pos == n:
+        return False
+    m = cells[pos] & ~used
+    while m:
+        bit = m & -m
+        m ^= bit
+        v = bit.bit_length() - 1
+        nv = nbrs[v]
+        col = 0
+        for i in range(pos):
+            col = (col << 1) | ((nv >> perm[i]) & 1)
+        if pos > 0:
+            if col > best[pos]:
+                continue
+            if col < best[pos]:
+                if bounded:
+                    return True
+                best[pos] = col
+                for j in range(pos + 1, n):
+                    best[j] = 1 << j
+        perm[pos] = v
+        if _place(nbrs, cells, perm, pos + 1, used | bit, best, bounded):
+            return True
+    return False
+
+
 def canonical_mask(nbrs):
     """Canonical certificate: the minimum upper-triangle mask over all
     vertex relabelings.
 
     Bit order follows the graph6 payload (column-major upper triangle,
     earlier bits more significant), so two graphs get the same certificate
-    iff they are isomorphic. Branch-and-bound over partial relabelings;
-    prefixes that already exceed the best known column are cut.
+    iff they are isomorphic. It is ``_place`` with every vertex allowed at
+    every position.
     """
     n = len(nbrs)
     if n <= 1:
         return 0
-    # best[j] = column j of the smallest labeling found so far; 1 << j is an
-    # unattainable sentinel (columns hold j bits).
     best = [1 << j for j in range(n)]
-    perm = [0] * n
-
-    def place(pos, used):
-        if pos == n:
-            return
-        for v in range(n):
-            bit = 1 << v
-            if used & bit:
-                continue
-            col = 0
-            nv = nbrs[v]
-            for i in range(pos):
-                col = (col << 1) | ((nv >> perm[i]) & 1)
-            if pos > 0:
-                if col > best[pos]:
-                    continue
-                if col < best[pos]:
-                    best[pos] = col
-                    for j in range(pos + 1, n):
-                        best[j] = 1 << j
-            perm[pos] = v
-            place(pos + 1, used | bit)
-
-    place(0, 0)
+    _place(nbrs, [(1 << n) - 1] * n, [0] * n, 0, 0, best, False)
     out = 0
     base = 0
     for j in range(1, n):
@@ -352,34 +399,129 @@ def canonical_mask(nbrs):
     return out
 
 
+def _automorphism_generators(nbrs):
+    """Generators of the automorphism group, each as its tuple of images:
+    for every vertex i and every later vertex x of i's colour, the first
+    automorphism found that fixes 0..i-1 and maps i to x, if one does. They
+    hold a transversal of each stabilizer in the one before, so they
+    generate the group; the identity is left out. Found by backtracking
+    over colour-preserving bijections, vertex by vertex.
+    """
+    n = len(nbrs)
+    col = _refine(nbrs)
+    img = list(range(n))
+
+    def fits(i, x):
+        # Mapping i to x keeps i's adjacency to 0..i-1.
+        nx = nbrs[x]
+        ni = nbrs[i]
+        return all(((ni >> j) & 1) == ((nx >> img[j]) & 1) for j in range(i))
+
+    def extend(i, used):
+        if i == n:
+            return True
+        for x in range(n):
+            if not used >> x & 1 and col[x] == col[i] and fits(i, x):
+                img[i] = x
+                if extend(i + 1, used | 1 << x):
+                    return True
+        return False
+
+    gens = []
+    for i in range(n):
+        for x in range(i + 1, n):
+            img[:i] = range(i)
+            if col[x] == col[i] and fits(i, x):
+                img[i] = x
+                if extend(i + 1, (1 << i) - 1 | 1 << x):
+                    gens.append(tuple(img))
+    return gens
+
+
+def _wins_deletion(child, rivals):
+    """Cuts 2 to 4 of ``augment``: whether the last vertex w of ``child``
+    stays in the canonical deletion class against ``rivals``, the mask of
+    the other non-cut vertices whose invariant equals w's.
+    """
+    n = len(child)
+    w = n - 1
+    col = _refine(child)
+    mine = col[w]
+    ties = 0
+    m = rivals
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        if col[u] < mine:
+            return False
+        if col[u] == mine:
+            ties |= 1 << u
+    if not ties:
+        return True
+    # Position 0 holds the first vertex, the rest the others by colour.
+    members = [0] * n
+    for v, c in enumerate(col):
+        members[c] |= 1 << v
+    order = sorted(col)
+    order.remove(mine)
+    cells = [1 << w] + [members[c] for c in order]
+    perm = [0] * n
+    key = [1 << j for j in range(n)]
+    _place(child, cells, perm, 0, 0, key, False)
+    while ties:
+        u = ties & -ties
+        ties ^= u
+        cells[0] = u
+        if _place(child, cells, perm, 0, 0, key, True):
+            return False
+    return True
+
+
 def augment(nbrs):
-    """Certificates of the one-vertex extensions of a parent that pass the
-    canonical-deletion rule.
+    """Upper-triangle masks of the one-vertex extensions of a parent P,
+    one per isomorphism class of child that has P as its canonical
+    parent.
 
-    For each nonempty neighborhood S of a new vertex w, in ascending mask
-    order, the child is the parent plus w joined to S. Every vertex gets
-    the invariant (degree, sum of its neighbors' degrees), taken in the
-    child and compared lexicographically. The child is rejected when some
-    vertex u other than w is not a cut vertex (the child minus u is
-    connected) and its invariant is strictly below w's. Otherwise the
-    ``canonical_mask`` of the child is appended to the returned list,
-    duplicates included.
+    The new vertex w is joined to one nonempty neighborhood S per orbit of
+    Aut(P) on vertex subsets, the smallest mask of its orbit, in ascending
+    order (the orbits come from ``_automorphism_generators``). The child
+    is kept when w lies in its canonical deletion class, cut by cut:
 
-    The rule is exact for connected parents (McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998, used here only as a
-    prefilter): take any connected graph G on n + 1 >= 2 vertices and a
-    non-cut vertex v of G whose invariant is smallest among the non-cut
-    vertices (a leaf of a spanning tree is not a cut vertex, so one
-    exists). G - v is connected, so it is isomorphic to some parent P on
-    n vertices. Joining w to the image of N(v) in P gives a child
-    isomorphic to G in which w plays the role of v, so no non-cut vertex
-    has a smaller invariant than w and the child is kept. Every connected
-    class on n + 1 vertices therefore appears among the certificates
-    returned for the connected classes on n vertices.
+    1. among the non-cut vertices (the child minus the vertex is
+       connected), those with the smallest (degree, sum of the neighbors'
+       degrees), taken in the child;
+    2. among these, those with the smallest ``_refine`` colour;
+    3. among these, those u with the smallest key(u), the smallest
+       labeling that puts u first and the other vertices in colour order
+       (``_place``);
+    4. w is kept unless some u has key(u) < key(w), found by a search
+       bounded by key(w) that stops at the first smaller labeling.
+
+    Each cut is invariant under isomorphism and the last leaves exactly
+    one orbit of the child's automorphism group: equal keys come from two
+    labelings with the same matrix, whose composition maps one vertex to
+    the other. The returned mask is the child in P's labelling with w
+    last: P's mask with S as its last column.
+
+    For connected parents this is McKay's canonical augmentation
+    ("Isomorph-free exhaustive generation", J. Algorithms 1998), and over
+    the connected classes on n vertices it returns each connected class
+    on n + 1 vertices exactly once. At least once: a connected G has a
+    vertex v in its deletion class (a leaf of a spanning tree is not a cut
+    vertex), G - v is connected, hence some parent P, and the child of P
+    on the image of N(v), moved by an automorphism of P onto its orbit's
+    smallest mask, is G with w in v's place. At most once: if P + w (S)
+    and P' + w' (S') are both kept and isomorphic, an isomorphism can be
+    chosen to map w to w', since both lie in the one deletion orbit; it
+    maps P onto P', so P = P' and S' is an image of S under Aut(P), hence
+    S = S'. A disconnected parent gets no child, since w is then a cut
+    vertex.
     """
     n = len(nbrs)
     w = 1 << n
     rest = (w << 1) - 1
+    if not connected_in(nbrs, w - 1):
+        return []
     deg = [m.bit_count() for m in nbrs]
     # Sum of the parent degrees of each vertex's parent neighbors.
     nsum = [0] * n
@@ -387,8 +529,31 @@ def augment(nbrs):
         while m:
             nsum[v] += deg[(m & -m).bit_length() - 1]
             m &= m - 1
+    base = 0
+    for j in range(1, n):
+        base |= (nbrs[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    shift = n * (n - 1) // 2
+    images = [[1 << x for x in g] for g in _automorphism_generators(nbrs)]
+    seen = bytearray(w) if images else None
     out = []
     for s in range(1, w):
+        if images:
+            if seen[s]:
+                continue
+            seen[s] = 1
+            orbit = [s]
+            while orbit:
+                t = orbit.pop()
+                for bits in images:
+                    image = 0
+                    m = t
+                    while m:
+                        low = m & -m
+                        image |= bits[low.bit_length() - 1]
+                        m ^= low
+                    if not seen[image]:
+                        seen[image] = 1
+                        orbit.append(image)
         k = s.bit_count()
         sw = k
         m = s
@@ -397,14 +562,20 @@ def augment(nbrs):
             m &= m - 1
         child = [x | w if s >> v & 1 else x for v, x in enumerate(nbrs)]
         child.append(s)
+        rivals = 0
         for u in range(n):
             inside = s >> u & 1
             du = deg[u] + inside
-            if du > k or (du == k and nsum[u] + (nbrs[u] & s).bit_count()
-                          + inside * k >= sw):
+            if du > k:
+                continue
+            su = nsum[u] + (nbrs[u] & s).bit_count() + inside * k
+            if du == k and su > sw:
                 continue
             if connected_in(child, rest & ~(1 << u)):
-                break
+                if du < k or su < sw:
+                    break
+                rivals |= 1 << u
         else:
-            out.append(canonical_mask(child))
+            if not rivals or _wins_deletion(child, rivals):
+                out.append(base | s << shift)
     return out

@@ -108,6 +108,8 @@ def _echo_config(args, n):
 
 def _cmd_solve(args):
     g = _load_graph(args)
+    if g.n == 0:
+        raise ValueError("forcing numbers need at least one vertex")
     _echo_config(args, g.n)
     if args.constrained:
         res = solve_connected_complement(g, args.k, node_budget=args.node_budget)

@@ -413,6 +413,44 @@ class TestVerify:
                        "supply a graph6 file for larger orders\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_wrong_class_count_fails_after_the_records(self, tmp_path, out):
+        # The top order is streamed and its count checked after its last
+        # line. A kernel that drops one child there fails the run once the
+        # records are written: no summary line, and no summary file.
+        script = (
+            "import sys\n"
+            "from forcing_lab import _kernels\n"
+            "from forcing_lab.cli import main\n"
+            "real, dropped = _kernels.augment, []\n"
+            "def augment(nbrs):\n"
+            "    kids = real(nbrs)\n"
+            "    if len(nbrs) == 4 and kids and not dropped:\n"
+            "        dropped.append(kids.pop())\n"
+            "    return kids\n"
+            "_kernels.augment = augment\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(forcing_lab.__file__))
+        prefix = str(tmp_path / "P")
+        done = subprocess.run(
+            [sys.executable, "-c", script, "verify", "--enumerate", "5"]
+            + (["--out", prefix] if out else []),
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode != 0
+        assert done.stderr.rstrip().endswith(
+            "AssertionError: enumeration found 20 connected classes on 5 "
+            "vertices, published count is 21")
+        assert '{"summary": ' not in done.stderr
+        if out:
+            assert done.stdout == ""
+            records = (tmp_path / "P.records.jsonl").read_text()
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "P.records.jsonl"]
+        else:
+            records = done.stdout
+        assert len(records.splitlines()) == 20
+
     def test_requires_one_source(self, capsys):
         code, _, _ = run_cli(capsys, "verify")
         assert code == 2
@@ -488,8 +526,8 @@ class TestVerify:
 
     def test_enumerate_never_builds_an_upper_triangle_mask(self, capsys,
                                                           monkeypatch):
-        # An enumerated line is written from its certificate, which is
-        # already the upper-triangle mask.
+        # An enumerated line is written from its augmentation mask, which
+        # is already the upper-triangle mask.
         def refuse(self):
             raise AssertionError("an enumerated graph's mask was rebuilt")
 
@@ -532,12 +570,12 @@ class TestVerify:
         # The whole stdout, solver node counts included, on both backends.
         # A change that alters any byte of it must say so and re-pin.
         for k, digest in [
-                (1, "e313dee3bbc1c2110db44281f9d69c7d"
-                    "1da3b2890c515bb35ac65ddf4a69f3ab"),
-                (2, "ef3f33f24bd95833c119c9f6db16b733"
-                    "2f3f68cb821361b86720777c14ffc382"),
-                (3, "45d5c107ede101f860ef086ebcf3a7c0"
-                    "8358af7a15ac829ff4bec5323cd52575")]:
+                (1, "186cc1393207a04f5a147fe6dabc1ef7"
+                    "ecd643c32097277dfe33233923071537"),
+                (2, "5b219a5d59341f91d9cd0e2c14faa120"
+                    "3b414113e1499f3572411e4e3351674f"),
+                (3, "64d734df11b29cfc55ae04582a0eef28"
+                    "8ff0596a861011fff8eb25b4948734d3")]:
             code, out, _ = run_cli(capsys, "verify", "--enumerate", "7",
                                    "--k", str(k))
             assert code == 0
@@ -945,8 +983,11 @@ def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
      "--set must be a comma-separated id list, got '0,x'"),
     (["solve", "--input", "negative.edges"],
      "vertex count must be non-negative"),
-    (["verify", "--enumerate", "0"], "built-in enumeration covers 1 <= n <= "
-     f"{MAX_ENUMERATION_ORDER}; supply a graph6 file for larger orders"),
+    (["solve", "--graph6", "?"], "forcing numbers need at least one vertex"),
+    (["solve", "--graph6", "?", "--constrained"],
+     "forcing numbers need at least one vertex"),
+    (["verify", "--enumerate", "0"],
+     "built-in enumeration needs at least one vertex, got n=0"),
     (["verify", "--enumerate", str(MAX_ENUMERATION_ORDER + 1)],
      f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_ORDER}; "
      "supply a graph6 file for larger orders"),
@@ -964,7 +1005,8 @@ def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
     (["lemmas", "known", "--cycle-max", "2"], "--cycle-max must be at least 3"),
 ], ids=["k-0", "node-budget-0", "workers-0", "family-without-params",
         "family-params-not-integers", "set-not-integers",
-        "edge-list-negative-order", "enumerate-0", "enumerate-above-cap",
+        "edge-list-negative-order", "solve-empty-graph",
+        "solve-constrained-empty-graph", "enumerate-0", "enumerate-above-cap",
         "input-missing", "out-in-missing-dir", "bounds-outside-hypotheses",
         "max-n-above-cap", "random-count-negative", "delta-max-1",
         "cycle-max-2"])

@@ -29,9 +29,13 @@ def test_connected_counts_match_published_totals(n):
 @pytest.fixture
 def fresh_classes():
     """Rebuild the class cache inside the test and drop what it built."""
-    enumeration._canonical_classes.cache_clear()
+    enumeration._classes.cache_clear()
     yield
-    enumeration._canonical_classes.cache_clear()
+    enumeration._classes.cache_clear()
+
+
+def _certificate(mask, n):
+    return _kernels.canonical_mask(_kernels.triangle_masks(mask, n))
 
 
 def test_only_connected_parents_are_extended(fresh_classes, monkeypatch):
@@ -46,16 +50,28 @@ def test_only_connected_parents_are_extended(fresh_classes, monkeypatch):
 
     monkeypatch.setattr(_kernels, "augment", counting)
     assert sum(1 for _ in enumerate_connected(6)) == CONNECTED_CLASS_COUNTS[6]
-    expected = {(m - 1, cert) for m in range(2, 7)
-                for cert in enumeration._canonical_classes(m - 1)}
+    expected = {(m - 1, _certificate(mask, m - 1)) for m in range(2, 7)
+                for mask in enumeration._classes(m - 1)}
     assert len(calls) == len(expected) == 1 + 1 + 2 + 6 + 21
     assert set(calls) == expected
 
 
 def test_wrong_class_count_raises(fresh_classes, monkeypatch):
-    monkeypatch.setattr(_kernels, "augment", lambda nbrs: [0])
-    with pytest.raises(AssertionError, match="published count"):
-        list(enumerate_connected(4))
+    # Drop the first child of every 3-vertex parent: order 4 then has 4
+    # classes, not 6. Streamed as the top order, its 4 lines come first and
+    # the check fails after the last; as parents of order 5 they are
+    # checked before any line.
+    real = _kernels.augment
+    monkeypatch.setattr(_kernels, "augment",
+                        lambda nbrs: real(nbrs)[len(nbrs) == 3:])
+    lines = []
+    with pytest.raises(AssertionError, match="found 4 connected classes on "
+                       "4 vertices, published count is 6"):
+        lines.extend(enumerate_connected(4))
+    assert len(lines) == 4
+    stream = enumerate_connected(5)
+    with pytest.raises(AssertionError, match="published count is 6"):
+        next(stream)
 
 
 def test_counts_match_networkx_atlas():
@@ -70,10 +86,38 @@ def test_counts_match_networkx_atlas():
 
 
 def test_out_of_range_points_to_graph6_files():
-    with pytest.raises(ValueError, match="graph6"):
-        list(enumerate_connected(10))
-    with pytest.raises(ValueError):
-        list(enumerate_connected(0))
+    # Checked at the call, before the first draw. Only a larger order is
+    # sent to graph6 files.
+    with pytest.raises(ValueError, match="supply a graph6 file"):
+        enumerate_connected(10)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^built-in enumeration needs at "
+                           f"least one vertex, got n={n}$"):
+            enumerate_connected(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lines_are_the_published_classes_once_each(n, compiled_kernels):
+    # The min-relabeling certificates of the lines are pairwise distinct
+    # and as many as the published count, so the lines hold every class
+    # once: the set of classes that a certificate-sorted enumeration
+    # gives, in another order and other labels.
+    lines = list(enumerate_connected(n))
+    certs = {compiled_kernels.canonical_mask(parse_graph6(line).neighbor_masks)
+             for line in lines}
+    assert len(lines) == len(certs) == CONNECTED_CLASS_COUNTS[n]
+
+
+def test_lines_come_in_generation_order(fresh_classes):
+    # Each line is its parent's mask with the new vertex's neighborhood S
+    # as the last column: parents in the order they were generated, each
+    # one's children by ascending S.
+    parents = enumeration._classes(5)
+    order = []
+    for line in enumerate_connected(6):
+        mask = parse_graph6(line).upper_triangle_mask()
+        order.append((parents.index(mask & 0x3FF), mask >> 10))
+    assert order == sorted(set(order))
 
 
 def test_all_representatives_connected_and_distinct():

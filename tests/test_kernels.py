@@ -170,51 +170,61 @@ def _child(nbrs, s):
     return [x | w if s >> v & 1 else x for v, x in enumerate(nbrs)] + [s]
 
 
-def test_augment_matches_pure(compiled_kernels, monkeypatch):
+def test_augment_matches_pure(compiled_kernels):
     # Every connected graph with n <= 6 and seeded G(n, p) parents up to
-    # n = 8, connected or not: the same certificates in the same order.
+    # n = 8, connected or not: the same masks in the same order.
     rng = random.Random(59)
     parents = [parse_graph6(line).neighbor_masks for n in range(1, 7)
                for line in enumerate_connected(n)]
     parents += [random_masks(rng, n, p) for n in (7, 8) for p in (0.3, 0.6)]
     for nbrs in [[]] + parents:
         assert compiled_kernels.augment(nbrs) == pure.augment(nbrs), nbrs
-    # 12-vertex children have 66-bit certificates, past the one-word path.
-    # Pure canonical_mask needs about 0.06 s a call there, so the pure rule
-    # is checked with the compiled certificates.
-    monkeypatch.setattr(pure, "canonical_mask", compiled_kernels.canonical_mask)
+    # 12-vertex children have 66-bit masks, past the one-word path.
     wide = []
     for nbrs in ([(1 << v - 1 if v else 0) | (1 << v + 1 if v < 10 else 0)
                   for v in range(11)], random_masks(rng, 11, 0.4)):
         kept = compiled_kernels.augment(nbrs)
         assert kept == pure.augment(nbrs), nbrs
-        wide += [cert for cert in kept if cert >> 64]
+        wide += [mask for mask in kept if mask >> 64]
     assert wide
 
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_augment_reaches_every_class(kernels, m):
-    # The deletion rule drops children, never a class: the kept
-    # certificates are exactly those of all one-vertex extensions.
-    kept, every = set(), set()
+    # Each child is its parent's mask with the new vertex's neighborhood
+    # as the last column, and the children over all connected parents are
+    # the classes of all one-vertex extensions, each once.
+    shift = (m - 1) * (m - 2) // 2
+    kept, every = [], set()
     for nbrs in _parents(m):
-        kept.update(kernels.augment(nbrs))
+        parent = sum((x & ((1 << j) - 1)) << (j * (j - 1) // 2)
+                     for j, x in enumerate(nbrs))
+        for mask in kernels.augment(nbrs):
+            assert mask & ((1 << shift) - 1) == parent
+            assert 0 < mask >> shift < 1 << (m - 1)
+            kept.append(kernels.canonical_mask(kernels.triangle_masks(mask, m)))
         every.update(kernels.canonical_mask(_child(nbrs, s))
                      for s in range(1, 1 << (m - 1)))
-    assert kept == every
+    assert len(set(kept)) == len(kept)
+    assert set(kept) == every
     assert len(every) == CONNECTED_CLASS_COUNTS[m]
 
 
-# Children the deletion rule passes to canonical_mask, summed over the
-# connected parents, out of 90, 651 and 7,056 one-vertex extensions.
-AUGMENT_KEPT = {5: 47, 6: 244, 7: 1816}
-
-
-@pytest.mark.parametrize("m", sorted(AUGMENT_KEPT))
+@pytest.mark.parametrize("m", range(2, 8))
 def test_augment_keeps_the_pinned_number_of_children(kernels, m):
-    # A looser rule still enumerates correctly; this makes it fail a test.
+    # One child per class: over the connected parents, as many children as
+    # the published count. A rule that let an isomorph through would keep
+    # more.
     assert sum(len(kernels.augment(nbrs)) for nbrs in _parents(m)) \
-        == AUGMENT_KEPT[m]
+        == CONNECTED_CLASS_COUNTS[m]
+
+
+def test_compiled_augment_keeps_one_child_per_class_on_8_vertices(
+        compiled_kernels):
+    kept = [compiled_kernels.canonical_mask(
+                compiled_kernels.triangle_masks(mask, 8))
+            for nbrs in _parents(8) for mask in compiled_kernels.augment(nbrs)]
+    assert len(kept) == len(set(kept)) == CONNECTED_CLASS_COUNTS[8]
 
 
 def test_augment_of_a_62_vertex_parent_goes_to_pure(compiled_kernels,
