@@ -23,9 +23,8 @@ from .graphs import (Graph, VertexSet, complete, complete_bipartite, cycle,
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, SolveResult,
                      brute_force_oracle, forcing_number, greedy_upper_bound,
                      solve, solve_connected_complement)
-from .verifier import (VerificationRecord, VerifyRun,
-                       check_extremal_structure, run_known_values,
-                       run_tree_leaf_suite)
+from .verifier import (VerifyRun, check_extremal_structure,
+                       run_known_values, run_tree_leaf_suite)
 
 __all__ = [
     "__version__", "HAVE_COMPILED", "active_backend",
@@ -41,6 +40,6 @@ __all__ = [
     "solve_connected_complement",
     "forcing_upper_bound", "degree_refined_bound",
     "ExtremalClass", "classify_extremal",
-    "VerificationRecord", "VerifyRun", "check_extremal_structure",
+    "VerifyRun", "check_extremal_structure",
     "run_tree_leaf_suite", "run_known_values",
 ]

@@ -235,10 +235,17 @@ def _cmd_lemmas(args):
                                args.random_max, args.seed)
         _echo_config(args, max(args.max_n, args.random_max))
 
+        def trees(n):
+            return filter(is_tree, map(parse_graph6, enumerate_connected(n)))
+
         def stream():
-            for n in range(2, args.max_n + 1):
-                yield from filter(is_tree,
-                                  map(parse_graph6, enumerate_connected(n)))
+            # Building the top order first extends each lower order once;
+            # the lower orders then come from the enumeration's cache.
+            orders = range(2, args.max_n + 1)
+            top = list(trees(orders[-1])) if orders else []
+            for n in orders[:-1]:
+                yield from trees(n)
+            yield from top
             yield from randoms
         result = run_tree_leaf_suite(stream())
         result["seed"] = args.seed

@@ -16,14 +16,14 @@ trees and the closed-form values of the named families.
 Verification runs are deterministic: records come back in input order,
 and every summary reduction is order-free. Records stream: ``VerifyRun``
 verifies one line at a time in this process, folds each outcome into its
-summary and yields each record as soon as it is done, so the first record
-never waits for the last and memory stays bounded however long the input
-is. More CPUs come from more processes over disjoint parts of the input:
-their records, concatenated in input order, are those of one run.
+summary and yields each record, a JSON line, as soon as it is done, so the
+first record never waits for the last and memory stays bounded however
+long the input is. More CPUs come from more processes over disjoint parts
+of the input: their records, concatenated in input order, are those of
+one run.
 """
 
 import time
-from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from . import _kernels
@@ -35,38 +35,17 @@ from .graphs import VertexSet, connected_within, is_tree, leaves
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded,
                      _connected_complement_from, forcing_number)
 
+# A record: ``json.dumps`` of its fields, in this order, and a line break.
+# ``status`` is "ok" or "unresolved". ``solver_nodes`` counts the
+# wavefront's closures only (``forcing_number``), so it is smaller than
+# ``solve``'s ``nodes_explored``, which adds the witness level; in an
+# unresolved record it counts all the nodes spent.
+_LINE = ('{"graph6": %s, "n": %d, "max_degree": %d, "min_degree": %d, '
+         '"k": %d, "f_k": %s, "bound_num": %d, "bound_den": %d, '
+         '"equality": %s, "extremal_class": %s, "extremal_parameter": %s, '
+         '"structure_ok": %s, "solver_nodes": %d, "status": "%s"}\n')
 # JSON for the values of the record fields that may be None or a bool.
 _LITERALS = {None: "null", True: "true", False: "false"}
-
-
-class VerificationRecord(namedtuple("VerificationRecord", [
-        "graph6", "n", "max_degree", "min_degree", "k", "f_k", "bound_num",
-        "bound_den", "equality", "extremal_class", "extremal_parameter",
-        "structure_ok", "solver_nodes", "status"])):
-    """Per-graph verdict of the bound sweep; ``status`` is "ok" or
-    "unresolved". ``solver_nodes`` counts the wavefront's closures only
-    (``forcing_number``), so it is smaller than ``solve``'s
-    ``nodes_explored``, which adds the witness level."""
-
-    __slots__ = ()
-
-    def to_json_line(self):
-        """``json.dumps(self._asdict())``, written in field order without
-        building the dict."""
-        (graph6, n, dmax, dmin, k, f_k, num, den, equality, cls, parameter,
-         structure, nodes, status) = self
-        quote = encode_basestring_ascii
-        return (
-            f'{{"graph6": {quote(graph6)}, "n": {n}, "max_degree": {dmax}, '
-            f'"min_degree": {dmin}, "k": {k}, '
-            f'"f_k": {"null" if f_k is None else f_k}, '
-            f'"bound_num": {num}, "bound_den": {den}, '
-            f'"equality": {_LITERALS[equality]}, '
-            f'"extremal_class": {"null" if cls is None else quote(cls)}, '
-            f'"extremal_parameter": '
-            f'{"null" if parameter is None else parameter}, '
-            f'"structure_ok": {_LITERALS[structure]}, '
-            f'"solver_nodes": {nodes}, "status": {quote(status)}}}')
 
 
 def check_extremal_structure(g, solution):
@@ -87,67 +66,14 @@ def check_extremal_structure(g, solution):
             and connected_within(g, comp) and comp_edges == len(comp) - 1)
 
 
-def _record(g, name, k, dmax, dmin, node_budget):
-    """The record of a graph that meets the bound's hypotheses, named
-    ``name``, with the degree extremes ``graph_facts`` gave.
-
-    ``solver_nodes`` counts the wavefront's closures (no witness level),
-    or in an unresolved record all the nodes spent. The wavefront is the
-    kernel ``forcing_number`` calls; its ``aborted`` flag gives the
-    unresolved record where ``forcing_number`` would raise, and so does an
-    abort of the structure check. ``structure_ok`` is
-    ``check_extremal_structure``'s verdict, on a scan that continues from
-    ``f_k``: no wavefront of its own."""
-    num, den = forcing_upper_bound(g.n, dmax, k)
-    # The three equality families are regular.
-    cls = classify_extremal(g) if dmin == dmax else None
-    f_k, nodes, aborted = _kernels.wavefront(g.neighbor_masks, k, node_budget)
-    structure, equality, status = None, False, "ok"
-    if aborted:
-        f_k, status = None, "unresolved"
-    else:
-        equality = f_k * den == num
-        if k == 1 and equality and dmax >= 3:
-            try:
-                structure = check_extremal_structure(
-                    g, _connected_complement_from(g, 1, f_k, node_budget,
-                                                  nodes))
-            except BudgetExceeded as exc:
-                f_k, equality, status = None, False, "unresolved"
-                nodes = exc.nodes_explored
-    return VerificationRecord._make((
-        name, g.n, dmax, dmin, k, f_k, num, den, equality,
-        cls.tag if cls else None, cls.parameter if cls else None,
-        structure, nodes, status))
-
-
-def _is_counterexample(rec):
-    if rec.status != "ok":
-        return False
-    if rec.f_k * rec.bound_den > rec.bound_num:
-        return True
-    # The first force needs a colored vertex with at most k uncolored
-    # neighbors, so no forcing set is smaller than min degree - k + 1.
-    if rec.f_k < max(1, rec.min_degree - rec.k + 1):
-        return True
-    if rec.k != 1:
-        return False
-    # The minimum-degree refinement and the equality characterization are
-    # k = 1 statements; at larger k the bound can be tight off the three
-    # families.
-    rnum, rden = degree_refined_bound(rec.n, rec.max_degree, rec.min_degree)
-    if rec.f_k * rden > rnum:
-        return True
-    return rec.equality != (rec.extremal_class is not None)
-
-
 class VerifyRun:
     """The bound sweep over an iterable of graph6 lines: its records and
     the summary they reduce to.
 
-    ``records`` is a generator that yields each record in input order as
-    soon as it is verified. It draws the input lazily, one line per
-    outcome, so memory does not grow with the length of the input.
+    ``records`` is a generator that yields each record as its JSON line,
+    line break included, in input order and as soon as it is verified. It
+    draws the input lazily, one line per outcome, so memory does not grow
+    with the length of the input.
 
     Lines are stripped, and blank lines are skipped but still counted as
     input lines. A graph is named in its record and in the summary by its
@@ -184,8 +110,7 @@ class VerifyRun:
         self.records = _sweep(lines, k, node_budget, self.summary)
 
     def write_jsonl(self, stream):
-        for rec in self.records:
-            stream.write(rec.to_json_line() + "\n")
+        stream.writelines(self.records)
 
     def write_summary_csv(self, stream):
         # No field needs CSV quoting: graph6 text is "?".."~", which holds
@@ -206,12 +131,21 @@ PARSE_FAILURES_KEPT = 100
 
 
 def _sweep(lines, k, node_budget, summary):
-    """The records of ``VerifyRun``: each non-blank line, numbered by input
-    line, is parsed and then counted as a parse failure, counted as a skip,
-    or verified into a record, and its outcome folded into ``summary``;
-    ``summary["input_lines"]`` is set once the input is exhausted."""
+    """The record lines of ``VerifyRun``: each non-blank line, numbered by
+    input line, is parsed and then counted as a parse failure, counted as a
+    skip, or verified into a record, and its outcome folded into
+    ``summary``; ``summary["input_lines"]`` is set once the input is
+    exhausted.
+
+    A verified graph costs one ``wavefront``, the kernel
+    ``forcing_number`` calls; its ``aborted`` flag makes the record
+    unresolved where ``forcing_number`` would raise, and so does an abort
+    of the structure check. ``structure_ok`` is
+    ``check_extremal_structure``'s verdict, on a scan that continues from
+    ``f_k``: no wavefront of its own."""
     skipped, failures, per_n = (summary["skipped"],
                                 summary["parse_failures"], summary["per_n"])
+    quote = encode_basestring_ascii
     lineno = 0
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -226,34 +160,65 @@ def _sweep(lines, k, node_budget, summary):
                 failures.append(
                     {"line": lineno, "graph6": line, "error": str(exc)})
             continue
-        dmax, dmin, code = _kernels.graph_facts(g.neighbor_masks, k)
+        n, nbrs = g.n, g.neighbor_masks
+        dmax, dmin, code = _kernels.graph_facts(nbrs, k)
         if code:
             reason = failure_reason(code, k)
             skipped[reason] = skipped.get(reason, 0) + 1
             continue
-        rec = _record(g, line.removeprefix(HEADER), k, dmax, dmin,
-                      node_budget)
+        name = line.removeprefix(HEADER)
+        num, den = forcing_upper_bound(n, dmax, k)
+        # The three equality families are regular.
+        cls = classify_extremal(g) if dmin == dmax else None
+        f_k, nodes, aborted = _kernels.wavefront(nbrs, k, node_budget)
+        equality = not aborted and f_k * den == num
+        structure = None
+        if equality and k == 1 and dmax >= 3:
+            try:
+                structure = check_extremal_structure(
+                    g, _connected_complement_from(g, 1, f_k, node_budget,
+                                                  nodes))
+            except BudgetExceeded as exc:
+                aborted, equality, nodes = True, False, exc.nodes_explored
         summary["graphs_verified"] += 1
-        row = per_n.get(rec.n)
+        row = per_n.get(n)
         if row is None:
-            row = per_n[rec.n] = {
+            row = per_n[n] = {
                 "graph_count": 0, "extremal_count": 0,
                 "extremal_graph6": [], "max_solver_nodes": 0,
                 "wall_time_ms": 0.0}
         row["graph_count"] += 1
         row["wall_time_ms"] += (time.perf_counter() - started) * 1000.0
-        row["max_solver_nodes"] = max(row["max_solver_nodes"],
-                                      rec.solver_nodes)
-        if rec.status == "ok" and rec.equality:
-            row["extremal_count"] += 1
-            row["extremal_graph6"].append(rec.graph6)
-        if _is_counterexample(rec):
-            summary["counterexamples"].append(rec.graph6)
-        if rec.status == "unresolved":
-            summary["unresolved"].append(rec.graph6)
-        if rec.structure_ok is False:
-            summary["structure_failures"].append(rec.graph6)
-        yield rec
+        row["max_solver_nodes"] = max(row["max_solver_nodes"], nodes)
+        if aborted:
+            f_k, status = None, "unresolved"
+            summary["unresolved"].append(name)
+        else:
+            status = "ok"
+            if equality:
+                row["extremal_count"] += 1
+                row["extremal_graph6"].append(name)
+            # The first force needs a colored vertex with at most k
+            # uncolored neighbors, so no forcing set is smaller than min
+            # degree - k + 1.
+            counterexample = f_k * den > num or f_k < max(1, dmin - k + 1)
+            if k == 1 and not counterexample:
+                # The minimum-degree refinement and the equality
+                # characterization are k = 1 statements; at larger k the
+                # bound can be tight off the three families.
+                rnum, rden = degree_refined_bound(n, dmax, dmin)
+                counterexample = (f_k * rden > rnum
+                                  or equality != (cls is not None))
+            if counterexample:
+                summary["counterexamples"].append(name)
+            if structure is False:
+                summary["structure_failures"].append(name)
+        yield _LINE % (
+            quote(name), n, dmax, dmin, k, "null" if f_k is None else f_k,
+            num, den, _LITERALS[equality],
+            "null" if cls is None else quote(cls.tag),
+            "null" if cls is None else cls.parameter, _LITERALS[structure],
+            nodes, status)
     summary["input_lines"] = lineno
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import random
 import shutil
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,10 +19,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def verify_stream(lines, k=1, **kwargs):
-    """A drained ``VerifyRun`` over graph6 lines: ``records`` is a list and
-    the summary is complete."""
+    """A drained ``VerifyRun`` over graph6 lines: the summary is complete,
+    and ``records`` is a list of each record line's fields as attributes
+    (``rec.f_k``)."""
     run = VerifyRun(lines, k, **kwargs)
-    run.records = list(run.records)
+    run.records = [SimpleNamespace(**json.loads(line)) for line in run.records]
     return run
 
 

@@ -14,7 +14,8 @@ import pytest
 import forcing_lab
 from forcing_lab import (_kernels, classify_extremal, complete,
                          complete_bipartite, cycle, encode_graph6,
-                         enumerate_connected, parse_graph6, path, verifier)
+                         enumerate_connected, enumeration, parse_graph6, path,
+                         verifier)
 from forcing_lab import cli
 from forcing_lab.cli import COMMANDS, main, parse_args
 from forcing_lab.enumeration import MAX_ENUMERATION_ORDER
@@ -647,6 +648,20 @@ class TestLemmas:
         # One tree per isomorphism class on 2..5 vertices, then 20 random.
         assert data["trees_checked"] == 1 + 1 + 2 + 3 + 20
         assert data["seed"] == 7
+
+    def test_trees_suite_extends_each_parent_once(self, capsys, monkeypatch):
+        # Orders 1..5 hold 1 + 1 + 2 + 6 + 21 = 31 parents of the orders
+        # 2..6 that the suite reads.
+        monkeypatch.setattr(enumeration, "_built", {})
+        calls = []
+        augment = _kernels.augment
+        monkeypatch.setattr(_kernels, "augment",
+                            lambda nbrs: calls.append(nbrs) or augment(nbrs))
+        code, out, _ = run_cli(capsys, "lemmas", "trees", "--max-n", "6",
+                               "--random-count", "0")
+        assert code == 0
+        assert first_json(out)["trees_checked"] == 1 + 1 + 2 + 3 + 6
+        assert len(calls) == 31
 
     def test_max_n_above_the_enumeration_cap_exits_2(self, capsys,
                                                      monkeypatch):

@@ -27,11 +27,10 @@ def test_connected_counts_match_published_totals(n):
 
 
 @pytest.fixture
-def fresh_classes():
-    """Rebuild the class cache inside the test and drop what it built."""
-    enumeration._classes.cache_clear()
-    yield
-    enumeration._classes.cache_clear()
+def fresh_classes(monkeypatch):
+    """Rebuild the class cache inside the test; the cache built before it
+    is back after it."""
+    monkeypatch.setattr(enumeration, "_built", {})
 
 
 def _certificate(mask, n):

@@ -1,7 +1,6 @@
 """Graph construction, families, degree/connectivity utilities, and the
 edge-list format. Connectivity is cross-checked against networkx."""
 
-import json
 import pickle
 import random
 from functools import lru_cache
@@ -12,14 +11,14 @@ import pytest
 from forcing_lab import (Graph, SolveResult, VertexSet, _kernels,
                          check_extremal_structure, classify_extremal,
                          complete, complete_bipartite, cycle, degree_stats,
-                         encode_graph6, generate, is_connected,
-                         is_k_connected, parse_edge_list, parse_graph6, path,
-                         solve, solve_connected_complement, star, trace,
+                         generate, is_connected, is_k_connected,
+                         parse_edge_list, parse_graph6, path, solve,
+                         solve_connected_complement, star, trace,
                          tree_from_pruefer)
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree, leaves
 
-from conftest import outside_counts, random_graph, verify_stream
+from conftest import outside_counts, random_graph
 
 
 class TestVertexSet:
@@ -77,15 +76,9 @@ class TestGraph:
         # Result types, each with its fields in order. They pickle, for
         # callers that split work across their own processes; results are
         # immutable.
-        record_fields = [
-            "graph6", "n", "max_degree", "min_degree", "k", "f_k",
-            "bound_num", "bound_den", "equality", "extremal_class",
-            "extremal_parameter", "structure_ok", "solver_nodes", "status"]
-        record = verify_stream([encode_graph6(g)]).records[0]
         results = [
             (solve(g, 1), ["value", "witness", "nodes_explored", "method",
                            "k", "constrained", "complement_empty"]),
-            (record, record_fields),
             (classify_extremal(g), ["tag", "parameter"]),
             (trace(g, 1, [0, 1]), ["k", "initial", "events"]),
         ]
@@ -99,7 +92,6 @@ class TestGraph:
                 obj.extra = None
             values = [getattr(obj, f) for f in fields]
             assert cls(*values) == cls(**dict(zip(fields, values))) == obj
-        assert list(json.loads(record.to_json_line())) == record_fields
         witness = VertexSet(3, 5)
         assert SolveResult(value=2, witness=witness, nodes_explored=1,
                            method="bnb", k=1) == SolveResult(

@@ -49,6 +49,30 @@ def _induces_tree(g, vertices):
     return nx.is_tree(nxg.subgraph(vertices))
 
 
+RECORD_FIELDS = ["graph6", "n", "max_degree", "min_degree", "k", "f_k",
+                 "bound_num", "bound_den", "equality", "extremal_class",
+                 "extremal_parameter", "structure_ok", "solver_nodes",
+                 "status"]
+
+
+def _record_lines(lines, k=1, **kwargs):
+    """The record file of a ``verify`` run over graph6 lines, as its lines
+    with their line breaks."""
+    buf = io.StringIO()
+    VerifyRun(lines, k, **kwargs).write_jsonl(buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def _written_as_json_dumps(lines):
+    """The records of ``lines``, each checked to be ``json.dumps`` of its
+    fields, the record fields in order, and a line break."""
+    records = [json.loads(line) for line in lines]
+    for line, rec in zip(lines, records):
+        assert json.dumps(rec) + "\n" == line
+        assert list(rec) == RECORD_FIELDS
+    return records
+
+
 class TestVerifyStream:
     def test_n6_extremal_census(self):
         run = _sweep(6)
@@ -207,11 +231,10 @@ class TestVerifyStream:
     @pytest.mark.parametrize("k", [1, 2])
     def test_solver_nodes_are_the_forcing_number_nodes(self, k):
         # A record counts the wavefront's closures, not solve's witness
-        # level, and is written exactly as json.dumps writes its fields.
+        # level.
         for rec in _sweep(6, k=k).records:
             g = parse_graph6(rec.graph6)
             assert (rec.f_k, rec.solver_nodes) == forcing_number(g, k)
-            assert rec.to_json_line() == json.dumps(rec._asdict())
 
     def test_k2_sweep_respects_connectivity_hypothesis(self):
         run = _sweep(5, k=2)
@@ -232,7 +255,7 @@ class TestVerifyStream:
         monkeypatch.setattr(_kernels, "_compiled",
                             None if kernels is pure_kernels else kernels)
         # Enumerate on this backend too, not from another test's cache.
-        enumeration._classes.cache_clear()
+        monkeypatch.setattr(enumeration, "_built", {})
         assert _sweep(2, k=k).summary["skipped"] == {"max degree < 2": 1}
         for n, connected, verified in zip(range(3, 8), self.CONNECTED,
                                           self.K_CONNECTED[k]):
@@ -271,14 +294,46 @@ class TestVerifyStream:
         assert got.getvalue() == want.getvalue()
 
     def test_jsonl_fields(self):
-        run = verify_stream(["Bw"])
-        buf = io.StringIO()
-        run.write_jsonl(buf)
-        rec = json.loads(buf.getvalue())
-        assert set(rec) == {"graph6", "n", "max_degree", "min_degree", "k",
-                            "f_k", "bound_num", "bound_den", "equality",
-                            "extremal_class", "extremal_parameter",
-                            "structure_ok", "solver_nodes", "status"}
+        [line] = _record_lines(["Bw"])
+        assert list(json.loads(line)) == RECORD_FIELDS
+
+
+class TestRecordLines:
+    @pytest.mark.parametrize("k,count,escaped", [(1, 994, 5), (2, 538, 5),
+                                                 (3, 157, 3)])
+    def test_every_enumerated_record(self, k, count, escaped):
+        # verify --enumerate n for n = 1..7. Some 7-vertex graph6 lines
+        # hold a backslash, which JSON escapes.
+        lines = _record_lines([line for n in range(1, 8)
+                               for line in enumerate_connected(n)], k)
+        records = _written_as_json_dumps(lines)
+        assert len(records) == count
+        assert sum("\\\\" in line for line in lines) == escaped
+        assert {rec["extremal_class"] for rec in records} >= {None,
+                                                              "complete"}
+        assert {rec["structure_ok"] for rec in records} == (
+            {None, True} if k == 1 else {None})
+
+    @pytest.mark.parametrize("node_budget", [1, 3, 9])
+    def test_unresolved_records(self, node_budget):
+        lines = _record_lines([line for n in range(3, 7)
+                               for line in enumerate_connected(n)],
+                              node_budget=node_budget)
+        records = _written_as_json_dumps(lines)
+        unresolved = [rec for rec in records if rec["status"] == "unresolved"]
+        assert unresolved and all(rec["f_k"] is None for rec in unresolved)
+
+    def test_structure_verdicts(self, monkeypatch):
+        # K_4 and K_{3,3} pass the structure check; a failing verdict is
+        # written as false.
+        lines = [encode_graph6(complete(4)),
+                 encode_graph6(complete_bipartite(3, 3))]
+        records = _written_as_json_dumps(_record_lines(lines))
+        assert [rec["structure_ok"] for rec in records] == [True, True]
+        monkeypatch.setattr(verifier, "check_extremal_structure",
+                            lambda g, solution: False)
+        records = _written_as_json_dumps(_record_lines(lines))
+        assert [rec["structure_ok"] for rec in records] == [False, False]
 
 
 def _counting(items, drawn):
@@ -299,7 +354,7 @@ class TestStreaming:
         first = next(run.records)
         assert drawn == [4]
         assert run.summary["graphs_verified"] == 1
-        assert first.to_json_line() == _sweep(6).records[0].to_json_line()
+        assert first == _record_lines(enumerate_connected(6))[0]
         assert [drawn[0] for _ in run.records] == list(range(5, 4 + 112))
         assert drawn[0] == len(lines) == run.summary["input_lines"]
 
