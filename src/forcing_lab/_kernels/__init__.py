@@ -6,6 +6,9 @@ kernels serve everything else, and ``search_level_constrained`` always.
 ``augment`` is dispatched by the order of the children it builds, one
 more than its parent's, so a 62-vertex parent goes to the pure kernel;
 ``triangle_masks`` and ``graph6_masks`` by the order they are given.
+``verify_line`` is not dispatched per call: a graph6 line names at most
+62 vertices, so one backend serves every line, and a sweep takes that
+backend's kernel from ``line_kernel`` once per run.
 A compiled module built from an older ``_ckern.c`` that lacks one of
 ``COMPILED_KERNELS`` is not used: every kernel then runs pure, and
 ``HAVE_COMPILED`` and ``active_backend`` say so. Tests reach both
@@ -19,7 +22,8 @@ from . import pure as _pure
 # graph_facts runs.
 COMPILED_KERNELS = ("closure", "connected_in", "search_level_pruned",
                     "wavefront", "canonical_mask", "augment",
-                    "triangle_masks", "graph6_masks", "graph_facts")
+                    "triangle_masks", "graph6_masks", "graph_facts",
+                    "verify_line")
 
 
 def _load_compiled():
@@ -89,3 +93,8 @@ def triangle_masks(bits, n):
 
 def graph6_masks(payload, n):
     return _impl(n).graph6_masks(payload, n)
+
+
+def line_kernel():
+    """The ``verify_line`` kernel that serves every graph6 line."""
+    return _impl(_C_MAX_VERTICES).verify_line

@@ -1,6 +1,6 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: nine of its twelve functions, with the
+ * Mirrors _kernels/pure.py exactly: ten of its thirteen functions, with the
  * same return values, witnesses and node counts. The other three stay
  * pure-only: the plain exhaustive level scan serves only the brute-force
  * oracle, which is thus independent of this file, the connected-complement
@@ -23,6 +23,11 @@
  * the packed upper triangle and from a graph6 payload, through one helper
  * that alone knows the pair order; graph_facts gives the degrees and
  * decides the degree bound's hypotheses, k-connectivity cut by cut.
+ * verify_line is a sweep's whole kernel work on one graph6 line in one
+ * call: it frames the line by parse_graph6's rules, decodes its payload
+ * and runs graph_facts and, when the bound applies, wavefront, through the
+ * same static helpers as graph6_masks and graph_facts, so the decoding and
+ * the hypotheses are written once.
  * Two kernels allocate memory of their own: wavefront its closed-set table
  * and cost buckets, which grow by at most one entry per node, so the node
  * budget bounds them, and augment its automorphism generators and orbit
@@ -35,7 +40,8 @@
  * uint64 masks, so graphs are capped at 62 vertices (the graph6 cap); a
  * larger graph raises ValueError and the dispatcher uses pure.py instead.
  * triangle_masks and graph6_masks take the order n as an argument and refuse
- * n > 62 in the same way.
+ * n > 62 in the same way; verify_line reads it from the line's size byte,
+ * which names at most 62.
  * augment builds children one vertex larger, so it refuses a parent of 62
  * vertices. Only canonical_mask and augment return ints wider than 64
  * bits: a mask has n(n-1)/2 bits, built in one uint64 up to n = 11.
@@ -609,22 +615,50 @@ static int as_order(PyObject *obj, int *n)
 /* Bit p of the packed upper triangle, in little-endian 64-bit words. */
 #define PAIR_WORDS ((MAX_N * (MAX_N - 1) / 2 + 63) / 64)
 
-/* The neighbor masks, as a tuple of ints, of the n-vertex graph whose pair
- * i < j is bit j(j-1)/2 + i of words (column-major, the graph6 order). Bits
- * past the triangle are not read. */
-static PyObject *unpack_triangle(const u64 *words, int n)
+/* Sets g to the n-vertex graph whose pair i < j is bit j(j-1)/2 + i of
+ * words (column-major, the graph6 order). Bits past the triangle are not
+ * read. */
+static void unpack_triangle(const u64 *words, int n, graph *g)
 {
-    u64 nbrs[MAX_N] = {0};
     int p = 0;
+    g->n = n;
+    g->full = (ONE << n) - 1;
+    memset(g->nbrs, 0, sizeof g->nbrs);
     for (int j = 1; j < n; j++)
         for (int i = 0; i < j; i++, p++)
             if (words[p >> 6] >> (p & 63) & 1) {
-                nbrs[i] |= ONE << j;
-                nbrs[j] |= ONE << i;
+                g->nbrs[i] |= ONE << j;
+                g->nbrs[j] |= ONE << i;
             }
-    PyObject *out = PyTuple_New(n);
-    for (int v = 0; out != NULL && v < n; v++) {
-        PyObject *mask = PyLong_FromUnsignedLongLong(nbrs[v]);
+}
+
+/* Sets g to the n-vertex graph of the graph6 payload chars, which holds
+ * exactly ceil(n(n-1)/12) characters; returns 0, or -1 when one of them
+ * lies outside '?'..'~'. Padding bits past the triangle are ignored. */
+static int decode_payload(const Py_UCS1 *chars, int n, graph *g)
+{
+    u64 words[PAIR_WORDS] = {0};
+    int need = (n * (n - 1) / 2 + 5) / 6;
+    for (int pos = 0; pos < need; pos++) {
+        unsigned val = chars[pos] - 63u;
+        if (val > 63)
+            return -1;
+        /* Six pairs a character, the first in its high bit. */
+        for (int r = 0; r < 6; r++) {
+            int p = 6 * pos + r;
+            words[p >> 6] |= (u64)(val >> (5 - r) & 1) << (p & 63);
+        }
+    }
+    unpack_triangle(words, n, g);
+    return 0;
+}
+
+/* g's neighbor masks as a tuple of ints. */
+static PyObject *masks_tuple(const graph *g)
+{
+    PyObject *out = PyTuple_New(g->n);
+    for (int v = 0; out != NULL && v < g->n; v++) {
+        PyObject *mask = PyLong_FromUnsignedLongLong(g->nbrs[v]);
         if (mask == NULL)
             Py_CLEAR(out);
         else
@@ -845,22 +879,28 @@ static PyObject *py_triangle_masks(PyObject *self, PyObject *args)
                         "mask has bits beyond the upper triangle");
         return NULL;
     }
-    return unpack_triangle(words, n);
+    graph g;
+    unpack_triangle(words, n, &g);
+    return masks_tuple(&g);
+}
+
+/* The str argument named name, or NULL with TypeError set. */
+static PyObject *as_str(PyObject *obj, const char *name)
+{
+    if (PyUnicode_Check(obj))
+        return obj;
+    return PyErr_Format(PyExc_TypeError, "%s() argument 1 must be str, not %.50s",
+                        name, Py_TYPE(obj)->tp_name);
 }
 
 /* None when a character lies outside '?'..'~'; see pure.graph6_masks. */
 static PyObject *py_graph6_masks(PyObject *self, PyObject *args)
 {
     PyObject *payload, *n_obj;
-    u64 words[PAIR_WORDS] = {0};
+    graph g;
     int n;
-    if (!PyArg_UnpackTuple(args, "graph6_masks", 2, 2, &payload, &n_obj))
-        return NULL;
-    if (!PyUnicode_Check(payload))
-        return PyErr_Format(PyExc_TypeError,
-                            "graph6_masks() argument 1 must be str, not %.50s",
-                            Py_TYPE(payload)->tp_name);
-    if (as_order(n_obj, &n) < 0)
+    if (!PyArg_UnpackTuple(args, "graph6_masks", 2, 2, &payload, &n_obj)
+        || as_str(payload, "graph6_masks") == NULL || as_order(n_obj, &n) < 0)
         return NULL;
     Py_ssize_t need = (n * (n - 1) / 2 + 5) / 6;
     if (PyUnicode_GET_LENGTH(payload) != need)
@@ -868,20 +908,10 @@ static PyObject *py_graph6_masks(PyObject *self, PyObject *args)
                             "graph6 payload length must be %zd for n=%d",
                             need, n);
     /* '?'..'~' is ASCII, so a string that is not holds a character outside. */
-    if (!PyUnicode_IS_ASCII(payload))
+    if (!PyUnicode_IS_ASCII(payload)
+        || decode_payload(PyUnicode_1BYTE_DATA(payload), n, &g) < 0)
         Py_RETURN_NONE;
-    const Py_UCS1 *chars = PyUnicode_1BYTE_DATA(payload);
-    for (Py_ssize_t pos = 0; pos < need; pos++) {
-        unsigned val = chars[pos] - 63u;
-        if (val > 63)
-            Py_RETURN_NONE;
-        /* Six pairs a character, the first in its high bit. */
-        for (int r = 0; r < 6; r++) {
-            int p = (int)(6 * pos) + r;
-            words[p >> 6] |= (u64)(val >> (5 - r) & 1) << (p & 63);
-        }
-    }
-    return unpack_triangle(words, n);
+    return masks_tuple(&g);
 }
 
 /* 1 when g has more than k vertices and removing any set of 1 to k - 1
@@ -915,32 +945,82 @@ static int no_small_cut(const graph *g, long long k)
 /* The reasons graph_facts gives, in the order it checks them. */
 enum { APPLIES, DISCONNECTED, MAX_DEGREE_BELOW_2, NOT_K_CONNECTED };
 
+/* Sets *dmax and *dmin to g's degree extremes and returns the reason the
+ * bound at k does not apply (APPLIES when it does), or -1 with an exception
+ * set when a signal handler raised; see pure.graph_facts. */
+static int facts(const graph *g, long long k, int *dmax, int *dmin)
+{
+    *dmax = 0;
+    *dmin = g->n ? MAX_N : 0;
+    for (int v = 0; v < g->n; v++) {
+        int d = __builtin_popcountll(g->nbrs[v]);
+        *dmax = d > *dmax ? d : *dmax;
+        *dmin = d < *dmin ? d : *dmin;
+    }
+    if (!connected_in_u64(g->nbrs, g->full))
+        return DISCONNECTED;
+    if (*dmax < 2)
+        return MAX_DEGREE_BELOW_2;
+    if (k < 2)
+        return APPLIES;
+    int ok = no_small_cut(g, k);
+    return ok < 0 ? -1 : ok ? APPLIES : NOT_K_CONNECTED;
+}
+
 /* (max degree, min degree, reason); see pure.graph_facts. */
 static PyObject *py_graph_facts(PyObject *self, PyObject *args)
 {
     PyObject *nbrs, *k_obj;
     graph g;
     long long k;
+    int dmax, dmin, reason;
     if (!PyArg_UnpackTuple(args, "graph_facts", 2, 2, &nbrs, &k_obj)
-        || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0)
+        || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0
+        || (reason = facts(&g, k, &dmax, &dmin)) < 0)
         return NULL;
-    int dmax = 0, dmin = g.n ? MAX_N : 0, reason = APPLIES;
-    for (int v = 0; v < g.n; v++) {
-        int d = __builtin_popcountll(g.nbrs[v]);
-        dmax = d > dmax ? d : dmax;
-        dmin = d < dmin ? d : dmin;
-    }
-    if (!connected_in_u64(g.nbrs, g.full))
-        reason = DISCONNECTED;
-    else if (dmax < 2)
-        reason = MAX_DEGREE_BELOW_2;
-    else if (k >= 2) {
-        int ok = no_small_cut(&g, k);
-        if (ok < 0)
-            return NULL;
-        reason = ok ? APPLIES : NOT_K_CONNECTED;
-    }
     return Py_BuildValue("(iii)", dmax, dmin, reason);
+}
+
+/* The optional graph6 header. */
+#define HEADER ">>graph6<<"
+#define HEADER_LEN ((Py_ssize_t)sizeof HEADER - 1)
+
+/* None for a malformed line, else (n, max degree, min degree, reason,
+ * value, nodes, aborted); see pure.verify_line. */
+static PyObject *py_verify_line(PyObject *self, PyObject *args)
+{
+    PyObject *line, *k_obj, *budget_obj;
+    graph g;
+    long long k, budget, value = 0, nodes = 0;
+    int dmax, dmin, reason;
+    if (!PyArg_UnpackTuple(args, "verify_line", 3, 3, &line, &k_obj, &budget_obj)
+        || as_str(line, "verify_line") == NULL || as_ll(k_obj, &k) < 0
+        || as_ll(budget_obj, &budget) < 0)
+        return NULL;
+    /* Every character of a well-formed line is ASCII. */
+    if (!PyUnicode_IS_ASCII(line))
+        Py_RETURN_NONE;
+    const Py_UCS1 *chars = PyUnicode_1BYTE_DATA(line);
+    Py_ssize_t len = PyUnicode_GET_LENGTH(line);
+    if (len >= HEADER_LEN && memcmp(chars, HEADER, HEADER_LEN) == 0) {
+        chars += HEADER_LEN;
+        len -= HEADER_LEN;
+    }
+    if (len == 0 || chars[0] < 63 || chars[0] > 63 + MAX_N)
+        Py_RETURN_NONE;
+    int n = chars[0] - 63;
+    if (len - 1 != (n * (n - 1) / 2 + 5) / 6 || decode_payload(chars + 1, n, &g) < 0)
+        Py_RETURN_NONE;
+    if ((reason = facts(&g, k, &dmax, &dmin)) < 0)
+        return NULL;
+    if (reason != APPLIES)
+        return Py_BuildValue("(iiiiOiO)", n, dmax, dmin, reason, Py_None, 0,
+                             Py_False);
+    int outcome = wavefront(&g, k, budget, &value, &nodes);
+    if (outcome == NO_MEMORY)
+        return PyErr_NoMemory();
+    return Py_BuildValue("(iiiiLLN)", n, dmax, dmin, reason, value, nodes,
+                         PyBool_FromLong(outcome == ABORTED));
 }
 
 
@@ -960,6 +1040,7 @@ static PyMethodDef methods[] = {
     KERNEL(triangle_masks, "bits, n"),
     KERNEL(graph6_masks, "payload, n"),
     KERNEL(graph_facts, "nbrs, k"),
+    KERNEL(verify_line, "line, k, node_budget"),
     {NULL, NULL, 0, NULL},
 };
 

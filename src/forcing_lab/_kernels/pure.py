@@ -3,7 +3,7 @@
 All kernels speak a single low-level dialect: a graph is a sequence of
 neighbor bitmasks (``nbrs[v]`` has bit ``u`` set iff ``uv`` is an edge)
 and a vertex subset is one Python integer. The compiled extension
-(``_ckern``, built from ``_ckern.c``) implements nine of the twelve
+(``_ckern``, built from ``_ckern.c``) implements ten of the thirteen
 functions here with identical semantics (same return values, same node
 counts) for n <= 62; this module is the reference, the fallback when the
 extension is not built, and the only implementation for n > 62. The
@@ -18,7 +18,10 @@ Three kernels build or test whole graphs rather than search them:
 canonical certificates and the children of ``augment`` share,
 ``graph6_masks`` decodes a graph6 payload with it, and ``graph_facts``
 gives the degrees and decides the degree bound's hypotheses in one call,
-k-connectivity by ``k_connected``.
+k-connectivity by ``k_connected``. ``verify_line`` is a sweep's whole
+kernel work on one graph6 line: it frames and decodes the line, then runs
+``graph_facts`` and, when the bound applies, ``wavefront``, all in one
+call, so a line crosses into the compiled extension once.
 """
 
 from itertools import combinations
@@ -151,6 +154,38 @@ def graph_facts(nbrs, k):
     if k >= 2 and not k_connected(nbrs, k):
         return dmax, dmin, 3
     return dmax, dmin, 0
+
+
+# The optional graph6 header, as graph6.HEADER.
+_HEADER = ">>graph6<<"
+
+
+def verify_line(line, k, node_budget):
+    """One stripped graph6 line through the degree bound's per-graph
+    kernels: framed and decoded by the rules of ``graph6.parse_graph6`` (an
+    optional ">>graph6<<" header, a size byte '?'..'}', exactly
+    ceil(n(n-1)/12) payload characters, each '?'..'~'), then
+    ``graph_facts`` and, when the bound applies, ``wavefront`` at
+    ``node_budget``.
+
+    Returns None for a malformed line, else ``(n, max_degree, min_degree,
+    reason, value, nodes, aborted)``: the order, ``graph_facts`` and then
+    ``wavefront``, or ``(None, 0, False)`` in the last three places when
+    ``reason`` is not 0.
+    """
+    record = line.removeprefix(_HEADER)
+    if not record:
+        return None
+    n = ord(record[0]) - 63
+    if not 0 <= n <= 62 or len(record) - 1 != (n * (n - 1) // 2 + 5) // 6:
+        return None
+    nbrs = graph6_masks(record[1:], n)
+    if nbrs is None:
+        return None
+    dmax, dmin, reason = graph_facts(nbrs, k)
+    if reason:
+        return n, dmax, dmin, reason, None, 0, False
+    return (n, dmax, dmin, reason, *wavefront(nbrs, k, node_budget))
 
 
 def search_level_exhaustive(nbrs, k, size, node_budget,

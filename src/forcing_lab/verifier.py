@@ -4,12 +4,13 @@ Runs a stream of graph6 lines through the exact solver and checks, per
 graph, that the k-forcing number respects the degree bound; at k = 1 it
 also checks the minimum-degree refinement and that equality holds exactly
 on the three structural families. A file, stdin and the built-in
-enumeration all give lines. Each graph costs one parse, one
-``graph_facts`` kernel call, which gives its degrees and decides the
-bound's hypotheses, and, when they hold, one ``wavefront`` call for its
-forcing number; the structure check continues that solve and dissects
-the bound-attaining graph (one outside neighbor per set vertex, so an
-edge boundary of exactly the set size, and a tree complement). Also
+enumeration all give lines. Each line costs one ``verify_line`` kernel
+call, which frames and decodes it, gives the graph's degrees, decides the
+bound's hypotheses and, when they hold, finds its forcing number; a
+``Graph`` is built only for the extremal classifier on regular graphs and
+for the structure check, which continues that solve and dissects the
+bound-attaining graph (one outside neighbor per set vertex, so an edge
+boundary of exactly the set size, and a tree complement). Also
 hosts the two suites behind ``lemmas``: the leaf-subset forcing check on
 trees and the closed-form values of the named families.
 
@@ -93,10 +94,16 @@ class VerifyRun:
     parse_failures (the first PARSE_FAILURES_KEPT of them, each with its
     input line, text and error), per_n (graph count, extremal count and
     graph6 list, max solver nodes and summed time per order), then the
-    graph6 lists of counterexamples, unresolved records and structure
-    failures. Each outcome is folded in as it is yielded, and input_lines
-    is set when the input is exhausted, so the summary is complete only
-    once ``records`` is drained (``write_jsonl`` drains it).
+    graph6 lists of counterexamples, unresolved records, structure
+    failures and equality_off_family. That last list is an observation,
+    not the paper's claim, and never makes a counterexample: at k = 2 it
+    holds the equality graphs that are not regular of degree 2 or n - 1
+    (the cycles and complete graphs, which the sweeps find tight), at
+    k >= 3 every equality graph, and at k = 1, where equality off the
+    families is a counterexample, nothing. Each outcome is folded in as it
+    is yielded, and input_lines is set when the input is exhausted, so the
+    summary is complete only once ``records`` is drained (``write_jsonl``
+    drains it).
     """
 
     def __init__(self, lines, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
@@ -106,7 +113,8 @@ class VerifyRun:
             "k": k, "input_lines": 0,
             "graphs_verified": 0, "skipped": {}, "parse_failure_count": 0,
             "parse_failures": [], "per_n": {}, "counterexamples": [],
-            "unresolved": [], "structure_failures": []}
+            "unresolved": [], "structure_failures": [],
+            "equality_off_family": []}
         self.records = _sweep(lines, k, node_budget, self.summary)
 
     def write_jsonl(self, stream):
@@ -132,19 +140,23 @@ PARSE_FAILURES_KEPT = 100
 
 def _sweep(lines, k, node_budget, summary):
     """The record lines of ``VerifyRun``: each non-blank line, numbered by
-    input line, is parsed and then counted as a parse failure, counted as a
-    skip, or verified into a record, and its outcome folded into
-    ``summary``; ``summary["input_lines"]`` is set once the input is
-    exhausted.
+    input line, costs one ``verify_line`` kernel call and is then counted
+    as a parse failure, counted as a skip, or verified into a record, and
+    its outcome folded into ``summary``; ``summary["input_lines"]`` is set
+    once the input is exhausted.
 
-    A verified graph costs one ``wavefront``, the kernel
-    ``forcing_number`` calls; its ``aborted`` flag makes the record
+    The kernel is looked up once per run, and so are the names of the skip
+    reasons. A line it refuses is parsed again by ``parse_graph6`` for the
+    error's text and byte offset. Its ``aborted`` flag makes the record
     unresolved where ``forcing_number`` would raise, and so does an abort
-    of the structure check. ``structure_ok`` is
-    ``check_extremal_structure``'s verdict, on a scan that continues from
-    ``f_k``: no wavefront of its own."""
+    of the structure check. A ``Graph`` is built only where one is read:
+    for ``classify_extremal`` on a regular graph, and for the structure
+    check. ``structure_ok`` is ``check_extremal_structure``'s verdict, on a
+    scan that continues from ``f_k``: no wavefront of its own."""
     skipped, failures, per_n = (summary["skipped"],
                                 summary["parse_failures"], summary["per_n"])
+    verify_line = _kernels.line_kernel()
+    reasons = [failure_reason(code, k) for code in range(4)]
     quote = encode_basestring_ascii
     lineno = 0
     for lineno, line in enumerate(lines, 1):
@@ -152,28 +164,35 @@ def _sweep(lines, k, node_budget, summary):
         if not line:
             continue
         started = time.perf_counter()
-        try:
-            g = parse_graph6(line)
-        except Graph6Error as exc:
-            summary["parse_failure_count"] += 1
-            if len(failures) < PARSE_FAILURES_KEPT:
-                failures.append(
-                    {"line": lineno, "graph6": line, "error": str(exc)})
-            continue
-        n, nbrs = g.n, g.neighbor_masks
-        dmax, dmin, code = _kernels.graph_facts(nbrs, k)
+        facts = verify_line(line, k, node_budget)
+        if facts is None:
+            try:
+                parse_graph6(line)
+            except Graph6Error as exc:
+                summary["parse_failure_count"] += 1
+                if len(failures) < PARSE_FAILURES_KEPT:
+                    failures.append(
+                        {"line": lineno, "graph6": line, "error": str(exc)})
+                continue
+            raise AssertionError(
+                f"verify_line refused a line parse_graph6 accepts: {line!r}")
+        n, dmax, dmin, code, f_k, nodes, aborted = facts
         if code:
-            reason = failure_reason(code, k)
+            reason = reasons[code]
             skipped[reason] = skipped.get(reason, 0) + 1
             continue
         name = line.removeprefix(HEADER)
         num, den = forcing_upper_bound(n, dmax, k)
-        # The three equality families are regular.
-        cls = classify_extremal(g) if dmin == dmax else None
-        f_k, nodes, aborted = _kernels.wavefront(nbrs, k, node_budget)
+        g = cls = None
+        if dmin == dmax:
+            # The three equality families are regular.
+            g = parse_graph6(line)
+            cls = classify_extremal(g)
         equality = not aborted and f_k * den == num
         structure = None
         if equality and k == 1 and dmax >= 3:
+            if g is None:
+                g = parse_graph6(line)
             try:
                 structure = check_extremal_structure(
                     g, _connected_complement_from(g, 1, f_k, node_budget,
@@ -198,6 +217,11 @@ def _sweep(lines, k, node_budget, summary):
             if equality:
                 row["extremal_count"] += 1
                 row["extremal_graph6"].append(name)
+                # At k = 2 the sweeps find the bound tight on C_n and K_n
+                # alone, and at k >= 3 on no graph.
+                if k >= 3 or (k == 2 and not (dmin == dmax
+                                              and dmax in (2, n - 1))):
+                    summary["equality_off_family"].append(name)
             # The first force needs a colored vertex with at most k
             # uncolored neighbors, so no forcing set is smaller than min
             # degree - k + 1.

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import forcing_lab
-from forcing_lab import (Graph, Graph6Error, _kernels, brute_force_oracle,
-                         encode_graph6, parse_graph6)
+from forcing_lab import (DEFAULT_NODE_BUDGET, Graph, Graph6Error, _kernels,
+                         brute_force_oracle, encode_graph6, parse_graph6)
 from forcing_lab._kernels import pure
 from forcing_lab.enumeration import CONNECTED_CLASS_COUNTS, enumerate_connected
+from forcing_lab.graph6 import encode_triangle_mask
 
 from conftest import compiled_module, hypothesis_inputs, random_masks
 
@@ -342,6 +343,57 @@ def test_whole_graph_kernels_refuse(kernels, call, message):
         call(kernels)
 
 
+def _verify_line_inputs():
+    """(line, neighbor masks) of every labeled graph on at most 5 vertices
+    (every upper-triangle mask, so disconnected, max-degree-below-2 and
+    not-k-connected lines are in) and of every line of
+    ``enumerate_connected(7)``, the masks by the independent decoder."""
+    lines = [encode_triangle_mask(bits, n) for n in range(6)
+             for bits in range(1 << (n * (n - 1) // 2))]
+    lines += enumerate_connected(7)
+    for line in lines:
+        yield line, _naive_graph6_masks(line[1:], ord(line[0]) - 63)
+
+
+def test_verify_line_is_facts_then_wavefront(kernels):
+    # Bare and with the header, at k = 1, 2 and 3, with budgets that abort
+    # and the default: the order, pure graph_facts, then pure wavefront
+    # when the bound applies.
+    reasons = set()
+    for line, masks in _verify_line_inputs():
+        n = len(masks)
+        for k in (1, 2, 3):
+            dmax, dmin, reason = pure.graph_facts(masks, k)
+            reasons.add(reason)
+            for budget in (1, 3, DEFAULT_NODE_BUDGET):
+                expected = (n, dmax, dmin, reason, *(
+                    pure.wavefront(masks, k, budget) if reason == 0
+                    else (None, 0, False)))
+                for text in (line, ">>graph6<<" + line):
+                    assert kernels.verify_line(text, k, budget) == expected, \
+                        (text, k, budget)
+    assert reasons == {0, 1, 2, 3}
+
+
+# The malformed lines of test_graph6.py, and those of each bad payload byte.
+MALFORMED_LINES = ["\x1fw", "~??~?????", "D", "Bwx", "B!", ""] + [
+    "B" + ch for ch in BAD_PAYLOAD_CHARS]
+
+
+def test_verify_line_refuses_what_parse_graph6_refuses(kernels):
+    # ">>graph6<<" alone is the header-only line.
+    for line in MALFORMED_LINES + ["Bw", "Bx", "@", "?"]:
+        for text in (line, ">>graph6<<" + line):
+            try:
+                parse_graph6(text)
+            except Graph6Error:
+                refused = True
+            else:
+                refused = False
+            assert refused == (line in MALFORMED_LINES), text
+            assert (kernels.verify_line(text, 1, 10) is None) == refused, text
+
+
 def test_k_connected_matches_pure(compiled_kernels):
     # The compiled cut walk runs inside graph_facts: the graph is
     # k-connected exactly when it has more than k vertices and the reason
@@ -472,7 +524,7 @@ C4 = (0b1010, 0b0101, 0b1010, 0b0101)
     ("search_level_pruned", (C4, 1, 2, 10)), ("wavefront", (C4, 1, 10)),
     ("canonical_mask", (C4,)), ("augment", (C4,)),
     ("triangle_masks", (0b101101, 4)), ("graph6_masks", ("w", 3)),
-    ("graph_facts", (C4, 2))])
+    ("graph_facts", (C4, 2)), ("verify_line", ("Bw", 1, 10))])
 def test_compiled_kernels_take_positional_arguments_only(compiled_kernels,
                                                          name, args):
     # No caller names an argument, so the compiled kernels parse none: each
@@ -489,9 +541,9 @@ def test_compiled_kernels_take_positional_arguments_only(compiled_kernels,
     for wrong in (args[:-1], args + (0,)):
         with pytest.raises(TypeError, match=f"expected {len(args)} argument"):
             compiled(*wrong)
-    if name == "graph6_masks":
+    if name in ("graph6_masks", "verify_line"):
         with pytest.raises(TypeError, match="must be str, not bytes"):
-            compiled(b"w", 3)
+            compiled(b"w", *args[1:])
 
 
 def test_compiled_refuses_masks_beyond_the_last_vertex(compiled_kernels):

@@ -12,9 +12,9 @@ import pytest
 
 from forcing_lab import (Graph, VerifyRun, check_extremal_structure,
                          complete, complete_bipartite, cycle, encode_graph6,
-                         forcing_number, parse_graph6, path, run_known_values,
-                         run_tree_leaf_suite, solve_connected_complement,
-                         star, tree_from_pruefer)
+                         forcing_number, forcing_upper_bound, parse_graph6,
+                         path, run_known_values, run_tree_leaf_suite,
+                         solve_connected_complement, star, tree_from_pruefer)
 from forcing_lab import _kernels, enumeration, verifier
 from forcing_lab._kernels import pure as pure_kernels
 from forcing_lab.enumeration import enumerate_connected
@@ -47,6 +47,21 @@ def _induces_tree(g, vertices):
     nxg = nx.Graph(g.edges())
     nxg.add_nodes_from(range(g.n))
     return nx.is_tree(nxg.subgraph(vertices))
+
+
+def _tight_kernel(monkeypatch, lines):
+    """Patch the sweep's kernel so that each line of ``lines`` reports the
+    bound's value as its forcing number."""
+    kernel = _kernels.line_kernel()
+
+    def tight(line, k, node_budget):
+        facts = kernel(line, k, node_budget)
+        if line in lines:
+            num, den = forcing_upper_bound(facts[0], facts[1], k)
+            assert num % den == 0, line
+            facts = facts[:4] + (num // den,) + facts[5:]
+        return facts
+    monkeypatch.setattr(_kernels, "line_kernel", lambda: tight)
 
 
 RECORD_FIELDS = ["graph6", "n", "max_degree", "min_degree", "k", "f_k",
@@ -105,7 +120,9 @@ class TestVerifyStream:
         # off its equality family; K5 at k = 2 and Petersen are caught by
         # the lower bound alone.
         g = complete(5) if graph == "K5" else request.getfixturevalue(graph)
-        monkeypatch.setattr(_kernels, "wavefront",
+        # The pure verify_line runs the pure wavefront.
+        monkeypatch.setattr(_kernels, "_compiled", None)
+        monkeypatch.setattr(pure_kernels, "wavefront",
                             lambda nbrs, k, node_budget: (1, 0, False))
         run = verify_stream([encode_graph6(g)], k)
         assert run.records[0].f_k == 1
@@ -125,6 +142,29 @@ class TestVerifyStream:
                 4: [(2, 2, "balanced_complete_bipartite"), (3, 3, "complete")],
             }.get(n, [(2, 2, "cycle"), (n - 1, n - 1, "complete")])
             assert tight == expected, n
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_equality_off_the_families_up_to_n7(self, k):
+        # An observation, not the paper's claim: at k = 2 every equality
+        # graph is regular of degree 2 or n - 1 (C_4 among them, tagged
+        # balanced_complete_bipartite), and at k = 3 there is none.
+        run = verify_stream([line for n in range(1, 8)
+                             for line in enumerate_connected(n)], k)
+        assert _clean(run)
+        assert run.summary["equality_off_family"] == []
+        tight = sum(rec.equality for rec in run.records)
+        assert tight == {1: 10, 2: 9, 3: 0}[k]
+
+    @pytest.mark.parametrize("k, line", [(2, "Cz"), (3, "IheA@GUAo")])
+    def test_equality_off_the_families_is_listed_not_counted(
+            self, monkeypatch, k, line):
+        # The diamond (K_4 minus an edge) at k = 2, and Petersen at k = 3
+        # (3-connected, bound 12/4), made to attain the bound.
+        _tight_kernel(monkeypatch, {line})
+        run = verify_stream([line], k)
+        assert run.records[0].equality
+        assert run.summary["equality_off_family"] == [line]
+        assert _clean(run)
 
     def test_n7_has_no_balanced_bipartite(self):
         run = _sweep(7)
@@ -202,14 +242,44 @@ class TestVerifyStream:
         assert _clean(run)
 
     def test_one_wavefront_per_record(self, monkeypatch):
-        # K6 (E~~w) and K_{3,3} (EFz_) also get a structure check, which
-        # continues the record's solve instead of running its own.
-        calls = []
-        wavefront = _kernels.wavefront
-        monkeypatch.setattr(_kernels, "wavefront",
-                            lambda *a: calls.append(a) or wavefront(*a))
+        # One verify_line call per line, which runs the record's one
+        # wavefront. K6 (E~~w) and K_{3,3} (EFz_) also get a structure
+        # check, which continues that solve instead of running its own.
+        monkeypatch.setattr(_kernels, "_compiled", None)
+        lines, wavefronts = [], []
+        verify_line = pure_kernels.verify_line
+        wavefront = pure_kernels.wavefront
+        monkeypatch.setattr(pure_kernels, "verify_line",
+                            lambda *a: lines.append(a) or verify_line(*a))
+        monkeypatch.setattr(pure_kernels, "wavefront",
+                            lambda *a: wavefronts.append(a) or wavefront(*a))
         run = _sweep(6)
-        assert len(calls) == len(run.records) == 112
+        assert len(lines) == len(wavefronts) == len(run.records) == 112
+
+    def test_structure_check_gets_the_graph_off_the_regular_ones(
+            self, monkeypatch):
+        # The paw (K_{1,3} plus an edge, Δ = 3, δ = 1) made to attain the
+        # bound at k = 1: a counterexample, and the structure check still
+        # dissects it, on the Graph of its line.
+        line = "CN"
+        _tight_kernel(monkeypatch, {line})
+        seen = []
+        check = verifier.check_extremal_structure
+        monkeypatch.setattr(verifier, "check_extremal_structure",
+                            lambda g, solution: seen.append(g)
+                            or check(g, solution))
+        run = verify_stream([line])
+        rec = run.records[0]
+        assert (rec.min_degree, rec.max_degree, rec.f_k, rec.equality) == (
+            1, 3, 3, True)
+        assert run.summary["counterexamples"] == [line]
+        assert seen == [parse_graph6(line)]
+
+    def test_a_line_only_the_kernel_refuses_stops_the_run(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "line_kernel",
+                            lambda: lambda line, k, node_budget: None)
+        with pytest.raises(AssertionError, match="'Bw'"):
+            verify_stream(["Bw"])
 
     def test_structure_witness_has_f_k_vertices(self, monkeypatch):
         # The constrained scan starts at the record's f_k, and on every
@@ -380,7 +450,7 @@ class TestStreaming:
                                  "skipped", "parse_failure_count",
                                  "parse_failures", "per_n",
                                  "counterexamples", "unresolved",
-                                 "structure_failures"]
+                                 "structure_failures", "equality_off_family"]
         assert summary["input_lines"] == len(lines)
         assert summary["parse_failure_count"] == 1
         assert [f["line"] for f in summary["parse_failures"]] == [3]
