@@ -5,10 +5,13 @@ is built (``python setup.py build_ext --inplace``); the pure-Python
 kernels serve everything else, and ``search_level_constrained`` always.
 ``augment`` is dispatched by the order of the children it builds, one
 more than its parent's, so a 62-vertex parent goes to the pure kernel;
-``triangle_masks`` and ``graph6_masks`` by the order they are given.
-``verify_line`` is not dispatched per call: a graph6 line names at most
-62 vertices, so one backend serves every line, and a sweep takes that
-backend's kernel from ``line_kernel`` once per run.
+``triangle_masks`` and ``graph6_masks`` by the order they are given. The
+two kernels a sweep calls once per line are handed out whole instead, so
+that a run looks its kernel up once: ``graph6_kernel(n)`` gives the
+``triangle_graph6`` that serves order n, which writes the enumeration's
+lines and ``graph6.encode_triangle_mask``'s, and ``line_kernel`` gives
+``verify_line``: a graph6 line names at most 62 vertices, so one backend
+serves every line.
 A compiled module built from an older ``_ckern.c`` that lacks one of
 ``COMPILED_KERNELS`` is not used: every kernel then runs pure, and
 ``HAVE_COMPILED`` and ``active_backend`` say so. Tests reach both
@@ -22,8 +25,8 @@ from . import pure as _pure
 # graph_facts runs.
 COMPILED_KERNELS = ("closure", "connected_in", "search_level_pruned",
                     "wavefront", "canonical_mask", "augment",
-                    "triangle_masks", "graph6_masks", "graph_facts",
-                    "verify_line")
+                    "triangle_masks", "triangle_graph6", "graph6_masks",
+                    "graph_facts", "verify_line")
 
 
 def _load_compiled():
@@ -89,6 +92,11 @@ def augment(nbrs):
 
 def triangle_masks(bits, n):
     return _impl(n).triangle_masks(bits, n)
+
+
+def graph6_kernel(n):
+    """The ``triangle_graph6`` kernel that serves order n."""
+    return _impl(n).triangle_graph6
 
 
 def graph6_masks(payload, n):

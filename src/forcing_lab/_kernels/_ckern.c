@@ -1,6 +1,6 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: ten of its thirteen functions, with the
+ * Mirrors _kernels/pure.py exactly: eleven of its fourteen functions, with the
  * same return values, witnesses and node counts. The other three stay
  * pure-only: the plain exhaustive level scan serves only the brute-force
  * oracle, which is thus independent of this file, the connected-complement
@@ -10,19 +10,25 @@
  *
  * The exact solver is wavefront (the forcing number, by best-first search
  * over closed sets) followed by one search_level_pruned at that size (the
- * lexicographically smallest witness). Enumeration calls augment once per
- * parent class: canonical augmentation, which returns one child per class
- * that has the parent as its canonical parent, each as the parent's mask
- * with the new vertex's neighborhood as the last column. It tries one
- * neighborhood per orbit of the parent's automorphism group (from
- * generators found by backtracking over colour-preserving bijections, the
- * colours those of refine) and keeps a child when its new vertex wins the
- * deletion cuts: invariant and non-cut on stack masks, then the refine
- * colour, then place, the one labeling search that canonical_mask also
- * runs. triangle_masks and graph6_masks build a graph's neighbor masks from
- * the packed upper triangle and from a graph6 payload, through one helper
- * that alone knows the pair order; graph_facts gives the degrees and
- * decides the degree bound's hypotheses, k-connectivity cut by cut.
+ * lexicographically smallest witness). Both only ever close a closed set
+ * plus a few vertices, so they restart the rule from that set (close_from)
+ * and leave closure_u64 to the closure kernel, which serves any starting
+ * set. Enumeration calls augment once per parent class: canonical
+ * augmentation, which returns one child per class that has the parent as
+ * its canonical parent, each as the parent's mask with the new vertex's
+ * neighborhood as the last column. It tries one neighborhood per orbit of
+ * the parent's automorphism group (from generators found by backtracking
+ * over colour-preserving bijections, the colours those of refine) and
+ * keeps a child when its new vertex wins the deletion cuts: invariant and
+ * non-cut on stack masks, then the refine colour, then place, the one
+ * labeling search that canonical_mask also runs. The enumeration writes
+ * each child as a graph6 line with triangle_graph6.
+ * triangle_masks and graph6_masks build a graph's neighbor masks from the
+ * packed upper triangle and from a graph6 payload, through one helper that
+ * alone knows the pair order; triangle_graph6 writes the graph6 line of a
+ * packed triangle, read into words as triangle_masks reads it; graph_facts
+ * gives the degrees and decides the degree bound's hypotheses,
+ * k-connectivity cut by cut.
  * verify_line is a sweep's whole kernel work on one graph6 line in one
  * call: it frames the line by parse_graph6's rules, decodes its payload
  * and runs graph_facts and, when the bound applies, wavefront, through the
@@ -39,9 +45,9 @@
  * iff uv is an edge) and a vertex subset as one int. Both are held in
  * uint64 masks, so graphs are capped at 62 vertices (the graph6 cap); a
  * larger graph raises ValueError and the dispatcher uses pure.py instead.
- * triangle_masks and graph6_masks take the order n as an argument and refuse
- * n > 62 in the same way; verify_line reads it from the line's size byte,
- * which names at most 62.
+ * triangle_masks, triangle_graph6 and graph6_masks take the order n as an
+ * argument and refuse n > 62 in the same way; verify_line reads it from
+ * the line's size byte, which names at most 62.
  * augment builds children one vertex larger, so it refuses a parent of 62
  * vertices. Only canonical_mask and augment return ints wider than 64
  * bits: a mask has n(n-1)/2 bits, built in one uint64 up to n = 11.
@@ -92,6 +98,30 @@ static u64 closure_u64(const u64 *nbrs, long long k, u64 colored)
     return colored;
 }
 
+/* closure_u64(nbrs, k, closed | added) for a set closed that the rule leaves
+ * unchanged: the rule is tried on the vertices of added outside closed and
+ * their colored neighbors, and after each force on the vertices it colored
+ * and their colored neighbors; see pure._close_from. */
+static u64 close_from(const u64 *nbrs, long long k, u64 closed, u64 added)
+{
+    u64 colored = closed | added, todo = added & ~closed;
+    for (u64 m = todo; m; m &= m - 1)
+        todo |= nbrs[__builtin_ctzll(m)];
+    todo &= colored;
+    while (todo) {
+        u64 w = nbrs[__builtin_ctzll(todo)] & ~colored;
+        todo &= todo - 1;
+        if (w && __builtin_popcountll(w) <= k) {
+            colored |= w;
+            todo |= w;
+            for (u64 m = w; m; m &= m - 1)
+                todo |= nbrs[__builtin_ctzll(m)];
+            todo &= colored;
+        }
+    }
+    return colored;
+}
+
 static int connected_in_u64(const u64 *nbrs, u64 mask)
 {
     if (mask == 0)
@@ -134,7 +164,7 @@ static int pruned(const graph *g, long long k, long long size,
         if (*nodes >= budget)
             return ABORTED;
         ++*nodes;
-        u64 new_cl = closure_u64(g->nbrs, k, base_cl[depth] | ONE << v);
+        u64 new_cl = close_from(g->nbrs, k, base_cl[depth], ONE << v);
         if (depth + 1 == size) {
             if (new_cl == g->full) {
                 *witness = ONE << v;
@@ -269,7 +299,7 @@ static int wavefront(const graph *g, long long k, long long budget,
                     goto done;
                 }
                 ++*nodes;
-                u64 t = closure_u64(g->nbrs, k, s | ONE << v | g->nbrs[v]);
+                u64 t = close_from(g->nbrs, k, s, ONE << v | g->nbrs[v]);
                 if (t == g->full) {
                     limit = step;
                     continue;
@@ -852,14 +882,11 @@ done:
     return out;
 }
 
-static PyObject *py_triangle_masks(PyObject *self, PyObject *args)
+/* Reads the int bits, the packed upper triangle of an n-vertex graph, into
+ * words, which start zeroed; returns 0, or -1 with an exception set:
+ * ValueError when bits has a bit beyond the triangle. */
+static int triangle_words(PyObject *bits, int n, u64 *words)
 {
-    PyObject *bits, *n_obj;
-    u64 words[PAIR_WORDS] = {0};
-    int n;
-    if (!PyArg_UnpackTuple(args, "triangle_masks", 2, 2, &bits, &n_obj)
-        || as_order(n_obj, &n) < 0)
-        return NULL;
     int pairs = n * (n - 1) / 2;
     /* Take the words off the low end; what is left must be 0 (a negative
      * int never shifts down to 0). */
@@ -873,15 +900,53 @@ static PyObject *py_triangle_masks(PyObject *self, PyObject *args)
     Py_XDECREF(rest);
     Py_XDECREF(width);
     if (beyond < 0)
-        return NULL;
+        return -1;
     if (beyond || (pairs % 64 && words[pairs / 64] >> pairs % 64)) {
         PyErr_SetString(PyExc_ValueError,
                         "mask has bits beyond the upper triangle");
-        return NULL;
+        return -1;
     }
+    return 0;
+}
+
+static PyObject *py_triangle_masks(PyObject *self, PyObject *args)
+{
+    PyObject *bits, *n_obj;
+    u64 words[PAIR_WORDS] = {0};
     graph g;
+    int n;
+    if (!PyArg_UnpackTuple(args, "triangle_masks", 2, 2, &bits, &n_obj)
+        || as_order(n_obj, &n) < 0 || triangle_words(bits, n, words) < 0)
+        return NULL;
     unpack_triangle(words, n, &g);
     return masks_tuple(&g);
+}
+
+/* The graph6 line of the n-vertex graph whose packed upper triangle is bits;
+ * see pure.triangle_graph6. */
+static PyObject *py_triangle_graph6(PyObject *self, PyObject *args)
+{
+    PyObject *bits, *n_obj;
+    u64 words[PAIR_WORDS] = {0};
+    int n;
+    if (!PyArg_UnpackTuple(args, "triangle_graph6", 2, 2, &bits, &n_obj)
+        || as_order(n_obj, &n) < 0 || triangle_words(bits, n, words) < 0)
+        return NULL;
+    int need = (n * (n - 1) / 2 + 5) / 6;
+    PyObject *line = PyUnicode_New(1 + need, 127);
+    if (line == NULL)
+        return NULL;
+    Py_UCS1 *chars = PyUnicode_1BYTE_DATA(line);
+    chars[0] = (Py_UCS1)(63 + n);
+    /* Six pairs a character, the first in its high bit; the bits past the
+     * triangle are 0, so the padding is too. */
+    for (int pos = 0; pos < need; pos++) {
+        unsigned val = 0;
+        for (int p = 6 * pos; p < 6 * pos + 6; p++)
+            val = val << 1 | (unsigned)(words[p >> 6] >> (p & 63) & 1);
+        chars[1 + pos] = (Py_UCS1)(63 + val);
+    }
+    return line;
 }
 
 /* The str argument named name, or NULL with TypeError set. */
@@ -1038,6 +1103,7 @@ static PyMethodDef methods[] = {
     KERNEL(canonical_mask, "nbrs"),
     KERNEL(augment, "nbrs"),
     KERNEL(triangle_masks, "bits, n"),
+    KERNEL(triangle_graph6, "bits, n"),
     KERNEL(graph6_masks, "payload, n"),
     KERNEL(graph_facts, "nbrs, k"),
     KERNEL(verify_line, "line, k, node_budget"),

@@ -3,7 +3,7 @@
 All kernels speak a single low-level dialect: a graph is a sequence of
 neighbor bitmasks (``nbrs[v]`` has bit ``u`` set iff ``uv`` is an edge)
 and a vertex subset is one Python integer. The compiled extension
-(``_ckern``, built from ``_ckern.c``) implements ten of the thirteen
+(``_ckern``, built from ``_ckern.c``) implements eleven of the fourteen
 functions here with identical semantics (same return values, same node
 counts) for n <= 62; this module is the reference, the fallback when the
 extension is not built, and the only implementation for n > 62. The
@@ -13,15 +13,21 @@ scan, one Gosper walk: the brute-force oracle runs it plain
 ``search_level_constrained``. The third is ``k_connected``, whose cut
 walk the compiled ``graph_facts`` runs inside itself.
 
-Three kernels build or test whole graphs rather than search them:
+Four kernels build or test whole graphs rather than search them:
 ``triangle_masks`` unpacks the upper-triangle bit layout that graph6, the
 canonical certificates and the children of ``augment`` share,
-``graph6_masks`` decodes a graph6 payload with it, and ``graph_facts``
-gives the degrees and decides the degree bound's hypotheses in one call,
-k-connectivity by ``k_connected``. ``verify_line`` is a sweep's whole
-kernel work on one graph6 line: it frames and decodes the line, then runs
-``graph_facts`` and, when the bound applies, ``wavefront``, all in one
-call, so a line crosses into the compiled extension once.
+``triangle_graph6`` writes a graph6 line from it, ``graph6_masks`` decodes
+a graph6 payload with it, and ``graph_facts`` gives the degrees and
+decides the degree bound's hypotheses in one call, k-connectivity by
+``k_connected``. ``verify_line`` is a sweep's whole kernel work on one
+graph6 line: it frames and decodes the line, then runs ``graph_facts``
+and, when the bound applies, ``wavefront``, all in one call, so a line
+crosses into the compiled extension once.
+
+``wavefront`` and ``search_level_pruned`` only ever close a closed set
+plus a few vertices, so they restart the rule from that set
+(``_close_from``) instead of calling ``closure``, which serves any
+starting set.
 """
 
 from itertools import combinations
@@ -50,6 +56,41 @@ def closure(nbrs, k, colored):
     return colored
 
 
+def _close_from(nbrs, k, closed, added):
+    """``closure(nbrs, k, closed | added)`` for a set ``closed`` that
+    ``closure`` leaves unchanged.
+
+    A vertex of ``closed`` has no or more than k uncolored neighbors, and
+    only a vertex whose uncolored neighbors change can start to force. So
+    the rule is tried on the vertices of ``added`` outside ``closed`` and
+    their colored neighbors, and after each force on the vertices it
+    colored and their colored neighbors, until none is left to try. The
+    closure is the unique fixed point, so the order does not matter.
+    """
+    colored = closed | added
+    todo = added & ~closed
+    m = todo
+    while m:
+        low = m & -m
+        todo |= nbrs[low.bit_length() - 1]
+        m ^= low
+    todo &= colored
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        w = nbrs[low.bit_length() - 1] & ~colored
+        if w and w.bit_count() <= k:
+            colored |= w
+            todo |= w
+            m = w
+            while m:
+                low = m & -m
+                todo |= nbrs[low.bit_length() - 1]
+                m ^= low
+            todo &= colored
+    return colored
+
+
 def connected_in(nbrs, mask):
     """True iff the subgraph induced by the vertices in ``mask`` is connected.
 
@@ -74,6 +115,21 @@ def connected_in(nbrs, mask):
 
 # _REVERSED6[v]: the six low bits of v in reverse order.
 _REVERSED6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+# _ENCODED6[v]: the graph6 payload character of the six low bits of v,
+# reversed.
+_ENCODED6 = tuple(chr(r + 63) for r in _REVERSED6)
+
+
+def _triangle_pairs(bits, n):
+    """n(n-1)/2, the number of pairs of n vertices, once ``bits`` is
+    checked to be a packed upper triangle of n vertices. Raises ValueError
+    for a negative n or for bits beyond the triangle."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    pairs = n * (n - 1) // 2
+    if bits >> pairs:
+        raise ValueError("mask has bits beyond the upper triangle")
+    return pairs
 
 
 def triangle_masks(bits, n):
@@ -81,10 +137,7 @@ def triangle_masks(bits, n):
     in ``bits``: bit j(j-1)/2 + i is the pair i < j (column-major, the
     graph6 pair order). Raises ValueError for a negative n or for bits
     beyond the triangle."""
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    if bits >> (n * (n - 1) // 2):
-        raise ValueError("mask has bits beyond the upper triangle")
+    _triangle_pairs(bits, n)
     masks = [0] * n
     for j in range(1, n):
         col = (bits >> (j * (j - 1) // 2)) & ((1 << j) - 1)
@@ -94,6 +147,16 @@ def triangle_masks(bits, n):
             masks[low.bit_length() - 1] |= 1 << j
             col ^= low
     return tuple(masks)
+
+
+def triangle_graph6(bits, n):
+    """The graph6 line (no line break) of the n-vertex graph whose upper
+    triangle is packed in ``bits``, as for ``triangle_masks``: the size
+    character, then each six pairs in order as chr(value + 63), the first
+    pair in the high bit. Raises ValueError as ``triangle_masks`` does."""
+    pairs = _triangle_pairs(bits, n)
+    return chr(n + 63) + "".join([
+        _ENCODED6[(bits >> shift) & 63] for shift in range(0, pairs, 6)])
 
 
 def graph6_masks(payload, n):
@@ -255,7 +318,7 @@ def search_level_pruned(nbrs, k, size, node_budget):
         if nodes >= node_budget:
             return None, nodes, True
         nodes += 1
-        new_cl = closure(nbrs, k, base_cl[depth] | (1 << v))
+        new_cl = _close_from(nbrs, k, base_cl[depth], 1 << v)
         if depth + 1 == size:
             if new_cl == full:
                 witness = 1 << v
@@ -278,10 +341,11 @@ def wavefront(nbrs, k, node_budget):
     bucket per cost, from the empty set (closed: nothing is colored).
     Expanding a closed set S through vertex v pays for v when v is not in
     S and for all but k of its neighbors outside S; v then colors the rest,
-    so the step leads to ``closure(S | {v} | N(v))``. A vertex of S with no
-    neighbor outside S gives nothing and is skipped. Every step costs at
-    least one (a vertex of a closed set has no or more than k neighbors
-    outside it), so a bucket is never appended to while it is popped.
+    so the step leads to ``closure(S | {v} | N(v))``, which ``_close_from``
+    finds from the closed S. A vertex of S with no neighbor outside S gives
+    nothing and is skipped. Every step costs at least one (a vertex of a
+    closed set has no or more than k neighbors outside it), so a bucket is
+    never appended to while it is popped.
 
     The value is the cost at which the full set is reached; ``limit``, the
     cheapest such cost found so far (n at first, since the full set forces
@@ -321,7 +385,7 @@ def wavefront(nbrs, k, node_budget):
                 if nodes >= node_budget:
                     return cost, nodes, True
                 nodes += 1
-                t = closure(nbrs, k, s | (1 << v) | nbrs[v])
+                t = _close_from(nbrs, k, s, (1 << v) | nbrs[v])
                 if t == full:
                     limit = step
                 elif step + 1 < limit and best.get(t, limit) > step:

@@ -27,7 +27,6 @@ Trees come one per class as
 import random
 
 from . import _kernels
-from .graph6 import encode_triangle_mask
 from .graphs import tree_from_pruefer
 
 MAX_ENUMERATION_ORDER = 9
@@ -75,7 +74,8 @@ def _classes(n):
 def enumerate_connected(n):
     """An iterator over the graph6 lines of one representative per
     isomorphism class of connected graphs on n vertices, each written
-    straight from its mask, no Graph built.
+    straight from its mask by the ``triangle_graph6`` kernel, looked up
+    once per call, no Graph built.
 
     Supported for 1 <= n <= 9 only, checked at the call; beyond that,
     supply a graph6 file produced by an external generator instead. The
@@ -83,8 +83,8 @@ def enumerate_connected(n):
     earlier call built order n as parents, and the published count is
     checked after the last one: AssertionError then, not StopIteration,
     when it differs. Drained in a fresh process, n = 8 (11,117 classes)
-    takes about 0.03 s on the compiled backend and 1 s on the pure one,
-    n = 9 (261,080 classes) about 0.65 s and 23 s (2 vCPU, Python 3.11).
+    takes about 0.025 s on the compiled backend and 1.2 s on the pure one,
+    n = 9 (261,080 classes) about 0.5 s and 20 s (2 vCPU, Python 3.11).
     """
     if n < 1:
         raise ValueError(
@@ -95,10 +95,11 @@ def enumerate_connected(n):
             "supply a graph6 file for larger orders")
 
     def lines():
+        encode = _kernels.graph6_kernel(n)
         found = 0
         for mask in _built.get(n) or _children(n):
             found += 1
-            yield encode_triangle_mask(mask, n)
+            yield encode(mask, n)
         _check_count(n, found)
     return lines()
 

@@ -6,16 +6,17 @@ zero-padded to a multiple of 6, each 6-bit group emitted as
 chr(value+63). That pair order is the bit order of
 ``Graph.upper_triangle_mask`` and of the enumeration's certificates (bit
 j(j-1)/2 + i for the pair i < j), so each payload byte holds the mask's
-next six bits, the first pair in the byte's high bit, and
-``encode_triangle_mask`` writes a record straight from a mask. The
-optional ">>graph6<<" header is tolerated on input. Multi-byte sizes
-(lead byte '~') are out of the supported range and are rejected with an
-explicit message.
+next six bits, the first pair in the byte's high bit. The optional
+">>graph6<<" header is tolerated on input. Multi-byte sizes (lead byte
+'~') are out of the supported range and are rejected with an explicit
+message.
 
 This module checks the record's framing (header, size byte, payload
-length); the ``graph6_masks`` kernel decodes the payload. Only when the
-kernel finds a byte outside '?'..'~' does this module scan the payload
-again, to name that byte's offset.
+length) and the encoder's cap; the kernels do the bits:
+``triangle_graph6`` writes a record straight from a mask, and
+``graph6_masks`` decodes a payload. Only when the kernel finds a byte
+outside '?'..'~' does this module scan the payload again, to name that
+byte's offset.
 """
 
 from . import _kernels
@@ -23,9 +24,6 @@ from .graphs import Graph
 
 HEADER = ">>graph6<<"
 MAX_VERTICES = 62
-
-# _ENCODED6[v]: the payload character of the six low bits of v, reversed.
-_ENCODED6 = tuple(chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64))
 
 
 class Graph6Error(ValueError):
@@ -78,9 +76,7 @@ def encode_triangle_mask(bits, n):
     if n > MAX_VERTICES:
         raise ValueError(
             f"graph6 encoding is capped at n <= {MAX_VERTICES}, got n={n}")
-    return chr(n + 63) + "".join([
-        _ENCODED6[(bits >> shift) & 63]
-        for shift in range(0, n * (n - 1) // 2, 6)])
+    return _kernels.graph6_kernel(n)(bits, n)
 
 
 def encode_graph6(g):

@@ -10,7 +10,10 @@ bound's hypotheses and, when they hold, finds its forcing number; a
 ``Graph`` is built only for the extremal classifier on regular graphs and
 for the structure check, which continues that solve and dissects the
 bound-attaining graph (one outside neighbor per set vertex, so an edge
-boundary of exactly the set size, and a tree complement). Also
+boundary of exactly the set size, and a tree complement). What a record
+says beyond its name and node count is fixed by a few of its values (its
+verdict), and a sweep meets few distinct verdicts, so each is rendered
+once per run and every record that shares it reuses the text. Also
 hosts the two suites behind ``lemmas``: the leaf-subset forcing check on
 trees and the closed-form values of the named families.
 
@@ -36,15 +39,19 @@ from .graphs import VertexSet, connected_within, is_tree, leaves
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded,
                      _connected_complement_from, forcing_number)
 
-# A record: ``json.dumps`` of its fields, in this order, and a line break.
-# ``status`` is "ok" or "unresolved". ``solver_nodes`` counts the
+# A record is ``json.dumps`` of its fields, in this order, and a line
+# break: "graph6", then the fields of _VERDICT, "solver_nodes" and
+# "status", which is "ok" or "unresolved". ``solver_nodes`` counts the
 # wavefront's closures only (``forcing_number``), so it is smaller than
 # ``solve``'s ``nodes_explored``, which adds the witness level; in an
-# unresolved record it counts all the nodes spent.
-_LINE = ('{"graph6": %s, "n": %d, "max_degree": %d, "min_degree": %d, '
-         '"k": %d, "f_k": %s, "bound_num": %d, "bound_den": %d, '
-         '"equality": %s, "extremal_class": %s, "extremal_parameter": %s, '
-         '"structure_ok": %s, "solver_nodes": %d, "status": "%s"}\n')
+# unresolved record it counts all the nodes spent. All the text between
+# the graph6 name and the solver_nodes value is fixed by the record's
+# verdict, and so is its end.
+_VERDICT = (', "n": %d, "max_degree": %d, "min_degree": %d, "k": %d, '
+            '"f_k": %s, "bound_num": %d, "bound_den": %d, "equality": %s, '
+            '"extremal_class": %s, "extremal_parameter": %s, '
+            '"structure_ok": %s, "solver_nodes": ')
+_END = ', "status": "%s"}\n'
 # JSON for the values of the record fields that may be None or a bool.
 _LITERALS = {None: "null", True: "true", False: "false"}
 
@@ -136,6 +143,70 @@ class VerifyRun:
 # Malformed lines kept in full in the summary; past these only the count
 # grows. 20,000 lines of "B!" cost about 6.3 MB when every entry was kept.
 PARSE_FAILURES_KEPT = 100
+# Verdicts one run keeps rendered, the first ones it meets; a verdict past
+# these is rendered again for each record that has it. One kept verdict
+# costs about 450 bytes with its key (tracemalloc). The exhaustive k = 1
+# sweeps meet 46 distinct verdicts at n = 7 and 119 at n = 9, and 185
+# distinct (max degree, min degree, f_k) at n = 10.
+VERDICTS_KEPT = 128
+
+
+def _verdict(key, k, summary):
+    """All that a record's verdict fixes, rendered once: ``(row, text,
+    end, names, equality, check)``.
+
+    ``key`` is ``(n, max_degree, min_degree, f_k, extremal class,
+    structure_ok)``, with f_k None when the record is unresolved. ``row``
+    is the order's ``per_n`` row, made here for the first record of that
+    order. ``text`` is the record's JSON between its graph6 name and its
+    solver_nodes value, and ``end`` the JSON after that value. ``names``
+    are the summary lists that the record's name joins. ``equality`` says
+    whether f_k attains the bound, and ``check`` whether the record takes
+    the structure check: k = 1, equality and max degree >= 3. Its verdict
+    is the key's last field, None until the check has run.
+    """
+    n, dmax, dmin, f_k, cls, structure = key
+    row = summary["per_n"].get(n)
+    if row is None:
+        row = summary["per_n"][n] = {
+            "graph_count": 0, "extremal_count": 0,
+            "extremal_graph6": [], "max_solver_nodes": 0,
+            "wall_time_ms": 0.0}
+    num, den = forcing_upper_bound(n, dmax, k)
+    equality = f_k is not None and f_k * den == num
+    names = []
+    if f_k is None:
+        names.append(summary["unresolved"])
+    else:
+        if equality:
+            names.append(row["extremal_graph6"])
+            # At k = 2 the sweeps find the bound tight on C_n and K_n
+            # alone, and at k >= 3 on no graph.
+            if k >= 3 or (k == 2 and not (dmin == dmax
+                                          and dmax in (2, n - 1))):
+                names.append(summary["equality_off_family"])
+        # The first force needs a colored vertex with at most k uncolored
+        # neighbors, so no forcing set is smaller than min degree - k + 1.
+        counterexample = f_k * den > num or f_k < max(1, dmin - k + 1)
+        if k == 1 and not counterexample:
+            # The minimum-degree refinement and the equality
+            # characterization are k = 1 statements; at larger k the bound
+            # can be tight off the three families.
+            rnum, rden = degree_refined_bound(n, dmax, dmin)
+            counterexample = (f_k * rden > rnum
+                              or equality != (cls is not None))
+        if counterexample:
+            names.append(summary["counterexamples"])
+        if structure is False:
+            names.append(summary["structure_failures"])
+    text = _VERDICT % (
+        n, dmax, dmin, k, "null" if f_k is None else f_k, num, den,
+        _LITERALS[equality],
+        "null" if cls is None else encode_basestring_ascii(cls.tag),
+        "null" if cls is None else cls.parameter, _LITERALS[structure])
+    end = _END % ("unresolved" if f_k is None else "ok")
+    return (row, text, end, tuple(names), equality,
+            equality and k == 1 and dmax >= 3)
 
 
 def _sweep(lines, k, node_budget, summary):
@@ -152,12 +223,26 @@ def _sweep(lines, k, node_budget, summary):
     of the structure check. A ``Graph`` is built only where one is read:
     for ``classify_extremal`` on a regular graph, and for the structure
     check. ``structure_ok`` is ``check_extremal_structure``'s verdict, on a
-    scan that continues from ``f_k``: no wavefront of its own."""
-    skipped, failures, per_n = (summary["skipped"],
-                                summary["parse_failures"], summary["per_n"])
+    scan that continues from ``f_k``: no wavefront of its own.
+
+    A record is its name, its solver_nodes and a verdict (see
+    ``_verdict``), and sweeps meet few distinct verdicts, so each is
+    rendered once and kept in a dict local to the run, up to
+    VERDICTS_KEPT of them. A verified line then costs one lookup, or two
+    when its verdict sends it to the structure check, whose result is in
+    the second key."""
+    skipped, failures = summary["skipped"], summary["parse_failures"]
     verify_line = _kernels.line_kernel()
     reasons = [failure_reason(code, k) for code in range(4)]
     quote = encode_basestring_ascii
+    verdicts = {}
+
+    def rendered(key):
+        verdict = _verdict(key, k, summary)
+        if len(verdicts) < VERDICTS_KEPT:
+            verdicts[key] = verdict
+        return verdict
+
     lineno = 0
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -182,67 +267,35 @@ def _sweep(lines, k, node_budget, summary):
             skipped[reason] = skipped.get(reason, 0) + 1
             continue
         name = line.removeprefix(HEADER)
-        num, den = forcing_upper_bound(n, dmax, k)
         g = cls = None
         if dmin == dmax:
             # The three equality families are regular.
             g = parse_graph6(line)
             cls = classify_extremal(g)
-        equality = not aborted and f_k * den == num
-        structure = None
-        if equality and k == 1 and dmax >= 3:
+        key = (n, dmax, dmin, None if aborted else f_k, cls, None)
+        verdict = verdicts.get(key) or rendered(key)
+        if verdict[5]:
             if g is None:
                 g = parse_graph6(line)
             try:
-                structure = check_extremal_structure(
+                key = key[:5] + (check_extremal_structure(
                     g, _connected_complement_from(g, 1, f_k, node_budget,
-                                                  nodes))
+                                                  nodes)),)
             except BudgetExceeded as exc:
-                aborted, equality, nodes = True, False, exc.nodes_explored
+                nodes = exc.nodes_explored
+                key = (n, dmax, dmin, None, cls, None)
+            verdict = verdicts.get(key) or rendered(key)
+        row, text, end, names, equality, _ = verdict
         summary["graphs_verified"] += 1
-        row = per_n.get(n)
-        if row is None:
-            row = per_n[n] = {
-                "graph_count": 0, "extremal_count": 0,
-                "extremal_graph6": [], "max_solver_nodes": 0,
-                "wall_time_ms": 0.0}
         row["graph_count"] += 1
         row["wall_time_ms"] += (time.perf_counter() - started) * 1000.0
-        row["max_solver_nodes"] = max(row["max_solver_nodes"], nodes)
-        if aborted:
-            f_k, status = None, "unresolved"
-            summary["unresolved"].append(name)
-        else:
-            status = "ok"
-            if equality:
-                row["extremal_count"] += 1
-                row["extremal_graph6"].append(name)
-                # At k = 2 the sweeps find the bound tight on C_n and K_n
-                # alone, and at k >= 3 on no graph.
-                if k >= 3 or (k == 2 and not (dmin == dmax
-                                              and dmax in (2, n - 1))):
-                    summary["equality_off_family"].append(name)
-            # The first force needs a colored vertex with at most k
-            # uncolored neighbors, so no forcing set is smaller than min
-            # degree - k + 1.
-            counterexample = f_k * den > num or f_k < max(1, dmin - k + 1)
-            if k == 1 and not counterexample:
-                # The minimum-degree refinement and the equality
-                # characterization are k = 1 statements; at larger k the
-                # bound can be tight off the three families.
-                rnum, rden = degree_refined_bound(n, dmax, dmin)
-                counterexample = (f_k * rden > rnum
-                                  or equality != (cls is not None))
-            if counterexample:
-                summary["counterexamples"].append(name)
-            if structure is False:
-                summary["structure_failures"].append(name)
-        yield _LINE % (
-            quote(name), n, dmax, dmin, k, "null" if f_k is None else f_k,
-            num, den, _LITERALS[equality],
-            "null" if cls is None else quote(cls.tag),
-            "null" if cls is None else cls.parameter, _LITERALS[structure],
-            nodes, status)
+        if nodes > row["max_solver_nodes"]:
+            row["max_solver_nodes"] = nodes
+        if equality:
+            row["extremal_count"] += 1
+        for listed in names:
+            listed.append(name)
+        yield f'{{"graph6": {quote(name)}{text}{nodes}{end}'
     summary["input_lines"] = lineno
 
 

@@ -582,6 +582,24 @@ class TestVerify:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, k
 
+    @pytest.mark.skipif(not _kernels.HAVE_COMPILED,
+                        reason="compiled kernels not built in place")
+    def test_enumerate_8_output_is_pinned(self, capsys):
+        # 11,117 graphs a k, about 0.1 s compiled: every closure the
+        # wavefront restarts from a closed set, and every line the kernel
+        # writes, pinned as they were before either.
+        for k, digest in [
+                (1, "7e902c58bab184a6d4793df92b164271"
+                    "723d5dc3d70082105d3d9f1e1be6997e"),
+                (2, "f636936d17056e32be9cf07a40d62cba"
+                    "d966de82bd0b21f2ae80cb33aadfe500"),
+                (3, "eea07aaa069163b4355fa58d6da42ee8"
+                    "512dbbed869c689534084074c9fe1a0d")]:
+            code, out, _ = run_cli(capsys, "verify", "--enumerate", "8",
+                                   "--k", str(k))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, k
+
     def test_record_lines_are_what_json_dumps_writes(self, capsys, tmp_path,
                                                      petersen):
         # Records are written field by field; each line must be exactly what

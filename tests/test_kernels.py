@@ -94,6 +94,40 @@ def test_wavefront_matches_pure(compiled_kernels):
                     (nbrs, k, budget)
 
 
+def test_close_from_is_the_closure():
+    # From a closed set S and any A, the restarted rule reaches the
+    # closure of S | A. The compiled helper is static and mirrors this one
+    # line for line; the pins below and the n = 8 sweep pin check it.
+    rng = random.Random(97)
+    for _ in range(300):
+        n = rng.randrange(1, 16)
+        nbrs = random_masks(rng, n, rng.choice((0.2, 0.4, 0.7)))
+        k = rng.randrange(1, 4)
+        closed = pure.closure(nbrs, k, rng.getrandbits(n) & rng.getrandbits(n))
+        added = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        assert pure._close_from(nbrs, k, closed, added) \
+            == pure.closure(nbrs, k, closed | added), (nbrs, k, closed, added)
+
+
+def _torus(a, b):
+    """Neighbor masks of C_a x C_b, vertex (r, c) numbered r * b + c."""
+    return [sum(1 << u for u in {((r + 1) % a) * b + c, ((r - 1) % a) * b + c,
+                                 r * b + (c + 1) % b, r * b + (c - 1) % b})
+            for r in range(a) for c in range(b)]
+
+
+@pytest.mark.parametrize("nbrs, expected", [
+    ([sum(1 << (v ^ 1 << b) for b in range(5)) for v in range(32)],
+     (16, 296545, False)),
+    (_torus(7, 8), (14, 766529, False))], ids=["Q5", "C7xC8"])
+def test_compiled_wavefront_on_costly_graphs(compiled_kernels, nbrs,
+                                             expected):
+    # Both backends restart each closure from the closed set it extends, so
+    # the differential tests cannot see a force the restart would skip:
+    # the value and node count of each are pinned from the full closure.
+    assert compiled_kernels.wavefront(nbrs, 1, 10**9) == expected
+
+
 def test_wavefront_is_the_forcing_number(kernels):
     for n in range(1, 7):
         for g in map(parse_graph6, enumerate_connected(n)):
@@ -259,7 +293,7 @@ def _naive_graph6_masks(payload, n):
 
 def _payloads():
     """(payload, n) of every connected graph with at most 7 vertices and of
-    seeded G(n, p) graphs for every n up to 62, by the Python encoder."""
+    seeded G(n, p) graphs for every n up to 62, by ``encode_graph6``."""
     for n in range(1, 8):
         for line in enumerate_connected(n):
             yield line[1:], n
@@ -276,6 +310,36 @@ def test_graph6_and_triangle_masks_decode(kernels):
         assert kernels.graph6_masks(payload, n) == masks, (payload, n)
         bits = Graph._from_masks(masks).upper_triangle_mask()
         assert kernels.triangle_masks(bits, n) == masks, (payload, n)
+
+
+def _triangles():
+    """(bits, n) of every upper-triangle mask on at most 5 vertices, of
+    every class of ``enumerate_connected(7)`` and of seeded random masks for
+    every n up to 62, whose triangles span up to 30 words of 64 bits."""
+    for n in range(6):
+        for bits in range(1 << (n * (n - 1) // 2)):
+            yield bits, n
+    for line in enumerate_connected(7):
+        yield parse_graph6(line).upper_triangle_mask(), 7
+    rng = random.Random(89)
+    for n in range(63):
+        for _ in range(3):
+            yield rng.getrandbits(n * (n - 1) // 2), n
+
+
+def test_triangle_graph6_round_trips(kernels):
+    # The size character, then a payload that graph6_masks and the
+    # independent decoder both read back as the triangle's masks, with
+    # zero padding bits: the one graph6 line of the graph.
+    for bits, n in _triangles():
+        line = kernels.triangle_graph6(bits, n)
+        masks = kernels.triangle_masks(bits, n)
+        assert line[0] == chr(n + 63), (bits, n)
+        assert kernels.graph6_masks(line[1:], n) == masks, (bits, n)
+        assert _naive_graph6_masks(line[1:], n) == masks, (bits, n)
+        assert line == pure.triangle_graph6(bits, n), (bits, n)
+        pad = -(n * (n - 1) // 2) % 6
+        assert not (ord(line[-1]) - 63) & (1 << pad) - 1, (bits, n)
 
 
 def test_graph6_masks_ignore_padding_bits(kernels):
@@ -337,6 +401,11 @@ def test_whole_graph_kernel_edge_cases(kernels):
     (lambda m: m.graph6_masks("", -1), "must be non-negative"),
     (lambda m: m.graph6_masks("ww", 3), "payload length must be 1 for n=3"),
     (lambda m: m.graph6_masks("", 2), "payload length must be 1 for n=2"),
+    (lambda m: m.triangle_graph6(0b1000, 3), "beyond the upper triangle"),
+    (lambda m: m.triangle_graph6(1, 1), "beyond the upper triangle"),
+    (lambda m: m.triangle_graph6(-1, 3), "beyond the upper triangle"),
+    (lambda m: m.triangle_graph6(1 << 1891, 62), "beyond the upper triangle"),
+    (lambda m: m.triangle_graph6(0, -1), "must be non-negative"),
 ])
 def test_whole_graph_kernels_refuse(kernels, call, message):
     with pytest.raises(ValueError, match=message):
@@ -507,10 +576,12 @@ print(parse_graph6("Bw").edges(), is_k_connected(cycle(5), 2))
     lambda m, nbrs: m.canonical_mask(nbrs),
     lambda m, nbrs: m.augment(nbrs),
     lambda m, nbrs: m.triangle_masks(0, len(nbrs)),
+    lambda m, nbrs: m.triangle_graph6(0, len(nbrs)),
     lambda m, nbrs: m.graph6_masks("?" * 326, len(nbrs)),
     lambda m, nbrs: m.graph_facts(nbrs, 1),
 ], ids=["closure", "connected_in", "pruned", "wavefront", "canonical_mask",
-        "augment", "triangle_masks", "graph6_masks", "graph_facts"])
+        "augment", "triangle_masks", "triangle_graph6", "graph6_masks",
+        "graph_facts"])
 def test_compiled_refuses_63_vertices(compiled_kernels, call):
     with pytest.raises(ValueError, match="at most 62 vertices"):
         call(compiled_kernels, [0] * 63)
@@ -524,7 +595,8 @@ C4 = (0b1010, 0b0101, 0b1010, 0b0101)
     ("search_level_pruned", (C4, 1, 2, 10)), ("wavefront", (C4, 1, 10)),
     ("canonical_mask", (C4,)), ("augment", (C4,)),
     ("triangle_masks", (0b101101, 4)), ("graph6_masks", ("w", 3)),
-    ("graph_facts", (C4, 2)), ("verify_line", ("Bw", 1, 10))])
+    ("graph_facts", (C4, 2)), ("verify_line", ("Bw", 1, 10)),
+    ("triangle_graph6", (0b101101, 4))])
 def test_compiled_kernels_take_positional_arguments_only(compiled_kernels,
                                                          name, args):
     # No caller names an argument, so the compiled kernels parse none: each

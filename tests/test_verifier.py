@@ -4,23 +4,28 @@ structural/leaf/known-value suites."""
 import csv
 import io
 import json
+import random
 import tracemalloc
 from collections import deque
 
 import networkx as nx
 import pytest
 
-from forcing_lab import (Graph, VerifyRun, check_extremal_structure,
-                         complete, complete_bipartite, cycle, encode_graph6,
-                         forcing_number, forcing_upper_bound, parse_graph6,
+from forcing_lab import (BudgetExceeded, Graph, Graph6Error, VerifyRun,
+                         check_extremal_structure, classify_extremal,
+                         complete, complete_bipartite, cycle,
+                         degree_refined_bound, encode_graph6, forcing_number,
+                         forcing_upper_bound, is_connected, parse_graph6,
                          path, run_known_values, run_tree_leaf_suite,
                          solve_connected_complement, star, tree_from_pruefer)
 from forcing_lab import _kernels, enumeration, verifier
 from forcing_lab._kernels import pure as pure_kernels
+from forcing_lab.bounds import failure_reason
 from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree
+from forcing_lab.solver import _connected_complement_from
 
-from conftest import outside_counts, verify_stream
+from conftest import outside_counts, random_graph, verify_stream
 
 
 def _sweep(n, **kwargs):
@@ -404,6 +409,152 @@ class TestRecordLines:
                             lambda g, solution: False)
         records = _written_as_json_dumps(_record_lines(lines))
         assert [rec["structure_ok"] for rec in records] == [False, False]
+
+
+def _mixed_stream():
+    """A seeded stream with more distinct k = 1 verdicts than the sweep
+    keeps: ten connected G(n, p) graphs for each n = 9..14 and p in {0.2,
+    0.3, 0.45, 0.6}, the equality families, skips, malformed and blank
+    lines, some lines with the header, shuffled together."""
+    rng = random.Random(83)
+    lines = []
+    for n in range(9, 15):
+        for p in (0.2, 0.3, 0.45, 0.6):
+            drawn = []
+            while len(drawn) < 10:
+                g = random_graph(rng, n, p)
+                if is_connected(g):
+                    drawn.append(encode_graph6(g))
+            lines += drawn
+    families = ([cycle(n) for n in range(3, 15)]
+                + [complete(n) for n in range(3, 13)]
+                + [complete_bipartite(d, d) for d in range(2, 7)])
+    lines += [encode_graph6(g) for g in families]
+    lines += ["A?", "A_", "@", "E??W", "B!", "Bwx", "~??~?????", "D", "",
+              "  ", ">>graph6<<"]
+    rng.shuffle(lines)
+    return [">>graph6<<" + line if i % 17 == 0 and line else line
+            for i, line in enumerate(lines)]
+
+
+def _rederived(lines, k, node_budget):
+    """The record lines of a run over ``lines`` and its summary without
+    wall times, each record re-derived on its own from the sweep's kernel,
+    ``bounds`` and ``classify_extremal``, with no verdict shared between
+    records; and the distinct verdicts, each a record without its name
+    and solver_nodes."""
+    kernel = _kernels.line_kernel()
+    summary = {
+        "k": k, "input_lines": len(lines), "graphs_verified": 0,
+        "skipped": {}, "parse_failure_count": 0, "parse_failures": [],
+        "per_n": {}, "counterexamples": [], "unresolved": [],
+        "structure_failures": [], "equality_off_family": []}
+    records, verdicts = [], set()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        facts = kernel(line, k, node_budget)
+        if facts is None:
+            with pytest.raises(Graph6Error) as err:
+                parse_graph6(line)
+            summary["parse_failure_count"] += 1
+            summary["parse_failures"].append(
+                {"line": lineno, "graph6": line, "error": str(err.value)})
+            continue
+        n, dmax, dmin, code, value, nodes, aborted = facts
+        if code:
+            reason = failure_reason(code, k)
+            summary["skipped"][reason] = summary["skipped"].get(reason, 0) + 1
+            continue
+        name = line.removeprefix(">>graph6<<")
+        g = parse_graph6(line)
+        cls = classify_extremal(g)
+        num, den = forcing_upper_bound(n, dmax, k)
+        f_k = None if aborted else value
+        equality = f_k is not None and f_k * den == num
+        structure = None
+        if equality and k == 1 and dmax >= 3:
+            try:
+                structure = check_extremal_structure(g, (
+                    _connected_complement_from(g, 1, f_k, node_budget,
+                                               nodes)))
+            except BudgetExceeded as exc:
+                f_k, equality, nodes = None, False, exc.nodes_explored
+        fields = {
+            "graph6": name, "n": n, "max_degree": dmax, "min_degree": dmin,
+            "k": k, "f_k": f_k, "bound_num": num, "bound_den": den,
+            "equality": equality,
+            "extremal_class": cls.tag if cls else None,
+            "extremal_parameter": cls.parameter if cls else None,
+            "structure_ok": structure, "solver_nodes": nodes,
+            "status": "ok" if f_k is not None else "unresolved"}
+        assert list(fields) == RECORD_FIELDS
+        records.append(json.dumps(fields) + "\n")
+        verdicts.add(tuple(value for field, value in fields.items()
+                           if field not in ("graph6", "solver_nodes")))
+        summary["graphs_verified"] += 1
+        row = summary["per_n"].setdefault(n, {
+            "graph_count": 0, "extremal_count": 0, "extremal_graph6": [],
+            "max_solver_nodes": 0})
+        row["graph_count"] += 1
+        row["max_solver_nodes"] = max(row["max_solver_nodes"], nodes)
+        if f_k is None:
+            summary["unresolved"].append(name)
+            continue
+        if equality:
+            row["extremal_count"] += 1
+            row["extremal_graph6"].append(name)
+            if k >= 3 or k == 2 and not (dmin == dmax
+                                         and dmax in (2, n - 1)):
+                summary["equality_off_family"].append(name)
+        rnum, rden = degree_refined_bound(n, dmax, dmin)
+        if (f_k * den > num or f_k < max(1, dmin - k + 1)
+                or k == 1 and (f_k * rden > rnum
+                               or equality != (cls is not None))):
+            summary["counterexamples"].append(name)
+        if structure is False:
+            summary["structure_failures"].append(name)
+    return records, summary, verdicts
+
+
+class TestVerdicts:
+    """Each distinct verdict is rendered once per run and reused, up to
+    VERDICTS_KEPT of them: a run must write what rendering every record
+    on its own writes, whether or not its verdicts are kept."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("node_budget", [3, 20, 200])
+    def test_records_and_summary_are_rederived_per_record(
+            self, k, node_budget, monkeypatch):
+        lines = _mixed_stream()
+        # Make a few non-regular graphs attain the bound, so that the
+        # counterexample and equality_off_family lists fill too.
+        kernel = _kernels.line_kernel()
+        tight = set()
+        for line in filter(None, map(str.strip, lines)):
+            facts = kernel(line, k, 0)
+            if facts and not facts[3] and facts[1] != facts[2]:
+                num, den = forcing_upper_bound(facts[0], facts[1], k)
+                if num % den == 0 and len(tight) < 5:
+                    tight.add(line)
+        assert len(tight) == 5
+        _tight_kernel(monkeypatch, tight)
+        records, summary, verdicts = _rederived(lines, k, node_budget)
+        if k == 1 and node_budget >= 20:
+            assert len(verdicts) > verifier.VERDICTS_KEPT
+        if node_budget == 200:
+            assert summary["counterexamples" if k == 1
+                           else "equality_off_family"]
+        else:
+            assert summary["unresolved"]
+        for kept in (verifier.VERDICTS_KEPT, 1):
+            monkeypatch.setattr(verifier, "VERDICTS_KEPT", kept)
+            run = VerifyRun(lines, k, node_budget=node_budget)
+            assert list(run.records) == records, kept
+            for row in run.summary["per_n"].values():
+                del row["wall_time_ms"]
+            assert json.dumps(run.summary) == json.dumps(summary), kept
 
 
 def _counting(items, drawn):
