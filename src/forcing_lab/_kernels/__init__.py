@@ -3,15 +3,15 @@
 The compiled extension serves every graph of at most 62 vertices when it
 is built (``python setup.py build_ext --inplace``); the pure-Python
 kernels serve everything else, and ``search_level_constrained`` always.
-``augment`` is dispatched by the order of the children it builds, one
-more than its parent's, so a 62-vertex parent goes to the pure kernel;
-``triangle_masks`` and ``graph6_masks`` by the order they are given. The
-two kernels a sweep calls once per line are handed out whole instead, so
-that a run looks its kernel up once: ``graph6_kernel(n)`` gives the
-``triangle_graph6`` that serves order n, which writes the enumeration's
-lines and ``graph6.encode_triangle_mask``'s, and ``line_kernel`` gives
-``verify_line``: a graph6 line names at most 62 vertices, so one backend
-serves every line.
+Each kernel has one route from its caller. The six that take a graph of
+any order (``closure``, ``connected_in``, ``graph_facts``,
+``wavefront``, ``search_level_pruned`` and ``canonical_mask``) pick the
+backend per call, by that order. The other four are bound once, here,
+from the backend in use: a graph6 line or a packed triangle names at
+most 62 vertices, and enumeration stops at 9, so ``augment``,
+``triangle_graph6``, ``graph6_masks`` and ``verify_line`` each have one
+backend for every call. Callers look those names up on this module when
+they run, so a patched or traced kernel is the one they call.
 A compiled module built from an older ``_ckern.c`` that lacks one of
 ``COMPILED_KERNELS`` is not used: every kernel then runs pure, and
 ``HAVE_COMPILED`` and ``active_backend`` say so. Tests reach both
@@ -21,12 +21,13 @@ backends directly through the ``kernels`` fixture.
 from . import pure as _pure
 
 # Every kernel this module sends to the compiled extension: all of pure.py
-# but the two exhaustive level scans and k_connected, whose cut walk
-# graph_facts runs.
+# but the two exhaustive level scans, k_connected, whose cut walk
+# graph_facts runs, and triangle_masks, whose unpacking augment and
+# graph6_masks do inside.
 COMPILED_KERNELS = ("closure", "connected_in", "search_level_pruned",
                     "wavefront", "canonical_mask", "augment",
-                    "triangle_masks", "triangle_graph6", "graph6_masks",
-                    "graph_facts", "verify_line")
+                    "triangle_graph6", "graph6_masks", "graph_facts",
+                    "verify_line")
 
 
 def _load_compiled():
@@ -86,23 +87,7 @@ def canonical_mask(nbrs):
     return _impl(len(nbrs)).canonical_mask(nbrs)
 
 
-def augment(nbrs):
-    return _impl(len(nbrs) + 1).augment(nbrs)
-
-
-def triangle_masks(bits, n):
-    return _impl(n).triangle_masks(bits, n)
-
-
-def graph6_kernel(n):
-    """The ``triangle_graph6`` kernel that serves order n."""
-    return _impl(n).triangle_graph6
-
-
-def graph6_masks(payload, n):
-    return _impl(n).graph6_masks(payload, n)
-
-
-def line_kernel():
-    """The ``verify_line`` kernel that serves every graph6 line."""
-    return _impl(_C_MAX_VERTICES).verify_line
+augment = (_compiled or _pure).augment
+triangle_graph6 = (_compiled or _pure).triangle_graph6
+graph6_masks = (_compiled or _pure).graph6_masks
+verify_line = (_compiled or _pure).verify_line

@@ -1,34 +1,33 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: eleven of its fourteen functions, with the
- * same return values, witnesses and node counts. The other three stay
+ * Mirrors _kernels/pure.py exactly: ten of its fourteen functions, with the
+ * same return values, witnesses and node counts. The other four stay
  * pure-only: the plain exhaustive level scan serves only the brute-force
  * oracle, which is thus independent of this file, the connected-complement
- * one runs only from the forcing number up, and graph_facts here runs
- * k_connected's cut walk itself. Keep the two files in sync; the
- * differential tests compare them kernel by kernel.
+ * one runs only from the forcing number up, graph_facts here runs
+ * k_connected's cut walk itself, and unpack_triangle here does
+ * triangle_masks's work inside augment and graph6_masks. Keep the two
+ * files in sync; the differential tests compare them kernel by kernel.
  *
  * The exact solver is wavefront (the forcing number, by best-first search
  * over closed sets) followed by one search_level_pruned at that size (the
  * lexicographically smallest witness). Both only ever close a closed set
- * plus a few vertices, so they restart the rule from that set (close_from)
- * and leave closure_u64 to the closure kernel, which serves any starting
- * set. Enumeration calls augment once per parent class: canonical
- * augmentation, which returns one child per class that has the parent as
- * its canonical parent, each as the parent's mask with the new vertex's
- * neighborhood as the last column. It tries one neighborhood per orbit of
- * the parent's automorphism group (from generators found by backtracking
- * over colour-preserving bijections, the colours those of refine) and
- * keeps a child when its new vertex wins the deletion cuts: invariant and
- * non-cut on stack masks, then the refine colour, then place, the one
- * labeling search that canonical_mask also runs. The enumeration writes
- * each child as a graph6 line with triangle_graph6.
- * triangle_masks and graph6_masks build a graph's neighbor masks from the
- * packed upper triangle and from a graph6 payload, through one helper that
- * alone knows the pair order; triangle_graph6 writes the graph6 line of a
- * packed triangle, read into words as triangle_masks reads it; graph_facts
- * gives the degrees and decides the degree bound's hypotheses,
- * k-connectivity cut by cut.
+ * plus a few vertices, so they restart the rule from that set
+ * (close_from); the closure kernel restarts it from the empty set.
+ * Enumeration calls augment once per parent class, packed as its cache
+ * holds it: canonical augmentation, which returns one child per class that
+ * has the parent as its canonical parent, each as the parent's mask with
+ * the new vertex's neighborhood as the last column. It tries one
+ * neighborhood per orbit of the parent's automorphism group (from
+ * generators found by backtracking over colour-preserving bijections, the
+ * colours those of refine) and keeps a child when its new vertex wins the
+ * deletion cuts: invariant and non-cut on stack masks, then the refine
+ * colour, then place, the one labeling search that canonical_mask also
+ * runs. The enumeration writes each child with triangle_graph6.
+ * A packed triangle (triangle_words) or a graph6 payload is read into
+ * words, which unpack_triangle alone, knowing the pair order, turns into
+ * neighbor masks; graph_facts gives the degrees and decides the degree
+ * bound's hypotheses, k-connectivity cut by cut.
  * verify_line is a sweep's whole kernel work on one graph6 line in one
  * call: it frames the line by parse_graph6's rules, decodes its payload
  * and runs graph_facts and, when the bound applies, wavefront, through the
@@ -45,12 +44,12 @@
  * iff uv is an edge) and a vertex subset as one int. Both are held in
  * uint64 masks, so graphs are capped at 62 vertices (the graph6 cap); a
  * larger graph raises ValueError and the dispatcher uses pure.py instead.
- * triangle_masks, triangle_graph6 and graph6_masks take the order n as an
- * argument and refuse n > 62 in the same way; verify_line reads it from
- * the line's size byte, which names at most 62.
- * augment builds children one vertex larger, so it refuses a parent of 62
- * vertices. Only canonical_mask and augment return ints wider than 64
- * bits: a mask has n(n-1)/2 bits, built in one uint64 up to n = 11.
+ * augment, triangle_graph6 and graph6_masks take the order n as an
+ * argument and refuse n > 62 in the same way, augment n = 62 too, since
+ * its children are one vertex larger; verify_line reads n from the line's
+ * size byte, which names at most 62. Only canonical_mask and augment
+ * return ints wider than 64 bits: a mask has n(n-1)/2 bits, built in one
+ * uint64 up to n = 11.
  *
  * Every kernel takes its arguments by position only (METH_VARARGS and
  * PyArg_UnpackTuple): no caller names one, so no call pays for parsing
@@ -82,26 +81,11 @@ enum { EXHAUSTED, FOUND, ABORTED, NO_MEMORY };
 
 /* -- kernels on uint64 masks ---------------------------------------------- */
 
-static u64 closure_u64(const u64 *nbrs, long long k, u64 colored)
-{
-    int changed = 1;
-    while (changed) {
-        changed = 0;
-        for (u64 m = colored; m; m &= m - 1) {
-            u64 w = nbrs[__builtin_ctzll(m)] & ~colored;
-            if (w && __builtin_popcountll(w) <= k) {
-                colored |= w;
-                changed = 1;
-            }
-        }
-    }
-    return colored;
-}
-
-/* closure_u64(nbrs, k, closed | added) for a set closed that the rule leaves
+/* The closure of closed | added for a set closed that the rule leaves
  * unchanged: the rule is tried on the vertices of added outside closed and
  * their colored neighbors, and after each force on the vertices it colored
- * and their colored neighbors; see pure._close_from. */
+ * and their colored neighbors; see pure._close_from. The empty set is
+ * closed, so from it this is the closure of any start (py_closure). */
 static u64 close_from(const u64 *nbrs, long long k, u64 closed, u64 added)
 {
     u64 colored = closed | added, todo = added & ~closed;
@@ -662,6 +646,33 @@ static void unpack_triangle(const u64 *words, int n, graph *g)
             }
 }
 
+/* Reads the int bits, the packed upper triangle of an n-vertex graph, into
+ * words, which start zeroed; returns 0, or -1 with an exception set:
+ * ValueError when bits has a bit beyond the triangle. */
+static int triangle_words(PyObject *bits, int n, u64 *words)
+{
+    int pairs = n * (n - 1) / 2;
+    /* Take the words off the low end; what is left must be 0 (a negative
+     * int never shifts down to 0). */
+    PyObject *width = PyLong_FromLong(64);
+    PyObject *rest = width ? PyNumber_Index(bits) : NULL;
+    for (int w = 0; rest != NULL && 64 * w < pairs; w++) {
+        words[w] = PyLong_AsUnsignedLongLongMask(rest);
+        Py_SETREF(rest, PyNumber_Rshift(rest, width));
+    }
+    int beyond = rest ? PyObject_IsTrue(rest) : -1;
+    Py_XDECREF(rest);
+    Py_XDECREF(width);
+    if (beyond < 0)
+        return -1;
+    if (beyond || (pairs % 64 && words[pairs / 64] >> pairs % 64)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "mask has bits beyond the upper triangle");
+        return -1;
+    }
+    return 0;
+}
+
 /* Sets g to the n-vertex graph of the graph6 payload chars, which holds
  * exactly ceil(n(n-1)/12) characters; returns 0, or -1 when one of them
  * lies outside '?'..'~'. Padding bits past the triangle are ignored. */
@@ -710,7 +721,7 @@ static PyObject *py_closure(PyObject *self, PyObject *args)
         || load(nbrs, &g) < 0 || as_ll(k_obj, &k) < 0
         || as_mask(colored_obj, &g, &colored) < 0)
         return NULL;
-    return PyLong_FromUnsignedLongLong(closure_u64(g.nbrs, k, colored));
+    return PyLong_FromUnsignedLongLong(close_from(g.nbrs, k, 0, colored));
 }
 
 static PyObject *py_connected_in(PyObject *self, PyObject *args)
@@ -768,24 +779,25 @@ static PyObject *py_canonical_mask(PyObject *self, PyObject *args)
     return certificate(&g);
 }
 
-/* Upper-triangle masks of the children of a parent, one per class of
- * child that has it as canonical parent; see pure.augment. The child has
- * one vertex more than the parent, so the parent may have at most 61. */
+/* Upper-triangle masks of the children of the n-vertex parent packed in
+ * bits, one per class of child that has it as canonical parent; see
+ * pure.augment. The child has one vertex more than the parent, so the
+ * parent may have at most 61. */
 static PyObject *py_augment(PyObject *self, PyObject *args)
 {
-    PyObject *nbrs;
+    PyObject *bits, *n_obj;
+    u64 words[PAIR_WORDS] = {0}, cols[MAX_N + 1];
     graph p, c;
-    int deg[MAX_N], nsum[MAX_N];
-    u64 cols[MAX_N + 1];
-    if (!PyArg_UnpackTuple(args, "augment", 1, 1, &nbrs)
-        || load(nbrs, &p) < 0)
+    int n, deg[MAX_N], nsum[MAX_N];
+    if (!PyArg_UnpackTuple(args, "augment", 2, 2, &bits, &n_obj)
+        || as_order(n_obj, &n) < 0 || triangle_words(bits, n, words) < 0)
         return NULL;
-    int n = p.n;
-    if (n + 1 > MAX_N) {
+    if (n == MAX_N) {
         PyErr_SetString(PyExc_ValueError,
                         "compiled kernels support at most 62 vertices");
         return NULL;
     }
+    unpack_triangle(words, n, &p);
     PyObject *out = PyList_New(0);
     if (out == NULL || !connected_in_u64(p.nbrs, p.full))
         return out;
@@ -880,46 +892,6 @@ done:
     free(seen);
     free(orbit.items);
     return out;
-}
-
-/* Reads the int bits, the packed upper triangle of an n-vertex graph, into
- * words, which start zeroed; returns 0, or -1 with an exception set:
- * ValueError when bits has a bit beyond the triangle. */
-static int triangle_words(PyObject *bits, int n, u64 *words)
-{
-    int pairs = n * (n - 1) / 2;
-    /* Take the words off the low end; what is left must be 0 (a negative
-     * int never shifts down to 0). */
-    PyObject *width = PyLong_FromLong(64);
-    PyObject *rest = width ? PyNumber_Index(bits) : NULL;
-    for (int w = 0; rest != NULL && 64 * w < pairs; w++) {
-        words[w] = PyLong_AsUnsignedLongLongMask(rest);
-        Py_SETREF(rest, PyNumber_Rshift(rest, width));
-    }
-    int beyond = rest ? PyObject_IsTrue(rest) : -1;
-    Py_XDECREF(rest);
-    Py_XDECREF(width);
-    if (beyond < 0)
-        return -1;
-    if (beyond || (pairs % 64 && words[pairs / 64] >> pairs % 64)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "mask has bits beyond the upper triangle");
-        return -1;
-    }
-    return 0;
-}
-
-static PyObject *py_triangle_masks(PyObject *self, PyObject *args)
-{
-    PyObject *bits, *n_obj;
-    u64 words[PAIR_WORDS] = {0};
-    graph g;
-    int n;
-    if (!PyArg_UnpackTuple(args, "triangle_masks", 2, 2, &bits, &n_obj)
-        || as_order(n_obj, &n) < 0 || triangle_words(bits, n, words) < 0)
-        return NULL;
-    unpack_triangle(words, n, &g);
-    return masks_tuple(&g);
 }
 
 /* The graph6 line of the n-vertex graph whose packed upper triangle is bits;
@@ -1101,8 +1073,7 @@ static PyMethodDef methods[] = {
     KERNEL(search_level_pruned, "nbrs, k, size, node_budget"),
     KERNEL(wavefront, "nbrs, k, node_budget"),
     KERNEL(canonical_mask, "nbrs"),
-    KERNEL(augment, "nbrs"),
-    KERNEL(triangle_masks, "bits, n"),
+    KERNEL(augment, "bits, n"),
     KERNEL(triangle_graph6, "bits, n"),
     KERNEL(graph6_masks, "payload, n"),
     KERNEL(graph_facts, "nbrs, k"),

@@ -3,19 +3,21 @@
 All kernels speak a single low-level dialect: a graph is a sequence of
 neighbor bitmasks (``nbrs[v]`` has bit ``u`` set iff ``uv`` is an edge)
 and a vertex subset is one Python integer. The compiled extension
-(``_ckern``, built from ``_ckern.c``) implements eleven of the fourteen
+(``_ckern``, built from ``_ckern.c``) implements ten of the fourteen
 functions here with identical semantics (same return values, same node
 counts) for n <= 62; this module is the reference, the fallback when the
 extension is not built, and the only implementation for n > 62. The
-other three run here on every backend. Two are the exhaustive subset
+other four run here on every backend. Two are the exhaustive subset
 scan, one Gosper walk: the brute-force oracle runs it plain
 (``search_level_exhaustive``) and the connected-complement solve as
 ``search_level_constrained``. The third is ``k_connected``, whose cut
-walk the compiled ``graph_facts`` runs inside itself.
+walk the compiled ``graph_facts`` runs inside itself. The fourth is
+``triangle_masks``, whose unpacking the compiled ``augment`` and
+``graph6_masks`` do inside themselves.
 
 Four kernels build or test whole graphs rather than search them:
 ``triangle_masks`` unpacks the upper-triangle bit layout that graph6, the
-canonical certificates and the children of ``augment`` share,
+canonical certificates, ``augment``'s parents and its children share,
 ``triangle_graph6`` writes a graph6 line from it, ``graph6_masks`` decodes
 a graph6 payload with it, and ``graph_facts`` gives the degrees and
 decides the degree bound's hypotheses in one call, k-connectivity by
@@ -576,10 +578,11 @@ def _wins_deletion(child, rivals):
     return True
 
 
-def augment(nbrs):
-    """Upper-triangle masks of the one-vertex extensions of a parent P,
-    one per isomorphism class of child that has P as its canonical
-    parent.
+def augment(bits, n):
+    """Upper-triangle masks of the one-vertex extensions of the n-vertex
+    parent P packed in ``bits``, as for ``triangle_masks``, one per
+    isomorphism class of child that has P as its canonical parent. Raises
+    ValueError as ``triangle_masks`` does.
 
     The new vertex w is joined to one nonempty neighborhood S per orbit of
     Aut(P) on vertex subsets, the smallest mask of its orbit, in ascending
@@ -616,7 +619,7 @@ def augment(nbrs):
     S = S'. A disconnected parent gets no child, since w is then a cut
     vertex.
     """
-    n = len(nbrs)
+    nbrs = triangle_masks(bits, n)
     w = 1 << n
     rest = (w << 1) - 1
     if not connected_in(nbrs, w - 1):
@@ -628,9 +631,6 @@ def augment(nbrs):
         while m:
             nsum[v] += deg[(m & -m).bit_length() - 1]
             m &= m - 1
-    base = 0
-    for j in range(1, n):
-        base |= (nbrs[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
     shift = n * (n - 1) // 2
     images = [[1 << x for x in g] for g in _automorphism_generators(nbrs)]
     seen = bytearray(w) if images else None
@@ -643,12 +643,12 @@ def augment(nbrs):
             orbit = [s]
             while orbit:
                 t = orbit.pop()
-                for bits in images:
+                for gen in images:
                     image = 0
                     m = t
                     while m:
                         low = m & -m
-                        image |= bits[low.bit_length() - 1]
+                        image |= gen[low.bit_length() - 1]
                         m ^= low
                     if not seen[image]:
                         seen[image] = 1
@@ -676,5 +676,5 @@ def augment(nbrs):
                 rivals |= 1 << u
         else:
             if not rivals or _wins_deletion(child, rivals):
-                out.append(base | s << shift)
+                out.append(bits | s << shift)
     return out

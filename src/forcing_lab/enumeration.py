@@ -1,8 +1,9 @@
 """Exhaustive small-graph and tree enumeration.
 
 Connected graphs come from McKay's canonical augmentation ("Isomorph-free
-exhaustive generation", J. Algorithms 1998): ``_kernels.augment`` extends
-each connected class on n - 1 vertices by a new last vertex and returns
+exhaustive generation", J. Algorithms 1998): ``_kernels.augment`` takes
+each connected class on n - 1 vertices as the packed mask that the cache
+holds, extends it by a new last vertex and returns, as packed masks,
 exactly one child per connected class on n vertices that has it as its
 canonical parent, so the classes need no dedup set and no sort.
 Disconnected graphs are never built. Each order's class count is checked
@@ -49,12 +50,13 @@ def _check_count(n, found):
 def _children(n):
     """An iterator over the upper-triangle masks of the connected classes
     on n vertices, one each: the children that ``_kernels.augment`` gives
-    each class on n - 1 vertices, parent by parent."""
+    each class on n - 1 vertices, parent by parent, from the parent's
+    cached mask."""
     if n == 1:
         yield 0
         return
     for parent in _classes(n - 1):
-        yield from _kernels.augment(_kernels.triangle_masks(parent, n - 1))
+        yield from _kernels.augment(parent, n - 1)
 
 
 # The count-checked masks of each order built as parents, by order.
@@ -74,8 +76,8 @@ def _classes(n):
 def enumerate_connected(n):
     """An iterator over the graph6 lines of one representative per
     isomorphism class of connected graphs on n vertices, each written
-    straight from its mask by the ``triangle_graph6`` kernel, looked up
-    once per call, no Graph built.
+    straight from its mask by ``_kernels.triangle_graph6``, looked up when
+    the first line is asked for, no Graph built.
 
     Supported for 1 <= n <= 9 only, checked at the call; beyond that,
     supply a graph6 file produced by an external generator instead. The
@@ -95,7 +97,7 @@ def enumerate_connected(n):
             "supply a graph6 file for larger orders")
 
     def lines():
-        encode = _kernels.graph6_kernel(n)
+        encode = _kernels.triangle_graph6
         found = 0
         for mask in _built.get(n) or _children(n):
             found += 1

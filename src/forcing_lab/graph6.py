@@ -4,12 +4,12 @@ One graph per line: size byte chr(n+63) for n <= 62, then the upper
 triangle packed column-major (x(0,1), x(0,2), x(1,2), x(0,3), ...),
 zero-padded to a multiple of 6, each 6-bit group emitted as
 chr(value+63). That pair order is the bit order of
-``Graph.upper_triangle_mask`` and of the enumeration's certificates (bit
-j(j-1)/2 + i for the pair i < j), so each payload byte holds the mask's
-next six bits, the first pair in the byte's high bit. The optional
-">>graph6<<" header is tolerated on input. Multi-byte sizes (lead byte
-'~') are out of the supported range and are rejected with an explicit
-message.
+``Graph.upper_triangle_mask`` and of the masks that ``augment`` gives the
+enumeration (bit j(j-1)/2 + i for the pair i < j), so each payload byte
+holds the mask's next six bits, the first pair in the byte's high bit.
+The optional ">>graph6<<" header is tolerated on input. Multi-byte sizes
+(lead byte '~') are out of the supported range and are rejected with an
+explicit message.
 
 This module checks the record's framing (header, size byte, payload
 length) and the encoder's cap; the kernels do the bits:
@@ -69,16 +69,9 @@ def parse_graph6(text):
     return Graph._from_masks(masks)
 
 
-def encode_triangle_mask(bits, n):
-    """The graph6 record (no trailing newline) of the n-vertex graph whose
-    upper triangle is packed in ``bits``, bit j(j-1)/2 + i for the pair
-    i < j: an enumeration certificate, or ``Graph.upper_triangle_mask``."""
-    if n > MAX_VERTICES:
-        raise ValueError(
-            f"graph6 encoding is capped at n <= {MAX_VERTICES}, got n={n}")
-    return _kernels.graph6_kernel(n)(bits, n)
-
-
 def encode_graph6(g):
     """Encode a Graph as a one-line graph6 record (no trailing newline)."""
-    return encode_triangle_mask(g.upper_triangle_mask(), g.n)
+    if g.n > MAX_VERTICES:
+        raise ValueError(
+            f"graph6 encoding is capped at n <= {MAX_VERTICES}, got n={g.n}")
+    return _kernels.triangle_graph6(g.upper_triangle_mask(), g.n)

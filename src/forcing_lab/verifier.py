@@ -232,7 +232,7 @@ def _sweep(lines, k, node_budget, summary):
     when its verdict sends it to the structure check, whose result is in
     the second key."""
     skipped, failures = summary["skipped"], summary["parse_failures"]
-    verify_line = _kernels.line_kernel()
+    verify_line = _kernels.verify_line
     reasons = [failure_reason(code, k) for code in range(4)]
     quote = encode_basestring_ascii
     verdicts = {}

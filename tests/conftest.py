@@ -27,6 +27,19 @@ def verify_stream(lines, k=1, **kwargs):
     return run
 
 
+# The kernels that ``_kernels`` binds once, at import.
+BOUND_KERNELS = ("augment", "triangle_graph6", "graph6_masks", "verify_line")
+
+
+def use_backend(monkeypatch, module):
+    """Serve every ``_kernels`` call from ``module``, pure or compiled: the
+    kernels dispatched per call and those bound at import."""
+    monkeypatch.setattr(_kernels, "_compiled",
+                        None if module is pure_kernels else module)
+    for name in BOUND_KERNELS:
+        monkeypatch.setattr(_kernels, name, getattr(module, name))
+
+
 def outside_counts(g, solution):
     """For the witness S of a ``solve_connected_complement`` result, each
     vertex of S's number of neighbors outside S, in vertex order."""

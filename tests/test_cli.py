@@ -424,9 +424,9 @@ class TestVerify:
             "from forcing_lab import _kernels\n"
             "from forcing_lab.cli import main\n"
             "real, dropped = _kernels.augment, []\n"
-            "def augment(nbrs):\n"
-            "    kids = real(nbrs)\n"
-            "    if len(nbrs) == 4 and kids and not dropped:\n"
+            "def augment(bits, n):\n"
+            "    kids = real(bits, n)\n"
+            "    if n == 4 and kids and not dropped:\n"
             "        dropped.append(kids.pop())\n"
             "    return kids\n"
             "_kernels.augment = augment\n"
@@ -673,8 +673,9 @@ class TestLemmas:
         monkeypatch.setattr(enumeration, "_built", {})
         calls = []
         augment = _kernels.augment
-        monkeypatch.setattr(_kernels, "augment",
-                            lambda nbrs: calls.append(nbrs) or augment(nbrs))
+        monkeypatch.setattr(
+            _kernels, "augment",
+            lambda bits, n: calls.append(n) or augment(bits, n))
         code, out, _ = run_cli(capsys, "lemmas", "trees", "--max-n", "6",
                                "--random-count", "0")
         assert code == 0

@@ -9,6 +9,7 @@ import pytest
 
 from forcing_lab import (_kernels, encode_graph6, enumeration, is_connected,
                          parse_graph6, run_tree_leaf_suite)
+from forcing_lab._kernels import pure
 from forcing_lab.enumeration import (CONNECTED_CLASS_COUNTS,
                                      enumerate_connected, random_trees)
 from forcing_lab.graphs import degree_stats, is_tree
@@ -34,7 +35,7 @@ def fresh_classes(monkeypatch):
 
 
 def _certificate(mask, n):
-    return _kernels.canonical_mask(_kernels.triangle_masks(mask, n))
+    return _kernels.canonical_mask(pure.triangle_masks(mask, n))
 
 
 def test_only_connected_parents_are_extended(fresh_classes, monkeypatch):
@@ -43,9 +44,9 @@ def test_only_connected_parents_are_extended(fresh_classes, monkeypatch):
     calls = []
     real = _kernels.augment
 
-    def counting(nbrs):
-        calls.append((len(nbrs), _kernels.canonical_mask(nbrs)))
-        return real(nbrs)
+    def counting(bits, n):
+        calls.append((n, _certificate(bits, n)))
+        return real(bits, n)
 
     monkeypatch.setattr(_kernels, "augment", counting)
     assert sum(1 for _ in enumerate_connected(6)) == CONNECTED_CLASS_COUNTS[6]
@@ -62,7 +63,7 @@ def test_wrong_class_count_raises(fresh_classes, monkeypatch):
     # checked before any line.
     real = _kernels.augment
     monkeypatch.setattr(_kernels, "augment",
-                        lambda nbrs: real(nbrs)[len(nbrs) == 3:])
+                        lambda bits, n: real(bits, n)[n == 3:])
     lines = []
     with pytest.raises(AssertionError, match="found 4 connected classes on "
                        "4 vertices, published count is 6"):

@@ -17,9 +17,9 @@ from forcing_lab import (DEFAULT_NODE_BUDGET, Graph, Graph6Error, _kernels,
                          brute_force_oracle, encode_graph6, parse_graph6)
 from forcing_lab._kernels import pure
 from forcing_lab.enumeration import CONNECTED_CLASS_COUNTS, enumerate_connected
-from forcing_lab.graph6 import encode_triangle_mask
 
-from conftest import compiled_module, hypothesis_inputs, random_masks
+from conftest import (BOUND_KERNELS, compiled_module, hypothesis_inputs,
+                      random_masks)
 
 
 @pytest.mark.parametrize("name", ["search_level_pruned"])
@@ -94,10 +94,33 @@ def test_wavefront_matches_pure(compiled_kernels):
                     (nbrs, k, budget)
 
 
+def test_closure_matches_pure_exhaustively(compiled_kernels):
+    # The compiled closure is the restarted rule from the empty set, which
+    # is closed; pure's round-robin closure is the reference. Every start
+    # on every labeled graph of at most 5 vertices, then seeded starts,
+    # sparse, dense and single vertices, on the larger hypothesis graphs.
+    rng = random.Random(101)
+    for nbrs in hypothesis_inputs():
+        n = len(nbrs)
+        if n <= 5:
+            starts = range(1 << n)
+        else:
+            starts = [rng.getrandbits(n) & rng.getrandbits(n)
+                      for _ in range(4)]
+            starts += [rng.getrandbits(n) for _ in range(4)]
+            starts += [1 << rng.randrange(n)]
+        for k in (1, 2, 3):
+            for start in starts:
+                assert compiled_kernels.closure(nbrs, k, start) \
+                    == pure.closure(nbrs, k, start), (nbrs, k, start)
+
+
 def test_close_from_is_the_closure():
     # From a closed set S and any A, the restarted rule reaches the
-    # closure of S | A. The compiled helper is static and mirrors this one
-    # line for line; the pins below and the n = 8 sweep pin check it.
+    # closure of S | A. The compiled helper mirrors this one line for line.
+    # From the empty set it is what the compiled closure runs, checked
+    # above; from other closed sets the pins below and the n = 8 sweep pin
+    # check it.
     rng = random.Random(97)
     for _ in range(300):
         n = rng.randrange(1, 16)
@@ -194,9 +217,15 @@ def test_canonical_mask_matches_pure(compiled_kernels):
 
 
 def _parents(m):
-    """Neighbor masks of every connected class on m - 1 vertices."""
-    return [parse_graph6(line).neighbor_masks
+    """Packed upper triangles of every connected class on m - 1
+    vertices."""
+    return [parse_graph6(line).upper_triangle_mask()
             for line in enumerate_connected(m - 1)]
+
+
+def _packed(nbrs):
+    """The packed upper triangle of the graph with neighbor masks nbrs."""
+    return Graph._from_masks(tuple(nbrs)).upper_triangle_mask()
 
 
 def _child(nbrs, s):
@@ -206,20 +235,26 @@ def _child(nbrs, s):
 
 
 def test_augment_matches_pure(compiled_kernels):
-    # Every connected graph with n <= 6 and seeded G(n, p) parents up to
-    # n = 8, connected or not: the same masks in the same order.
+    # Every labeled graph with n <= 5, every connected class with n = 6
+    # and 7, and seeded G(n, p) parents with n = 8, connected or not: the
+    # same masks in the same order.
     rng = random.Random(59)
-    parents = [parse_graph6(line).neighbor_masks for n in range(1, 7)
-               for line in enumerate_connected(n)]
-    parents += [random_masks(rng, n, p) for n in (7, 8) for p in (0.3, 0.6)]
-    for nbrs in [[]] + parents:
-        assert compiled_kernels.augment(nbrs) == pure.augment(nbrs), nbrs
-    # 12-vertex children have 66-bit masks, past the one-word path.
+    parents = [(bits, n) for n in range(6)
+               for bits in range(1 << (n * (n - 1) // 2))]
+    parents += [(bits, m - 1) for m in (7, 8) for bits in _parents(m)]
+    parents += [(_packed(random_masks(rng, 8, p)), 8) for p in (0.3, 0.6)]
+    for bits, n in parents:
+        assert compiled_kernels.augment(bits, n) == pure.augment(bits, n), \
+            (bits, n)
+    # 12-vertex children have 66-bit masks, past the one-word path, and a
+    # 12-vertex parent arrives in two words.
     wide = []
-    for nbrs in ([(1 << v - 1 if v else 0) | (1 << v + 1 if v < 10 else 0)
-                  for v in range(11)], random_masks(rng, 11, 0.4)):
-        kept = compiled_kernels.augment(nbrs)
-        assert kept == pure.augment(nbrs), nbrs
+    path = [(1 << v - 1 if v else 0) | (1 << v + 1 if v < 10 else 0)
+            for v in range(11)]
+    for nbrs in (path, random_masks(rng, 11, 0.4), random_masks(rng, 12, 0.3)):
+        bits, n = _packed(nbrs), len(nbrs)
+        kept = compiled_kernels.augment(bits, n)
+        assert kept == pure.augment(bits, n), (bits, n)
         wide += [mask for mask in kept if mask >> 64]
     assert wide
 
@@ -234,13 +269,12 @@ def test_augment_reaches_every_class(kernels, compiled_kernels, m):
     certificate = compiled_kernels.canonical_mask
     shift = (m - 1) * (m - 2) // 2
     kept, every = [], set()
-    for nbrs in _parents(m):
-        parent = sum((x & ((1 << j) - 1)) << (j * (j - 1) // 2)
-                     for j, x in enumerate(nbrs))
-        for mask in kernels.augment(nbrs):
+    for parent in _parents(m):
+        for mask in kernels.augment(parent, m - 1):
             assert mask & ((1 << shift) - 1) == parent
             assert 0 < mask >> shift < 1 << (m - 1)
-            kept.append(certificate(kernels.triangle_masks(mask, m)))
+            kept.append(certificate(pure.triangle_masks(mask, m)))
+        nbrs = pure.triangle_masks(parent, m - 1)
         every.update(certificate(_child(nbrs, s))
                      for s in range(1, 1 << (m - 1)))
     assert len(set(kept)) == len(kept)
@@ -253,29 +287,24 @@ def test_augment_keeps_the_pinned_number_of_children(kernels, m):
     # One child per class: over the connected parents, as many children as
     # the published count. A rule that let an isomorph through would keep
     # more.
-    assert sum(len(kernels.augment(nbrs)) for nbrs in _parents(m)) \
+    assert sum(len(kernels.augment(parent, m - 1)) for parent in _parents(m)) \
         == CONNECTED_CLASS_COUNTS[m]
 
 
 def test_compiled_augment_keeps_one_child_per_class_on_8_vertices(
         compiled_kernels):
-    kept = [compiled_kernels.canonical_mask(
-                compiled_kernels.triangle_masks(mask, 8))
-            for nbrs in _parents(8) for mask in compiled_kernels.augment(nbrs)]
+    kept = [compiled_kernels.canonical_mask(pure.triangle_masks(mask, 8))
+            for parent in _parents(8)
+            for mask in compiled_kernels.augment(parent, 7)]
     assert len(kept) == len(set(kept)) == CONNECTED_CLASS_COUNTS[8]
 
 
-def test_augment_of_a_62_vertex_parent_goes_to_pure(compiled_kernels,
-                                                     monkeypatch):
+def test_augment_of_a_62_vertex_parent_is_pure_only(compiled_kernels):
     # Its children have 63 vertices: the compiled kernel refuses it, and
-    # the dispatcher, which picks by the child's order, never sends it there.
+    # the pure one serves it. No caller needs that: enumeration stops at 9.
     with pytest.raises(ValueError, match="at most 62 vertices"):
-        compiled_kernels.augment([0] * 62)
-    served = []
-    monkeypatch.setattr(_kernels, "_compiled", compiled_kernels)
-    monkeypatch.setattr(pure, "augment", lambda nbrs: served.append(len(nbrs)))
-    _kernels.augment([0] * 62)
-    assert served == [62]
+        compiled_kernels.augment(0, 62)
+    assert pure.augment(0, 62) == []
 
 
 def _naive_graph6_masks(payload, n):
@@ -305,11 +334,12 @@ def _payloads():
 
 
 def test_graph6_and_triangle_masks_decode(kernels):
+    # triangle_masks is pure-only: the compiled kernels unpack inside.
     for payload, n in _payloads():
         masks = _naive_graph6_masks(payload, n)
         assert kernels.graph6_masks(payload, n) == masks, (payload, n)
         bits = Graph._from_masks(masks).upper_triangle_mask()
-        assert kernels.triangle_masks(bits, n) == masks, (payload, n)
+        assert pure.triangle_masks(bits, n) == masks, (payload, n)
 
 
 def _triangles():
@@ -333,7 +363,7 @@ def test_triangle_graph6_round_trips(kernels):
     # zero padding bits: the one graph6 line of the graph.
     for bits, n in _triangles():
         line = kernels.triangle_graph6(bits, n)
-        masks = kernels.triangle_masks(bits, n)
+        masks = pure.triangle_masks(bits, n)
         assert line[0] == chr(n + 63), (bits, n)
         assert kernels.graph6_masks(line[1:], n) == masks, (bits, n)
         assert _naive_graph6_masks(line[1:], n) == masks, (bits, n)
@@ -360,8 +390,7 @@ BAD_PAYLOAD_CHARS = ["\x00", " ", ">", "\x7f", "\x80", "\xe9", "\u20ac",
 def test_out_of_range_payload_bytes(kernels, monkeypatch):
     # The kernel returns None, and parse_graph6 names the first such byte
     # with the text and offset it gave when it decoded payloads itself.
-    monkeypatch.setattr(_kernels, "_compiled",
-                        None if kernels is pure else kernels)
+    monkeypatch.setattr(_kernels, "graph6_masks", kernels.graph6_masks)
     rng = random.Random(71)
     wide = Graph._from_masks(tuple(random_masks(rng, 62, 0.5)))
     lines = ["Bw", "H~~~~~~", encode_graph6(wide)]
@@ -385,19 +414,22 @@ def test_out_of_range_payload_bytes(kernels, monkeypatch):
 
 
 def test_whole_graph_kernel_edge_cases(kernels):
-    assert kernels.graph6_masks("", 0) == kernels.triangle_masks(0, 0) == ()
-    assert kernels.graph6_masks("", 1) == kernels.triangle_masks(0, 1) == (0,)
+    assert kernels.graph6_masks("", 0) == pure.triangle_masks(0, 0) == ()
+    assert kernels.graph6_masks("", 1) == pure.triangle_masks(0, 1) == (0,)
+    assert kernels.augment(0, 0) == [] and kernels.augment(0, 1) == [1]
     full = (1 << 62) - 1
-    assert kernels.triangle_masks((1 << 1891) - 1, 62) \
+    line = kernels.triangle_graph6((1 << 1891) - 1, 62)
+    assert kernels.graph6_masks(line[1:], 62) \
+        == pure.triangle_masks((1 << 1891) - 1, 62) \
         == tuple(full & ~(1 << v) for v in range(62))
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda m: m.triangle_masks(0b1000, 3), "beyond the upper triangle"),
-    (lambda m: m.triangle_masks(1, 1), "beyond the upper triangle"),
-    (lambda m: m.triangle_masks(-1, 3), "beyond the upper triangle"),
-    (lambda m: m.triangle_masks(1 << 1891, 62), "beyond the upper triangle"),
-    (lambda m: m.triangle_masks(0, -1), "must be non-negative"),
+    (lambda m: m.augment(0b1000, 3), "beyond the upper triangle"),
+    (lambda m: m.augment(1, 1), "beyond the upper triangle"),
+    (lambda m: m.augment(-1, 3), "beyond the upper triangle"),
+    (lambda m: m.augment(1 << 1891, 62), "beyond the upper triangle"),
+    (lambda m: m.augment(0, -1), "must be non-negative"),
     (lambda m: m.graph6_masks("", -1), "must be non-negative"),
     (lambda m: m.graph6_masks("ww", 3), "payload length must be 1 for n=3"),
     (lambda m: m.graph6_masks("", 2), "payload length must be 1 for n=2"),
@@ -417,7 +449,7 @@ def _verify_line_inputs():
     (every upper-triangle mask, so disconnected, max-degree-below-2 and
     not-k-connected lines are in) and of every line of
     ``enumerate_connected(7)``, the masks by the independent decoder."""
-    lines = [encode_triangle_mask(bits, n) for n in range(6)
+    lines = [pure.triangle_graph6(bits, n) for n in range(6)
              for bits in range(1 << (n * (n - 1) // 2))]
     lines += enumerate_connected(7)
     for line in lines:
@@ -528,6 +560,21 @@ except KeyboardInterrupt:
         done.stderr
 
 
+def test_compiled_module_exports_only_dispatched_kernels(compiled_kernels):
+    # A compiled entry point that the dispatcher never uses is dead code.
+    public = {name for name in vars(compiled_kernels)
+              if not name.startswith("_")}
+    assert public == {*_kernels.COMPILED_KERNELS, "BACKEND"}
+
+
+def test_bound_kernels_come_from_the_backend_in_use():
+    # Bound at import: compiled when it is built, so the binding cannot
+    # silently serve pure, and pure when it is not.
+    for name in BOUND_KERNELS:
+        assert getattr(_kernels, name) \
+            is getattr(_kernels._compiled or pure, name), name
+
+
 def test_stale_compiled_module_is_rebuilt_for_the_tests(monkeypatch, request,
                                                          tmp_path):
     # As built from an older _ckern.c: every kernel but graph6_masks.
@@ -574,14 +621,12 @@ print(parse_graph6("Bw").edges(), is_k_connected(cycle(5), 2))
     lambda m, nbrs: m.search_level_pruned(nbrs, 1, 2, 10),
     lambda m, nbrs: m.wavefront(nbrs, 1, 10),
     lambda m, nbrs: m.canonical_mask(nbrs),
-    lambda m, nbrs: m.augment(nbrs),
-    lambda m, nbrs: m.triangle_masks(0, len(nbrs)),
+    lambda m, nbrs: m.augment(0, len(nbrs)),
     lambda m, nbrs: m.triangle_graph6(0, len(nbrs)),
     lambda m, nbrs: m.graph6_masks("?" * 326, len(nbrs)),
     lambda m, nbrs: m.graph_facts(nbrs, 1),
 ], ids=["closure", "connected_in", "pruned", "wavefront", "canonical_mask",
-        "augment", "triangle_masks", "triangle_graph6", "graph6_masks",
-        "graph_facts"])
+        "augment", "triangle_graph6", "graph6_masks", "graph_facts"])
 def test_compiled_refuses_63_vertices(compiled_kernels, call):
     with pytest.raises(ValueError, match="at most 62 vertices"):
         call(compiled_kernels, [0] * 63)
@@ -593,8 +638,10 @@ C4 = (0b1010, 0b0101, 0b1010, 0b0101)
 @pytest.mark.parametrize("name, args", [
     ("closure", (C4, 1, 0b11)), ("connected_in", (C4, 0b101)),
     ("search_level_pruned", (C4, 1, 2, 10)), ("wavefront", (C4, 1, 10)),
-    ("canonical_mask", (C4,)), ("augment", (C4,)),
-    ("triangle_masks", (0b101101, 4)), ("graph6_masks", ("w", 3)),
+    ("canonical_mask", (C4,)), ("augment", (0b101101, 4)),
+    # A 12-vertex parent: 66 bits, more than one word.
+    ("augment", ((1 << 66) - 1 & 0x5A5A5A5A5A5A5A5A5, 12)),
+    ("graph6_masks", ("w", 3)),
     ("graph_facts", (C4, 2)), ("verify_line", ("Bw", 1, 10)),
     ("triangle_graph6", (0b101101, 4))])
 def test_compiled_kernels_take_positional_arguments_only(compiled_kernels,

@@ -25,7 +25,8 @@ from forcing_lab.enumeration import enumerate_connected
 from forcing_lab.graphs import is_tree
 from forcing_lab.solver import _connected_complement_from
 
-from conftest import outside_counts, random_graph, verify_stream
+from conftest import (outside_counts, random_graph, use_backend,
+                      verify_stream)
 
 
 def _sweep(n, **kwargs):
@@ -57,7 +58,7 @@ def _induces_tree(g, vertices):
 def _tight_kernel(monkeypatch, lines):
     """Patch the sweep's kernel so that each line of ``lines`` reports the
     bound's value as its forcing number."""
-    kernel = _kernels.line_kernel()
+    kernel = _kernels.verify_line
 
     def tight(line, k, node_budget):
         facts = kernel(line, k, node_budget)
@@ -66,7 +67,7 @@ def _tight_kernel(monkeypatch, lines):
             assert num % den == 0, line
             facts = facts[:4] + (num // den,) + facts[5:]
         return facts
-    monkeypatch.setattr(_kernels, "line_kernel", lambda: tight)
+    monkeypatch.setattr(_kernels, "verify_line", tight)
 
 
 RECORD_FIELDS = ["graph6", "n", "max_degree", "min_degree", "k", "f_k",
@@ -126,7 +127,7 @@ class TestVerifyStream:
         # the lower bound alone.
         g = complete(5) if graph == "K5" else request.getfixturevalue(graph)
         # The pure verify_line runs the pure wavefront.
-        monkeypatch.setattr(_kernels, "_compiled", None)
+        use_backend(monkeypatch, pure_kernels)
         monkeypatch.setattr(pure_kernels, "wavefront",
                             lambda nbrs, k, node_budget: (1, 0, False))
         run = verify_stream([encode_graph6(g)], k)
@@ -250,11 +251,11 @@ class TestVerifyStream:
         # One verify_line call per line, which runs the record's one
         # wavefront. K6 (E~~w) and K_{3,3} (EFz_) also get a structure
         # check, which continues that solve instead of running its own.
-        monkeypatch.setattr(_kernels, "_compiled", None)
+        use_backend(monkeypatch, pure_kernels)
         lines, wavefronts = [], []
         verify_line = pure_kernels.verify_line
         wavefront = pure_kernels.wavefront
-        monkeypatch.setattr(pure_kernels, "verify_line",
+        monkeypatch.setattr(_kernels, "verify_line",
                             lambda *a: lines.append(a) or verify_line(*a))
         monkeypatch.setattr(pure_kernels, "wavefront",
                             lambda *a: wavefronts.append(a) or wavefront(*a))
@@ -281,8 +282,8 @@ class TestVerifyStream:
         assert seen == [parse_graph6(line)]
 
     def test_a_line_only_the_kernel_refuses_stops_the_run(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "line_kernel",
-                            lambda: lambda line, k, node_budget: None)
+        monkeypatch.setattr(_kernels, "verify_line",
+                            lambda line, k, node_budget: None)
         with pytest.raises(AssertionError, match="'Bw'"):
             verify_stream(["Bw"])
 
@@ -327,8 +328,7 @@ class TestVerifyStream:
     @pytest.mark.parametrize("k", [2, 3])
     def test_k_sweeps_verify_exactly_the_k_connected_graphs(
             self, k, kernels, monkeypatch):
-        monkeypatch.setattr(_kernels, "_compiled",
-                            None if kernels is pure_kernels else kernels)
+        use_backend(monkeypatch, kernels)
         # Enumerate on this backend too, not from another test's cache.
         monkeypatch.setattr(enumeration, "_built", {})
         assert _sweep(2, k=k).summary["skipped"] == {"max degree < 2": 1}
@@ -443,7 +443,7 @@ def _rederived(lines, k, node_budget):
     ``bounds`` and ``classify_extremal``, with no verdict shared between
     records; and the distinct verdicts, each a record without its name
     and solver_nodes."""
-    kernel = _kernels.line_kernel()
+    kernel = _kernels.verify_line
     summary = {
         "k": k, "input_lines": len(lines), "graphs_verified": 0,
         "skipped": {}, "parse_failure_count": 0, "parse_failures": [],
@@ -530,7 +530,7 @@ class TestVerdicts:
         lines = _mixed_stream()
         # Make a few non-regular graphs attain the bound, so that the
         # counterexample and equality_off_family lists fill too.
-        kernel = _kernels.line_kernel()
+        kernel = _kernels.verify_line
         tight = set()
         for line in filter(None, map(str.strip, lines)):
             facts = kernel(line, k, 0)
