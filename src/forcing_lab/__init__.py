@@ -7,39 +7,46 @@ exactly, evaluates the sharp degree upper bounds in exact rational
 arithmetic, and verifies exhaustively over all small connected graphs
 that bound equality at k = 1 happens precisely on cycles, complete
 graphs, and balanced complete bipartite graphs.
+
+Importing the package loads none of its submodules: each public name
+imports the submodule that defines it on first use.
 """
 
 __version__ = "0.1.0"
 
-from ._kernels import HAVE_COMPILED, active_backend
-from .bounds import (ExtremalClass, classify_extremal, degree_refined_bound,
-                     forcing_upper_bound)
-from .engine import ForcingTrace, closure, is_forcing_set, trace
-from .enumeration import enumerate_connected, random_trees
-from .graph6 import Graph6Error, encode_graph6, parse_graph6
-from .graphs import (Graph, VertexSet, complete, complete_bipartite, cycle,
-                     degree_stats, generate, is_connected, is_k_connected,
-                     parse_edge_list, path, star, tree_from_pruefer)
-from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, SolveResult,
-                     brute_force_oracle, forcing_number, greedy_upper_bound,
-                     solve, solve_connected_complement)
-from .verifier import (VerifyRun, check_extremal_structure,
-                       run_known_values, run_tree_leaf_suite)
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "_kernels": ("HAVE_COMPILED", "active_backend"),
+    "graphs": ("Graph", "VertexSet", "parse_edge_list", "cycle", "complete",
+               "complete_bipartite", "path", "star", "tree_from_pruefer",
+               "generate", "degree_stats", "is_connected", "is_k_connected"),
+    "graph6": ("Graph6Error", "parse_graph6", "encode_graph6"),
+    "enumeration": ("enumerate_connected", "random_trees"),
+    "engine": ("closure", "is_forcing_set", "trace", "ForcingTrace"),
+    "solver": ("SolveResult", "BudgetExceeded", "DEFAULT_NODE_BUDGET",
+               "brute_force_oracle", "forcing_number", "solve",
+               "greedy_upper_bound", "solve_connected_complement"),
+    "bounds": ("forcing_upper_bound", "degree_refined_bound",
+               "ExtremalClass", "classify_extremal"),
+    "verifier": ("VerifyRun", "check_extremal_structure",
+                 "run_tree_leaf_suite", "run_known_values"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
 
-__all__ = [
-    "__version__", "HAVE_COMPILED", "active_backend",
-    "Graph", "VertexSet", "Graph6Error", "parse_graph6", "encode_graph6",
-    "parse_edge_list",
-    "cycle", "complete", "complete_bipartite", "path", "star",
-    "tree_from_pruefer", "generate", "degree_stats", "is_connected",
-    "is_k_connected",
-    "enumerate_connected", "random_trees",
-    "closure", "is_forcing_set", "trace", "ForcingTrace",
-    "SolveResult", "BudgetExceeded", "DEFAULT_NODE_BUDGET",
-    "brute_force_oracle", "forcing_number", "solve", "greedy_upper_bound",
-    "solve_connected_complement",
-    "forcing_upper_bound", "degree_refined_bound",
-    "ExtremalClass", "classify_extremal",
-    "VerifyRun", "check_extremal_structure",
-    "run_tree_leaf_suite", "run_known_values",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    """Import the submodule that defines ``name`` and keep its value here,
+    so that later lookups do not come back."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -2,7 +2,10 @@
 
 The compiled extension serves every graph of at most 62 vertices when it
 is built (``python setup.py build_ext --inplace``); the pure-Python
-kernels serve everything else, and ``search_level_constrained`` always.
+kernels serve everything else, and the two exhaustive level scans
+(``search_level_constrained`` and ``search_level_exhaustive``) always.
+``pure`` is imported on the first call that needs it, so a process that
+the compiled module serves throughout never loads it.
 Each kernel has one route from its caller. The six that take a graph of
 any order (``closure``, ``connected_in``, ``graph_facts``,
 ``wavefront``, ``search_level_pruned`` and ``canonical_mask``) pick the
@@ -17,8 +20,6 @@ A compiled module built from an older ``_ckern.c`` that lacks one of
 ``HAVE_COMPILED`` and ``active_backend`` say so. Tests reach both
 backends directly through the ``kernels`` fixture.
 """
-
-from . import pure as _pure
 
 # Every kernel this module sends to the compiled extension: all of pure.py
 # but the two exhaustive level scans, k_connected, whose cut walk
@@ -45,6 +46,16 @@ def _load_compiled():
 _compiled = _load_compiled()
 HAVE_COMPILED = _compiled is not None
 _C_MAX_VERTICES = 62
+# The pure kernels once a call has needed them (see ``_load_pure``).
+_pure = None
+
+
+def _load_pure():
+    """Import the pure kernels; every later call finds them in ``_pure``."""
+    global _pure
+    from . import pure
+    _pure = pure
+    return pure
 
 
 def active_backend(n=0):
@@ -55,7 +66,7 @@ def active_backend(n=0):
 def _impl(n):
     if _compiled is not None and n <= _C_MAX_VERTICES:
         return _compiled
-    return _pure
+    return _pure or _load_pure()
 
 
 def closure(nbrs, k, colored):
@@ -75,8 +86,16 @@ def search_level_pruned(nbrs, k, size, node_budget):
 
 
 # Pure on every backend: the connected-complement solve runs this scan only
-# from the forcing number up, so a compiled copy would save little.
-search_level_constrained = _pure.search_level_constrained
+# from the forcing number up, so a compiled copy would save little; the
+# oracle's scan is the independent reference for the compiled search.
+def search_level_constrained(nbrs, k, size, node_budget):
+    return (_pure or _load_pure()).search_level_constrained(
+        nbrs, k, size, node_budget)
+
+
+def search_level_exhaustive(nbrs, k, size, node_budget):
+    return (_pure or _load_pure()).search_level_exhaustive(
+        nbrs, k, size, node_budget)
 
 
 def wavefront(nbrs, k, node_budget):
@@ -87,7 +106,7 @@ def canonical_mask(nbrs):
     return _impl(len(nbrs)).canonical_mask(nbrs)
 
 
-augment = (_compiled or _pure).augment
-triangle_graph6 = (_compiled or _pure).triangle_graph6
-graph6_masks = (_compiled or _pure).graph6_masks
-verify_line = (_compiled or _pure).verify_line
+augment = (_compiled or _load_pure()).augment
+triangle_graph6 = (_compiled or _load_pure()).triangle_graph6
+graph6_masks = (_compiled or _load_pure()).graph6_masks
+verify_line = (_compiled or _load_pure()).verify_line

@@ -12,6 +12,12 @@ reads it, and -h or --help prints it. The echo means that the run has
 started: every check that can reject a run comes before it, so a
 rejected run prints one ``error:`` line only.
 
+Importing this module loads what parsing and the echo need. Each handler
+imports the rest of what it runs when it runs (``json`` with the run's
+first JSON line), so ``solve`` never loads the verifier, the bounds or the
+trace engine, and names that a test or a tracer patches on their module
+are looked up there at call time.
+
 ``verify`` reads graph6 lines only: ``--enumerate N`` is ``--input`` of
 the lines ``enumerate_connected(N)`` yields, record for record. It runs
 in one process. Its ``--workers`` is checked (at least 1) and echoed, but
@@ -24,7 +30,6 @@ error (for ``bounds``, also a graph outside the bound's hypotheses),
 before the output was complete.
 """
 
-import json
 import os
 import sys
 from collections import namedtuple
@@ -33,15 +38,11 @@ from itertools import accumulate
 from types import SimpleNamespace
 
 from . import __version__, _kernels
-from .bounds import (classify_extremal, degree_refined_bound,
-                     failure_reason, forcing_upper_bound)
-from .engine import trace
 from .enumeration import MAX_ENUMERATION_ORDER, enumerate_connected, random_trees
 from .graph6 import MAX_VERTICES, Graph6Error, parse_graph6
 from .graphs import VertexSet, generate, is_tree, parse_edge_list
 from .solver import (DEFAULT_NODE_BUDGET, BudgetExceeded, forcing_number,
                      solve, solve_connected_complement)
-from .verifier import VerifyRun, run_known_values, run_tree_leaf_suite
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -97,12 +98,18 @@ def _load_graph(args):
         raise Graph6Error(exc.msg, at + exc.offset) from None
 
 
+def _print_json(obj, file=None):
+    """Print ``obj`` as one JSON line to ``file``, stdout by default."""
+    import json
+    print(json.dumps(obj), file=file)
+
+
 def _echo_config(args, n):
     """Echo the run's configuration to stderr; ``backend`` names the kernel
     backend that serves graphs of order ``n``."""
     config = {"version": __version__,
               "backend": _kernels.active_backend(n), **vars(args)}
-    print(json.dumps({"config": config}), file=sys.stderr)
+    _print_json({"config": config}, sys.stderr)
     return config
 
 
@@ -119,24 +126,27 @@ def _cmd_solve(args):
     out["n"] = g.n
     if g.name:
         out["graph"] = g.name
-    print(json.dumps(out))
+    _print_json(out)
     return EXIT_OK
 
 
 def _cmd_closure(args):
+    from .engine import trace
     g = _load_graph(args)
     ids = _parse_id_csv(args.initial)
     initial = VertexSet.from_ids(ids, g.n)
     _echo_config(args, g.n)
     tr = trace(g, args.k, initial)
     colored = len(tr.final_state())
-    print(json.dumps({"k": tr.k, "initial": list(tr.initial),
-                      "events": tr.events, "forces": colored == g.n,
-                      "colored": colored}))
+    _print_json({"k": tr.k, "initial": list(tr.initial),
+                 "events": tr.events, "forces": colored == g.n,
+                 "colored": colored})
     return EXIT_OK
 
 
 def _cmd_bounds(args):
+    from .bounds import (classify_extremal, degree_refined_bound,
+                         failure_reason, forcing_upper_bound)
     g = _load_graph(args)
     # Input outside the bound's hypotheses exits 2, neither echoed nor solved.
     dmax, dmin, code = _kernels.graph_facts(g.neighbor_masks, args.k)
@@ -158,7 +168,7 @@ def _cmd_bounds(args):
     out["extremal_class"] = cls.tag if cls else None
     if g.name:
         out["graph"] = g.name
-    print(json.dumps(out))
+    _print_json(out)
     return EXIT_OK
 
 
@@ -196,7 +206,9 @@ def _cmd_verify(args):
                 args.out + ".records.jsonl", "w", encoding="ascii"))
         _echo_config(args, MAX_VERTICES)
         # Records are written as they arrive; the summary is complete once
-        # write_jsonl has drained them.
+        # write_jsonl has drained them. A run rejected above never loads
+        # the verifier.
+        from .verifier import VerifyRun
         run = VerifyRun(lines, args.k, node_budget=args.node_budget)
         stack.enter_context(closing(run.records))
         if args.out:
@@ -205,6 +217,7 @@ def _cmd_verify(args):
             with open(args.out + ".summary.csv", "w", encoding="ascii",
                       newline="") as fh:
                 run.write_summary_csv(fh)
+            import json
             with open(args.out + ".summary.json", "w", encoding="ascii") as fh:
                 json.dump(dict(run.summary, version=__version__), fh, indent=2)
                 fh.write("\n")
@@ -212,7 +225,7 @@ def _cmd_verify(args):
             run.write_jsonl(sys.stdout)
             run.write_summary_csv(sys.stderr)
     summary = run.summary
-    print(json.dumps({"summary": {
+    _print_json({"summary": {
         "graphs_verified": summary["graphs_verified"],
         "skipped": sum(summary["skipped"].values()),
         "parse_failures": summary["parse_failure_count"],
@@ -220,7 +233,7 @@ def _cmd_verify(args):
         "counterexamples": len(summary["counterexamples"]),
         "unresolved": len(summary["unresolved"]),
         "structure_failures": len(summary["structure_failures"]),
-    }}), file=sys.stderr)
+    }}, sys.stderr)
 
     if summary["counterexamples"] or summary["structure_failures"]:
         return EXIT_FAILURE
@@ -230,6 +243,7 @@ def _cmd_verify(args):
 
 
 def _cmd_lemmas(args):
+    from .verifier import run_known_values, run_tree_leaf_suite
     if args.suite == "trees":
         randoms = random_trees(args.random_count, args.random_min,
                                args.random_max, args.seed)
@@ -249,7 +263,7 @@ def _cmd_lemmas(args):
             yield from randoms
         result = run_tree_leaf_suite(stream())
         result["seed"] = args.seed
-        print(json.dumps(result))
+        _print_json(result)
         return EXIT_OK if not result["failures"] and not result["rejected"] \
             else EXIT_FAILURE
     # K_{d,d} has 2d vertices, the largest graph of degree d built here.
@@ -257,7 +271,7 @@ def _cmd_lemmas(args):
     result = run_known_values(delta_max=args.delta_max,
                               cycle_max=args.cycle_max,
                               node_budget=args.node_budget)
-    print(json.dumps(result))
+    _print_json(result)
     return EXIT_OK if not result["failures"] else EXIT_FAILURE
 
 

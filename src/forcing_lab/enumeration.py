@@ -25,8 +25,6 @@ Trees come one per class as
 ``random_trees`` draws larger ones from seeded Pruefer sequences.
 """
 
-import random
-
 from . import _kernels
 from .graphs import tree_from_pruefer
 
@@ -113,6 +111,7 @@ def random_trees(count, min_n, max_n, seed):
         raise ValueError("count must be non-negative")
     if not 2 <= min_n <= max_n:
         raise ValueError("need 2 <= min_n <= max_n")
+    import random
     rng = random.Random(seed)
 
     def trees():

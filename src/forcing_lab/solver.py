@@ -22,7 +22,6 @@ graph.
 from collections import namedtuple
 
 from . import _kernels
-from ._kernels import pure
 from .graphs import VertexSet
 
 # One node budget bounds all the solving done for one graph: each solve
@@ -136,7 +135,7 @@ def brute_force_oracle(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     """
     _check_args(g, k)
     size, witness, total = _scan_levels(
-        g, k, pure.search_level_exhaustive, range(1, g.n + 1), node_budget)
+        g, k, _kernels.search_level_exhaustive, range(1, g.n + 1), node_budget)
     if witness is None:
         raise AssertionError("the full vertex set always forces")
     return SolveResult(size, witness, total, "oracle", k)

@@ -141,16 +141,23 @@ def c_compiler():
     return cc
 
 
+# The module that compiled_module built from _ckern.c, once a session.
+_built = []
+
+
 def compiled_module(request, out):
     """The compiled kernel module: the in-place build when the dispatcher
     uses it, otherwise one built from ``_ckern.c`` into the directory
-    ``out`` (the source tree is left untouched). So an in-place build that
-    lacks one of the dispatched kernels, built from an older ``_ckern.c``,
-    is never what the tests compare. Skips only when a build is needed and
-    no C compiler exists."""
+    ``out`` (the source tree is left untouched) by the session's first
+    call that needs it, and reused by every later one. So an in-place
+    build that lacks one of the dispatched kernels, built from an older
+    ``_ckern.c``, is never what the tests compare. Skips only when a build
+    is needed and no C compiler exists."""
     module = _kernels._load_compiled()
     if module is not None:
         return module
+    if _built:
+        return _built[0]
     request.getfixturevalue("c_compiler")
     done = subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",
@@ -165,13 +172,13 @@ def compiled_module(request, out):
         "forcing_lab._kernels._ckern", built)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    _built.append(module)
     return module
 
 
 @pytest.fixture(scope="session")
 def compiled_kernels(request, tmp_path_factory):
-    """The compiled kernel module (see ``compiled_module``), built at most
-    once a session."""
+    """The compiled kernel module (see ``compiled_module``)."""
     return compiled_module(request, tmp_path_factory.mktemp("ckern"))
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -687,7 +688,7 @@ class TestLemmas:
         def refuse(trees):
             raise AssertionError("a tree was checked")
 
-        monkeypatch.setattr(cli, "run_tree_leaf_suite", refuse)
+        monkeypatch.setattr(verifier, "run_tree_leaf_suite", refuse)
         cap = MAX_ENUMERATION_ORDER
         code, out, err = run_cli(capsys, "lemmas", "trees", "--max-n",
                                  str(cap + 1))
@@ -699,7 +700,7 @@ class TestLemmas:
         def refuse(trees):
             raise AssertionError("a tree was checked")
 
-        monkeypatch.setattr(cli, "run_tree_leaf_suite", refuse)
+        monkeypatch.setattr(verifier, "run_tree_leaf_suite", refuse)
         # The table's range first, then random_trees' own check.
         for bounds, message in [(("--random-min", "1"),
                                  "--random-min must be at least 2"),
@@ -758,6 +759,86 @@ def test_cli_import_leaves_module_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# The public names of the package and the submodule that defines each.
+EXPORTS = {
+    "_kernels": "HAVE_COMPILED active_backend",
+    "graphs": "Graph VertexSet parse_edge_list cycle complete "
+              "complete_bipartite path star tree_from_pruefer generate "
+              "degree_stats is_connected is_k_connected",
+    "graph6": "Graph6Error parse_graph6 encode_graph6",
+    "enumeration": "enumerate_connected random_trees",
+    "engine": "closure is_forcing_set trace ForcingTrace",
+    "solver": "SolveResult BudgetExceeded DEFAULT_NODE_BUDGET "
+              "brute_force_oracle forcing_number solve greedy_upper_bound "
+              "solve_connected_complement",
+    "bounds": "forcing_upper_bound degree_refined_bound ExtremalClass "
+              "classify_extremal",
+    "verifier": "VerifyRun check_extremal_structure run_tree_leaf_suite "
+                "run_known_values",
+}
+
+
+def test_public_names_resolve_to_their_submodules():
+    home = {name: module for module, names in EXPORTS.items()
+            for name in names.split()}
+    assert len(home) == 40
+    assert sorted(forcing_lab.__all__) == sorted(["__version__", *home])
+    for name, module in home.items():
+        defining = importlib.import_module(f"forcing_lab.{module}")
+        assert getattr(forcing_lab, name) is getattr(defining, name), name
+    assert set(forcing_lab.__all__) <= set(dir(forcing_lab))
+    namespace = {}
+    exec("from forcing_lab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(forcing_lab.__all__)
+    with pytest.raises(AttributeError, match=r"^module 'forcing_lab' has "
+                       r"no attribute 'no_such_name'$"):
+        forcing_lab.no_such_name
+
+
+def new_modules(*statements):
+    """The modules that ``statements``, run in a fresh interpreter after
+    its start-up, add to ``sys.modules``. The statements may print: the
+    modules are the last line of stdout."""
+    code = "\n".join([f"import sys; sys.path.insert(0, {SRC!r})",
+                      "before = set(sys.modules)", *statements,
+                      "print(*sorted(set(sys.modules) - before))"])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+# What no command needs before its handler runs, nor solve at all.
+DEFERRED = {"forcing_lab.verifier", "forcing_lab.bounds",
+            "forcing_lab.engine"}
+
+
+def test_cli_import_defers_what_the_handlers_run():
+    # The compiled module serves every kernel that parsing and the config
+    # echo call, so pure.py loads only for a call that needs it.
+    deferred = DEFERRED | {"json"}
+    if _kernels.HAVE_COMPILED:
+        deferred.add("forcing_lab._kernels.pure")
+    assert new_modules("import forcing_lab.cli") & deferred == set()
+
+
+def test_package_import_loads_no_submodule():
+    assert new_modules("import forcing_lab") == {"forcing_lab"}
+    # A public name loads the submodule that defines it, and its imports.
+    assert new_modules("import forcing_lab", "forcing_lab.parse_graph6") \
+        <= {"forcing_lab", "forcing_lab._kernels", "forcing_lab._kernels._ckern",
+            "forcing_lab._kernels.pure", "forcing_lab.graphs",
+            "forcing_lab.graph6"}
+
+
+@pytest.mark.parametrize("argv", [["solve", "--family", "cycle:5"],
+                                  ["verify", "--enumerate", "10"], ["--help"]])
+def test_run_leaves_verifier_bounds_and_engine_unloaded(argv):
+    # A solve, a verify rejected in its handler, and the help.
+    loaded = new_modules("from forcing_lab.cli import main", f"main({argv!r})")
+    assert "forcing_lab.solver" in loaded
+    assert loaded & DEFERRED == set()
 
 
 def test_package_starts_no_process_pool():

@@ -586,6 +586,7 @@ def test_stale_compiled_module_is_rebuilt_for_the_tests(monkeypatch, request,
     monkeypatch.setitem(sys.modules, fake.__name__, fake)
     monkeypatch.setattr(_kernels, "_ckern", fake, raising=False)
     assert _kernels._load_compiled() is None
+    # A fresh build, the session's one once it exists, never the fake.
     fresh = compiled_module(request, tmp_path)
     assert fresh is not fake and fresh.BACKEND == "compiled"
     assert fresh.graph6_masks("w", 3) == (0b110, 0b101, 0b011)
