@@ -1,12 +1,12 @@
 /* Compiled bitset kernels, written directly against the CPython API.
  *
- * Mirrors _kernels/pure.py exactly: ten of its fourteen functions, with the
- * same return values, witnesses and node counts. The other four stay
- * pure-only: the plain exhaustive level scan serves only the brute-force
- * oracle, which is thus independent of this file, the connected-complement
- * one runs only from the forcing number up, graph_facts here runs
- * k_connected's cut walk itself, and unpack_triangle here does
- * triangle_masks's work inside augment and graph6_masks. Keep the two
+ * Mirrors _kernels/pure.py exactly: ten of its twelve functions, with the
+ * same return values, witnesses and node counts. The other two stay
+ * pure-only: graph_facts here runs k_connected's cut walk itself, and
+ * unpack_triangle here does triangle_masks's work inside augment and
+ * graph6_masks. The exhaustive level scans are Python loops in _kernels on
+ * this file's closure and connected_in; the brute-force oracle's runs on
+ * pure.py's closure, so it stays independent of this file. Keep the two
  * files in sync; the differential tests compare them kernel by kernel.
  *
  * The exact solver is wavefront (the forcing number, by best-first search

@@ -3,17 +3,15 @@
 All kernels speak a single low-level dialect: a graph is a sequence of
 neighbor bitmasks (``nbrs[v]`` has bit ``u`` set iff ``uv`` is an edge)
 and a vertex subset is one Python integer. The compiled extension
-(``_ckern``, built from ``_ckern.c``) implements ten of the fourteen
+(``_ckern``, built from ``_ckern.c``) implements ten of the twelve
 functions here with identical semantics (same return values, same node
 counts) for n <= 62; this module is the reference, the fallback when the
 extension is not built, and the only implementation for n > 62. The
-other four run here on every backend. Two are the exhaustive subset
-scan, one Gosper walk: the brute-force oracle runs it plain
-(``search_level_exhaustive``) and the connected-complement solve as
-``search_level_constrained``. The third is ``k_connected``, whose cut
-walk the compiled ``graph_facts`` runs inside itself. The fourth is
-``triangle_masks``, whose unpacking the compiled ``augment`` and
-``graph6_masks`` do inside themselves.
+other two run here on every backend: ``k_connected``, whose cut walk the
+compiled ``graph_facts`` runs inside itself, and ``triangle_masks``,
+whose unpacking the compiled ``augment`` and ``graph6_masks`` do inside
+themselves. The exhaustive level scans are ``_kernels``' own, on the
+``closure`` and ``connected_in`` of a backend.
 
 Four kernels build or test whole graphs rather than search them:
 ``triangle_masks`` unpacks the upper-triangle bit layout that graph6, the
@@ -253,39 +251,6 @@ def verify_line(line, k, node_budget):
     return (n, dmax, dmin, reason, *wavefront(nbrs, k, node_budget))
 
 
-def search_level_exhaustive(nbrs, k, size, node_budget,
-                            connected_complement=False):
-    """Scan every ``size``-subset in ascending mask order for a forcing set;
-    with ``connected_complement``, for one whose complement is nonempty
-    and induces a connected subgraph.
-
-    Returns (witness_mask or None, nodes, aborted). ``nodes`` counts the
-    subsets visited, whether or not their complement qualifies; the scan
-    aborts once it would exceed ``node_budget``.
-    """
-    n = len(nbrs)
-    full = (1 << n) - 1
-    if size < 1 or size > n:
-        return None, 0, False
-    mask = (1 << size) - 1
-    last = mask << (n - size)
-    nodes = 0
-    while True:
-        if nodes >= node_budget:
-            return None, nodes, True
-        nodes += 1
-        comp = full & ~mask
-        if ((not connected_complement or comp and connected_in(nbrs, comp))
-                and closure(nbrs, k, mask) == full):
-            return mask, nodes, False
-        if mask == last:
-            return None, nodes, False
-        # Gosper's hack: the next larger mask with as many bits.
-        c = mask & -mask
-        r = mask + c
-        mask = (((r ^ mask) >> 2) // c) | r
-
-
 def search_level_pruned(nbrs, k, size, node_budget):
     """Depth-first search for a forcing set of exactly ``size`` vertices.
 
@@ -396,12 +361,6 @@ def wavefront(nbrs, k, node_budget):
         buckets[cost] = None
         cost += 1
     return limit, nodes, False
-
-
-def search_level_constrained(nbrs, k, size, node_budget):
-    """``search_level_exhaustive`` restricted to forcing sets whose
-    complement is nonempty and induces a connected subgraph."""
-    return search_level_exhaustive(nbrs, k, size, node_budget, True)
 
 
 def _refine(nbrs):

@@ -1,14 +1,15 @@
 """Exact minimum k-forcing sets.
 
 Two independent routes to the same value. The oracle is a plain brute
-force in the pure-Python kernel: it scans subset sizes upward, every
+force on the pure-Python closure: it scans subset sizes upward, every
 subset of each, and stops at the first size that forces. The fast path,
 ``forcing_number``, finds the value alone by a best-first search over
 closed sets (the ``wavefront`` kernel); ``solve`` then runs one pruned
 depth-first search at that size for the lexicographically smallest
 witness. A constrained variant restricts the search to sets whose
 complement induces a connected subgraph: the oracle's subset scan with
-that test, from the wavefront value up, since no smaller set forces.
+that test, on the kernels of the backend in use, from the wavefront
+value up, since no smaller set forces.
 ``_scan_levels`` drives the level searches of all three. A greedy upper
 bound is available on its own.
 
@@ -130,8 +131,8 @@ def _scan_levels(g, k, search, sizes, node_budget, spent=0):
 def brute_force_oracle(g, k=1, *, node_budget=DEFAULT_NODE_BUDGET):
     """Exact by construction: try subset sizes 1, 2, ... and within each
     size every subset in ascending mask order; the first forcing set found
-    is returned. Always runs the pure-Python kernel, so it stays an
-    independent reference for the compiled pruned search.
+    is returned. Always runs the pure-Python closure, so it stays an
+    independent reference for the compiled kernels.
     """
     _check_args(g, k)
     size, witness, total = _scan_levels(

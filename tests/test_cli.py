@@ -841,6 +841,28 @@ def test_run_leaves_verifier_bounds_and_engine_unloaded(argv):
     assert loaded & DEFERRED == set()
 
 
+@pytest.mark.skipif(not _kernels.HAVE_COMPILED,
+                    reason="the compiled kernels are not built in place")
+@pytest.mark.parametrize("argv, loads_pure", [
+    (["verify", "--enumerate", "5"], False),
+    (["verify", "--enumerate", "5", "--k", "2"], False),
+    (["solve", "--family", "complete_bipartite:3,3", "--constrained"], False),
+    (["bounds", "--family", "complete:6"], False),
+    (["closure", "--family", "cycle:6", "--set", "0,1"], False),
+    (["lemmas", "known", "--delta-max", "2", "--cycle-max", "4"], False),
+    (["lemmas", "trees", "--max-n", "6", "--random-count", "5"], False),
+    (["solve", "--family", "cycle:63"], True)],
+    ids=["verify-k1", "verify-k2", "solve-constrained", "bounds", "closure",
+         "lemmas-known", "lemmas-trees", "solve-63-vertices"])
+def test_compiled_run_loads_pure_kernels_only_above_62_vertices(argv,
+                                                                loads_pure):
+    # The compiled module serves every kernel call of a graph with at most
+    # 62 vertices, the connected-complement scans of the structure check
+    # and of solve --constrained included.
+    loaded = new_modules("from forcing_lab.cli import main", f"main({argv!r})")
+    assert ("forcing_lab._kernels.pure" in loaded) == loads_pure
+
+
 def test_package_starts_no_process_pool():
     # verify runs in one process; more CPUs come from one verify --input
     # per part of the input. No module imports a process pool or forks.

@@ -19,7 +19,7 @@ from forcing_lab._kernels import pure
 from forcing_lab.enumeration import CONNECTED_CLASS_COUNTS, enumerate_connected
 
 from conftest import (BOUND_KERNELS, compiled_module, hypothesis_inputs,
-                      random_masks)
+                      random_masks, use_backend)
 
 
 @pytest.mark.parametrize("name", ["search_level_pruned"])
@@ -41,28 +41,73 @@ def test_level_searches_match_pure(compiled_kernels, name):
 
 @pytest.mark.parametrize("name", ["search_level_exhaustive",
                                   "search_level_constrained"])
-def test_constrained_scan_counts_every_subset_visited(name):
+def test_constrained_scan_counts_every_subset_visited(name, compiled_kernels,
+                                                      monkeypatch):
     # Both scans walk the same subsets and stop at the first that
     # qualifies. A subset whose complement is disconnected is a node too,
-    # so the budget bounds the constrained walk however few qualify.
-    scan = getattr(pure, name)
+    # so the budget bounds the constrained walk however few qualify. Each
+    # runs through the dispatcher on both backends.
+    scan = getattr(_kernels, name)
     constrained = name == "search_level_constrained"
-    for n in range(1, 7):
-        full = (1 << n) - 1
-        for g in map(parse_graph6, enumerate_connected(n)):
-            nbrs = g.neighbor_masks
-            for size in range(1, n + 1):
-                subsets = [m for m in range(1 << n) if m.bit_count() == size]
-                hits = [m for m in subsets if pure.closure(nbrs, 1, m) == full]
-                if constrained:
-                    hits = [m for m in hits if m != full
-                            and pure.connected_in(nbrs, full & ~m)]
-                witness, nodes, aborted = scan(nbrs, 1, size, 10**9)
-                assert witness == next(iter(hits), None)
-                visited = sum(1 for m in subsets
-                              if witness is None or m <= witness)
-                assert (nodes, aborted) == (visited, False)
-                assert scan(nbrs, 1, size, nodes - 1) == (None, nodes - 1, True)
+    for module in (pure, compiled_kernels):
+        use_backend(monkeypatch, module)
+        for n in range(1, 7):
+            full = (1 << n) - 1
+            for g in map(parse_graph6, enumerate_connected(n)):
+                nbrs = g.neighbor_masks
+                for size in range(1, n + 1):
+                    subsets = [m for m in range(1 << n)
+                               if m.bit_count() == size]
+                    hits = [m for m in subsets
+                            if pure.closure(nbrs, 1, m) == full]
+                    if constrained:
+                        hits = [m for m in hits if m != full
+                                and pure.connected_in(nbrs, full & ~m)]
+                    witness, nodes, aborted = scan(nbrs, 1, size, 10**9)
+                    assert witness == next(iter(hits), None)
+                    visited = sum(1 for m in subsets
+                                  if witness is None or m <= witness)
+                    assert (nodes, aborted) == (visited, False)
+                    assert scan(nbrs, 1, size, nodes - 1) \
+                        == (None, nodes - 1, True)
+
+
+def test_constrained_scan_matches_across_backends(compiled_kernels,
+                                                  monkeypatch):
+    """Full (witness, nodes, aborted) triples at every size, including
+    budgets small enough to abort."""
+    rng = random.Random(47)
+    inputs = [(random_masks(rng, n, p), k, size, budget)
+              for n in range(11) for p in (0.25, 0.5, 0.8) for k in (1, 2, 3)
+              for size in range(-1, n + 2) for budget in (0, 3, 10**9)]
+    results = {}
+    for module in (pure, compiled_kernels):
+        use_backend(monkeypatch, module)
+        results[module.BACKEND] = [_kernels.search_level_constrained(*args)
+                                   for args in inputs]
+    assert results["compiled"] == results["pure"]
+    assert {aborted for _, _, aborted in results["pure"]} == {False, True}
+    assert any(witness is not None for witness, _, _ in results["pure"])
+
+
+def test_oracle_runs_the_pure_closure(compiled_kernels, monkeypatch):
+    # The oracle's scan runs the pure closure on every backend, so it stays
+    # an independent reference for the compiled kernels.
+    def refuse(*args):
+        raise AssertionError("the compiled closure was called")
+
+    graphs = [g for n in range(1, 7)
+              for g in map(parse_graph6, enumerate_connected(n))]
+    expected = [brute_force_oracle(g, k) for g in graphs for k in (1, 2)]
+    fake = types.SimpleNamespace(**{
+        name: getattr(compiled_kernels, name)
+        for name in ("BACKEND", *_kernels.COMPILED_KERNELS)})
+    fake.closure = refuse
+    use_backend(monkeypatch, fake)
+    with pytest.raises(AssertionError, match="compiled closure"):
+        _kernels.search_level_constrained(graphs[-1].neighbor_masks, 1, 2, 10)
+    assert [brute_force_oracle(g, k)
+            for g in graphs for k in (1, 2)] == expected
 
 
 def _wavefront_inputs():
